@@ -28,22 +28,20 @@ reporting the observed rank, which is evidence, not a certificate.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import cached_property
 
 from .graph import (
+    BipartitionResult,
+    CycleBasis,
     Edge,
-    SparsityGraph,
     bipartition,
     build_graph,
     connected_components,
     cycle_basis,
     edge_signs,
-    is_forest,
 )
-from .model import QcqpInstance
+from .model import GeneralQcqpInstance, InstanceError, QcqpInstance
 from .sdp import (
     DEFAULT_TOL,
     DualSideEmpty,
@@ -113,6 +111,52 @@ def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> Assu
     )
 
 
+class _Structure:
+    """What every rule reads, built once per call of `certify` or a rule.
+
+    Graph and edge signs are built eagerly; the bipartition, components,
+    cycle basis and the assumption check only when a rule first asks.  The
+    assumption check keeps the tolerances of that first request, which are
+    the same for every rule of one call.
+    """
+
+    def __init__(self, inst: QcqpInstance):
+        if isinstance(inst, GeneralQcqpInstance):
+            raise InstanceError(
+                "instance has linear terms; certify homogenize(instance) instead"
+            )
+        self.inst = inst
+        self.graph = build_graph(inst)
+        self.signs = edge_signs(inst, self.graph)
+        self._assumption: AssumptionCheck | None = None
+
+    @cached_property
+    def bip(self) -> BipartitionResult:
+        return bipartition(self.graph)
+
+    @cached_property
+    def components(self) -> list[frozenset[int]]:
+        return connected_components(self.graph)
+
+    @cached_property
+    def basis(self) -> CycleBasis:
+        return cycle_basis(self.graph)
+
+    @property
+    def forest(self) -> bool:
+        return len(self.graph.edges) == self.graph.n - len(self.components)
+
+    def assumption(self, tol: float, solver_tol: float) -> AssumptionCheck:
+        if self._assumption is None:
+            self._assumption = _check_assumption(self.inst, tol, solver_tol)
+        return self._assumption
+
+
+def _refutes(mu: float, attained: bool, tol: float) -> bool:
+    """An edge system is infeasible when its attained minimum clears tol."""
+    return bool(mu > tol and attained)
+
+
 def check_edge_system_nonpositive(
     inst: QcqpInstance,
     k: int,
@@ -132,76 +176,53 @@ def check_edge_system_nonpositive(
     mu, attained, _ = minimize_linear_functional_over_dual_cone(
         inst, k, ell, y_cap=y_cap, tol=solver_tol
     )
-    return bool(mu > tol and attained), mu, attained
+    return _refutes(mu, attained, tol), mu, attained
 
 
-def _solve_edges(
-    inst: QcqpInstance,
-    edges,
-    y_cap: float,
-    solver_tol: float,
-    parallel: int,
-    want_max: bool,
-) -> dict[Edge, EdgeSystemResult]:
-    """Per-edge minimum (and, for forests, maximum) of S(y)_{k,ell}."""
-
-    def one(edge: Edge) -> EdgeSystemResult:
-        k, ell = edge
-        res = EdgeSystemResult()
-        res.mu_min, res.min_attained, _ = minimize_linear_functional_over_dual_cone(
-            inst, k, ell, y_cap=y_cap, tol=solver_tol
+def _edge_system(
+    inst: QcqpInstance, edge: Edge, y_cap: float, solver_tol: float, want_max: bool
+) -> EdgeSystemResult:
+    """Minimum (and, for forests, maximum) of S(y)_{k,ell}."""
+    k, ell = edge
+    res = EdgeSystemResult()
+    res.mu_min, res.min_attained, _ = minimize_linear_functional_over_dual_cone(
+        inst, k, ell, y_cap=y_cap, tol=solver_tol
+    )
+    if want_max:
+        res.mu_max, res.max_attained, _ = minimize_linear_functional_over_dual_cone(
+            inst, k, ell, y_cap=y_cap, tol=solver_tol, maximize=True
         )
-        if want_max:
-            res.mu_max, res.max_attained, _ = minimize_linear_functional_over_dual_cone(
-                inst, k, ell, y_cap=y_cap, tol=solver_tol, maximize=True
-            )
-        return res
-
-    edges = sorted(edges)
-    if parallel > 1 and len(edges) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(one, edges))
-    else:
-        results = [one(e) for e in edges]
-    return dict(zip(edges, results))
+    return res
 
 
-def certify_bipartite(
-    inst: QcqpInstance,
-    tol: float = MU_POSITIVITY_TOL,
-    y_cap: float = DEFAULT_Y_CAP,
-    solver_tol: float = DEFAULT_TOL,
-    parallel: int = 1,
+def _edge_systems(
+    st: _Structure, tol: float, y_cap: float, solver_tol: float, want_max: bool
 ) -> CertificationReport:
-    """Certify through per-edge systems {y >= 0, S(y) PSD, S(y)_{kl} <= 0}.
-
-    All edges' systems infeasible (mu* > tol, attained) plus a verified
-    assumption give CertifiedExact.  Connectivity only selects the name of
-    the applied rule: the disconnected case is covered by the same per-edge
-    systems through a vanishing Laplacian perturbation argument.
-    """
-    graph = build_graph(inst)
-    report = CertificationReport(
-        verdict=Verdict.NOT_CERTIFIED, sign_summary=edge_signs(inst, graph)
-    )
-    bip = bipartition(graph)
-    if not bip.bipartite:
-        report.notes.append(
-            "graph is not bipartite (odd closed walk "
-            f"{tuple(v + 1 for v in bip.witness)})"
+    """Per-edge systems: S(y)_{kl} = 0 on forests (want_max), <= 0 on bipartite graphs."""
+    report = CertificationReport(verdict=Verdict.NOT_CERTIFIED, sign_summary=st.signs)
+    if want_max:
+        if not st.forest:
+            report.notes.append("graph has cycles; the forest rule does not apply")
+            return report
+        rule = "forest-edge-systems"
+    else:
+        if not st.bip.bipartite:
+            report.notes.append(
+                "graph is not bipartite (odd closed walk "
+                f"{tuple(v + 1 for v in st.bip.witness)})"
+            )
+            return report
+        rule = (
+            "connected-bipartite-edge-systems"
+            if len(st.components) <= 1
+            else "disconnected-bipartite-edge-systems"
         )
-        return report
-    connected = len(connected_components(graph)) <= 1
-    rule = (
-        "connected-bipartite-edge-systems"
-        if connected
-        else "disconnected-bipartite-edge-systems"
-    )
-    report.assumption_check = _check_assumption(inst, tol, solver_tol)
+    report.assumption_check = st.assumption(tol, solver_tol)
     try:
-        report.per_edge = _solve_edges(
-            inst, graph.edges, y_cap, solver_tol, parallel, want_max=False
-        )
+        report.per_edge = {
+            edge: _edge_system(st.inst, edge, y_cap, solver_tol, want_max)
+            for edge in sorted(st.graph.edges)
+        }
     except DualSideEmpty as exc:
         report.notes.append(f"edge systems unavailable: {exc}")
         return report
@@ -210,10 +231,12 @@ def certify_bipartite(
         return report
     all_pass = True
     for edge, res in report.per_edge.items():
-        res.infeasible = bool(res.mu_min > tol and res.min_attained)
+        res.infeasible = _refutes(res.mu_min, res.min_attained, tol) or (
+            want_max and _refutes(-res.mu_max, res.max_attained, tol)
+        )
         if not res.infeasible:
             all_pass = False
-            if not res.min_attained:
+            if not want_max and not res.min_attained:
                 report.notes.append(
                     f"edge {tuple(v + 1 for v in edge)}: minimum hit the "
                     f"y <= {y_cap:g} box; treating as unresolved"
@@ -226,12 +249,27 @@ def certify_bipartite(
     return report
 
 
+def certify_bipartite(
+    inst: QcqpInstance,
+    tol: float = MU_POSITIVITY_TOL,
+    y_cap: float = DEFAULT_Y_CAP,
+    solver_tol: float = DEFAULT_TOL,
+) -> CertificationReport:
+    """Certify through per-edge systems {y >= 0, S(y) PSD, S(y)_{kl} <= 0}.
+
+    All edges' systems infeasible (mu* > tol, attained) plus a verified
+    assumption give CertifiedExact.  Connectivity only selects the name of
+    the applied rule: the disconnected case is covered by the same per-edge
+    systems through a vanishing Laplacian perturbation argument.
+    """
+    return _edge_systems(_Structure(inst), tol, y_cap, solver_tol, want_max=False)
+
+
 def certify_forest(
     inst: QcqpInstance,
     tol: float = MU_POSITIVITY_TOL,
     y_cap: float = DEFAULT_Y_CAP,
     solver_tol: float = DEFAULT_TOL,
-    parallel: int = 1,
 ) -> CertificationReport:
     """Certify through per-edge systems {y >= 0, S(y) PSD, S(y)_{kl} = 0}.
 
@@ -240,49 +278,11 @@ def certify_forest(
     set.  Both endpoints are computed; a box-limited endpoint on the side
     that would exclude zero leaves the edge unresolved.
     """
-    graph = build_graph(inst)
-    report = CertificationReport(
-        verdict=Verdict.NOT_CERTIFIED, sign_summary=edge_signs(inst, graph)
-    )
-    if not is_forest(graph):
-        report.notes.append("graph has cycles; the forest rule does not apply")
-        return report
-    report.assumption_check = _check_assumption(inst, tol, solver_tol)
-    try:
-        report.per_edge = _solve_edges(
-            inst, graph.edges, y_cap, solver_tol, parallel, want_max=True
-        )
-    except DualSideEmpty as exc:
-        report.notes.append(f"edge systems unavailable: {exc}")
-        return report
-    except RuntimeError as exc:
-        report.notes.append(f"edge-system solver failure: {exc}")
-        return report
-    all_pass = True
-    for edge, res in report.per_edge.items():
-        below = res.mu_min > tol and res.min_attained
-        above = res.mu_max < -tol and res.max_attained
-        res.infeasible = bool(below or above)
-        if not res.infeasible:
-            all_pass = False
-    if all_pass and report.assumption_check.holds:
-        report.verdict = Verdict.CERTIFIED_EXACT
-        report.applied_rule = "forest-edge-systems"
-    elif all_pass:
-        report.notes.append(report.assumption_check.note)
-    return report
+    return _edge_systems(_Structure(inst), tol, y_cap, solver_tol, want_max=True)
 
 
-def certify_sojoudi(inst: QcqpInstance) -> CertificationReport:
-    """Purely sign-based certificate: sign-definite edges, matching cycles.
-
-    Certifies when every edge sign is nonzero and every basis cycle has
-    sign product (-1)^length.  The classic shortcut cases (forest with
-    sign-definite edges, bipartite with all +1, arbitrary graph with all
-    -1) are recorded in the notes when they hold.
-    """
-    graph = build_graph(inst)
-    signs = edge_signs(inst, graph)
+def _sojoudi(st: _Structure) -> CertificationReport:
+    signs = st.signs
     report = CertificationReport(
         verdict=Verdict.NOT_CERTIFIED, sign_summary=signs
     )
@@ -292,9 +292,8 @@ def certify_sojoudi(inst: QcqpInstance) -> CertificationReport:
             "mixed-sign edges (sigma = 0): "
             + ", ".join(str(tuple(v + 1 for v in e)) for e in mixed)
         )
-    basis = cycle_basis(graph)
     cycles_ok = True
-    for cyc in basis.cycles:
+    for cyc in st.basis.cycles:
         product = 1
         for e in cyc:
             product *= signs[e]
@@ -310,12 +309,47 @@ def certify_sojoudi(inst: QcqpInstance) -> CertificationReport:
         report.verdict = Verdict.CERTIFIED_EXACT
         report.applied_rule = "edge-sign-cycle-condition"
         # shortcut cases, for the record
-        if is_forest(graph):
+        if st.forest:
             report.notes.append("shortcut: forest with sign-definite edges")
-        if all(s == 1 for s in signs.values()) and bipartition(graph).bipartite:
+        if all(s == 1 for s in signs.values()) and st.bip.bipartite:
             report.notes.append("shortcut: bipartite with all edge signs +1")
         if all(s == -1 for s in signs.values()):
             report.notes.append("shortcut: all edge signs -1")
+    return report
+
+
+def certify_sojoudi(inst: QcqpInstance) -> CertificationReport:
+    """Purely sign-based certificate: sign-definite edges, matching cycles.
+
+    Certifies when every edge sign is nonzero and every basis cycle has
+    sign product (-1)^length.  The classic shortcut cases (forest with
+    sign-definite edges, bipartite with all +1, arbitrary graph with all
+    -1) are recorded in the notes when they hold.
+    """
+    return _sojoudi(_Structure(inst))
+
+
+def _sign_corollaries(st: _Structure, tol: float, solver_tol: float) -> CertificationReport:
+    signs = st.signs
+    report = CertificationReport(
+        verdict=Verdict.NOT_CERTIFIED, sign_summary=signs
+    )
+    offdiag_nonneg = all(s == 1 for s in signs.values())
+    offdiag_nonpos = all(s == -1 for s in signs.values())
+    rule = None
+    if st.graph.edges and offdiag_nonpos:
+        rule = "nonpositive-off-diagonal"
+    elif offdiag_nonneg and st.graph.edges and st.bip.bipartite:
+        rule = "bipartite-nonnegative-off-diagonal"
+    if rule is None:
+        report.notes.append("sign-corollary premises not met")
+        return report
+    report.assumption_check = st.assumption(tol, solver_tol)
+    if report.assumption_check.holds:
+        report.verdict = Verdict.CERTIFIED_EXACT
+        report.applied_rule = rule
+    else:
+        report.notes.append(report.assumption_check.note)
     return report
 
 
@@ -330,28 +364,7 @@ def certify_sign_corollaries(
     keeps S(y)_{kl} pinned on one side), so they inherit the assumption
     check but need no SDP solves for the edges themselves.
     """
-    graph = build_graph(inst)
-    signs = edge_signs(inst, graph)
-    report = CertificationReport(
-        verdict=Verdict.NOT_CERTIFIED, sign_summary=signs
-    )
-    offdiag_nonneg = all(s == 1 for s in signs.values())
-    offdiag_nonpos = all(s == -1 for s in signs.values())
-    rule = None
-    if graph.edges and offdiag_nonpos:
-        rule = "nonpositive-off-diagonal"
-    elif offdiag_nonneg and bipartition(graph).bipartite and graph.edges:
-        rule = "bipartite-nonnegative-off-diagonal"
-    if rule is None:
-        report.notes.append("sign-corollary premises not met")
-        return report
-    report.assumption_check = _check_assumption(inst, tol, solver_tol)
-    if report.assumption_check.holds:
-        report.verdict = Verdict.CERTIFIED_EXACT
-        report.applied_rule = rule
-    else:
-        report.notes.append(report.assumption_check.note)
-    return report
+    return _sign_corollaries(_Structure(inst), tol, solver_tol)
 
 
 def _merge(into: CertificationReport, other: CertificationReport, label: str) -> None:
@@ -374,7 +387,6 @@ def certify(
     y_cap: float = DEFAULT_Y_CAP,
     solver_tol: float = DEFAULT_TOL,
     rank_tol: float = 1e-6,
-    parallel: int = 1,
 ) -> CertificationReport:
     """Run all certification rules, cheapest first; first success wins.
 
@@ -382,50 +394,54 @@ def certify(
     bipartite systems, sign-split reduction, and finally an observational
     fallback that solves the relaxation and reports the numerical rank
     (NumericallyExactOnly / InexactObserved — evidence, not a proof).
+    The structure and the assumption check are computed once and shared
+    by the rules.
     """
-    graph = build_graph(inst)
-    signs = edge_signs(inst, graph)
-    report = CertificationReport(verdict=Verdict.NOT_CERTIFIED, sign_summary=signs)
+    st = _Structure(inst)
+    report = CertificationReport(verdict=Verdict.NOT_CERTIFIED, sign_summary=st.signs)
 
-    rule_args = dict(tol=tol, solver_tol=solver_tol)
-    sys_args = dict(tol=tol, y_cap=y_cap, solver_tol=solver_tol, parallel=parallel)
-
-    sub = certify_sign_corollaries(inst, **rule_args)
+    sub = _sign_corollaries(st, tol, solver_tol)
     _merge(report, sub, "sign-corollaries")
     if sub.verdict is Verdict.CERTIFIED_EXACT:
         report.verdict, report.applied_rule = sub.verdict, sub.applied_rule
         return report
 
-    sub = certify_sojoudi(inst)
+    sub = _sojoudi(st)
     _merge(report, sub, "edge-sign-cycle-condition")
     if sub.verdict is Verdict.CERTIFIED_EXACT:
         report.verdict, report.applied_rule = sub.verdict, sub.applied_rule
         return report
 
-    if is_forest(graph):
-        forest = certify_forest(inst, **sys_args)
+    if st.forest:
+        forest = _edge_systems(st, tol, y_cap, solver_tol, want_max=True)
         _merge(report, forest, "forest-edge-systems")
-        # forests are bipartite; record the one-sided systems as well
-        bip = certify_bipartite(inst, **sys_args)
+        # forests are bipartite: the one-sided systems are the forest's minima
+        bip_certifies = (
+            bool(forest.per_edge)
+            and forest.assumption_check.holds
+            and all(
+                _refutes(res.mu_min, res.min_attained, tol)
+                for res in forest.per_edge.values()
+            )
+        )
         report.notes.append(
             "bipartite-edge-systems: "
-            + ("also certifies" if bip.verdict is Verdict.CERTIFIED_EXACT
-               else "did not certify")
+            + ("also certifies" if bip_certifies else "did not certify")
         )
         if forest.verdict is Verdict.CERTIFIED_EXACT:
             report.verdict, report.applied_rule = forest.verdict, forest.applied_rule
             return report
-    elif bipartition(graph).bipartite:
-        sub = certify_bipartite(inst, **sys_args)
+    elif st.bip.bipartite:
+        sub = _edge_systems(st, tol, y_cap, solver_tol, want_max=False)
         _merge(report, sub, "bipartite-edge-systems")
         if sub.verdict is Verdict.CERTIFIED_EXACT:
             report.verdict, report.applied_rule = sub.verdict, sub.applied_rule
             return report
-    elif all(s != 0 for s in signs.values()):
+    elif all(s != 0 for s in st.signs.values()):
         from .transform import sign_split_transform
 
         doubled = sign_split_transform(inst).transformed
-        sub = certify_sign_corollaries(doubled, **rule_args)
+        sub = certify_sign_corollaries(doubled, tol=tol, solver_tol=solver_tol)
         if sub.verdict is Verdict.CERTIFIED_EXACT:
             report.verdict = Verdict.CERTIFIED_EXACT
             report.applied_rule = "sign-split-bipartite-reduction"

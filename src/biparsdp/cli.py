@@ -27,7 +27,16 @@ from .certify import (
     certify,
 )
 from .graph import bipartition, build_graph, connected_components, cycle_basis, edge_signs, is_forest
-from .model import InstanceError, load_instance, save_instance
+from .model import (
+    GeneralQcqpInstance,
+    InstanceError,
+    QcqpInstance,
+    _instance_doc,
+    dehomogenize,
+    homogenize,
+    load_instance,
+    save_instance,
+)
 from .relaxation import DEFAULT_RANK_TOL, solve_relaxation
 from .sdp import DEFAULT_TOL
 from .transform import (
@@ -79,8 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="box bound on dual multipliers in the edge systems")
     p.add_argument("--mu-tol", type=float, default=MU_POSITIVITY_TOL,
                    help="positivity threshold for the edge-system values")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="max concurrent per-edge system solves")
 
     p = sub.add_parser("solve", help="solve the relaxation and extract the optimizer")
     common(p)
@@ -128,8 +135,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _load_homogeneous(path) -> tuple[QcqpInstance, bool]:
+    """The instance, homogenized when it has linear terms; and whether it was."""
+    inst = load_instance(path)
+    if isinstance(inst, GeneralQcqpInstance):
+        return homogenize(inst), True
+    return inst, False
+
+
 def _run_certify(args) -> int:
-    inst = load_instance(args.input)
+    inst, homogenized = _load_homogeneous(args.input)
     tol = args.tol if args.tol is not None else _default_tol()
     report = certify(
         inst,
@@ -137,8 +152,11 @@ def _run_certify(args) -> int:
         y_cap=args.y_cap,
         solver_tol=tol,
         rank_tol=args.rank_tol,
-        parallel=args.parallel,
     )
+    if homogenized:
+        report.notes.insert(
+            0, "linear terms homogenized: vertex 1 is x0 (x0^2 = 1), vertex i + 1 is x_i"
+        )
     doc = _report_header({
         "solver_tol": tol,
         "mu_positivity_tol": args.mu_tol,
@@ -188,16 +206,19 @@ def _run_certify(args) -> int:
 
 
 def _run_solve(args) -> int:
-    inst = load_instance(args.input)
+    inst, homogenized = _load_homogeneous(args.input)
     tol = args.tol if args.tol is not None else _default_tol()
     res = solve_relaxation(inst, tol=tol, rank_tol=args.rank_tol)
+    x = res.x_star
+    if homogenized and x is not None:
+        x = dehomogenize(x)
     doc = _report_header({"solver_tol": tol, "rank_tol": args.rank_tol})
     doc.update({
         "status": res.status.value,
         "primal_value": res.primal_value,
         "dual_value": res.dual_value,
         "rank": res.numeric_rank,
-        "x": None if res.x_star is None else res.x_star,
+        "x": x,
         "X": res.X_star,
         "y": res.y_star,
         "gap": res.gap,
@@ -280,21 +301,6 @@ def _run_transform(args) -> int:
         _emit({"instance": _instance_doc(out_inst), "mapping": mapping}, None)
     print(f"transformed ({args.mode}): n={out_inst.n}, m={out_inst.m}", file=sys.stderr)
     return 0
-
-
-def _instance_doc(inst) -> dict:
-    """The instance in the JSON file schema, as a dict."""
-    from .model import _triplets_of
-
-    return {
-        "n": inst.n,
-        "m": inst.m,
-        "objective": _triplets_of(inst.objective),
-        "constraints": [
-            {"matrix": _triplets_of(Q), "rhs": float(b)}
-            for Q, b in zip(inst.constraint_matrices, inst.rhs)
-        ],
-    }
 
 
 def main(argv=None) -> int:

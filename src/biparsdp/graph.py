@@ -28,15 +28,6 @@ class SparsityGraph:
     n: int
     edges: frozenset[Edge]
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for a, b in sorted(self.edges):
@@ -71,10 +62,8 @@ def build_graph(inst: QcqpInstance, zero_tol: float = 0.0) -> SparsityGraph:
     mask = np.zeros((n, n), dtype=bool)
     for Q in inst.all_matrices():
         mask |= np.abs(Q) > zero_tol
-    edges = {
-        (i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]
-    }
-    return SparsityGraph(n=n, edges=frozenset(edges))
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return SparsityGraph(n=n, edges=frozenset(zip(rows.tolist(), cols.tolist())))
 
 
 def edge_signs(inst: QcqpInstance, graph: SparsityGraph) -> dict[Edge, int]:
@@ -83,95 +72,90 @@ def edge_signs(inst: QcqpInstance, graph: SparsityGraph) -> dict[Edge, int]:
     The sign is nonzero exactly when {Q0_ij, ..., Qm_ij} is sign-definite.
     Exact sign tests are used; the data carries no tolerance.
     """
-    signs: dict[Edge, int] = {}
-    for (i, j) in sorted(graph.edges):
-        vals = [Q[i, j] for Q in inst.all_matrices()]
-        if all(v >= 0 for v in vals):
-            signs[(i, j)] = 1
-        elif all(v <= 0 for v in vals):
-            signs[(i, j)] = -1
-        else:
-            signs[(i, j)] = 0
-    return signs
+    edges = sorted(graph.edges)
+    if not edges:
+        return {}
+    rows, cols = np.array(edges).T
+    vals = np.array([Q[rows, cols] for Q in inst.all_matrices()])
+    signs = np.where(np.all(vals >= 0, axis=0), 1,
+                     np.where(np.all(vals <= 0, axis=0), -1, 0))
+    return dict(zip(edges, signs.tolist()))
+
+
+def _bfs_forest(
+    graph: SparsityGraph,
+) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+    """Breadth-first spanning forest shared by the structural queries.
+
+    Each unvisited vertex, in increasing order, roots a tree; the queue is
+    FIFO and neighbours are visited in increasing order.  Returns
+    (order, parent, depth, adj): the vertices in visiting order, so each
+    tree is a run starting at its root (depth 0), the tree parent (-1 at a
+    root) and depth of each vertex, and the sorted adjacency lists.
+    """
+    adj = graph.adjacency()
+    parent = [-1] * graph.n
+    depth = [-1] * graph.n
+    order: list[int] = []
+    for start in range(graph.n):
+        if depth[start] != -1:
+            continue
+        depth[start] = 0
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in adj[v]:
+                if depth[w] == -1:
+                    depth[w], parent[w] = depth[v] + 1, v
+                    order.append(w)
+    return order, parent, depth, adj
+
+
+def _tree_path(a: int, b: int, parent: list[int]) -> list[int]:
+    """Vertices of the tree path a, ..., lca(a, b), ..., b."""
+    up_a = [a]
+    while parent[up_a[-1]] != -1:
+        up_a.append(parent[up_a[-1]])
+    index = {v: i for i, v in enumerate(up_a)}
+    up_b = [b]
+    while up_b[-1] not in index:
+        up_b.append(parent[up_b[-1]])
+    return up_a[: index[up_b[-1]] + 1] + up_b[-2::-1]
 
 
 def connected_components(graph: SparsityGraph) -> list[frozenset[int]]:
     """Components ordered by their smallest vertex."""
-    adj = graph.adjacency()
-    seen = [False] * graph.n
-    comps = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = [start]
-        seen[start] = True
-        while queue:
-            v = queue.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    order, _, depth, _ = _bfs_forest(graph)
+    comps: list[list[int]] = []
+    for v in order:
+        if depth[v] == 0:
+            comps.append([])
+        comps[-1].append(v)
+    return [frozenset(c) for c in comps]
 
 
 def bipartition(graph: SparsityGraph) -> BipartitionResult:
     """BFS 2-coloring per component; parts, or an odd closed walk witness.
 
+    The first edge (v, w), in BFS order of v and then of w, joining two
+    vertices of equal depth closes the witness v, ..., lca, ..., w, v.
     Isolated vertices land in the left part, so an empty edge set gives
     parts (V, {}).
     """
-    adj = graph.adjacency()
-    color = [-1] * graph.n
-    parent = [-1] * graph.n
-    for start in range(graph.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    parent[w] = v
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return BipartitionResult(
-                        bipartite=False,
-                        parts=None,
-                        witness=_odd_walk(v, w, parent),
-                    )
-    left = frozenset(i for i in range(graph.n) if color[i] == 0)
-    right = frozenset(i for i in range(graph.n) if color[i] == 1)
+    order, parent, depth, adj = _bfs_forest(graph)
+    for v in order:
+        for w in adj[v]:
+            if depth[w] == depth[v]:
+                return BipartitionResult(
+                    bipartite=False,
+                    parts=None,
+                    witness=(*_tree_path(v, w, parent), v),
+                )
+    left = frozenset(i for i in range(graph.n) if depth[i] % 2 == 0)
+    right = frozenset(i for i in range(graph.n) if depth[i] % 2 == 1)
     return BipartitionResult(bipartite=True, parts=(left, right), witness=None)
-
-
-def _odd_walk(v: int, w: int, parent: list[int]) -> tuple[int, ...]:
-    """Odd closed walk through the offending edge (v, w) via BFS-tree paths."""
-    path_v = _root_path(v, parent)
-    path_w = _root_path(w, parent)
-    # strip the common prefix down to the lowest common ancestor
-    k = 0
-    while k < min(len(path_v), len(path_w)) and path_v[k] == path_w[k]:
-        k += 1
-    lca_idx = k - 1
-    up = path_v[lca_idx:]
-    down = path_w[lca_idx:]
-    cycle = list(reversed(up)) + down[1:] + [v]
-    return tuple(cycle)
-
-
-def _root_path(v: int, parent: list[int]) -> list[int]:
-    path = [v]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
 
 
 def cycle_basis(graph: SparsityGraph) -> CycleBasis:
@@ -180,39 +164,14 @@ def cycle_basis(graph: SparsityGraph) -> CycleBasis:
     Each non-tree edge closes exactly one cycle against the forest, so the
     basis has |E| - n + (#components) cycles.
     """
-    adj = graph.adjacency()
-    parent = [-1] * graph.n
-    visited = [False] * graph.n
-    tree_edges: set[Edge] = set()
-    order = []
-    for start in range(graph.n):
-        if visited[start]:
-            continue
-        visited[start] = True
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for w in adj[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    parent[w] = v
-                    tree_edges.add(_norm_edge(v, w))
-                    queue.append(w)
+    _, parent, _, _ = _bfs_forest(graph)
     cycles = []
     for (a, b) in sorted(graph.edges):
-        if (a, b) in tree_edges:
+        if parent[a] == b or parent[b] == a:
             continue
-        path_a = _root_path(a, parent)
-        path_b = _root_path(b, parent)
-        k = 0
-        while k < min(len(path_a), len(path_b)) and path_a[k] == path_b[k]:
-            k += 1
-        verts = path_a[k - 1 :][::-1] + path_b[k - 1 :][1:]
-        cyc = [_norm_edge(verts[t], verts[t + 1]) for t in range(len(verts) - 1)]
-        cyc.append(_norm_edge(b, a))
+        verts = _tree_path(a, b, parent)
+        cyc = [_norm_edge(u, w) for u, w in zip(verts, verts[1:])]
+        cyc.append((a, b))
         cycles.append(tuple(cyc))
     return CycleBasis(cycles=tuple(cycles))
 

@@ -206,8 +206,8 @@ def _triplets_of(Q: np.ndarray) -> list[list]:
     return out
 
 
-def save_instance(inst: QcqpInstance, path) -> None:
-    """Write an instance to the JSON schema accepted by :func:`load_instance`."""
+def _instance_doc(inst: QcqpInstance) -> dict:
+    """The instance as a document of the schema :func:`load_instance` reads."""
     doc = {
         "n": inst.n,
         "m": inst.m,
@@ -222,8 +222,13 @@ def save_instance(inst: QcqpInstance, path) -> None:
             "objective": list(inst.linear_objective),
             "constraints": [list(q) for q in inst.linear_constraints],
         }
+    return doc
+
+
+def save_instance(inst: QcqpInstance, path) -> None:
+    """Write an instance to the JSON schema accepted by :func:`load_instance`."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(_instance_doc(inst), fh, indent=1)
         fh.write("\n")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QcqpInstance
+from .model import GeneralQcqpInstance, InstanceError, QcqpInstance
 from .sdp import (
     DEFAULT_TOL,
     SdpProblem,
@@ -95,6 +95,10 @@ def solve_relaxation(
     and optimal for the QCQP.  An unbounded relaxation is reported via
     status DualInfeasible.
     """
+    if isinstance(inst, GeneralQcqpInstance):
+        raise InstanceError(
+            "instance has linear terms; solve homogenize(instance) instead"
+        )
     prob = build_relaxation(inst)
     sol = solve(prob, tol=tol)
     S = dual_slack(prob, sol.y)

@@ -82,7 +82,6 @@ class ConicSolution:
     pres: float
     dres: float
     relgap: float
-    compl: float  # ||u o z|| over both cone blocks, tau-scaled
     iterations: int
     message: str = ""
 
@@ -179,15 +178,12 @@ def solve_standard_form(
     d: int,
     feas_tol: float = DEFAULT_TOL,
     gap_tol: float = DEFAULT_TOL,
-    compl_tol: float | None = None,
     max_iter: int = 100,
 ) -> ConicSolution:
     """Homogeneous self-dual interior-point solve of the (P)/(D) pair.
 
-    When compl_tol is given, the iteration keeps polishing past the
-    feasibility/gap targets until the absolute complementarity norm
-    ||u o z|| of the tau-scaled iterate drops below it (or progress
-    stalls, in which case the best converged iterate is returned).
+    Stops at the first tau-scaled iterate that meets the feasibility and
+    gap targets.
     """
     ops = _ConeOps(l, d)
     m = len(b)
@@ -201,8 +197,6 @@ def solve_standard_form(
     tau, kappa = 1.0, 1.0
 
     best = None
-    best_opt = None  # converged iterate with the smallest complementarity norm
-    first_opt_it = None
     message = ""
     status = SolverStatus.NUMERICAL_LIMIT
     it = 0
@@ -219,31 +213,16 @@ def solve_standard_form(
         pres = np.linalg.norm(A @ x_s - b) / (1.0 + np.linalg.norm(b))
         dres = np.linalg.norm(A.T @ y_s + z_s - c) / (1.0 + np.linalg.norm(c))
         relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-        ul_s, us_s = ops.split(x_s)
-        zl_s, zs_s = ops.split(z_s)
-        comp2 = float(np.sum((ul_s * zl_s) ** 2))
-        if d:
-            XZ = smat(us_s, d) @ smat(zs_s, d)
-            comp2 += float(np.sum(XZ * XZ))
-        cnorm = float(np.sqrt(comp2))
         best = ConicSolution(
             SolverStatus.NUMERICAL_LIMIT, x_s, y_s, z_s,
-            pobj, dobj, pres, dres, relgap, cnorm, it,
+            pobj, dobj, pres, dres, relgap, it,
         )
         if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
-            if best_opt is None or cnorm < best_opt.compl:
-                best_opt = best
-            if first_opt_it is None:
-                first_opt_it = it
-            if compl_tol is None or best_opt.compl <= compl_tol:
-                status = SolverStatus.OPTIMAL
-                best = best_opt
-                break
-            if it - first_opt_it >= 25:
-                break  # polishing stalled; fall back to the best iterate
+            status = SolverStatus.OPTIMAL
+            break
 
         # infeasibility certificates from the homogeneous model
-        if b @ v > 0 and best_opt is None:
+        if b @ v > 0:
             certres = np.linalg.norm(A.T @ v + z) / (b @ v)
             if certres <= feas_tol and tau <= 1e-6 * max(1.0, kappa):
                 status = SolverStatus.PRIMAL_INFEASIBLE
@@ -251,7 +230,7 @@ def solve_standard_form(
                 best.z = z / (b @ v)
                 message = "Farkas certificate: A^T v + z = 0, z in K, b.v = 1"
                 break
-        if c @ u < 0 and best_opt is None:
+        if c @ u < 0:
             certres = np.linalg.norm(A @ u) / (-(c @ u))
             if certres <= feas_tol and tau <= 1e-6 * max(1.0, kappa):
                 status = SolverStatus.DUAL_INFEASIBLE
@@ -354,16 +333,6 @@ def solve_standard_form(
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    if status is SolverStatus.NUMERICAL_LIMIT and best_opt is not None:
-        # feasibility/gap targets were met at some point; report the most
-        # complementary such iterate even if later polishing broke down
-        status = SolverStatus.OPTIMAL
-        best = best_opt
-        if compl_tol is not None and best.compl > compl_tol:
-            message = (
-                f"complementarity polish stopped at {best.compl:.3e} "
-                f"(target {compl_tol:.3e})"
-            )
     best.status = status
     best.iterations = it
     if status is SolverStatus.NUMERICAL_LIMIT and not message:

@@ -1,6 +1,9 @@
 """Tests for the exactness certification rules and the combined pipeline."""
 
+import importlib
+
 import numpy as np
+import pytest
 
 from biparsdp import (
     QcqpInstance,
@@ -14,6 +17,8 @@ from biparsdp import (
 )
 
 from conftest import CYCLE4_MU
+
+certify_module = importlib.import_module("biparsdp.certify")
 
 
 def _blkdiag_double(inst):
@@ -231,7 +236,48 @@ def test_pipeline_small(small):
     report = certify(small)
     assert report.verdict is Verdict.CERTIFIED_EXACT
     assert report.applied_rule == "forest-edge-systems"
-    assert any("bipartite-edge-systems: also certifies" in n for n in report.notes)
+    assert report.notes[-1] == "bipartite-edge-systems: also certifies"
+    res = report.per_edge[(0, 1)]
+    assert res.mu_min > 29.0 and res.min_attained and res.mu_max is not None
+
+
+def test_pipeline_forest_without_edge_systems():
+    """No dual-feasible y: the forest minima are missing, so neither rule holds."""
+    inst = QcqpInstance(
+        objective=np.array([[0.0, 1.0], [1.0, -1.0]]),
+        constraint_matrices=(np.array([[1.0, -1.0], [-1.0, 0.0]]),),
+        rhs=np.array([1.0]),
+    )
+    report = certify(inst)
+    assert report.per_edge == {}
+    assert "forest-edge-systems: did not certify" in report.notes
+    assert "bipartite-edge-systems: did not certify" in report.notes
+
+
+@pytest.mark.parametrize("name, edge_sdps", [("small", 2), ("cycle4", 4)])
+def test_pipeline_solves_each_sdp_once(request, monkeypatch, name, edge_sdps):
+    """certify shares per-edge minima and the assumption check across rules."""
+    calls = {"edge": [], "assumption": 0}
+    edge_solve = certify_module.minimize_linear_functional_over_dual_cone
+    assumption_solve = certify_module.max_min_eigen_combination
+
+    def counted_edge(inst, k, ell, **kwargs):
+        calls["edge"].append((k, ell, kwargs.get("maximize", False)))
+        return edge_solve(inst, k, ell, **kwargs)
+
+    def counted_assumption(*args, **kwargs):
+        calls["assumption"] += 1
+        return assumption_solve(*args, **kwargs)
+
+    monkeypatch.setattr(
+        certify_module, "minimize_linear_functional_over_dual_cone", counted_edge
+    )
+    monkeypatch.setattr(certify_module, "max_min_eigen_combination", counted_assumption)
+    report = certify(request.getfixturevalue(name))
+    assert report.verdict is Verdict.CERTIFIED_EXACT
+    assert len(calls["edge"]) == edge_sdps
+    assert len(set(calls["edge"])) == edge_sdps
+    assert calls["assumption"] == 1
 
 
 def test_pipeline_cycle4(cycle4):
@@ -282,11 +328,3 @@ def test_tightening_tol_is_conservative(cycle4):
     assert certify_forest(inst, tol=1e-3).verdict is Verdict.NOT_CERTIFIED
     assert certify_forest(inst, tol=1e-6).verdict is Verdict.NOT_CERTIFIED
 
-
-def test_parallel_edge_solves_match_serial(cycle4):
-    """Running per-edge systems concurrently changes nothing."""
-    serial = certify_bipartite(cycle4, parallel=1)
-    parallel = certify_bipartite(cycle4, parallel=4)
-    assert serial.verdict is parallel.verdict
-    for edge in serial.per_edge:
-        assert abs(serial.per_edge[edge].mu_min - parallel.per_edge[edge].mu_min) < 1e-9

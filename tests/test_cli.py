@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from biparsdp import QcqpInstance, load_instance, save_instance
+from biparsdp import (
+    QcqpInstance,
+    Verdict,
+    certify,
+    homogenize,
+    load_instance,
+    save_instance,
+)
 from biparsdp.cli import main
 
 from conftest import SMALL_XSTAR, max_sign_error
@@ -95,6 +102,42 @@ def test_solve_report(capsys, small_path):
     assert max_sign_error(np.array(doc["x"]), SMALL_XSTAR) < 5e-3
     assert abs(doc["gap"]) < 1e-6
     assert "rank 1" in err
+
+
+def _save_small_with_linear_terms(tmp_path, small_path):
+    doc = json.loads(open(small_path).read())
+    doc["linear"] = {"objective": [1.0, -2.0], "constraints": [[0.5, 0.0]]}
+    path = tmp_path / "small_linear.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_certify_homogenizes_linear_terms(capsys, tmp_path, small_path):
+    """Linear terms are certified through the homogenization, not dropped."""
+    path = _save_small_with_linear_terms(tmp_path, small_path)
+    expected = certify(homogenize(load_instance(path)))
+    assert expected.verdict is Verdict.NUMERICALLY_EXACT_ONLY
+    code, out, _ = _run(capsys, ["certify", path])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["verdict"] == expected.verdict.value
+    assert doc["notes"][0].startswith("linear terms homogenized")
+    assert doc["notes"][1:] == expected.notes
+
+
+def test_solve_homogenizes_linear_terms(capsys, tmp_path, small_path):
+    """solve maps the homogenized optimizer back to the original variables."""
+    path = _save_small_with_linear_terms(tmp_path, small_path)
+    g = load_instance(path)
+    code, out, _ = _run(capsys, ["solve", path])
+    assert code == 0
+    doc = json.loads(out)
+    x = np.array(doc["x"])
+    assert x.shape == (2,)
+    value = x @ g.objective @ x + g.linear_objective @ x
+    assert abs(value - doc["primal_value"]) < 1e-6
+    lhs = x @ g.constraint_matrices[0] @ x + g.linear_constraints[0] @ x
+    assert lhs <= g.rhs[0] + 1e-6
 
 
 def test_graph_report(capsys, cycle4_path):

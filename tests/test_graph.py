@@ -82,6 +82,13 @@ def test_bipartition_triangle_witness():
     assert len(walk) % 2 == 0  # k+1 vertices listed for an odd closed walk
     for a, b in zip(walk, walk[1:]):
         assert (min(a, b), max(a, b)) in g.edges
+    assert walk == (1, 0, 2, 1)  # first same-depth edge in BFS order
+
+    pentagon = SparsityGraph(
+        n=7, edges=frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6), (1, 5)})
+    )
+    assert bipartition(pentagon).witness == (2, 1, 0, 4, 3, 2)
+    assert cycle_basis(pentagon).cycles == (((1, 2), (0, 1), (0, 4), (3, 4), (2, 3)),)
 
 
 def test_connected_components_ordering():
@@ -97,7 +104,11 @@ def test_cycle_basis_counts():
         n=4, edges=frozenset(itertools.combinations(range(4), 2))
     )
     basis = cycle_basis(k4)
-    assert len(basis.cycles) == 3
+    assert basis.cycles == (
+        ((0, 1), (0, 2), (1, 2)),
+        ((0, 1), (0, 3), (1, 3)),
+        ((0, 2), (0, 3), (2, 3)),
+    )
     for cyc in basis.cycles:
         assert len(cyc) >= 3
         # consecutive edges chain into a closed walk: each vertex seen twice
@@ -153,6 +164,35 @@ def test_bipartition_matches_exhaustive_coloring():
         }
         g = SparsityGraph(n=n, edges=frozenset(edges))
         assert bipartition(g).bipartite == _bipartite_by_exhaustion(g)
+
+
+def test_build_graph_and_signs_match_entrywise_definition():
+    """The vectorised queries agree with a loop over entries and matrices."""
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(1, 8))
+        mats = []
+        for _ in range(int(rng.integers(1, 4))):
+            M = rng.choice([-1.5, 0.0, 0.0, 2.0], size=(n, n))
+            mats.append(M + M.T)
+        inst = QcqpInstance(
+            objective=mats[0],
+            constraint_matrices=tuple(mats[1:]) or (np.eye(n),),
+            rhs=np.ones(max(len(mats) - 1, 1)),
+        )
+        Qs = inst.all_matrices()
+        edges = {
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if any(Q[i, j] != 0 for Q in Qs)
+        }
+        g = build_graph(inst)
+        assert g.edges == frozenset(edges)
+        signs = edge_signs(inst, g)
+        assert list(signs) == sorted(edges)
+        for (i, j), sign in signs.items():
+            vals = [Q[i, j] for Q in Qs]
+            expected = 1 if min(vals) >= 0 else -1 if max(vals) <= 0 else 0
+            assert sign == expected and type(sign) is int
 
 
 def test_build_graph_zero_tol():

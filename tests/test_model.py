@@ -7,6 +7,7 @@ from biparsdp import (
     GeneralQcqpInstance,
     InstanceError,
     QcqpInstance,
+    certify,
     dehomogenize,
     evaluate_quadratic,
     homogenize,
@@ -229,6 +230,21 @@ def test_homogenized_1d_problem_solves_to_known_optimum():
     assert res.numeric_rank == 1
     x = dehomogenize(res.x_star)
     assert abs(x[0] - 1.0) < 1e-5
+
+
+def test_linear_terms_must_be_homogenized_first():
+    """certify and solve_relaxation refuse to drop linear terms silently."""
+    g = GeneralQcqpInstance(
+        objective=np.array([[2.0]]),
+        constraint_matrices=(np.array([[1.0]]),),
+        rhs=np.array([9.0]),
+        linear_objective=np.array([-4.0]),
+        linear_constraints=(np.array([0.0]),),
+    )
+    with pytest.raises(InstanceError, match="homogenize"):
+        certify(g)
+    with pytest.raises(InstanceError, match="homogenize"):
+        solve_relaxation(g)
 
 
 def test_dehomogenize():

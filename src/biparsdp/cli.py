@@ -135,6 +135,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+_HOMOGENIZED_NOTE = (
+    "linear terms homogenized: vertex 1 is x0 (x0^2 = 1), vertex i + 1 is x_i"
+)
+
+
 def _load_homogeneous(path) -> tuple[QcqpInstance, bool]:
     """The instance, homogenized when it has linear terms; and whether it was."""
     inst = load_instance(path)
@@ -154,9 +159,7 @@ def _run_certify(args) -> int:
         rank_tol=args.rank_tol,
     )
     if homogenized:
-        report.notes.insert(
-            0, "linear terms homogenized: vertex 1 is x0 (x0^2 = 1), vertex i + 1 is x_i"
-        )
+        report.notes.insert(0, _HOMOGENIZED_NOTE)
     doc = _report_header({
         "solver_tol": tol,
         "mu_positivity_tol": args.mu_tol,
@@ -233,7 +236,9 @@ def _run_solve(args) -> int:
 
 
 def _run_graph(args) -> int:
-    inst = load_instance(args.input)
+    inst, homogenized = _load_homogeneous(args.input)
+    if homogenized:
+        print(_HOMOGENIZED_NOTE, file=sys.stderr)
     graph = build_graph(inst)
     signs = edge_signs(inst, graph)
     bip = bipartition(graph)
@@ -268,7 +273,9 @@ def _run_graph(args) -> int:
 
 
 def _run_transform(args) -> int:
-    inst = load_instance(args.input)
+    inst, homogenized = _load_homogeneous(args.input)
+    if homogenized:
+        print(_HOMOGENIZED_NOTE, file=sys.stderr)
     if args.mode == "sign-split":
         result = sign_split_transform(inst, delta=args.delta)
         out_inst = result.transformed
@@ -292,6 +299,8 @@ def _run_transform(args) -> int:
             "epsilon": result.epsilon,
             "connecting_edges": [_edge_1based(e) for e in sorted(result.F)],
         }
+    if homogenized:
+        mapping["homogenized"] = True
     if args.output:
         save_instance(out_inst, args.output)
         with open(args.output + ".mapping.json", "w") as fh:

@@ -14,6 +14,8 @@ from biparsdp import (
     save_instance,
 )
 from biparsdp.cli import main
+from biparsdp.graph import build_graph
+from biparsdp.transform import build_full_graph_perturbation
 
 from conftest import SMALL_XSTAR, max_sign_error
 
@@ -149,6 +151,45 @@ def test_graph_report(capsys, cycle4_path):
     assert doc["bipartite"] and not doc["forest"]
     assert doc["parts"] == [[1, 3], [2, 4]]
     assert len(doc["cycle_basis"]) == 1
+
+
+def test_graph_homogenizes_linear_terms(capsys, tmp_path, small_path):
+    """graph reports the homogenized graph that certify works on."""
+    path = _save_small_with_linear_terms(tmp_path, small_path)
+    expected = build_graph(homogenize(load_instance(path)))
+    code, out, err = _run(capsys, ["graph", path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n"] == 3
+    assert doc["edges"] == [[a + 1, b + 1] for a, b in sorted(expected.edges)]
+    assert "vertex 1 is x0" in err
+
+
+def test_transform_homogenizes_linear_terms(capsys, tmp_path, small_path):
+    """transform keeps the linear terms, via the homogenization."""
+    path = _save_small_with_linear_terms(tmp_path, small_path)
+    expected = build_full_graph_perturbation(homogenize(load_instance(path)), 0.1).instance
+    code, out, err = _run(
+        capsys, ["transform", path, "--mode", "full-laplacian", "--epsilon", "0.1"]
+    )
+    assert code == 0
+    assert "vertex 1 is x0" in err
+    doc = json.loads(out)
+    assert doc["mapping"]["homogenized"] is True
+    assert doc["instance"]["n"] == 3
+
+    out_path = tmp_path / "perturbed.json"
+    code, _, _ = _run(
+        capsys,
+        ["transform", path, "--mode", "full-laplacian", "--epsilon", "0.1", "-o", str(out_path)],
+    )
+    assert code == 0
+    written = load_instance(out_path)
+    assert np.allclose(written.objective, expected.objective, atol=1e-12)
+    for Qw, Qe in zip(written.constraint_matrices, expected.constraint_matrices, strict=True):
+        assert np.allclose(Qw, Qe, atol=1e-12)
+    mapping = json.loads((tmp_path / "perturbed.json.mapping.json").read_text())
+    assert mapping["homogenized"] is True
 
 
 def test_output_file_and_determinism(capsys, tmp_path, cycle4_path):

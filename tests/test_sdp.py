@@ -12,7 +12,8 @@ from biparsdp import (
     minimize_linear_functional_over_dual_cone,
     solve,
 )
-from biparsdp.sdp import smat, svec
+from biparsdp.relaxation import numerical_rank, solve_relaxation
+from biparsdp.sdp import _kkt_refine, dual_slack, smat, svec
 
 from conftest import CYCLE4_MU
 
@@ -119,6 +120,147 @@ def test_bundled_instances_reach_machine_complementarity(small, cycle4):
         sol = solve(prob)
         assert sol.status is SolverStatus.OPTIMAL
         assert sol.residuals[2] < 1e-10
+
+
+def _dense_kkt_step(prob, X, y, s):
+    """Reference Newton step: the full Jacobian in svec coordinates, by lstsq.
+
+    One column per basis matrix E_k of the symmetric space, so the system
+    has n(n+1)/2 + 2m unknowns; the polish must reproduce its step.
+    """
+    n, m = prob.n, prob.m
+    nv = n * (n + 1) // 2
+    basis = np.eye(nv)
+    S = dual_slack(prob, y)
+    M = np.zeros((2 * m + nv, nv + 2 * m))
+    rhs = np.zeros(2 * m + nv)
+    for p in range(m):
+        M[p, :nv] = svec(prob.A[p])
+        M[p, nv + m + p] = 1.0
+        rhs[p] = prob.b[p] - prob.A[p].ravel() @ X.ravel() - s[p]
+        M[m + p, nv + p] = s[p]
+        M[m + p, nv + m + p] = y[p]
+        rhs[m + p] = -y[p] * s[p]
+    for k in range(nv):
+        Ek = smat(basis[k], n)
+        M[2 * m :, k] = svec(Ek @ S + S @ Ek)
+    for p in range(m):
+        Ap = prob.A[p]
+        M[2 * m :, nv + p] = svec(X @ Ap + Ap @ X)
+    rhs[2 * m :] = svec(-(X @ S + S @ X))
+    step, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    return X + smat(step[:nv], n), y + step[nv : nv + m], s + step[nv + m :]
+
+
+def _planted_sdp(rng, n, rank, active, inactive):
+    """An SDP whose strictly complementary optimum (X*, y*, s*) is planted.
+
+    X* = V V^T has the given rank, S* is positive definite on the orthogonal
+    complement of range V, the first `active` constraints are tight with
+    y* > 0 and the other `inactive` ones are slack with y* = 0.
+    """
+    m = active + inactive
+    V = rng.standard_normal((n, rank))
+    Q, _ = np.linalg.qr(np.hstack([V, rng.standard_normal((n, n - rank))]))
+    Z = Q[:, rank:]
+    S = Z @ np.diag(rng.uniform(1.0, 3.0, n - rank)) @ Z.T
+    A = []
+    for _ in range(m):
+        G = rng.standard_normal((n, n))
+        A.append(G @ G.T + np.eye(n))
+    y = np.concatenate([rng.uniform(0.5, 2.0, active), np.zeros(inactive)])
+    s = np.concatenate([np.zeros(active), rng.uniform(0.5, 2.0, inactive)])
+    X = V @ V.T
+    b = np.array([np.sum(Ap * X) for Ap in A]) + s
+    C = S - sum(yp * Ap for yp, Ap in zip(y, A))
+    return SdpProblem(C=C, A=A, b=b), X, y, s
+
+
+@pytest.mark.parametrize("n, rank, active, inactive", [
+    (6, 2, 3, 1),  # rank-2 optimum, one inactive constraint
+    (5, 1, 2, 1),  # rank-1 optimum, one inactive constraint
+    (4, 0, 0, 2),  # X* = O: every constraint slack, S* positive definite
+])
+def test_polish_step_matches_dense_jacobian(monkeypatch, n, rank, active, inactive):
+    """One eliminated Newton step equals the full-Jacobian step, from a
+    perturbed optimum, and solves a system of size rank(rank+1)/2 + 2m."""
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        prob, X, y, s = _planted_sdp(rng, n, rank, active, inactive)
+        E = rng.standard_normal((n, n))
+        X0 = X + 1e-3 * (E + E.T)
+        y0 = y + 1e-3 * rng.standard_normal(prob.m)
+        s0 = s + 1e-3 * rng.standard_normal(prob.m)
+
+        sizes = []
+        lstsq = np.linalg.lstsq
+
+        def spy(M, rhs, rcond=None):
+            sizes.append(M.shape)
+            return lstsq(M, rhs, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        X1, y1, s1 = _kkt_refine(prob, X0, y0, s0, steps=1)
+        monkeypatch.undo()
+        kv = rank * (rank + 1) // 2 + 2 * prob.m
+        assert sizes == [(kv, kv)]
+
+        Xd, yd, sd = _dense_kkt_step(prob, X0, y0, s0)
+        assert np.max(np.abs(X1 - Xd)) < 1e-9
+        assert np.max(np.abs(y1 - yd)) < 1e-9
+        assert np.max(np.abs(s1 - sd)) < 1e-9
+
+        # further steps converge to the planted optimum
+        X4, y4, s4 = _kkt_refine(prob, X1, y1, s1, steps=3)
+        assert np.linalg.norm(X4 @ dual_slack(prob, y4)) < 1e-10
+        assert np.max(np.abs(X4 - X)) < 1e-8
+        assert np.max(np.abs(y4 - y)) < 1e-8
+        assert np.max(np.abs(s4 - s)) < 1e-8
+
+
+def _odd_cycle_mixed_sign_instance(rng, n):
+    """Random tree plus a triangle plus n/4 edges, mixed-sign objective,
+    three diagonally dominant constraints with loose second and third rhs."""
+    order = rng.permutation(n)
+    parent = {int(order[0]): -1}
+    edges = set()
+    for t in range(1, n):
+        v, p = int(order[t]), int(order[rng.integers(0, t)])
+        parent[v] = p
+        edges.add((min(v, p), max(v, p)))
+    v = next(v for v in parent if parent[v] != -1 and parent[parent[v]] != -1)
+    edges.add(tuple(sorted((v, parent[parent[v]]))))
+    while len(edges) < n + n // 4:
+        a, b = (int(w) for w in rng.integers(0, n, size=2))
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    ii, jj = np.array(sorted(edges)).T
+
+    def off_diagonal(mask):
+        Q = np.zeros((n, n))
+        k = int(mask.sum())
+        Q[ii[mask], jj[mask]] = np.where(rng.random(k) < 0.5, -1.0, 1.0) * rng.uniform(0.2, 1.0, k)
+        return Q + Q.T
+
+    Q0 = off_diagonal(np.ones(len(ii), dtype=bool))
+    np.fill_diagonal(Q0, rng.uniform(-1.0, 1.0, size=n))
+    mats = []
+    for _ in range(3):
+        Q = off_diagonal(rng.random(len(ii)) < 0.5)
+        np.fill_diagonal(Q, np.abs(Q).sum(axis=1) + rng.uniform(0.5, 1.5, size=n))
+        mats.append(Q)
+    rhs = rng.uniform(1.0, 2.0, size=3) * n * np.array([1.0, 3.0, 3.0])
+    return QcqpInstance(objective=Q0, constraint_matrices=tuple(mats), rhs=rhs)
+
+
+def test_polish_reaches_rank1_at_n40():
+    """A 40-variable mixed-sign odd-cycle relaxation polishes to ||X S|| ~ 0."""
+    inst = _odd_cycle_mixed_sign_instance(np.random.default_rng(7), 40)
+    res = solve_relaxation(inst)
+    assert res.status is SolverStatus.OPTIMAL
+    assert np.linalg.norm(res.X_star @ res.S_of_y) < 1e-10
+    assert numerical_rank(res.X_star) == 1
+    assert res.x_star is not None and abs(res.gap) < 1e-8
 
 
 def test_tol_validation():

@@ -53,6 +53,8 @@ class QcqpInstance:
             _check_symmetric_finite(Q, f"constraint {p + 1}")
             for p, Q in enumerate(self.constraint_matrices)
         )
+        if not mats:
+            raise InstanceError("m = 0 instances are not accepted")
         rhs = np.asarray(self.rhs, dtype=float)
         if rhs.ndim != 1 or len(rhs) != len(mats):
             raise InstanceError("rhs length must equal the number of constraints")
@@ -167,33 +169,38 @@ def load_instance(path) -> QcqpInstance:
         raise InstanceError(f"{path}: missing field {exc}") from exc
     if n < 1:
         raise InstanceError(f"{path}: n must be >= 1")
-    if m < 1:
-        raise InstanceError(f"{path}: m = 0 instances are not accepted")
     if len(constraints) != m:
         raise InstanceError(f"{path}: expected {m} constraints, found {len(constraints)}")
     objective = _matrix_from_triplets(obj_triplets, n, "objective")
     mats = []
     rhs = []
     for p, con in enumerate(constraints):
-        mats.append(_matrix_from_triplets(con["matrix"], n, f"constraint {p + 1}"))
-        b = float(con["rhs"])
+        try:
+            triplets, b = con["matrix"], float(con["rhs"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceError(
+                f"{path}: constraint {p + 1}: missing or malformed field {exc}"
+            ) from exc
+        mats.append(_matrix_from_triplets(triplets, n, f"constraint {p + 1}"))
         if not np.isfinite(b):
             raise InstanceError(f"{path}: constraint {p + 1}: non-finite rhs")
         rhs.append(b)
+    cls = QcqpInstance
+    data = dict(objective=objective, constraint_matrices=tuple(mats), rhs=np.array(rhs))
     if "linear" in raw and raw["linear"] is not None:
+        cls = GeneralQcqpInstance
         lin = raw["linear"]
-        q0 = np.asarray(lin["objective"], dtype=float)
-        qs = tuple(np.asarray(q, dtype=float) for q in lin["constraints"])
-        return GeneralQcqpInstance(
-            objective=objective,
-            constraint_matrices=tuple(mats),
-            rhs=np.array(rhs),
-            linear_objective=q0,
-            linear_constraints=qs,
-        )
-    return QcqpInstance(
-        objective=objective, constraint_matrices=tuple(mats), rhs=np.array(rhs)
-    )
+        try:
+            data["linear_objective"] = np.asarray(lin["objective"], dtype=float)
+            data["linear_constraints"] = tuple(
+                np.asarray(q, dtype=float) for q in lin["constraints"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceError(f"{path}: linear: missing or malformed field {exc}") from exc
+    try:
+        return cls(**data)
+    except InstanceError as exc:
+        raise InstanceError(f"{path}: {exc}") from exc
 
 
 def _triplets_of(Q: np.ndarray) -> list[list]:

@@ -7,8 +7,12 @@ The engine solves the standard-form conic pair
 
 over K = (nonnegative orthant) x (PSD cone of one matrix block), using the
 homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step.  Everything is dense: the target problems have
-matrix dimension well below a hundred.
+predictor-corrector step.  Each iteration factors the PSD iterate once, in
+the NT scaling (one Cholesky factor of X, one eigh, one inverse of the
+scaling matrix); step lengths are taken in the NT-scaled space, and the
+Schur complement comes from one batched congruence of A's stacked rows.
+Everything is dense: the target problems have matrix dimension well below a
+hundred.
 
 On top of the engine sit the three problem shapes the toolkit needs:
 inequality-form SDPs (the relaxation), minimizing one entry of the dual
@@ -63,21 +67,23 @@ def _triu(d: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
 def svec(X: np.ndarray) -> np.ndarray:
     """Pack the upper triangle with off-diagonals scaled by sqrt(2).
 
-    Preserves inner products: svec(X).svec(Y) == <X, Y>.
+    Preserves inner products: svec(X).svec(Y) == <X, Y>.  A stack of
+    matrices (..., d, d) packs matrix by matrix.
     """
-    iu, off = _triu(X.shape[0])
-    v = X[iu]
-    v[off] *= _SQRT2
+    iu, off = _triu(X.shape[-1])
+    v = X[(..., *iu)]
+    v[..., off] *= _SQRT2
     return v
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
-    X = np.zeros((d, d))
+    """Inverse of svec; a stack of packed rows (..., d(d+1)/2) unpacks row by row."""
     iu, off = _triu(d)
     w = v.copy()
-    w[off] /= _SQRT2
-    X[iu] = w
-    X.T[iu] = w
+    w[..., off] /= _SQRT2
+    X = np.zeros(v.shape[:-1] + (d, d))
+    X[(..., *iu)] = w
+    X[(..., iu[1], iu[0])] = w
     return X
 
 
@@ -99,88 +105,78 @@ class ConicSolution:
     message: str = ""
 
 
-class _ConeOps:
-    """Cone-wise operations for K = R+^l x PSD(d), on packed vectors."""
-
-    def __init__(self, l: int, d: int):
-        self.l = l
-        self.d = d
-        self.nvec = l + d * (d + 1) // 2
-        self.nu = l + d  # barrier parameter
-
-    def split(self, w):
-        return w[: self.l], w[self.l :]
-
-    def identity(self) -> np.ndarray:
-        e = np.ones(self.l)
-        if self.d:
-            return np.concatenate([e, svec(np.eye(self.d))])
-        return e
-
-    def max_step(self, w: np.ndarray, dw: np.ndarray) -> float:
-        """Largest alpha with w + alpha*dw remaining in the cone interior."""
-        wl, ws = self.split(w)
-        dl, ds = self.split(dw)
-        alpha = np.inf
-        neg = dl < 0
-        if np.any(neg):
-            alpha = min(alpha, np.min(-wl[neg] / dl[neg]))
-        if self.d:
-            X = smat(ws, self.d)
-            dX = smat(ds, self.d)
-            L = np.linalg.cholesky(X)
-            Li = np.linalg.inv(L)
-            lam_min = np.linalg.eigvalsh(Li @ dX @ Li.T)[0]
-            if lam_min < 0:
-                alpha = min(alpha, -1.0 / lam_min)
-        return alpha
+def _ratio(w: np.ndarray, dw: np.ndarray) -> float:
+    """Largest alpha with w + alpha*dw >= 0 for w > 0 (inf when dw >= 0)."""
+    neg = dw < 0
+    return float(np.min(-w[neg] / dw[neg])) if np.any(neg) else np.inf
 
 
 class _NTScaling:
-    """Nesterov-Todd scaling point for the current (u, z) pair."""
+    """Nesterov-Todd scaling of one iterate (u, z) of K = R+^l x PSD(d).
 
-    def __init__(self, ops: _ConeOps, u: np.ndarray, z: np.ndarray):
-        self.ops = ops
-        ul, us = ops.split(u)
-        zl, zs = ops.split(z)
-        self.dl = np.sqrt(ul / zl)
-        self.laml = np.sqrt(ul * zl)
-        if ops.d:
-            X = smat(us, ops.d)
-            Z = smat(zs, ops.d)
-            Lx = np.linalg.cholesky(X)
-            M = Lx.T @ Z @ Lx
-            s_eig, U = np.linalg.eigh(M)
-            if s_eig[0] <= 0:
-                raise np.linalg.LinAlgError("lost cone interior")
-            self.lams = np.sqrt(s_eig)
-            self.G = Lx @ U * s_eig ** -0.25
-            self.Gi = np.linalg.inv(self.G)
-            self.W = self.G @ self.G.T
-        else:
-            self.lams = None
-            self.G = self.Gi = self.W = None
+    This is the one factorization of the PSD iterate per interior-point
+    iteration.  With X = Lx Lx^T and Lx^T Z Lx = U diag(s) U^T, the matrix
+    G = Lx U diag(s)^(-1/4) maps both sides of the pair to one point,
 
-    def apply_w2(self, w: np.ndarray) -> np.ndarray:
-        """u-space congruence: (d^2 *, W . W)."""
-        wl, ws = self.ops.split(w)
-        out = [self.dl ** 2 * wl]
-        if self.ops.d:
-            out.append(svec(self.W @ smat(ws, self.ops.d) @ self.W))
-        return np.concatenate(out)
+        G^-1 X G^-T = G^T Z G = Lambda = diag(lams),
 
-    def unscale_comp(self, rl: np.ndarray, Rs: np.ndarray | None) -> np.ndarray:
+    and W = G G^T satisfies W Z W = X.  Directions are carried into the
+    scaled space by the same maps, and step lengths are read off there.
+    """
+
+    def __init__(self, l: int, d: int, u: np.ndarray, z: np.ndarray):
+        self.l, self.d = l, d
+        self.dl = np.sqrt(u[:l] / z[:l])
+        self.laml = np.sqrt(u[:l] * z[:l])
+        Lx = np.linalg.cholesky(smat(u[l:], d))
+        s_eig, U = np.linalg.eigh(Lx.T @ smat(z[l:], d) @ Lx)
+        if s_eig[0] <= 0:
+            raise np.linalg.LinAlgError("lost cone interior")
+        self.lams = np.sqrt(s_eig)
+        self.G = Lx @ U * s_eig ** -0.25
+        self.Gi = np.linalg.inv(self.G)
+        self.W = self.G @ self.G.T
+
+    def apply_w2(self, wl: np.ndarray, Ws: np.ndarray) -> np.ndarray:
+        """u-space congruence (d^2 * wl, svec(W Ws W)) of a vector given as its
+        orthant part and its PSD matrix; rows wl (k, l), Ws (k, d, d) map to
+        k rows in one batched product."""
+        return np.concatenate([self.dl ** 2 * wl, svec(self.W @ Ws @ self.W)], axis=-1)
+
+    def scale(self, du: np.ndarray, dz: np.ndarray) -> tuple:
+        """Scaled images of a direction: du / d, d * dz, G^-1 dX G^-T, G^T dZ G."""
+        l, d = self.l, self.d
+        return (
+            du[:l] / self.dl,
+            self.dl * dz[:l],
+            self.Gi @ smat(du[l:], d) @ self.Gi.T,
+            self.G.T @ smat(dz[l:], d) @ self.G,
+        )
+
+    def max_step(self, scaled: tuple) -> float:
+        """Largest alpha keeping (u, z) + alpha * (du, dz) in the cone interior.
+
+        In the scaled space the iterate is lam on the orthant and Lambda on
+        the PSD block, so Lambda + alpha * D stays PSD up to
+        alpha = -1 / lambda_min(Lambda^-1/2 D Lambda^-1/2).
+        """
+        qu, qz, dUh, dZh = scaled
+        alpha = _ratio(np.concatenate([self.laml, self.laml]), np.concatenate([qu, qz]))
+        r = self.lams ** -0.5
+        r2 = r[:, None] * r[None, :]
+        lam_min = np.linalg.eigvalsh(np.stack([dUh * r2, dZh * r2]))[:, 0].min()
+        if lam_min < 0:
+            alpha = min(alpha, -1.0 / lam_min)
+        return alpha
+
+    def unscale_comp(self, rl: np.ndarray, Rs: np.ndarray) -> np.ndarray:
         """Map a scaled-space complementarity residual to a u-space direction.
 
         Solves lam o q = r for q in scaled space, then pulls back through the
         scaling (orthant: d * q; PSD: G q G^T).
         """
-        out = [self.dl * (rl / self.laml)]
-        if self.ops.d:
-            denom = 0.5 * (self.lams[:, None] + self.lams[None, :])
-            Q = Rs / denom
-            out.append(svec(self.G @ Q @ self.G.T))
-        return np.concatenate(out)
+        denom = 0.5 * (self.lams[:, None] + self.lams[None, :])
+        return np.concatenate([self.dl * (rl / self.laml), svec(self.G @ (Rs / denom) @ self.G.T)])
 
 
 def solve_standard_form(
@@ -196,16 +192,21 @@ def solve_standard_form(
     """Homogeneous self-dual interior-point solve of the (P)/(D) pair.
 
     Stops at the first tau-scaled iterate that meets the feasibility and
-    gap targets.
+    gap targets.  The cone needs its PSD block: d >= 1.
     """
-    ops = _ConeOps(l, d)
+    if d < 1:
+        raise ValueError("the cone needs a PSD block: d must be >= 1")
     m = len(b)
+    nu = l + d  # barrier parameter
     c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float).reshape(m, ops.nvec)
+    A = np.asarray(A, dtype=float).reshape(m, l + d * (d + 1) // 2)
     b = np.asarray(b, dtype=float)
+    # orthant parts and PSD matrices of c and of the rows of A, unpacked once
+    cl, Cs = c[:l], smat(c[l:], d)
+    Al, As = A[:, :l], smat(A[:, l:], d)
 
-    u = ops.identity()
-    z = ops.identity()
+    u = np.concatenate([np.ones(l), svec(np.eye(d))])
+    z = u.copy()
     v = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
@@ -217,7 +218,7 @@ def solve_standard_form(
         hx = A.T @ v + z - c * tau
         hy = A @ u - b * tau
         htau = -c @ u + b @ v - kappa
-        mu = (u @ z + tau * kappa) / (ops.nu + 1)
+        mu = (u @ z + tau * kappa) / (nu + 1)
 
         # convergence checks on the tau-scaled iterate
         x_s, y_s, z_s = u / tau, v / tau, z / tau
@@ -252,89 +253,67 @@ def solve_standard_form(
                 break
 
         try:
-            nt = _NTScaling(ops, u, z)
+            nt = _NTScaling(l, d, u, z)
         except np.linalg.LinAlgError:
             message = "scaling breakdown (lost cone interior)"
             break
 
-        FA = np.array([nt.apply_w2(row) for row in A])  # rows F(A_p)
+        FA = nt.apply_w2(Al, As)  # rows F(A_p)
         M = A @ FA.T
         M = 0.5 * (M + M.T)
-        reg = 1e-14 * np.trace(M) / max(m, 1)
+        M += 1e-14 * np.trace(M) / max(m, 1) * np.eye(m)
         try:
-            np.linalg.cholesky(M + reg * np.eye(m))
+            np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             message = "singular Schur complement"
             break
-        Mreg = M + reg * np.eye(m)
 
-        def schur_solve(r):
-            return np.linalg.solve(Mreg, r)
-
-        Fc = nt.apply_w2(c)
-        d_psd = ops.d
+        # the tau column and F(hx) do not depend on the Newton right-hand side
+        Fc = nt.apply_w2(cl, Cs)
+        v2 = np.linalg.solve(M, A @ Fc + b)
+        K2 = FA.T @ v2 - Fc
+        den = -c @ K2 + b @ v2 + kappa / tau
+        Fhx = nt.apply_w2(hx[:l], smat(hx[l:], d))
+        AFhx = A @ Fhx
 
         def newton(rs, dcl, dcs, dctau):
             """One Newton solve; rs scales the linear residuals."""
-            r_hy = -rs * hy
-            r_hx = -rs * hx
-            r_htau = -rs * htau
             Hd = nt.unscale_comp(dcl, dcs)
-            Fhx = nt.apply_w2(r_hx)
-            rhs1 = r_hy - A @ Hd + A @ Fhx
-            rhs2 = A @ Fc + b
-            v1 = schur_solve(rhs1)
-            v2 = schur_solve(rhs2)
-            K1 = Hd - Fhx + nt.apply_w2(A.T @ v1)
-            K2 = nt.apply_w2(A.T @ v2) - Fc
-            den = -c @ K2 + b @ v2 + kappa / tau
-            num = r_htau + c @ K1 - b @ v1 + dctau / tau
+            v1 = np.linalg.solve(M, -rs * hy - A @ Hd - rs * AFhx)
+            K1 = Hd + rs * Fhx + FA.T @ v1
+            num = -rs * htau + c @ K1 - b @ v1 + dctau / tau
             dtau = num / den
             dv = v1 + dtau * v2
             du = K1 + dtau * K2
-            dz = r_hx - A.T @ dv + c * dtau
+            dz = -rs * hx - A.T @ dv + c * dtau
             dkappa = (dctau - kappa * dtau) / tau
             return du, dv, dz, dtau, dkappa
 
         # predictor (affine scaling) direction
-        dcl_aff = -nt.laml ** 2
-        dcs_aff = -np.diag(nt.lams ** 2) if d_psd else None
-        du_a, dv_a, dz_a, dtau_a, dkap_a = newton(1.0, dcl_aff, dcs_aff, -tau * kappa)
-
-        alpha_aff = min(
-            ops.max_step(u, du_a),
-            ops.max_step(z, dz_a),
-            tau / -dtau_a if dtau_a < 0 else np.inf,
-            kappa / -dkap_a if dkap_a < 0 else np.inf,
+        du_a, dv_a, dz_a, dtau_a, dkap_a = newton(
+            1.0, -nt.laml ** 2, -np.diag(nt.lams ** 2), -tau * kappa
         )
-        alpha_aff = min(1.0, alpha_aff)
+        sc_a = nt.scale(du_a, dz_a)
+        alpha_aff = min(
+            1.0, nt.max_step(sc_a), _ratio(np.array([tau, kappa]), np.array([dtau_a, dkap_a]))
+        )
         mu_aff = (
             (u + alpha_aff * du_a) @ (z + alpha_aff * dz_a)
             + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkap_a)
-        ) / (ops.nu + 1)
+        ) / (nu + 1)
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0))
 
-        # Mehrotra corrector in the scaled space
-        dul_a, dus_a = ops.split(du_a)
-        dzl_a, dzs_a = ops.split(dz_a)
-        corr_l = (dul_a / nt.dl) * (nt.dl * dzl_a)
-        dcl = sigma * mu - nt.laml ** 2 - corr_l
-        if d_psd:
-            dUh = nt.Gi @ smat(dus_a, d_psd) @ nt.Gi.T
-            dZh = nt.G.T @ smat(dzs_a, d_psd) @ nt.G
-            corr_s = 0.5 * (dUh @ dZh + dZh @ dUh)
-            dcs = sigma * mu * np.eye(d_psd) - np.diag(nt.lams ** 2) - corr_s
-        else:
-            dcs = None
+        # Mehrotra corrector from the predictor's scaled pair
+        qu_a, qz_a, dUh, dZh = sc_a
+        dcl = sigma * mu - nt.laml ** 2 - qu_a * qz_a
+        dcs = sigma * mu * np.eye(d) - np.diag(nt.lams ** 2) - 0.5 * (dUh @ dZh + dZh @ dUh)
         dctau = sigma * mu - tau * kappa - dtau_a * dkap_a
 
         du, dv, dz, dtau, dkappa = newton(1.0 - sigma, dcl, dcs, dctau)
 
         alpha = min(
-            ops.max_step(u, du),
-            ops.max_step(z, dz),
-            tau / -dtau if dtau < 0 else np.inf,
-            kappa / -dkappa if dkappa < 0 else np.inf,
+            nt.max_step(nt.scale(du, dz)),
+            _ratio(np.array([tau, kappa]), np.array([dtau, dkappa])),
         )
         alpha = min(1.0, 0.99 * alpha)
         if alpha <= 1e-10:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .graph import Edge, SparsityGraph, build_graph, connected_components, edge_signs
 from .model import InstanceError, QcqpInstance
+from .relaxation import solve_relaxation
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,8 @@ def epsilon_sweep_validation(
     exact.  Returns (eps, verdict, primal_value) per step.  This validates
     the limiting argument behind the disconnected-graph condition; actual
     certification of such instances goes through the per-edge systems
-    directly.
+    directly.  tol is the solver tolerance of both solves; certify keeps
+    its own, looser, mu-positivity threshold.
     """
     from .certify import certify  # deferred: certify imports this module
 
@@ -196,9 +198,7 @@ def epsilon_sweep_validation(
     out = []
     for eps in eps_sequence:
         perturbed = build(inst, eps).instance
-        report = certify(perturbed, tol=tol)
-        from .relaxation import solve_relaxation
-
+        report = certify(perturbed, solver_tol=tol)
         res = solve_relaxation(perturbed, tol=tol)
         out.append((eps, report.verdict.value, res.primal_value))
     return out

@@ -95,6 +95,32 @@ def test_missing_file_exit1(capsys):
     assert err.startswith("error:")
 
 
+_ONE_CONSTRAINT = {"matrix": [[1, 1, 1.0]], "rhs": 1.0}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"constraints": [{"matrix": [[1, 1, 1.0]]}]},
+        {"constraints": [{"rhs": 1.0}]},
+        {"constraints": [7]},
+        {"constraints": [_ONE_CONSTRAINT], "linear": {"constraints": [[0.0]]}},
+        {"constraints": [_ONE_CONSTRAINT], "linear": {"objective": [0.0]}},
+    ],
+    ids=["no-rhs", "no-matrix", "not-an-object", "linear-no-objective",
+         "linear-no-constraints"],
+)
+def test_malformed_instance_exit1(capsys, tmp_path, doc):
+    """A missing field inside a constraint or the linear section is an error line."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 1, "m": 1, "objective": [[1, 1, 1.0]], **doc}))
+    code, out, err = _run(capsys, ["certify", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_solve_report(capsys, small_path):
     code, out, err = _run(capsys, ["solve", small_path])
     assert code == 0
@@ -107,7 +133,8 @@ def test_solve_report(capsys, small_path):
 
 
 def _save_small_with_linear_terms(tmp_path, small_path):
-    doc = json.loads(open(small_path).read())
+    with open(small_path) as fh:
+        doc = json.load(fh)
     doc["linear"] = {"objective": [1.0, -2.0], "constraints": [[0.5, 0.0]]}
     path = tmp_path / "small_linear.json"
     path.write_text(json.dumps(doc))

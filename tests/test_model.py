@@ -90,6 +90,12 @@ def test_zero_constraints_rejected(tmp_path):
         load_instance(path)
 
 
+def test_zero_constraints_rejected_in_code():
+    """A QcqpInstance built without constraints is rejected like a file with m = 0."""
+    with pytest.raises(InstanceError, match="m = 0"):
+        QcqpInstance(objective=np.eye(2), constraint_matrices=(), rhs=np.array([]))
+
+
 def test_nonfinite_entry_rejected(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text("""{"n": 1, "m": 1,

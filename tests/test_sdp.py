@@ -13,7 +13,14 @@ from biparsdp import (
     solve,
 )
 from biparsdp.relaxation import numerical_rank, solve_relaxation
-from biparsdp.sdp import _kkt_refine, dual_slack, smat, svec
+from biparsdp.sdp import (
+    _kkt_refine,
+    _NTScaling,
+    dual_slack,
+    smat,
+    solve_standard_form,
+    svec,
+)
 
 from conftest import CYCLE4_MU
 
@@ -30,6 +37,107 @@ def test_svec_smat_round_trip():
         Y = rng.standard_normal((n, n))
         Y = Y + Y.T
         assert abs(v @ svec(Y) - np.sum(X * Y)) < 1e-10
+
+
+def test_svec_smat_stacks_match_loop():
+    """A stack of matrices packs and unpacks exactly as one matrix at a time."""
+    rng = np.random.default_rng(1)
+    for n in (1, 3, 6):
+        Xs = rng.standard_normal((4, n, n))
+        Xs = Xs + Xs.transpose(0, 2, 1)
+        V = svec(Xs)
+        assert np.array_equal(V, np.array([svec(X) for X in Xs]))
+        assert np.array_equal(smat(V, n), np.array([smat(v, n) for v in V]))
+
+
+def _interior_point(rng, l, d):
+    """Random interior (u, z) of R+^l x PSD(d) and a random direction (du, dz)."""
+    def pd():
+        G = rng.standard_normal((d, d))
+        return svec(G @ G.T + 0.1 * np.eye(d))
+
+    def sym():
+        E = rng.standard_normal((d, d))
+        return svec(E + E.T)
+
+    u = np.concatenate([rng.uniform(0.1, 2.0, l), pd()])
+    z = np.concatenate([rng.uniform(0.1, 2.0, l), pd()])
+    du = np.concatenate([rng.standard_normal(l), sym()])
+    dz = np.concatenate([rng.standard_normal(l), sym()])
+    return u, z, du, dz
+
+
+def _cholesky_step(w, dw, l, d):
+    """Reference step length: the orthant ratio test, and on the PSD block
+    -1 / (smallest generalized eigenvalue of (dX, X)) through the Cholesky
+    factor of X."""
+    alpha = np.inf
+    neg = dw[:l] < 0
+    if np.any(neg):
+        alpha = np.min(-w[:l][neg] / dw[:l][neg])
+    Li = np.linalg.inv(np.linalg.cholesky(smat(w[l:], d)))
+    lam_min = np.linalg.eigvalsh(Li @ smat(dw[l:], d) @ Li.T)[0]
+    if lam_min < 0:
+        alpha = min(alpha, -1.0 / lam_min)
+    return alpha
+
+
+def test_scaled_step_matches_cholesky_step():
+    """The step length read off in the NT-scaled space equals the one from
+    separate Cholesky factors of X and Z."""
+    rng = np.random.default_rng(3)
+    for l, d in [(0, 1), (2, 3), (3, 6), (1, 10)]:
+        for _ in range(10):
+            u, z, du, dz = _interior_point(rng, l, d)
+            nt = _NTScaling(l, d, u, z)
+            ref = min(_cholesky_step(u, du, l, d), _cholesky_step(z, dz, l, d))
+            got = nt.max_step(nt.scale(du, dz))
+            assert got == ref if np.isinf(ref) else abs(got - ref) <= 1e-10 * ref
+
+
+def test_stacked_schur_matches_per_row_assembly():
+    """One batched W A_p W over the stacked rows gives the Schur complement
+    of the row-by-row congruence."""
+    rng = np.random.default_rng(4)
+    for l, d, m in [(0, 3, 2), (2, 4, 3), (3, 8, 5)]:
+        u, z, _, _ = _interior_point(rng, l, d)
+        A = rng.standard_normal((m, l + d * (d + 1) // 2))
+        nt = _NTScaling(l, d, u, z)
+        FA_ref = np.array([
+            np.concatenate([nt.dl ** 2 * row[:l], svec(nt.W @ smat(row[l:], d) @ nt.W)])
+            for row in A
+        ])
+        FA = nt.apply_w2(A[:, :l], smat(A[:, l:], d))
+        M_ref = A @ FA_ref.T
+        assert np.max(np.abs(A @ FA.T - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+
+
+def test_one_factorization_per_iteration(monkeypatch):
+    """Each iteration that takes a step factors X once, inverts G once and
+    factors the Schur complement once."""
+    counts = {"cholesky": 0, "inv": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counted(a, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    n, m = 4, 3
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((n, n))
+    c = np.concatenate([np.zeros(m), svec(G + G.T)])
+    A = np.hstack([np.eye(m), np.array([svec(np.eye(n) * (p + 1)) for p in range(m)])])
+    res = solve_standard_form(c, A, np.ones(m), l=m, d=n)
+    assert res.status is SolverStatus.OPTIMAL
+    steps = res.iterations - 1  # the last iteration only checks convergence
+    assert counts == {"cholesky": 2 * steps, "inv": steps}
+
+
+def test_standard_form_needs_psd_block():
+    with pytest.raises(ValueError, match="PSD block"):
+        solve_standard_form(np.ones(1), np.ones((1, 1)), np.ones(1), l=1, d=0)
 
 
 def test_trivial_minimum_zero():

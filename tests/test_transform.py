@@ -1,5 +1,7 @@
 """Tests for sign splitting and the Laplacian perturbation constructions."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,18 @@ def test_epsilon_sweep_on_disconnected_instance(small):
         epsilon_sweep_validation(inst, [1e-3, 1e-2])
     with pytest.raises(ValueError, match="positive"):
         epsilon_sweep_validation(inst, [1e-2, -1e-3])
+
+
+def test_epsilon_sweep_passes_tol_as_solver_tolerance(small, monkeypatch):
+    """The sweep tolerance goes to the solver, not to the mu-positivity threshold."""
+    certify_module = importlib.import_module("biparsdp.certify")
+    seen = []
+    real = certify_module.certify
+
+    def recording(inst, **kwargs):
+        seen.append(kwargs)
+        return real(inst, **kwargs)
+
+    monkeypatch.setattr(certify_module, "certify", recording)
+    epsilon_sweep_validation(_blkdiag_double(small), [1e-2, 1e-3], tol=1e-9)
+    assert seen == [{"solver_tol": 1e-9}] * 2

@@ -9,9 +9,14 @@ relaxation of a QCQP must have a rank-1 optimal solution:
   basis cycle's sign product equal to (-1)^length;
 * per-edge feasibility systems — for forests, no dual-feasible y makes
   S(y)_{kl} = 0; for bipartite graphs, none makes S(y)_{kl} <= 0.  Both
-  reduce to small SDPs over the dual feasible set;
-* sign-split reduction — a sign-definite but non-bipartite instance is
-  transformed to an equivalent bipartite nonnegative-off-diagonal one.
+  reduce to small SDPs over the dual feasible set.
+
+The paper's sign-split reduction (`transform.sign_split_transform`) is not
+run.  Its doubled graph is bipartite exactly when the cycle condition
+holds, so it certifies nothing the cycle condition rejects; the tests
+`test_cycle_condition_implies_bipartite_transform` and
+`test_odd_transformed_cycle_implies_violated_condition` check both
+directions.
 
 The system-based rules additionally need the relaxation and its dual to
 behave (attained optima, bounded solution sets).  That is undecidable from
@@ -42,6 +47,7 @@ from .graph import (
     edge_signs,
 )
 from .model import GeneralQcqpInstance, InstanceError, QcqpInstance
+from .relaxation import DEFAULT_RANK_TOL, solve_relaxation
 from .sdp import (
     DEFAULT_TOL,
     DualSideEmpty,
@@ -111,24 +117,37 @@ def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> Assu
     )
 
 
+def _check_tolerances(tol: float, y_cap: float) -> None:
+    """tol <= 0 would accept mu* <= 0 and t* <= 0 as proofs; y_cap <= 0 is an empty box."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not y_cap > 0:
+        raise ValueError(f"y_cap must be positive, got {y_cap!r}")
+
+
 class _Structure:
     """What every rule reads, built once per call of `certify` or a rule.
 
     Graph and edge signs are built eagerly; the bipartition, components,
-    cycle basis and the assumption check only when a rule first asks.  The
-    assumption check keeps the tolerances of that first request, which are
-    the same for every rule of one call.
+    cycle basis and the assumption check only when a rule first asks.
     """
 
-    def __init__(self, inst: QcqpInstance):
+    def __init__(
+        self,
+        inst: QcqpInstance,
+        tol: float = MU_POSITIVITY_TOL,
+        y_cap: float = DEFAULT_Y_CAP,
+        solver_tol: float = DEFAULT_TOL,
+    ):
         if isinstance(inst, GeneralQcqpInstance):
             raise InstanceError(
                 "instance has linear terms; certify homogenize(instance) instead"
             )
+        _check_tolerances(tol, y_cap)
         self.inst = inst
+        self.tol, self.y_cap, self.solver_tol = tol, y_cap, solver_tol
         self.graph = build_graph(inst)
         self.signs = edge_signs(inst, self.graph)
-        self._assumption: AssumptionCheck | None = None
 
     @cached_property
     def bip(self) -> BipartitionResult:
@@ -146,10 +165,9 @@ class _Structure:
     def forest(self) -> bool:
         return len(self.graph.edges) == self.graph.n - len(self.components)
 
-    def assumption(self, tol: float, solver_tol: float) -> AssumptionCheck:
-        if self._assumption is None:
-            self._assumption = _check_assumption(self.inst, tol, solver_tol)
-        return self._assumption
+    @cached_property
+    def assumption(self) -> AssumptionCheck:
+        return _check_assumption(self.inst, self.tol, self.solver_tol)
 
 
 def _refutes(mu: float, attained: bool, tol: float) -> bool:
@@ -173,31 +191,28 @@ def check_edge_system_nonpositive(
     was attained inside the box; otherwise the answer is a conservative
     False.  k and ell are 0-based.
     """
+    _check_tolerances(tol, y_cap)
     mu, attained, _ = minimize_linear_functional_over_dual_cone(
         inst, k, ell, y_cap=y_cap, tol=solver_tol
     )
     return _refutes(mu, attained, tol), mu, attained
 
 
-def _edge_system(
-    inst: QcqpInstance, edge: Edge, y_cap: float, solver_tol: float, want_max: bool
-) -> EdgeSystemResult:
+def _edge_system(st: _Structure, edge: Edge, want_max: bool) -> EdgeSystemResult:
     """Minimum (and, for forests, maximum) of S(y)_{k,ell}."""
     k, ell = edge
     res = EdgeSystemResult()
     res.mu_min, res.min_attained, _ = minimize_linear_functional_over_dual_cone(
-        inst, k, ell, y_cap=y_cap, tol=solver_tol
+        st.inst, k, ell, y_cap=st.y_cap, tol=st.solver_tol
     )
     if want_max:
         res.mu_max, res.max_attained, _ = minimize_linear_functional_over_dual_cone(
-            inst, k, ell, y_cap=y_cap, tol=solver_tol, maximize=True
+            st.inst, k, ell, y_cap=st.y_cap, tol=st.solver_tol, maximize=True
         )
     return res
 
 
-def _edge_systems(
-    st: _Structure, tol: float, y_cap: float, solver_tol: float, want_max: bool
-) -> CertificationReport:
+def _edge_systems(st: _Structure, want_max: bool) -> CertificationReport:
     """Per-edge systems: S(y)_{kl} = 0 on forests (want_max), <= 0 on bipartite graphs."""
     report = CertificationReport(verdict=Verdict.NOT_CERTIFIED, sign_summary=st.signs)
     if want_max:
@@ -217,11 +232,10 @@ def _edge_systems(
             if len(st.components) <= 1
             else "disconnected-bipartite-edge-systems"
         )
-    report.assumption_check = st.assumption(tol, solver_tol)
+    report.assumption_check = st.assumption
     try:
         report.per_edge = {
-            edge: _edge_system(st.inst, edge, y_cap, solver_tol, want_max)
-            for edge in sorted(st.graph.edges)
+            edge: _edge_system(st, edge, want_max) for edge in sorted(st.graph.edges)
         }
     except DualSideEmpty as exc:
         report.notes.append(f"edge systems unavailable: {exc}")
@@ -231,15 +245,15 @@ def _edge_systems(
         return report
     all_pass = True
     for edge, res in report.per_edge.items():
-        res.infeasible = _refutes(res.mu_min, res.min_attained, tol) or (
-            want_max and _refutes(-res.mu_max, res.max_attained, tol)
+        res.infeasible = _refutes(res.mu_min, res.min_attained, st.tol) or (
+            want_max and _refutes(-res.mu_max, res.max_attained, st.tol)
         )
         if not res.infeasible:
             all_pass = False
             if not want_max and not res.min_attained:
                 report.notes.append(
                     f"edge {tuple(v + 1 for v in edge)}: minimum hit the "
-                    f"y <= {y_cap:g} box; treating as unresolved"
+                    f"y <= {st.y_cap:g} box; treating as unresolved"
                 )
     if all_pass and report.assumption_check.holds:
         report.verdict = Verdict.CERTIFIED_EXACT
@@ -262,7 +276,7 @@ def certify_bipartite(
     the applied rule: the disconnected case is covered by the same per-edge
     systems through a vanishing Laplacian perturbation argument.
     """
-    return _edge_systems(_Structure(inst), tol, y_cap, solver_tol, want_max=False)
+    return _edge_systems(_Structure(inst, tol, y_cap, solver_tol), want_max=False)
 
 
 def certify_forest(
@@ -278,7 +292,7 @@ def certify_forest(
     set.  Both endpoints are computed; a box-limited endpoint on the side
     that would exclude zero leaves the edge unresolved.
     """
-    return _edge_systems(_Structure(inst), tol, y_cap, solver_tol, want_max=True)
+    return _edge_systems(_Structure(inst, tol, y_cap, solver_tol), want_max=True)
 
 
 def _sojoudi(st: _Structure) -> CertificationReport:
@@ -329,7 +343,7 @@ def certify_sojoudi(inst: QcqpInstance) -> CertificationReport:
     return _sojoudi(_Structure(inst))
 
 
-def _sign_corollaries(st: _Structure, tol: float, solver_tol: float) -> CertificationReport:
+def _sign_corollaries(st: _Structure) -> CertificationReport:
     signs = st.signs
     report = CertificationReport(
         verdict=Verdict.NOT_CERTIFIED, sign_summary=signs
@@ -344,7 +358,7 @@ def _sign_corollaries(st: _Structure, tol: float, solver_tol: float) -> Certific
     if rule is None:
         report.notes.append("sign-corollary premises not met")
         return report
-    report.assumption_check = st.assumption(tol, solver_tol)
+    report.assumption_check = st.assumption
     if report.assumption_check.holds:
         report.verdict = Verdict.CERTIFIED_EXACT
         report.applied_rule = rule
@@ -364,21 +378,53 @@ def certify_sign_corollaries(
     keeps S(y)_{kl} pinned on one side), so they inherit the assumption
     check but need no SDP solves for the edges themselves.
     """
-    return _sign_corollaries(_Structure(inst), tol, solver_tol)
+    return _sign_corollaries(_Structure(inst, tol, solver_tol=solver_tol))
 
 
-def _merge(into: CertificationReport, other: CertificationReport, label: str) -> None:
-    """Keep evidence from an evaluated rule in the pipeline report."""
+def _labelled(label: str, sub: CertificationReport) -> CertificationReport:
+    """sub with its notes prefixed by label, closed by a note when it did not certify."""
+    sub.notes = [f"{label}: {note}" for note in sub.notes]
+    if sub.verdict is not Verdict.CERTIFIED_EXACT:
+        sub.notes.append(f"{label}: did not certify")
+    return sub
+
+
+def _rules(st: _Structure):
+    """The labelled report of each rule `certify` runs, cheapest first, on demand."""
+    yield _labelled("sign-corollaries", _sign_corollaries(st))
+    yield _labelled("edge-sign-cycle-condition", _sojoudi(st))
+    if st.forest:
+        forest = _labelled("forest-edge-systems", _edge_systems(st, want_max=True))
+        # forests are bipartite: the one-sided systems are the forest's minima
+        bip_certifies = (
+            bool(forest.per_edge)
+            and forest.assumption_check.holds
+            and all(
+                _refutes(res.mu_min, res.min_attained, st.tol)
+                for res in forest.per_edge.values()
+            )
+        )
+        forest.notes.append(
+            "bipartite-edge-systems: "
+            + ("also certifies" if bip_certifies else "did not certify")
+        )
+        yield forest
+    elif st.bip.bipartite:
+        yield _labelled("bipartite-edge-systems", _edge_systems(st, want_max=False))
+
+
+def _merge(into: CertificationReport, other: CertificationReport) -> None:
+    """Keep evidence from an evaluated rule in the pipeline report, and its
+    verdict and rule name when it certified."""
     if other.assumption_check is not None and into.assumption_check is None:
         into.assumption_check = other.assumption_check
     for edge, res in other.per_edge.items():
         into.per_edge.setdefault(edge, res)
     if other.cycle_checks and not into.cycle_checks:
         into.cycle_checks = other.cycle_checks
-    for note in other.notes:
-        into.notes.append(f"{label}: {note}")
-    if other.verdict is not Verdict.CERTIFIED_EXACT:
-        into.notes.append(f"{label}: did not certify")
+    into.notes.extend(other.notes)
+    if other.verdict is Verdict.CERTIFIED_EXACT:
+        into.verdict, into.applied_rule = other.verdict, other.applied_rule
 
 
 def certify(
@@ -386,76 +432,27 @@ def certify(
     tol: float = MU_POSITIVITY_TOL,
     y_cap: float = DEFAULT_Y_CAP,
     solver_tol: float = DEFAULT_TOL,
-    rank_tol: float = 1e-6,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> CertificationReport:
     """Run all certification rules, cheapest first; first success wins.
 
-    Order: sign corollaries, edge-sign cycle condition, forest systems,
-    bipartite systems, sign-split reduction, and finally an observational
-    fallback that solves the relaxation and reports the numerical rank
-    (NumericallyExactOnly / InexactObserved — evidence, not a proof).
-    The structure and the assumption check are computed once and shared
-    by the rules.
+    Order: sign corollaries, edge-sign cycle condition, then the forest or
+    (for a bipartite graph with cycles) the bipartite edge systems, and
+    finally an observational fallback that solves the relaxation and
+    reports the numerical rank (NumericallyExactOnly / InexactObserved —
+    evidence, not a proof).  The sign-split reduction adds nothing to the
+    cycle condition and is not run.  The structure and the assumption check
+    are computed once and shared by the rules.  Raises ValueError for
+    tol <= 0 or y_cap <= 0.
     """
-    st = _Structure(inst)
+    st = _Structure(inst, tol, y_cap, solver_tol)
     report = CertificationReport(verdict=Verdict.NOT_CERTIFIED, sign_summary=st.signs)
-
-    sub = _sign_corollaries(st, tol, solver_tol)
-    _merge(report, sub, "sign-corollaries")
-    if sub.verdict is Verdict.CERTIFIED_EXACT:
-        report.verdict, report.applied_rule = sub.verdict, sub.applied_rule
-        return report
-
-    sub = _sojoudi(st)
-    _merge(report, sub, "edge-sign-cycle-condition")
-    if sub.verdict is Verdict.CERTIFIED_EXACT:
-        report.verdict, report.applied_rule = sub.verdict, sub.applied_rule
-        return report
-
-    if st.forest:
-        forest = _edge_systems(st, tol, y_cap, solver_tol, want_max=True)
-        _merge(report, forest, "forest-edge-systems")
-        # forests are bipartite: the one-sided systems are the forest's minima
-        bip_certifies = (
-            bool(forest.per_edge)
-            and forest.assumption_check.holds
-            and all(
-                _refutes(res.mu_min, res.min_attained, tol)
-                for res in forest.per_edge.values()
-            )
-        )
-        report.notes.append(
-            "bipartite-edge-systems: "
-            + ("also certifies" if bip_certifies else "did not certify")
-        )
-        if forest.verdict is Verdict.CERTIFIED_EXACT:
-            report.verdict, report.applied_rule = forest.verdict, forest.applied_rule
+    for sub in _rules(st):
+        _merge(report, sub)
+        if report.verdict is Verdict.CERTIFIED_EXACT:
             return report
-    elif st.bip.bipartite:
-        sub = _edge_systems(st, tol, y_cap, solver_tol, want_max=False)
-        _merge(report, sub, "bipartite-edge-systems")
-        if sub.verdict is Verdict.CERTIFIED_EXACT:
-            report.verdict, report.applied_rule = sub.verdict, sub.applied_rule
-            return report
-    elif all(s != 0 for s in st.signs.values()):
-        from .transform import sign_split_transform
-
-        doubled = sign_split_transform(inst).transformed
-        sub = certify_sign_corollaries(doubled, tol=tol, solver_tol=solver_tol)
-        if sub.verdict is Verdict.CERTIFIED_EXACT:
-            report.verdict = Verdict.CERTIFIED_EXACT
-            report.applied_rule = "sign-split-bipartite-reduction"
-            report.assumption_check = sub.assumption_check
-            report.notes.append(
-                "sign-split reduction: doubled instance certified via "
-                + str(sub.applied_rule)
-            )
-            return report
-        _merge(report, sub, "sign-split-reduction")
 
     # observational fallback
-    from .relaxation import solve_relaxation
-
     res = solve_relaxation(inst, tol=solver_tol, rank_tol=rank_tol)
     if res.status.value != "Optimal":
         report.notes.append(

@@ -49,14 +49,27 @@ def build_relaxation(inst: QcqpInstance) -> SdpProblem:
     )
 
 
+def _rank(lam: np.ndarray, rank_tol: float) -> int:
+    """Rank from ascending eigenvalues; see `numerical_rank`."""
+    return int(np.sum(lam > rank_tol * max(lam[-1], 1.0)))
+
+
 def numerical_rank(X: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of eigenvalues above rank_tol * max(largest eigenvalue, 1).
 
     The absolute floor of 1 keeps the threshold meaningful for matrices
     that are small in norm (e.g. X ~ 0 has rank 0, not n).
     """
-    lam = np.linalg.eigvalsh(X)
-    return int(np.sum(lam > rank_tol * max(lam[-1], 1.0)))
+    return _rank(np.linalg.eigvalsh(X), rank_tol)
+
+
+def _leading_factor(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sqrt(lambda_1) * v_1, signed so the first nonzero coordinate is positive."""
+    x = np.sqrt(lam[-1]) * V[:, -1]
+    nz = np.flatnonzero(np.abs(x) > 1e-12 * np.abs(x).max())
+    if len(nz) and x[nz[0]] < 0:
+        x = -x
+    return x
 
 
 def extract_rank1(X: np.ndarray) -> np.ndarray:
@@ -66,14 +79,10 @@ def extract_rank1(X: np.ndarray) -> np.ndarray:
     coordinate is positive (the QCQP is homogeneous, so both signs of x
     are optimizers).
     """
-    if numerical_rank(X) != 1:
-        raise ValueError("matrix does not have numerical rank 1")
     lam, V = np.linalg.eigh(X)
-    x = np.sqrt(lam[-1]) * V[:, -1]
-    nz = np.flatnonzero(np.abs(x) > 1e-12 * np.abs(x).max())
-    if len(nz) and x[nz[0]] < 0:
-        x = -x
-    return x
+    if _rank(lam, DEFAULT_RANK_TOL) != 1:
+        raise ValueError("matrix does not have numerical rank 1")
+    return _leading_factor(lam, V)
 
 
 def complementarity_residual(
@@ -115,11 +124,13 @@ def solve_relaxation(
             gap=None,
             message=sol.message or f"relaxation not solved: {sol.status.value}",
         )
-    rank = numerical_rank(sol.X, rank_tol)
+    # one eigendecomposition decides the rank, at the caller's rank_tol, and x*
+    lam, V = np.linalg.eigh(sol.X)
+    rank = _rank(lam, rank_tol)
     x_star = None
     gap = None
     if rank == 1:
-        x_star = extract_rank1(sol.X)
+        x_star = _leading_factor(lam, V)
     elif rank == 0:
         x_star = np.zeros(inst.n)
     if x_star is not None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import certify
 from .graph import Edge, SparsityGraph, build_graph, connected_components, edge_signs
 from .model import InstanceError, QcqpInstance
 from .relaxation import solve_relaxation
@@ -181,8 +182,6 @@ def epsilon_sweep_validation(
     directly.  tol is the solver tolerance of both solves; certify keeps
     its own, looser, mu-positivity threshold.
     """
-    from .certify import certify  # deferred: certify imports this module
-
     eps_sequence = [float(e) for e in eps_sequence]
     if any(e <= 0 for e in eps_sequence):
         raise ValueError("eps_sequence entries must be positive")

@@ -291,3 +291,113 @@ def test_criterion_7_property_suite():
 
     elapsed = time.perf_counter() - start
     _check("criterion 7: property suite finished in under 2 minutes", elapsed < 120.0)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic invariance: transformations that preserve exactness
+
+
+def _random_family_instance(rng, family):
+    """n = 3..6 instance on a bipartite graph, a forest or a graph with a triangle.
+
+    Constraints are diagonally dominant, Q0 has a negative diagonal -D.  On
+    about half the draws the negative Q0 entries are clamped above
+    -D_k min_p Qp_kl / Qp_kk, a lower bound on S(y)_kl over the dual
+    feasible set, so the edge systems certify; the odd-cycle family also
+    draws decoupled constraints and balanced signs for the sign rules.
+    """
+    n = int(rng.integers(3, 7))
+    if family == "bipartite":
+        part = np.arange(n) % 2
+        edges = {
+            (int(rng.choice([u for u in range(v) if part[u] != part[v]])), v)
+            for v in range(1, n)
+        }
+        edges |= {
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if part[i] != part[j] and rng.random() < 0.4
+        }
+    elif family == "forest":
+        edges = {
+            (int(rng.integers(v)), v) for v in range(1, n)
+            if rng.random() < 0.85 or v == 1  # at least one edge
+        }
+    else:
+        edges = {(0, 1), (0, 2), (1, 2)} | {(int(rng.integers(v)), v) for v in range(3, n)}
+    ii, jj = np.array(sorted(edges)).T
+    coupled = family != "odd-cycle" or rng.random() < 0.5
+    mats = []
+    for _ in range(2):
+        Q = np.zeros((n, n))
+        if coupled:
+            Q[ii, jj] = Q[jj, ii] = rng.uniform(0.2, 1.0, size=len(ii))
+        mats.append(Q + np.diag(np.abs(Q).sum(axis=1) + rng.uniform(0.5, 1.5, size=n)))
+    depth = rng.uniform(1.0, 3.0, size=n)
+    if family == "odd-cycle" and rng.random() < 0.5:
+        s = rng.choice([-1.0, 1.0], size=n)
+        off = -s[ii] * s[jj] * rng.uniform(0.2, 1.0, size=len(ii))
+    else:
+        off = rng.choice([-1.0, 1.0], size=len(ii)) * rng.uniform(0.2, 1.0, size=len(ii))
+    if coupled and rng.random() < 0.5:
+        bound = np.max([
+            np.min([Q[ii, jj] / np.diag(Q)[v] for Q in mats], axis=0) * depth[v]
+            for v in (ii, jj)
+        ], axis=0)
+        off = np.maximum(off, -0.5 * bound)
+    Q0 = np.zeros((n, n))
+    Q0[ii, jj] = Q0[jj, ii] = off
+    return QcqpInstance(
+        objective=Q0 - np.diag(depth),
+        constraint_matrices=tuple(mats),
+        rhs=rng.uniform(1.0, 2.0, size=2) * n,
+    )
+
+
+def _permuted(inst, perm):
+    """Data of the same QCQP with its variables relabelled by perm."""
+    def move(Q):
+        return Q[np.ix_(perm, perm)]
+
+    return QcqpInstance(
+        objective=move(inst.objective),
+        constraint_matrices=tuple(move(Q) for Q in inst.constraint_matrices),
+        rhs=inst.rhs,
+    )
+
+
+def test_verdicts_invariant_under_permutation(small, cycle4):
+    """Relabelling the variables keeps verdict and applied rule.
+
+    A diagonal similarity D Q D is left out: on cycle4 with D drawn from
+    [0.1, 10] a few per cent of draws stall the edge SDP just above its gap
+    target and fall back to NumericallyExactOnly (the y_cap cost of the box
+    in c, ROADMAP 4(a)).  It goes in with that fix.
+    """
+    rng = np.random.default_rng(0)
+    instances = [small, cycle4] + [
+        _random_family_instance(rng, family)
+        for family in ("bipartite", "forest", "odd-cycle")
+        for _ in range(16)
+    ]
+    rules = set()
+    mismatches = []
+    for index, inst in enumerate(instances):
+        base = certify(inst)
+        rules.add(base.applied_rule)
+        for _ in range(2):
+            moved = certify(_permuted(inst, rng.permutation(inst.n)))
+            if (moved.verdict, moved.applied_rule) != (base.verdict, base.applied_rule):
+                mismatches.append((index, base.applied_rule, moved.applied_rule))
+    # every family of rules is exercised, not only the fallback
+    assert {
+        "bipartite-nonnegative-off-diagonal",
+        "edge-sign-cycle-condition",
+        "forest-edge-systems",
+        "connected-bipartite-edge-systems",
+        "relaxation-rank-check",
+    } <= rules
+    _check(
+        f"metamorphic: {2 * len(instances)} permuted certify calls keep "
+        "verdict and applied rule",
+        not mismatches,
+    )

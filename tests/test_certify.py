@@ -314,6 +314,36 @@ def test_pipeline_fallback_higher_rank():
     assert any("rank 2" in n for n in report.notes)
 
 
+def test_pipeline_never_runs_sign_split(monkeypatch):
+    """The sign-split doubling is bipartite exactly when the cycle condition
+    holds, so certify never builds it; the +1 triangles still fall back."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify called sign_split_transform")
+
+    monkeypatch.setattr(
+        importlib.import_module("biparsdp.transform"), "sign_split_transform", refuse
+    )
+    assert certify(_triangle_instance((1.0, 0.5, 1.0))).verdict is (
+        Verdict.NUMERICALLY_EXACT_ONLY
+    )
+    assert certify(_triangle_instance((1.0, 1.0, 1.0))).verdict is Verdict.INEXACT_OBSERVED
+
+
+@pytest.mark.parametrize("bad", [{"tol": -1e3}, {"tol": 0.0}, {"y_cap": 0.0}])
+def test_nonpositive_tolerances_rejected(cycle4, bad):
+    """tol <= 0 would accept mu* <= 0 and t* <= 0 as proofs; y_cap <= 0 is an
+    empty box.  Every entry point refuses them before any solve."""
+    for rule in (certify, certify_bipartite, certify_forest):
+        with pytest.raises(ValueError, match="must be positive"):
+            rule(cycle4, **bad)
+    with pytest.raises(ValueError, match="must be positive"):
+        check_edge_system_nonpositive(cycle4, 0, 1, **bad)
+    if "tol" in bad:
+        with pytest.raises(ValueError, match="must be positive"):
+            certify_sign_corollaries(cycle4, **bad)
+
+
 def test_tightening_tol_is_conservative(cycle4):
     """A verdict reached at a loose tolerance survives tightening headroom."""
     loose = certify_bipartite(cycle4, tol=1e-3)

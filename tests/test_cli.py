@@ -132,6 +132,32 @@ def test_solve_report(capsys, small_path):
     assert "rank 1" in err
 
 
+def test_solve_rank_tol_extracts(capsys, tmp_path):
+    """--rank-tol decides extraction too: X* = diag(1, 1e-4) is rank 1 at 1e-3."""
+    path = tmp_path / "diag.json"
+    save_instance(
+        QcqpInstance(
+            objective=-np.eye(2),
+            constraint_matrices=(np.diag([1.0, 0.0]), np.diag([0.0, 1e4])),
+            rhs=np.ones(2),
+        ),
+        path,
+    )
+    code, out, err = _run(capsys, ["solve", str(path), "--rank-tol", "1e-3"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["rank"] == 1
+    assert np.allclose(doc["x"], [1.0, 0.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("flag", [["--mu-tol", "-1"], ["--mu-tol", "0"], ["--y-cap", "0"]])
+def test_certify_rejects_nonpositive_tolerances(capsys, cycle4_path, flag):
+    code, out, err = _run(capsys, ["certify", cycle4_path, *flag])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be positive" in err
+
+
 def _save_small_with_linear_terms(tmp_path, small_path):
     with open(small_path) as fh:
         doc = json.load(fh)

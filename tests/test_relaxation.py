@@ -5,7 +5,9 @@ import pytest
 
 from biparsdp import (
     QcqpInstance,
+    Verdict,
     build_relaxation,
+    certify,
     complementarity_residual,
     evaluate_quadratic,
     extract_rank1,
@@ -53,6 +55,34 @@ def test_extract_rank1_sign_convention():
 def test_extract_rank1_rejects_higher_rank():
     with pytest.raises(ValueError, match="rank 1"):
         extract_rank1(np.eye(2))
+
+
+def test_rank_tol_decides_extraction():
+    """The caller's rank_tol, not the default, decides the rank and x*.
+
+    X* = diag(1, 1e-4): rank 2 at the default 1e-6, rank 1 at 1e-3.
+    """
+    inst = QcqpInstance(
+        objective=-np.eye(2),
+        constraint_matrices=(np.diag([1.0, 0.0]), np.diag([0.0, 1e4])),
+        rhs=np.ones(2),
+    )
+    assert solve_relaxation(inst).numeric_rank == 2
+    res = solve_relaxation(inst, rank_tol=1e-3)
+    assert res.numeric_rank == 1
+    assert np.allclose(res.x_star, [1.0, 0.0], atol=1e-6)
+    assert abs(res.gap - 1e-4) < 1e-6
+
+    # the degenerate +1 triangle, rescaled by diag(1, 100, 100), reaches the
+    # fallback of certify with X* eigenvalues ~ 0.25 and 6e-5
+    d = np.array([1.0, 100.0, 100.0])
+    tri = QcqpInstance(
+        objective=(np.ones((3, 3)) - np.eye(3)) * np.outer(d, d),
+        constraint_matrices=(np.diag(d ** 2),),
+        rhs=np.ones(1),
+    )
+    assert certify(tri).verdict is Verdict.INEXACT_OBSERVED
+    assert certify(tri, rank_tol=1e-3).verdict is Verdict.NUMERICALLY_EXACT_ONLY
 
 
 def test_complementarity_residual(small):

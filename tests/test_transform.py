@@ -264,14 +264,14 @@ def test_epsilon_sweep_on_disconnected_instance(small):
 
 def test_epsilon_sweep_passes_tol_as_solver_tolerance(small, monkeypatch):
     """The sweep tolerance goes to the solver, not to the mu-positivity threshold."""
-    certify_module = importlib.import_module("biparsdp.certify")
+    transform_module = importlib.import_module("biparsdp.transform")
     seen = []
-    real = certify_module.certify
+    real = transform_module.certify
 
     def recording(inst, **kwargs):
         seen.append(kwargs)
         return real(inst, **kwargs)
 
-    monkeypatch.setattr(certify_module, "certify", recording)
+    monkeypatch.setattr(transform_module, "certify", recording)
     epsilon_sweep_validation(_blkdiag_double(small), [1e-2, 1e-3], tol=1e-9)
     assert seen == [{"solver_tol": 1e-9}] * 2

@@ -51,8 +51,10 @@ from .relaxation import DEFAULT_RANK_TOL, solve_relaxation
 from .sdp import (
     DEFAULT_TOL,
     DualSideEmpty,
+    check_solver_tol,
     max_min_eigen_combination,
     minimize_linear_functional_over_dual_cone,
+    optimize_linear_functionals_over_dual_cone,
 )
 
 #: looser than the solver tolerance so solver noise cannot flip a verdict
@@ -117,12 +119,15 @@ def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> Assu
     )
 
 
-def _check_tolerances(tol: float, y_cap: float) -> None:
-    """tol <= 0 would accept mu* <= 0 and t* <= 0 as proofs; y_cap <= 0 is an empty box."""
+def _check_tolerances(tol: float, y_cap: float, solver_tol: float) -> None:
+    """tol <= 0 would accept mu* <= 0 and t* <= 0 as proofs; y_cap <= 0 is an
+    empty box; a solver_tol the engine cannot meet, or one so loose that a
+    half-converged SDP counts as solved, would decide the edges on noise."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if not y_cap > 0:
         raise ValueError(f"y_cap must be positive, got {y_cap!r}")
+    check_solver_tol(solver_tol, "solver_tol")
 
 
 class _Structure:
@@ -143,7 +148,7 @@ class _Structure:
             raise InstanceError(
                 "instance has linear terms; certify homogenize(instance) instead"
             )
-        _check_tolerances(tol, y_cap)
+        _check_tolerances(tol, y_cap, solver_tol)
         self.inst = inst
         self.tol, self.y_cap, self.solver_tol = tol, y_cap, solver_tol
         self.graph = build_graph(inst)
@@ -191,25 +196,11 @@ def check_edge_system_nonpositive(
     was attained inside the box; otherwise the answer is a conservative
     False.  k and ell are 0-based.
     """
-    _check_tolerances(tol, y_cap)
+    _check_tolerances(tol, y_cap, solver_tol)
     mu, attained, _ = minimize_linear_functional_over_dual_cone(
         inst, k, ell, y_cap=y_cap, tol=solver_tol
     )
     return _refutes(mu, attained, tol), mu, attained
-
-
-def _edge_system(st: _Structure, edge: Edge, want_max: bool) -> EdgeSystemResult:
-    """Minimum (and, for forests, maximum) of S(y)_{k,ell}."""
-    k, ell = edge
-    res = EdgeSystemResult()
-    res.mu_min, res.min_attained, _ = minimize_linear_functional_over_dual_cone(
-        st.inst, k, ell, y_cap=st.y_cap, tol=st.solver_tol
-    )
-    if want_max:
-        res.mu_max, res.max_attained, _ = minimize_linear_functional_over_dual_cone(
-            st.inst, k, ell, y_cap=st.y_cap, tol=st.solver_tol, maximize=True
-        )
-    return res
 
 
 def _edge_systems(st: _Structure, want_max: bool) -> CertificationReport:
@@ -233,10 +224,14 @@ def _edge_systems(st: _Structure, want_max: bool) -> CertificationReport:
             else "disconnected-bipartite-edge-systems"
         )
     report.assumption_check = st.assumption
+    # one batched solve: each edge's minimum, then (forests) its maximum
+    edges = sorted(st.graph.edges)
+    sides = (False, True) if want_max else (False,)
+    targets = [(k, ell, maximize) for k, ell in edges for maximize in sides]
     try:
-        report.per_edge = {
-            edge: _edge_system(st, edge, want_max) for edge in sorted(st.graph.edges)
-        }
+        values = iter(optimize_linear_functionals_over_dual_cone(
+            st.inst, targets, y_cap=st.y_cap, tol=st.solver_tol
+        ))
     except DualSideEmpty as exc:
         report.notes.append(f"edge systems unavailable: {exc}")
         return report
@@ -244,7 +239,11 @@ def _edge_systems(st: _Structure, want_max: bool) -> CertificationReport:
         report.notes.append(f"edge-system solver failure: {exc}")
         return report
     all_pass = True
-    for edge, res in report.per_edge.items():
+    for edge in edges:
+        res = report.per_edge[edge] = EdgeSystemResult()
+        res.mu_min, res.min_attained, _ = next(values)
+        if want_max:
+            res.mu_max, res.max_attained, _ = next(values)
         res.infeasible = _refutes(res.mu_min, res.min_attained, st.tol) or (
             want_max and _refutes(-res.mu_max, res.max_attained, st.tol)
         )

@@ -7,18 +7,22 @@ The engine solves the standard-form conic pair
 
 over K = (nonnegative orthant) x (PSD cone of one matrix block), using the
 homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step.  Each iteration factors the PSD iterate once, in
-the NT scaling (one Cholesky factor of X, one eigh, one inverse of the
-scaling matrix); step lengths are taken in the NT-scaled space, and the
-Schur complement comes from one batched congruence of A's stacked rows.
-Everything is dense: the target problems have matrix dimension well below a
-hundred.
+predictor-corrector step.  The loop runs a batch of problems that share c,
+A and K and differ only in b; a lone solve is a batch of one.  Each
+iteration factors the PSD iterates once, in the NT scaling (one stacked
+Cholesky factor of X, eigh and inverse of the scaling matrix); step lengths
+are taken in the NT-scaled space, and the Schur complements come from one
+batched congruence of A's stacked rows.  Inside the loop the PSD block of
+every cone vector is kept as a d x d matrix; u and z are packed by svec
+once, on return.  Everything is dense: the target problems have matrix
+dimension well below a hundred.
 
 On top of the engine sit the three problem shapes the toolkit needs:
-inequality-form SDPs (the relaxation), minimizing one entry of the dual
+inequality-form SDPs (the relaxation), optimizing one entry of the dual
 slack matrix S(y) = Q0 + sum_p y_p Qp over the dual feasible set (the
-per-edge systems), and maximizing the minimum eigenvalue of a convex
-combination of constraint matrices (the positive-definiteness check).
+per-edge systems; all edges of an instance are solved as one batch), and
+maximizing the minimum eigenvalue of a convex combination of constraint
+matrices (the positive-definiteness check).
 The inequality-form solve ends with a Newton polish of the KKT system,
 solved by elimination in the eigenbasis of S(y) so that only the near-null
 block of S(y) stays as explicit unknowns: O(m n^3) per step.
@@ -105,16 +109,82 @@ class ConicSolution:
     message: str = ""
 
 
-def _ratio(w: np.ndarray, dw: np.ndarray) -> float:
-    """Largest alpha with w + alpha*dw >= 0 for w > 0 (inf when dw >= 0)."""
-    neg = dw < 0
-    return float(np.min(-w[neg] / dw[neg])) if np.any(neg) else np.inf
+def _T(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
+
+
+def _split(w: np.ndarray, l: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthant part and PSD matrix of cone vectors (..., l + d*d), as views."""
+    return w[..., :l], w[..., l:].reshape(w.shape[:-1] + (d, d))
+
+
+def _flat(wl: np.ndarray, Ws: np.ndarray) -> np.ndarray:
+    """Cone vectors (..., l + d*d) from orthant parts and PSD matrices."""
+    return np.concatenate([wl, Ws.reshape(Ws.shape[:-2] + (-1,))], axis=-1)
+
+
+def _flat_product(wl: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """_flat(wl, P @ Q), with the product written straight into the result."""
+    l, d = wl.shape[-1], P.shape[-1]
+    out = np.empty(P.shape[:-2] + (l + d * d,))
+    out[..., :l] = wl
+    np.matmul(P, Q, out=_split(out, l, d)[1])
+    return out
+
+
+def _pack(w: np.ndarray, l: int, d: int) -> np.ndarray:
+    """One cone vector with its PSD block packed by svec."""
+    return np.concatenate([w[:l], svec(w[l:].reshape(d, d))])
+
+
+def _mv(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x_i @ M (or x_i @ M_i) for each row x_i, one product per row, so the
+    arithmetic of a row does not depend on the rows batched with it."""
+    return (x[:, None, :] @ M)[:, 0]
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; a 1-D y is dotted with every row of x."""
+    return np.add.reduce(x * y, axis=-1)
+
+
+def _diag(x: np.ndarray) -> np.ndarray:
+    """Stack of diagonal matrices from the rows of x."""
+    return x[:, :, None] * np.eye(x.shape[-1])
+
+
+def _ratio(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """Largest alpha with w + alpha*dw >= 0 for w > 0, elementwise (inf
+    where dw >= 0)."""
+    return np.divide(-w, dw, out=np.full(np.broadcast(w, dw).shape, np.inf), where=dw < 0)
+
+
+def _fails(fn, a: np.ndarray) -> bool:
+    try:
+        fn(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _stacked(fn, S: np.ndarray):
+    """fn over a stack of matrices, and the mask of members it fails on.
+
+    numpy raises for the whole stack when one member fails.  The failing
+    members are then found one by one and redone on the identity, so that
+    a breakdown ends only its own problem.
+    """
+    try:
+        return fn(S), np.zeros(len(S), dtype=bool)
+    except np.linalg.LinAlgError:
+        bad = np.array([_fails(fn, a) for a in S])
+        return fn(np.where(bad[:, None, None], np.eye(S.shape[-1]), S)), bad
 
 
 class _NTScaling:
-    """Nesterov-Todd scaling of one iterate (u, z) of K = R+^l x PSD(d).
+    """Nesterov-Todd scaling of a stack of iterates (u, z) of K = R+^l x PSD(d).
 
-    This is the one factorization of the PSD iterate per interior-point
+    This is the one factorization of the PSD iterates per interior-point
     iteration.  With X = Lx Lx^T and Lx^T Z Lx = U diag(s) U^T, the matrix
     G = Lx U diag(s)^(-1/4) maps both sides of the pair to one point,
 
@@ -122,52 +192,71 @@ class _NTScaling:
 
     and W = G G^T satisfies W Z W = X.  Directions are carried into the
     scaled space by the same maps, and step lengths are read off there.
+    Members whose iterate has no scaling (X or Z off the cone interior, or
+    u/z out of floating-point range) are flagged in `bad` and carry the
+    identity scaling, so that the rest of the stack goes on.
     """
 
-    def __init__(self, l: int, d: int, u: np.ndarray, z: np.ndarray):
+    def __init__(self, u: np.ndarray, z: np.ndarray, l: int, d: int):
         self.l, self.d = l, d
-        self.dl = np.sqrt(u[:l] / z[:l])
-        self.laml = np.sqrt(u[:l] * z[:l])
-        Lx = np.linalg.cholesky(smat(u[l:], d))
-        s_eig, U = np.linalg.eigh(Lx.T @ smat(z[l:], d) @ Lx)
-        if s_eig[0] <= 0:
-            raise np.linalg.LinAlgError("lost cone interior")
+        ul, X = _split(u, l, d)
+        zl, Z = _split(z, l, d)
+        self.dl = np.sqrt(ul / zl)
+        self.laml = np.sqrt(ul * zl)
+        Lx, bad = _stacked(np.linalg.cholesky, X)
+        (s_eig, U), failed = _stacked(np.linalg.eigh, _T(Lx) @ Z @ Lx)
+        bad |= failed | (s_eig[:, 0] <= 0) | ~np.isfinite(self.dl + self.laml).all(axis=1)
+        s_eig[bad] = 1.0
+        G = Lx @ U * s_eig[:, None, :] ** -0.25
+        Gi, failed = _stacked(np.linalg.inv, G)
+        bad |= failed
+        if bad.any():
+            G[bad] = Gi[bad] = np.eye(d)
+            self.dl[bad] = self.laml[bad] = 1.0
+        self.bad = bad
         self.lams = np.sqrt(s_eig)
-        self.G = Lx @ U * s_eig ** -0.25
-        self.Gi = np.linalg.inv(self.G)
-        self.W = self.G @ self.G.T
+        self.G, self.Gi = G, Gi
+        self.W = G @ _T(G)
 
     def apply_w2(self, wl: np.ndarray, Ws: np.ndarray) -> np.ndarray:
-        """u-space congruence (d^2 * wl, svec(W Ws W)) of a vector given as its
-        orthant part and its PSD matrix; rows wl (k, l), Ws (k, d, d) map to
-        k rows in one batched product."""
-        return np.concatenate([self.dl ** 2 * wl, svec(self.W @ Ws @ self.W)], axis=-1)
+        """u-space congruence (d^2 * wl, W Ws W) of each member, flattened.
+
+        Ws is one matrix, a stack aligned with the members, or (1, k, d, d)
+        for k rows shared by every member (output (B, k, l + d*d)); wl is
+        the matching orthant part."""
+        ext = (slice(None),) + (None,) * (Ws.ndim - 3)
+        W = self.W[ext]
+        return _flat_product(self.dl[ext] ** 2 * wl, W @ Ws, W)
 
     def scale(self, du: np.ndarray, dz: np.ndarray) -> tuple:
         """Scaled images of a direction: du / d, d * dz, G^-1 dX G^-T, G^T dZ G."""
-        l, d = self.l, self.d
+        dul, dX = _split(du, self.l, self.d)
+        dzl, dZ = _split(dz, self.l, self.d)
         return (
-            du[:l] / self.dl,
-            self.dl * dz[:l],
-            self.Gi @ smat(du[l:], d) @ self.Gi.T,
-            self.G.T @ smat(dz[l:], d) @ self.G,
+            dul / self.dl,
+            self.dl * dzl,
+            self.Gi @ dX @ _T(self.Gi),
+            _T(self.G) @ dZ @ self.G,
         )
 
-    def max_step(self, scaled: tuple) -> float:
-        """Largest alpha keeping (u, z) + alpha * (du, dz) in the cone interior.
+    def max_step(self, scaled: tuple) -> np.ndarray:
+        """Largest alpha per member keeping (u, z) + alpha * (du, dz) in the
+        cone interior.
 
         In the scaled space the iterate is lam on the orthant and Lambda on
         the PSD block, so Lambda + alpha * D stays PSD up to
         alpha = -1 / lambda_min(Lambda^-1/2 D Lambda^-1/2).
         """
         qu, qz, dUh, dZh = scaled
-        alpha = _ratio(np.concatenate([self.laml, self.laml]), np.concatenate([qu, qz]))
         r = self.lams ** -0.5
-        r2 = r[:, None] * r[None, :]
-        lam_min = np.linalg.eigvalsh(np.stack([dUh * r2, dZh * r2]))[:, 0].min()
-        if lam_min < 0:
-            alpha = min(alpha, -1.0 / lam_min)
-        return alpha
+        S = np.empty((2,) + dUh.shape)
+        np.multiply(dUh, r[:, :, None], out=S[0])
+        np.multiply(dZh, r[:, :, None], out=S[1])
+        S *= r[:, None, :]
+        lam, _ = _stacked(np.linalg.eigvalsh, S.reshape(-1, self.d, self.d))
+        w = np.concatenate([self.laml, self.laml, np.ones((len(r), 2))], axis=1)
+        dw = np.concatenate([qu, qz, lam[:, :1].reshape(2, -1).T], axis=1)
+        return _ratio(w, dw).min(axis=1)
 
     def unscale_comp(self, rl: np.ndarray, Rs: np.ndarray) -> np.ndarray:
         """Map a scaled-space complementarity residual to a u-space direction.
@@ -175,8 +264,8 @@ class _NTScaling:
         Solves lam o q = r for q in scaled space, then pulls back through the
         scaling (orthant: d * q; PSD: G q G^T).
         """
-        denom = 0.5 * (self.lams[:, None] + self.lams[None, :])
-        return np.concatenate([self.dl * (rl / self.laml), svec(self.G @ (Rs / denom) @ self.G.T)])
+        denom = 0.5 * (self.lams[:, :, None] + self.lams[:, None, :])
+        return _flat_product(self.dl * (rl / self.laml), self.G @ (Rs / denom), _T(self.G))
 
 
 def solve_standard_form(
@@ -194,143 +283,212 @@ def solve_standard_form(
     Stops at the first tau-scaled iterate that meets the feasibility and
     gap targets.  The cone needs its PSD block: d >= 1.
     """
+    b = np.asarray(b, dtype=float)
+    return _solve_batch(c, A, b[None], l, d, feas_tol, gap_tol, max_iter)[0]
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _solve_batch(
+    c: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    l: int,
+    d: int,
+    feas_tol: float = DEFAULT_TOL,
+    gap_tol: float = DEFAULT_TOL,
+    max_iter: int = 100,
+) -> list[ConicSolution]:
+    """`solve_standard_form` for the problems (c, A, b[i]), run as one batch.
+
+    The problems share c, A and the cone and differ only in the rows of b.
+    Each carries its own iterate, step lengths, sigma and stopping tests,
+    and leaves the batch when it stops; each row's arithmetic is the same
+    as in a lone solve.  A non-finite or unfactorable iterate ends its own
+    problem with NUMERICAL_LIMIT and a message.  Inside the loop the PSD
+    block of every cone vector is a d x d matrix, so inner products are
+    plain dot products; u and z are packed once, on return.
+    """
     if d < 1:
         raise ValueError("the cone needs a PSD block: d must be >= 1")
-    m = len(b)
+    nb, m = b.shape
     nu = l + d  # barrier parameter
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float).reshape(m, l + d * (d + 1) // 2)
-    b = np.asarray(b, dtype=float)
-    # orthant parts and PSD matrices of c and of the rows of A, unpacked once
-    cl, Cs = c[:l], smat(c[l:], d)
-    Al, As = A[:, :l], smat(A[:, l:], d)
+    c = _flat(c[:l], smat(c[l:], d))
+    A = _flat(A[:, :l], smat(A[:, l:], d))
+    c_norm = np.linalg.norm(c)
+    b_den = 1.0 + np.linalg.norm(b, axis=1)
 
-    u = np.concatenate([np.ones(l), svec(np.eye(d))])
+    u = np.tile(_flat(np.ones(l), np.eye(d)), (nb, 1))
     z = u.copy()
-    v = np.zeros(m)
-    tau, kappa = 1.0, 1.0
+    v = np.zeros((nb, m))
+    tau, kappa = np.ones(nb), np.ones(nb)
+    idx = np.arange(nb)  # the problem that each row of the batch solves
+    done = np.zeros(nb, dtype=bool)
+    out: list[ConicSolution] = [None] * nb
 
-    best = None
-    message = ""
-    status = SolverStatus.NUMERICAL_LIMIT
-    it = 0
+    def finish(stop, status, message, u_by=None, vz_by=None):
+        """End the running members in `stop` at this iteration's starting
+        iterate, scaled by tau (or by u_by, vz_by for a certificate)."""
+        if not stop.any():
+            return
+        for i in np.flatnonzero(stop & ~done):
+            su = tau[i] if u_by is None else u_by[i]
+            svz = tau[i] if vz_by is None else vz_by[i]
+            out[idx[i]] = ConicSolution(
+                status, _pack(u[i] / su, l, d), v[i] / svz, _pack(z[i] / svz, l, d),
+                float(pobj[i]), float(dobj[i]), float(pres[i]), float(dres[i]),
+                float(relgap[i]), it, message,
+            )
+            done[i] = True
+
     for it in range(1, max_iter + 1):
-        hx = A.T @ v + z - c * tau
-        hy = A @ u - b * tau
-        htau = -c @ u + b @ v - kappa
-        mu = (u @ z + tau * kappa) / (nu + 1)
+        Au = _mv(u, A.T)
+        cu, bv = _rowdot(u, c), _rowdot(b, v)
+        hx = _mv(v, A) + z - tau[:, None] * c
+        hy = Au - tau[:, None] * b
+        htau = -cu + bv - kappa
+        mu = (_rowdot(u, z) + tau * kappa) / (nu + 1)
 
         # convergence checks on the tau-scaled iterate
-        x_s, y_s, z_s = u / tau, v / tau, z / tau
-        pobj = float(c @ x_s)
-        dobj = float(b @ y_s)
-        pres = np.linalg.norm(A @ x_s - b) / (1.0 + np.linalg.norm(b))
-        dres = np.linalg.norm(A.T @ y_s + z_s - c) / (1.0 + np.linalg.norm(c))
-        relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-        best = ConicSolution(
-            SolverStatus.NUMERICAL_LIMIT, x_s, y_s, z_s,
-            pobj, dobj, pres, dres, relgap, it,
-        )
-        if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
-            status = SolverStatus.OPTIMAL
-            break
+        pobj, dobj = cu / tau, bv / tau
+        pres = np.sqrt(_rowdot(hy, hy)) / tau / b_den
+        dres = np.sqrt(_rowdot(hx, hx)) / tau / (1.0 + c_norm)
+        relgap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
+        finish((pres <= feas_tol) & (dres <= feas_tol) & (relgap <= gap_tol),
+               SolverStatus.OPTIMAL, "")
 
         # infeasibility certificates from the homogeneous model
-        if b @ v > 0:
-            certres = np.linalg.norm(A.T @ v + z) / (b @ v)
-            if certres <= feas_tol and tau <= 1e-6 * max(1.0, kappa):
-                status = SolverStatus.PRIMAL_INFEASIBLE
-                best.v = v / (b @ v)
-                best.z = z / (b @ v)
-                message = "Farkas certificate: A^T v + z = 0, z in K, b.v = 1"
-                break
-        if c @ u < 0:
-            certres = np.linalg.norm(A @ u) / (-(c @ u))
-            if certres <= feas_tol and tau <= 1e-6 * max(1.0, kappa):
-                status = SolverStatus.DUAL_INFEASIBLE
-                best.u = u / (-(c @ u))
-                message = "improving ray: A u = 0, u in K, c.u = -1"
-                break
-
-        try:
-            nt = _NTScaling(l, d, u, z)
-        except np.linalg.LinAlgError:
-            message = "scaling breakdown (lost cone interior)"
+        tiny_tau = tau <= 1e-6 * np.maximum(1.0, kappa)
+        if tiny_tau.any():
+            certres = np.linalg.norm(hx + tau[:, None] * c, axis=1) / bv  # |A^T v + z| / b.v
+            finish(tiny_tau & (bv > 0) & (certres <= feas_tol), SolverStatus.PRIMAL_INFEASIBLE,
+                   "Farkas certificate: A^T v + z = 0, z in K, b.v = 1", vz_by=bv)
+            finish(tiny_tau & (cu < 0) & (np.linalg.norm(Au, axis=1) / -cu <= feas_tol),
+                   SolverStatus.DUAL_INFEASIBLE,
+                   "improving ray: A u = 0, u in K, c.u = -1", u_by=-cu)
+        finish(~np.isfinite(mu + pres + dres), SolverStatus.NUMERICAL_LIMIT,
+               "non-finite iterate")
+        if done.any():
+            keep = ~done
+            (u, z, v, b, b_den, tau, kappa, idx, done, pobj, dobj, pres, dres, relgap,
+             hx, hy, htau, mu) = (
+                a[keep] for a in (u, z, v, b, b_den, tau, kappa, idx, done, pobj, dobj,
+                                  pres, dres, relgap, hx, hy, htau, mu)
+            )
+        if not len(idx):
             break
 
-        FA = nt.apply_w2(Al, As)  # rows F(A_p)
-        M = A @ FA.T
-        M = 0.5 * (M + M.T)
-        M += 1e-14 * np.trace(M) / max(m, 1) * np.eye(m)
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            message = "singular Schur complement"
+        nt = _NTScaling(u, z, l, d)
+        finish(nt.bad, SolverStatus.NUMERICAL_LIMIT, "scaling breakdown (lost cone interior)")
+        singular, alpha, stepped = _mehrotra_step(
+            nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu
+        )
+        finish(singular, SolverStatus.NUMERICAL_LIMIT, "singular Schur complement")
+        finish(alpha <= 1e-10, SolverStatus.NUMERICAL_LIMIT,
+               "step size collapsed before reaching tolerances")
+        if it == max_iter:
+            finish(~done, SolverStatus.NUMERICAL_LIMIT,
+                   f"no convergence within {max_iter} iterations")
             break
+        u, v, z, tau, kappa = stepped
+    return out
 
-        # the tau column and F(hx) do not depend on the Newton right-hand side
-        Fc = nt.apply_w2(cl, Cs)
-        v2 = np.linalg.solve(M, A @ Fc + b)
-        K2 = FA.T @ v2 - Fc
-        den = -c @ K2 + b @ v2 + kappa / tau
-        Fhx = nt.apply_w2(hx[:l], smat(hx[l:], d))
-        AFhx = A @ Fhx
 
-        def newton(rs, dcl, dcs, dctau):
-            """One Newton solve; rs scales the linear residuals."""
-            Hd = nt.unscale_comp(dcl, dcs)
-            v1 = np.linalg.solve(M, -rs * hy - A @ Hd - rs * AFhx)
-            K1 = Hd + rs * Fhx + FA.T @ v1
-            num = -rs * htau + c @ K1 - b @ v1 + dctau / tau
-            dtau = num / den
-            dv = v1 + dtau * v2
-            du = K1 + dtau * K2
-            dz = -rs * hx - A.T @ dv + c * dtau
-            dkappa = (dctau - kappa * dtau) / tau
-            return du, dv, dz, dtau, dkappa
+def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
+    """One Mehrotra predictor-corrector step of each member of a batch.
 
-        # predictor (affine scaling) direction
-        du_a, dv_a, dz_a, dtau_a, dkap_a = newton(
-            1.0, -nt.laml ** 2, -np.diag(nt.lams ** 2), -tau * kappa
-        )
-        sc_a = nt.scale(du_a, dz_a)
-        alpha_aff = min(
-            1.0, nt.max_step(sc_a), _ratio(np.array([tau, kappa]), np.array([dtau_a, dkap_a]))
-        )
-        mu_aff = (
-            (u + alpha_aff * du_a) @ (z + alpha_aff * dz_a)
-            + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkap_a)
-        ) / (nu + 1)
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0))
+    Returns the members whose Schur complement is singular (their step is
+    meaningless), the step lengths alpha, and the stepped iterate (u, v, z,
+    tau, kappa).  Directions and temporaries die here, and the predictor's
+    as soon as the corrector has its terms: at a few dozen members the live
+    (B, l + d*d) arrays, not the flops, set the solver's peak memory.
+    """
+    l, d = nt.l, nt.d
+    m = len(A)
+    nu = l + d  # barrier parameter
+    cl, Cs = _split(c, l, d)
+    Al, As = _split(A, l, d)
 
-        # Mehrotra corrector from the predictor's scaled pair
-        qu_a, qz_a, dUh, dZh = sc_a
-        dcl = sigma * mu - nt.laml ** 2 - qu_a * qz_a
-        dcs = sigma * mu * np.eye(d) - np.diag(nt.lams ** 2) - 0.5 * (dUh @ dZh + dZh @ dUh)
-        dctau = sigma * mu - tau * kappa - dtau_a * dkap_a
+    FA = nt.apply_w2(Al[None], As[None])  # rows F(A_p) of each member
+    M = FA @ A.T
+    M = 0.5 * (M + _T(M))
+    M += (1e-14 / max(m, 1) * np.trace(M, axis1=1, axis2=2))[:, None, None] * np.eye(m)
+    _, singular = _stacked(np.linalg.cholesky, M)
+    if singular.any():
+        M[singular] = np.eye(m)
 
-        du, dv, dz, dtau, dkappa = newton(1.0 - sigma, dcl, dcs, dctau)
+    # the tau column and F(hx) do not depend on the Newton right-hand side
+    Fc = nt.apply_w2(cl, Cs)
+    v2 = _solve(M, _mv(Fc, A.T) + b)
+    K2 = _mv(v2, FA) - Fc
+    den = -_rowdot(K2, c) + _rowdot(b, v2) + kappa / tau
+    Fhx = nt.apply_w2(*_split(hx, l, d))
+    AFhx = _mv(Fhx, A.T)
+    del Fc
 
-        alpha = min(
-            nt.max_step(nt.scale(du, dz)),
-            _ratio(np.array([tau, kappa]), np.array([dtau, dkappa])),
-        )
-        alpha = min(1.0, 0.99 * alpha)
-        if alpha <= 1e-10:
-            message = "step size collapsed before reaching tolerances"
-            break
-        u = u + alpha * du
-        v = v + alpha * dv
-        z = z + alpha * dz
-        tau += alpha * dtau
-        kappa += alpha * dkappa
+    def newton(rs, dcl, dcs, dctau):
+        """One Newton solve per member; rs scales the linear residuals."""
+        # du grows in place from Hd through K1: one (B, l + d*d) buffer
+        du = nt.unscale_comp(dcl, dcs)
+        rc = rs[:, None]
+        v1 = _solve(M, -rc * hy - _mv(du, A.T) - rc * AFhx)
+        du += rc * Fhx
+        du += _mv(v1, FA)
+        num = -rs * htau + _rowdot(du, c) - _rowdot(b, v1) + dctau / tau
+        dtau = num / den
+        dv = v1 + dtau[:, None] * v2
+        du += dtau[:, None] * K2
+        # the congruences round asymmetrically; X must stay symmetric,
+        # since its factorizations read one triangle only
+        dX = _split(du, l, d)[1]
+        dX[...] = 0.5 * (dX + _T(dX))
+        dz = -rc * hx
+        dz -= _mv(dv, A)
+        dz += dtau[:, None] * c
+        dkappa = (dctau - kappa * dtau) / tau
+        return du, dv, dz, dtau, dkappa
 
-    best.status = status
-    best.iterations = it
-    if status is SolverStatus.NUMERICAL_LIMIT and not message:
-        message = f"no convergence within {max_iter} iterations"
-    best.message = message
-    return best
+    tk = np.stack([tau, kappa], axis=1)
+
+    def step_bound(scaled, dtau, dkappa):
+        """Largest step keeping the cone part and (tau, kappa) interior."""
+        return np.minimum(nt.max_step(scaled), _ratio(tk, np.stack([dtau, dkappa], 1)).min(1))
+
+    # predictor (affine scaling) direction
+    du_a, dv_a, dz_a, dtau_a, dkap_a = newton(
+        np.ones_like(tau), -nt.laml ** 2, -_diag(nt.lams ** 2), -tau * kappa
+    )
+    sc_a = nt.scale(du_a, dz_a)
+    # (u + a du).(z + a dz) as a polynomial in a, so the predictor's
+    # direction is freed before its step length is found
+    uz, cross, dudz = _rowdot(u, z), _rowdot(u, dz_a) + _rowdot(du_a, z), _rowdot(du_a, dz_a)
+    del du_a, dv_a, dz_a
+    aa = np.minimum(1.0, step_bound(sc_a, dtau_a, dkap_a))  # predictor step length
+    tk_aff = (tau + aa * dtau_a) * (kappa + aa * dkap_a)
+    mu_aff = (uz + aa * cross + aa * aa * dudz + tk_aff) / (nu + 1)
+    sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0)
+
+    # Mehrotra corrector from the predictor's scaled pair
+    qu_a, qz_a, dUh, dZh = sc_a
+    smu = sigma * mu
+    dcl = smu[:, None] - nt.laml ** 2 - qu_a * qz_a
+    dcs = _diag(smu[:, None] - nt.lams ** 2) - 0.5 * (dUh @ dZh + dZh @ dUh)
+    dctau = smu - tau * kappa - dtau_a * dkap_a
+    del sc_a, dUh, dZh
+
+    du, dv, dz, dtau, dkappa = newton(1.0 - sigma, dcl, dcs, dctau)
+    del dcs, FA, K2, Fhx
+
+    alpha = np.minimum(1.0, 0.99 * step_bound(nt.scale(du, dz), dtau, dkappa))
+    a = alpha[:, None]
+    return singular, alpha, (
+        u + a * du, v + a * dv, z + a * dz, tau + alpha * dtau, kappa + alpha * dkappa
+    )
+
+
+def _solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(M, r[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +619,16 @@ def _kkt_refine(prob: SdpProblem, X, y, s, steps: int = 3):
     return X, y, s
 
 
+def check_solver_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError unless tol lies in (0, 1e-4], the range of targets
+    the engine can meet and still call its result solved."""
+    if not 0 < tol <= 1e-4:
+        raise ValueError(f"{name} must lie in (0, 1e-4], got {tol!r}")
+
+
 def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = 100) -> SdpSolution:
     """Solve an inequality-form SDP; tol sets both feasibility and gap targets."""
-    if not (0 < tol <= 1e-4):
-        raise ValueError("tol must lie in (0, 1e-4]")
+    check_solver_tol(tol)
     n, m = prob.n, prob.m
     nvec = m + n * (n + 1) // 2
     c = np.concatenate([np.zeros(m), svec(prob.C)])
@@ -516,34 +680,57 @@ def minimize_linear_functional_over_dual_cone(
 
     k and ell are 0-based variable indices.
     """
+    return optimize_linear_functionals_over_dual_cone(
+        inst, [(k, ell, maximize)], y_cap=y_cap, tol=tol
+    )[0]
+
+
+def optimize_linear_functionals_over_dual_cone(
+    inst: QcqpInstance,
+    targets: list[tuple[int, int, bool]],
+    y_cap: float = 1e6,
+    tol: float = DEFAULT_TOL,
+) -> list[tuple[float, bool, np.ndarray]]:
+    """`minimize_linear_functional_over_dual_cone` for each target
+    (k, ell, maximize), solved as one batched engine run.
+
+    The problems share the engine's c, A and cone; only b = -f (minimum) or
+    b = +f (maximum), f_p = (Qp)_{k,ell}, differs.  A failed solve raises
+    for the first failing target in the given order, as solving the targets
+    one at a time would.
+    """
     if y_cap <= 0:
         raise ValueError("y_cap must be positive")
     n, m = inst.n, inst.m
-    f0 = inst.objective[k, ell]
-    f = np.array([Q[k, ell] for Q in inst.constraint_matrices])
+    Qs = inst.constraint_matrices
 
     # engine dual variables v = y; slacks: y, y_cap - y, S(y)
     nvec = 2 * m + n * (n + 1) // 2
     c = np.concatenate([np.zeros(m), np.full(m, y_cap), svec(inst.objective)])
     A = np.zeros((m, nvec))
-    for p, Qp in enumerate(inst.constraint_matrices):
+    for p, Qp in enumerate(Qs):
         A[p, p] = -1.0
         A[p, m + p] = 1.0
         A[p, 2 * m :] = -svec(Qp)
-    b = f.copy() if maximize else -f
+    b = np.array([[Q[k, ell] if maximize else -Q[k, ell] for Q in Qs]
+                  for k, ell, maximize in targets]).reshape(len(targets), m)
 
-    res = solve_standard_form(c, A, b, l=2 * m, d=n,
-                              feas_tol=tol, gap_tol=tol, max_iter=200)
-    if res.status is SolverStatus.DUAL_INFEASIBLE:
-        raise DualSideEmpty("no y >= 0 with S(y) PSD")
-    if res.status is not SolverStatus.OPTIMAL:
-        raise RuntimeError(
-            f"edge-system solve failed ({res.status.value}): {res.message}"
-        )
-    y = res.v
-    value = f0 + res.dobj if maximize else f0 - res.dobj
-    attained = bool(np.max(y, initial=0.0) < 0.999 * y_cap)
-    return float(value), attained, y
+    out = []
+    for (k, ell, maximize), res in zip(
+        targets, _solve_batch(c, A, b, l=2 * m, d=n, feas_tol=tol, gap_tol=tol, max_iter=200)
+    ):
+        if res.status is SolverStatus.DUAL_INFEASIBLE:
+            raise DualSideEmpty("no y >= 0 with S(y) PSD")
+        if res.status is not SolverStatus.OPTIMAL:
+            raise RuntimeError(
+                f"edge-system solve failed ({res.status.value}): {res.message}"
+            )
+        y = res.v
+        f0 = inst.objective[k, ell]
+        value = f0 + res.dobj if maximize else f0 - res.dobj
+        attained = bool(np.max(y, initial=0.0) < 0.999 * y_cap)
+        out.append((float(value), attained, y))
+    return out
 
 
 def max_min_eigen_combination(

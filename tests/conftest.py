@@ -6,6 +6,7 @@ import pytest
 from biparsdp import load_instance
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
+DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import pytest
 
 from biparsdp import (
     QcqpInstance,
+    load_instance,
     Verdict,
     certify,
     certify_bipartite,
@@ -16,9 +17,10 @@ from biparsdp import (
     check_edge_system_nonpositive,
 )
 
-from conftest import CYCLE4_MU
+from conftest import CYCLE4_MU, DATA_DIR
 
 certify_module = importlib.import_module("biparsdp.certify")
+sdp_module = importlib.import_module("biparsdp.sdp")
 
 
 def _blkdiag_double(inst):
@@ -256,27 +258,29 @@ def test_pipeline_forest_without_edge_systems():
 
 @pytest.mark.parametrize("name, edge_sdps", [("small", 2), ("cycle4", 4)])
 def test_pipeline_solves_each_sdp_once(request, monkeypatch, name, edge_sdps):
-    """certify shares per-edge minima and the assumption check across rules."""
+    """certify shares per-edge minima and the assumption check across rules,
+    and solves all edge SDPs of the instance as one batch of distinct problems."""
     calls = {"edge": [], "assumption": 0}
-    edge_solve = certify_module.minimize_linear_functional_over_dual_cone
+    edge_solve = certify_module.optimize_linear_functionals_over_dual_cone
     assumption_solve = certify_module.max_min_eigen_combination
 
-    def counted_edge(inst, k, ell, **kwargs):
-        calls["edge"].append((k, ell, kwargs.get("maximize", False)))
-        return edge_solve(inst, k, ell, **kwargs)
+    def counted_edge(inst, targets, **kwargs):
+        calls["edge"].append(list(targets))
+        return edge_solve(inst, targets, **kwargs)
 
     def counted_assumption(*args, **kwargs):
         calls["assumption"] += 1
         return assumption_solve(*args, **kwargs)
 
     monkeypatch.setattr(
-        certify_module, "minimize_linear_functional_over_dual_cone", counted_edge
+        certify_module, "optimize_linear_functionals_over_dual_cone", counted_edge
     )
     monkeypatch.setattr(certify_module, "max_min_eigen_combination", counted_assumption)
     report = certify(request.getfixturevalue(name))
     assert report.verdict is Verdict.CERTIFIED_EXACT
-    assert len(calls["edge"]) == edge_sdps
-    assert len(set(calls["edge"])) == edge_sdps
+    (batch,) = calls["edge"]
+    assert len(batch) == edge_sdps
+    assert len(set(batch)) == edge_sdps
     assert calls["assumption"] == 1
 
 
@@ -342,6 +346,36 @@ def test_nonpositive_tolerances_rejected(cycle4, bad):
     if "tol" in bad:
         with pytest.raises(ValueError, match="must be positive"):
             certify_sign_corollaries(cycle4, **bad)
+
+
+@pytest.mark.parametrize("solver_tol", [0.0, -1e-8, 1e-3, 0.5])
+def test_solver_tol_out_of_range_rejected(monkeypatch, cycle4, solver_tol):
+    """A solver_tol outside (0, 1e-4] is refused by every entry point before
+    any solve: 0 would run every SDP to the iteration limit, 0.5 would count
+    SDPs stopped at a 50 % gap as solved."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an SDP was solved")
+
+    monkeypatch.setattr(sdp_module, "_solve_batch", no_solve)
+    for rule in (certify, certify_bipartite, certify_forest, certify_sign_corollaries):
+        with pytest.raises(ValueError, match="solver_tol must lie in"):
+            rule(cycle4, solver_tol=solver_tol)
+    with pytest.raises(ValueError, match="solver_tol must lie in"):
+        check_edge_system_nonpositive(cycle4, 0, 1, solver_tol=solver_tol)
+
+
+def test_solver_breakdown_is_a_note_not_a_traceback():
+    """Edge SDPs asked for a gap below what their iterates resolve break
+    down (u/z overflows, then the eigenvalue solver fails): certify ends
+    them with NumericalLimit and reports NotCertified, with no warning."""
+    inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
+    report = certify(inst, solver_tol=1e-15)
+    assert report.verdict is Verdict.NOT_CERTIFIED
+    assert (
+        "bipartite-edge-systems: edge-system solver failure: edge-system solve "
+        "failed (NumericalLimit): scaling breakdown (lost cone interior)"
+    ) in report.notes
+    assert report.per_edge == {}
 
 
 def test_tightening_tol_is_conservative(cycle4):

@@ -158,6 +158,16 @@ def test_certify_rejects_nonpositive_tolerances(capsys, cycle4_path, flag):
     assert err.startswith("error:") and "must be positive" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "0.5"])
+def test_certify_rejects_solver_tol_out_of_range(capsys, cycle4_path, tol):
+    """--tol outside (0, 1e-4] exits 1 before any solve; at 0.5 cycle4 used
+    to certify from edge SDPs stopped at a 50 % gap."""
+    code, out, err = _run(capsys, ["certify", cycle4_path, "--tol", tol])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: solver_tol must lie in (0, 1e-4]")
+
+
 def _save_small_with_linear_terms(tmp_path, small_path):
     with open(small_path) as fh:
         doc = json.load(fh)

@@ -1,0 +1,34 @@
+"""numpy is the only runtime dependency: importing biparsdp loads nothing else."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import biparsdp
+
+SRC = str(pathlib.Path(biparsdp.__file__).resolve().parent.parent)
+
+_NEW_TOP_LEVEL = """
+import sys
+before = set(sys.modules)
+import biparsdp
+print(*sorted({name.partition(".")[0] for name in set(sys.modules) - before}))
+"""
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    """A fresh interpreter imports biparsdp without any undeclared package.
+
+    scipy, say, is often installed next to numpy; pulling it in would add a
+    few tenths of a second to every process and an undeclared dependency.
+    """
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", _NEW_TOP_LEVEL],
+        capture_output=True, text=True, check=True, env=env, timeout=60,
+    ).stdout.split()
+    assert "biparsdp" in out and "numpy" in out
+    stdlib = set(sys.stdlib_module_names) | set(sys.builtin_module_names)
+    assert sorted(set(out) - stdlib - {"biparsdp", "numpy"}) == []

@@ -8,21 +8,29 @@ from biparsdp import (
     QcqpInstance,
     SdpProblem,
     SolverStatus,
+    load_instance,
     max_min_eigen_combination,
     minimize_linear_functional_over_dual_cone,
+    sdp,
     solve,
 )
+from biparsdp.graph import build_graph
 from biparsdp.relaxation import numerical_rank, solve_relaxation
 from biparsdp.sdp import (
+    _flat,
     _kkt_refine,
     _NTScaling,
+    _solve_batch,
+    _stacked,
     dual_slack,
+    optimize_linear_functionals_over_dual_cone,
     smat,
     solve_standard_form,
     svec,
 )
 
-from conftest import CYCLE4_MU
+from conftest import CYCLE4_MU, DATA_DIR
+from test_acceptance import _random_family_instance
 
 
 def test_svec_smat_round_trip():
@@ -82,41 +90,69 @@ def _cholesky_step(w, dw, l, d):
     return alpha
 
 
+def _unpacked(w, l, d):
+    """Cone vectors with the PSD block as a flattened d x d matrix, as the
+    engine's loop keeps them."""
+    return _flat(w[..., :l], smat(w[..., l:], d))
+
+
+def _stack(points, l, d):
+    """(u, z, du, dz) stacks of the engine's layout from packed points."""
+    return [_unpacked(np.array([p[k] for p in points]), l, d) for k in range(4)]
+
+
 def test_scaled_step_matches_cholesky_step():
     """The step length read off in the NT-scaled space equals the one from
-    separate Cholesky factors of X and Z."""
+    separate Cholesky factors of X and Z, for every member of a stack."""
     rng = np.random.default_rng(3)
     for l, d in [(0, 1), (2, 3), (3, 6), (1, 10)]:
-        for _ in range(10):
-            u, z, du, dz = _interior_point(rng, l, d)
-            nt = _NTScaling(l, d, u, z)
-            ref = min(_cholesky_step(u, du, l, d), _cholesky_step(z, dz, l, d))
-            got = nt.max_step(nt.scale(du, dz))
-            assert got == ref if np.isinf(ref) else abs(got - ref) <= 1e-10 * ref
+        points = [_interior_point(rng, l, d) for _ in range(10)]
+        u, z, du, dz = _stack(points, l, d)
+        nt = _NTScaling(u, z, l, d)
+        assert not nt.bad.any()
+        got = nt.max_step(nt.scale(du, dz))
+        for g, (ui, zi, dui, dzi) in zip(got, points):
+            ref = min(_cholesky_step(ui, dui, l, d), _cholesky_step(zi, dzi, l, d))
+            assert g == ref if np.isinf(ref) else abs(g - ref) <= 1e-10 * ref
 
 
 def test_stacked_schur_matches_per_row_assembly():
-    """One batched W A_p W over the stacked rows gives the Schur complement
-    of the row-by-row congruence."""
+    """One batched W A_p W over the stacked rows gives, for every member,
+    the Schur complement of the row-by-row congruence."""
     rng = np.random.default_rng(4)
     for l, d, m in [(0, 3, 2), (2, 4, 3), (3, 8, 5)]:
-        u, z, _, _ = _interior_point(rng, l, d)
+        u, z, _, _ = _stack([_interior_point(rng, l, d) for _ in range(3)], l, d)
         A = rng.standard_normal((m, l + d * (d + 1) // 2))
-        nt = _NTScaling(l, d, u, z)
-        FA_ref = np.array([
-            np.concatenate([nt.dl ** 2 * row[:l], svec(nt.W @ smat(row[l:], d) @ nt.W)])
-            for row in A
-        ])
-        FA = nt.apply_w2(A[:, :l], smat(A[:, l:], d))
-        M_ref = A @ FA_ref.T
-        assert np.max(np.abs(A @ FA.T - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+        Af = _unpacked(A, l, d)
+        nt = _NTScaling(u, z, l, d)
+        M = nt.apply_w2(Af[None, :, :l], Af[None, :, l:].reshape(1, m, d, d)) @ Af.T
+        for i in range(len(u)):
+            W = nt.W[i]
+            FA_ref = np.array([
+                np.concatenate([nt.dl[i] ** 2 * row[:l], svec(W @ smat(row[l:], d) @ W)])
+                for row in A
+            ])
+            M_ref = A @ FA_ref.T
+            assert np.max(np.abs(M[i] - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
 
 
-def test_one_factorization_per_iteration(monkeypatch):
-    """Each iteration that takes a step factors X once, inverts G once and
-    factors the Schur complement once."""
-    counts = {"cholesky": 0, "inv": 0}
-    for name in counts:
+def test_stacked_factorization_isolates_failures():
+    """A member without a Cholesky factor is flagged and redone on the
+    identity; the others get exactly their lone factors."""
+    rng = np.random.default_rng(6)
+    G = rng.standard_normal((3, 4, 4))
+    S = G @ G.transpose(0, 2, 1) + np.eye(4)
+    S[1] = np.diag([1.0, -1.0, 1.0, 1.0])
+    L, bad = _stacked(np.linalg.cholesky, S)
+    assert bad.tolist() == [False, True, False]
+    assert np.array_equal(L[1], np.eye(4))
+    for i in (0, 2):
+        assert np.array_equal(L[i], np.linalg.cholesky(S[i]))
+
+
+def _counted_linalg(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         real = getattr(np.linalg, name)
 
         def counted(a, _real=real, _name=name):
@@ -124,15 +160,26 @@ def test_one_factorization_per_iteration(monkeypatch):
             return _real(a)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_one_factorization_per_iteration(monkeypatch):
+    """Each iteration that takes a step factors X once, inverts G once and
+    factors the Schur complement once: one stacked call each, whatever the
+    number of problems in the batch."""
     n, m = 4, 3
     rng = np.random.default_rng(5)
     G = rng.standard_normal((n, n))
     c = np.concatenate([np.zeros(m), svec(G + G.T)])
     A = np.hstack([np.eye(m), np.array([svec(np.eye(n) * (p + 1)) for p in range(m)])])
-    res = solve_standard_form(c, A, np.ones(m), l=m, d=n)
-    assert res.status is SolverStatus.OPTIMAL
-    steps = res.iterations - 1  # the last iteration only checks convergence
-    assert counts == {"cholesky": 2 * steps, "inv": steps}
+    for b in (np.ones((1, m)), rng.uniform(0.5, 3.0, size=(6, m))):
+        counts = _counted_linalg(monkeypatch, ("cholesky", "inv"))
+        sols = _solve_batch(c, A, b, l=m, d=n)
+        monkeypatch.undo()
+        assert all(s.status is SolverStatus.OPTIMAL for s in sols)
+        steps = max(s.iterations for s in sols) - 1  # the last only checks convergence
+        assert counts == {"cholesky": 2 * steps, "inv": steps}
+    assert len({s.iterations for s in sols}) > 1  # members left the batch at different iterations
 
 
 def test_standard_form_needs_psd_block():
@@ -377,6 +424,112 @@ def test_tol_validation():
         solve(prob, tol=0.0)
     with pytest.raises(ValueError):
         solve(prob, tol=1e-3)
+
+
+def _engine_runs(monkeypatch):
+    """The solutions of every engine run from now on, one list per run."""
+    runs = []
+    real = sdp._solve_batch
+
+    def spy(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(sdp, "_solve_batch", spy)
+    return runs
+
+
+def _all_targets(inst):
+    """Minimum and maximum of S(y)_kl for every edge, in sorted edge order."""
+    return [(k, ell, mx) for k, ell in sorted(build_graph(inst).edges) for mx in (False, True)]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (DualSideEmpty, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _batch_and_lone(monkeypatch, inst, targets, **kwargs):
+    """Engine solutions and results of the targets solved as one batch and
+    one at a time."""
+    runs = _engine_runs(monkeypatch)
+    batch = _outcome(lambda: optimize_linear_functionals_over_dual_cone(inst, targets, **kwargs))
+    batch_sols = runs.pop()
+    lone = []
+    for k, ell, mx in targets:
+        lone.append(_outcome(lambda: minimize_linear_functional_over_dual_cone(
+            inst, k, ell, maximize=mx, **kwargs)))
+    lone_sols = [sols for (sols,) in runs]
+    monkeypatch.undo()
+    return batch, batch_sols, lone, lone_sols
+
+
+def _close(x, y) -> bool:
+    """Equal to 1e-9 relative to the largest finite entry of y; a member that
+    ended on a non-finite iterate must be non-finite in the same places."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(y[np.isfinite(y)]), initial=0.0)))
+    return bool(np.allclose(x, y, rtol=0.0, atol=1e-9 * scale, equal_nan=True))
+
+
+def _assert_same_solutions(batch_sols, lone_sols):
+    assert len(batch_sols) == len(lone_sols)
+    for sb, sl in zip(batch_sols, lone_sols):
+        assert (sb.status, sb.iterations, sb.message) == (sl.status, sl.iterations, sl.message)
+        for field in ("pobj", "dobj", "u", "v", "z"):
+            assert _close(getattr(sb, field), getattr(sl, field)), field
+
+
+def test_batched_edge_solves_match_lone_solves(monkeypatch, small, cycle4):
+    """Every edge minimum and maximum of an instance, solved as one batch,
+    gives the values, attained flags and iteration counts of solving each
+    alone: bundled instances and seeded forests and bipartite graphs."""
+    rng = np.random.default_rng(11)
+    instances = [small, cycle4] + [
+        _random_family_instance(rng, family) for family in ("forest", "bipartite") for _ in range(5)
+    ]
+    iteration_spread = False
+    for inst in instances:
+        targets = _all_targets(inst)
+        batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, inst, targets)
+        _assert_same_solutions(batch_sols, lone_sols)
+        assert all(sol.status is SolverStatus.OPTIMAL for sol in batch_sols)
+        for (value, attained, y), (value1, attained1, y1) in zip(batch, lone):
+            assert attained == attained1
+            assert _close(value, value1) and _close(y, y1)
+        iteration_spread |= len({sol.iterations for sol in batch_sols}) > 1
+    assert iteration_spread  # members left their batches at different iterations
+    assert optimize_linear_functionals_over_dual_cone(small, []) == []
+
+
+def test_batched_solve_with_a_boxed_member_matches_lone_solves(monkeypatch, small):
+    """A batch in which one member hits the y <= y_cap box and one does not."""
+    targets = [(0, 1, False), (0, 1, True)]
+    batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, small, targets, y_cap=1e3)
+    _assert_same_solutions(batch_sols, lone_sols)
+    assert [attained for _, attained, _ in batch] == [True, False]
+    assert [attained for _, attained, _ in lone] == [True, False]
+
+
+def test_batched_solve_with_a_breakdown_matches_lone_solves(monkeypatch):
+    """At a tolerance below what the iterates can resolve, some members end
+    with NumericalLimit and the rest of the batch runs on: every member gets
+    the status, message and iteration count of its lone solve, and the batch
+    raises for the first failing target, as a loop over the targets would."""
+    inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
+    targets = _all_targets(inst)
+    batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, inst, targets, tol=1e-14)
+    _assert_same_solutions(batch_sols, lone_sols)
+    statuses = {sol.status for sol in batch_sols}
+    assert statuses == {SolverStatus.OPTIMAL, SolverStatus.NUMERICAL_LIMIT}
+    assert {"scaling breakdown (lost cone interior)", "non-finite iterate"} <= {
+        sol.message for sol in batch_sols
+    }
+    first_failure = next(res for res in lone if not isinstance(res[0], float))
+    assert batch == first_failure
+    assert batch[0] is RuntimeError and "scaling breakdown" in batch[1]
 
 
 def test_edge_functional_reference_values(cycle4):

@@ -36,6 +36,8 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .graph import (
     BipartitionResult,
     CycleBasis,
@@ -105,13 +107,29 @@ class CertificationReport:
 
 
 def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> AssumptionCheck:
-    """Sufficient condition: some y >= 0, sum y_p = 1 has sum y_p Qp > t*I, t > 0."""
+    """Sufficient condition: some y >= 0, sum y_p = 1 has sum y_p Qp > t*I, t > 0.
+
+    A t* above tol is checked without the IPM: the returned y_bar, scaled
+    so that sum y_bar_p Qp >= I, must leave sum y_bar_p Qp - I/2 with a
+    finite Cholesky factor, which proves the combination positive definite
+    up to rounding far below the margin of 1/2.
+    """
     try:
-        t_star, _ = max_min_eigen_combination(inst, tol=solver_tol)
+        t_star, y_bar = max_min_eigen_combination(inst, tol=solver_tol)
     except RuntimeError as exc:
         return AssumptionCheck(None, False, f"assumption check failed to solve: {exc}")
     if t_star > tol:
-        return AssumptionCheck(t_star, True)
+        S = sum(yp * Qp for yp, Qp in zip(y_bar, inst.constraint_matrices))
+        try:
+            if np.isfinite(np.linalg.cholesky(S - 0.5 * np.eye(inst.n))).all():
+                return AssumptionCheck(t_star, True)
+        except np.linalg.LinAlgError:
+            pass
+        return AssumptionCheck(
+            t_star, False,
+            f"assumption unverified: the solver's combination (t* = {t_star:.3g}) "
+            "fails the Cholesky check of sum y_bar_p Qp - I/2",
+        )
     return AssumptionCheck(
         t_star, False,
         "assumption unverified: no strictly positive-definite nonnegative "

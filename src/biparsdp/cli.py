@@ -38,7 +38,7 @@ from .model import (
     save_instance,
 )
 from .relaxation import DEFAULT_RANK_TOL, solve_relaxation
-from .sdp import DEFAULT_TOL
+from .sdp import DEFAULT_TOL, SolverStatus
 from .transform import (
     build_connecting_perturbation,
     build_full_graph_perturbation,
@@ -215,12 +215,15 @@ def _run_solve(args) -> int:
     x = res.x_star
     if homogenized and x is not None:
         x = dehomogenize(x)
+    # the rank of a failed solve's last iterate means nothing, and rank 0
+    # would read as "x* = 0 is optimal"
+    optimal = res.status is SolverStatus.OPTIMAL
     doc = _report_header({"solver_tol": tol, "rank_tol": args.rank_tol})
     doc.update({
         "status": res.status.value,
         "primal_value": res.primal_value,
         "dual_value": res.dual_value,
-        "rank": res.numeric_rank,
+        "rank": res.numeric_rank if optimal else None,
         "x": x,
         "X": res.X_star,
         "y": res.y_star,
@@ -228,11 +231,11 @@ def _run_solve(args) -> int:
     })
     _emit(doc, args.output)
     print(
-        f"status: {res.status.value}, value {res.primal_value:.9g}, "
-        f"rank {res.numeric_rank}",
+        f"status: {res.status.value}, value {res.primal_value:.9g}"
+        + (f", rank {res.numeric_rank}" if optimal else ""),
         file=sys.stderr,
     )
-    return 0 if res.status.value == "Optimal" else 1
+    return 0 if optimal else 1
 
 
 def _run_graph(args) -> int:

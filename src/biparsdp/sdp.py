@@ -20,7 +20,8 @@ dimension well below a hundred.
 On top of the engine sit the three problem shapes the toolkit needs:
 inequality-form SDPs (the relaxation), optimizing one entry of the dual
 slack matrix S(y) = Q0 + sum_p y_p Qp over the dual feasible set (the
-per-edge systems; all edges of an instance are solved as one batch), and
+per-edge systems; all edges of an instance are solved as one batch, and
+the members that fail once more as a second), and
 maximizing the minimum eigenvalue of a convex combination of constraint
 matrices (the positive-definiteness check).
 The inequality-form solve ends with a Newton polish of the KKT system,
@@ -692,33 +693,48 @@ def optimize_linear_functionals_over_dual_cone(
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[float, bool, np.ndarray]]:
     """`minimize_linear_functional_over_dual_cone` for each target
-    (k, ell, maximize), solved as one batched engine run.
+    (k, ell, maximize), solved as one batched engine run (two if a member
+    fails).
 
     The problems share the engine's c, A and cone; only b = -f (minimum) or
-    b = +f (maximum), f_p = (Qp)_{k,ell}, differs.  A failed solve raises
-    for the first failing target in the given order, as solving the targets
-    one at a time would.
+    b = +f (maximum), f_p = (Qp)_{k,ell}, differs.  The box y <= y_cap has
+    the slack 1 - y/y_cap, which costs 1 in c.  The slack y_cap - y would
+    cost y_cap, which pins the embedding's tau near 1/y_cap, and the
+    tau-scaled iterate then loses digits.  No single price suits every
+    problem, though: on a flat optimal face unit pricing can stall.  So the
+    members that do not end Optimal get one recovery run, as one batch,
+    with the slack y_cap - y; a member fails only if both runs fail, with
+    the status and message of the second.  A failed solve raises for the
+    first failing target in the given order, as solving the targets one at
+    a time would.
     """
     if y_cap <= 0:
         raise ValueError("y_cap must be positive")
     n, m = inst.n, inst.m
     Qs = inst.constraint_matrices
-
-    # engine dual variables v = y; slacks: y, y_cap - y, S(y)
-    nvec = 2 * m + n * (n + 1) // 2
-    c = np.concatenate([np.zeros(m), np.full(m, y_cap), svec(inst.objective)])
-    A = np.zeros((m, nvec))
-    for p, Qp in enumerate(Qs):
-        A[p, p] = -1.0
-        A[p, m + p] = 1.0
-        A[p, 2 * m :] = -svec(Qp)
     b = np.array([[Q[k, ell] if maximize else -Q[k, ell] for Q in Qs]
                   for k, ell, maximize in targets]).reshape(len(targets), m)
 
+    def run(price: float, rows: list[int]) -> list[ConicSolution]:
+        """The targets `rows` as one batch.  Engine dual variables v = y;
+        slacks y, price * (1 - y/y_cap) (cost price in c) and S(y)."""
+        c = np.concatenate([np.zeros(m), np.full(m, price), svec(inst.objective)])
+        A = np.zeros((m, 2 * m + n * (n + 1) // 2))
+        for p, Qp in enumerate(Qs):
+            A[p, p] = -1.0
+            A[p, m + p] = price / y_cap
+            A[p, 2 * m :] = -svec(Qp)
+        return _solve_batch(c, A, b[rows], l=2 * m, d=n, feas_tol=tol, gap_tol=tol,
+                            max_iter=200)
+
+    sols = run(1.0, list(range(len(targets))))
+    failed = [i for i, res in enumerate(sols) if res.status is not SolverStatus.OPTIMAL]
+    if failed:
+        for i, res in zip(failed, run(y_cap, failed)):
+            sols[i] = res
+
     out = []
-    for (k, ell, maximize), res in zip(
-        targets, _solve_batch(c, A, b, l=2 * m, d=n, feas_tol=tol, gap_tol=tol, max_iter=200)
-    ):
+    for (k, ell, maximize), res in zip(targets, sols):
         if res.status is SolverStatus.DUAL_INFEASIBLE:
             raise DualSideEmpty("no y >= 0 with S(y) PSD")
         if res.status is not SolverStatus.OPTIMAL:

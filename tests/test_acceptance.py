@@ -365,20 +365,30 @@ def _permuted(inst, perm):
     )
 
 
-def test_verdicts_invariant_under_permutation(small, cycle4):
-    """Relabelling the variables keeps verdict and applied rule.
+def _similar(inst, d):
+    """Data of the same QCQP in the variables x / d: every matrix becomes
+    D Q D, built as Q * outer(d, d) so that it stays exactly symmetric."""
+    D2 = np.outer(d, d)
+    return QcqpInstance(
+        objective=inst.objective * D2,
+        constraint_matrices=tuple(Q * D2 for Q in inst.constraint_matrices),
+        rhs=inst.rhs,
+    )
 
-    A diagonal similarity D Q D is left out: on cycle4 with D drawn from
-    [0.1, 10] a few per cent of draws stall the edge SDP just above its gap
-    target and fall back to NumericallyExactOnly (the y_cap cost of the box
-    in c, ROADMAP 4(a)).  It goes in with that fix.
-    """
-    rng = np.random.default_rng(0)
-    instances = [small, cycle4] + [
+
+def _metamorphic_instances(rng, small, cycle4):
+    """The bundled instances and 16 draws from rng of each random family."""
+    return [small, cycle4] + [
         _random_family_instance(rng, family)
         for family in ("bipartite", "forest", "odd-cycle")
         for _ in range(16)
     ]
+
+
+def test_verdicts_invariant_under_permutation(small, cycle4):
+    """Relabelling the variables keeps verdict and applied rule."""
+    rng = np.random.default_rng(0)
+    instances = _metamorphic_instances(rng, small, cycle4)
     rules = set()
     mismatches = []
     for index, inst in enumerate(instances):
@@ -399,5 +409,33 @@ def test_verdicts_invariant_under_permutation(small, cycle4):
     _check(
         f"metamorphic: {2 * len(instances)} permuted certify calls keep "
         "verdict and applied rule",
+        not mismatches,
+    )
+
+
+def test_verdicts_invariant_under_diagonal_similarity(small, cycle4):
+    """A positive diagonal similarity D Q D keeps verdict and applied rule.
+
+    D is drawn uniformly from [0.1, 10]: 150 draws on cycle4, whose edge
+    (3, 4) SDP is the one that stalled near its gap target while the box
+    slack cost y_cap in c, and 2 draws on every other instance of the
+    permutation test.
+    """
+    instances = _metamorphic_instances(np.random.default_rng(0), small, cycle4)
+    draws = [(cycle4, 150)] + [(inst, 2) for inst in instances if inst is not cycle4]
+    rng = np.random.default_rng(2)
+    mismatches = []
+    calls = 0
+    for index, (inst, count) in enumerate(draws):
+        base = certify(inst)
+        for _ in range(count):
+            d = rng.uniform(0.1, 10.0, size=inst.n)
+            moved = certify(_similar(inst, d))
+            calls += 1
+            if (moved.verdict, moved.applied_rule) != (base.verdict, base.applied_rule):
+                mismatches.append((index, base.applied_rule, moved.applied_rule))
+    _check(
+        f"metamorphic: {calls} certify calls under D Q D keep verdict and applied "
+        f"rule ({len(mismatches)} changed)",
         not mismatches,
     )

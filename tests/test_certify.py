@@ -233,6 +233,25 @@ def test_sign_corollary_requires_assumption():
     assert any("assumption unverified" in note for note in report.notes)
 
 
+def test_assumption_certificate_is_checked(monkeypatch, cycle4):
+    """A t* above tol counts only if the returned combination passes the
+    Cholesky check: a bogus y_bar downgrades the assumption, and with it the
+    edge-system certificate, to a note."""
+    real = certify_module.max_min_eigen_combination
+    t_star, y_bar = real(cycle4)
+    assert np.linalg.eigvalsh(sum(y * Q for y, Q in zip(y_bar, cycle4.constraint_matrices)))[0] > 0.5
+    monkeypatch.setattr(
+        certify_module, "max_min_eigen_combination",
+        lambda inst, tol: (t_star, 0.25 * y_bar),
+    )
+    report = certify(cycle4)
+    check = report.assumption_check
+    assert (check.t_star, check.holds) == (t_star, False)
+    assert "fails the Cholesky check" in check.note
+    assert report.verdict is not Verdict.CERTIFIED_EXACT
+    assert any("fails the Cholesky check" in note for note in report.notes)
+
+
 def test_pipeline_small(small):
     """The pipeline lands on the forest rule, noting the bipartite agreement."""
     report = certify(small)

@@ -17,7 +17,7 @@ from biparsdp.cli import main
 from biparsdp.graph import build_graph
 from biparsdp.transform import build_full_graph_perturbation
 
-from conftest import SMALL_XSTAR, max_sign_error
+from conftest import DATA_DIR, SMALL_XSTAR, max_sign_error
 
 
 def _run(capsys, argv):
@@ -148,6 +148,18 @@ def test_solve_rank_tol_extracts(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["rank"] == 1
     assert np.allclose(doc["x"], [1.0, 0.0], atol=1e-6)
+
+
+def test_solve_failure_reports_no_rank(capsys):
+    """A solve that ends short of Optimal has no meaningful rank: "rank" is
+    null, not 0 (which reads as "x* = 0 is optimal"), and stderr names none."""
+    path = str(DATA_DIR / "bipartite_breakdown_n16.json")
+    code, out, err = _run(capsys, ["solve", path, "--tol", "1e-12"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "NumericalLimit"
+    assert doc["rank"] is None and doc["x"] is None
+    assert err.startswith("status: NumericalLimit, value ") and "rank" not in err
 
 
 @pytest.mark.parametrize("flag", [["--mu-tol", "-1"], ["--mu-tol", "0"], ["--y-cap", "0"]])

@@ -16,6 +16,7 @@ from biparsdp import (
 )
 from biparsdp.graph import build_graph
 from biparsdp.relaxation import numerical_rank, solve_relaxation
+from biparsdp.transform import build_connecting_perturbation
 from biparsdp.sdp import (
     _flat,
     _kkt_refine,
@@ -31,6 +32,7 @@ from biparsdp.sdp import (
 
 from conftest import CYCLE4_MU, DATA_DIR
 from test_acceptance import _random_family_instance
+from test_certify import _blkdiag_double
 
 
 def test_svec_smat_round_trip():
@@ -432,8 +434,9 @@ def _engine_runs(monkeypatch):
     real = sdp._solve_batch
 
     def spy(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
+        sols = real(*args, **kwargs)
+        runs.append(list(sols))  # a copy: the caller may overwrite members
+        return sols
 
     monkeypatch.setattr(sdp, "_solve_batch", spy)
     return runs
@@ -453,15 +456,21 @@ def _outcome(fn):
 
 def _batch_and_lone(monkeypatch, inst, targets, **kwargs):
     """Engine solutions and results of the targets solved as one batch and
-    one at a time."""
+    one at a time.  The engine solutions are listed run by run: the first
+    run's, then the recovery run's, if there was one; the lone solutions in
+    the same order, so that a lone recovery lines up with its batch member."""
     runs = _engine_runs(monkeypatch)
     batch = _outcome(lambda: optimize_linear_functionals_over_dual_cone(inst, targets, **kwargs))
-    batch_sols = runs.pop()
-    lone = []
+    batch_sols = [sol for run in runs for sol in run]
+    assert len(runs) in (1, 2)
+    lone, lone_runs = [], []
     for k, ell, mx in targets:
+        runs.clear()
         lone.append(_outcome(lambda: minimize_linear_functional_over_dual_cone(
             inst, k, ell, maximize=mx, **kwargs)))
-    lone_sols = [sols for (sols,) in runs]
+        assert [len(run) for run in runs] in ([1], [1, 1])
+        lone_runs.append([sols[0] for sols in runs])
+    lone_sols = [sols[r] for r in (0, 1) for sols in lone_runs if len(sols) > r]
     monkeypatch.undo()
     return batch, batch_sols, lone, lone_sols
 
@@ -482,16 +491,20 @@ def _assert_same_solutions(batch_sols, lone_sols):
             assert _close(getattr(sb, field), getattr(sl, field)), field
 
 
+def _seeded_instances(small, cycle4):
+    """The bundled instances and five seeded forests and bipartite graphs."""
+    rng = np.random.default_rng(11)
+    return [small, cycle4] + [
+        _random_family_instance(rng, family) for family in ("forest", "bipartite") for _ in range(5)
+    ]
+
+
 def test_batched_edge_solves_match_lone_solves(monkeypatch, small, cycle4):
     """Every edge minimum and maximum of an instance, solved as one batch,
     gives the values, attained flags and iteration counts of solving each
     alone: bundled instances and seeded forests and bipartite graphs."""
-    rng = np.random.default_rng(11)
-    instances = [small, cycle4] + [
-        _random_family_instance(rng, family) for family in ("forest", "bipartite") for _ in range(5)
-    ]
     iteration_spread = False
-    for inst in instances:
+    for inst in _seeded_instances(small, cycle4):
         targets = _all_targets(inst)
         batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, inst, targets)
         _assert_same_solutions(batch_sols, lone_sols)
@@ -515,9 +528,10 @@ def test_batched_solve_with_a_boxed_member_matches_lone_solves(monkeypatch, smal
 
 def test_batched_solve_with_a_breakdown_matches_lone_solves(monkeypatch):
     """At a tolerance below what the iterates can resolve, some members end
-    with NumericalLimit and the rest of the batch runs on: every member gets
-    the status, message and iteration count of its lone solve, and the batch
-    raises for the first failing target, as a loop over the targets would."""
+    with NumericalLimit and the rest of the batch runs on: in the first run
+    and in the recovery run, every member gets the status, message and
+    iteration count of its lone solve, and the batch raises for the first
+    failing target, as a loop over the targets would."""
     inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
     targets = _all_targets(inst)
     batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, inst, targets, tol=1e-14)
@@ -530,6 +544,45 @@ def test_batched_solve_with_a_breakdown_matches_lone_solves(monkeypatch):
     first_failure = next(res for res in lone if not isinstance(res[0], float))
     assert batch == first_failure
     assert batch[0] is RuntimeError and "scaling breakdown" in batch[1]
+
+
+def test_edge_batches_need_no_recovery_run(monkeypatch, small, cycle4):
+    """At the default tolerance every edge SDP of the seeded families ends
+    Optimal with the box slack priced at 1, so each batch is one engine run.
+    A recovery run that became routine would double the cost of the edge
+    systems and change no answer."""
+    runs = _engine_runs(monkeypatch)
+    for inst in _seeded_instances(small, cycle4):
+        runs.clear()
+        optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst))
+        assert len(runs) == 1
+
+
+def test_failed_members_get_one_recovery_run(monkeypatch, small):
+    """On the eps = 1e-2 connecting perturbation of two copies of small.json,
+    the forest minima of edges (1, 2) and (3, 4) drift along a flat optimal
+    face with the box slack priced at 1 and lose the cone interior.  They,
+    and only they, are solved once more with the slack priced at y_cap; the
+    batch's results are then those of the lone solves, bit for bit."""
+    inst = build_connecting_perturbation(_blkdiag_double(small), 1e-2).instance
+    targets = _all_targets(inst)
+    runs = _engine_runs(monkeypatch)
+    optimize_linear_functionals_over_dual_cone(inst, targets)
+    first, recovery = runs
+    broken = [t for t, sol in zip(targets, first) if sol.status is not SolverStatus.OPTIMAL]
+    assert broken == [(0, 1, False), (2, 3, False)]
+    assert {sol.message for sol in first if sol.status is not SolverStatus.OPTIMAL} == {
+        "scaling breakdown (lost cone interior)"
+    }
+    assert len(recovery) == len(broken)
+    assert all(sol.status is SolverStatus.OPTIMAL for sol in recovery)
+    monkeypatch.undo()
+
+    batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, inst, targets)
+    _assert_same_solutions(batch_sols, lone_sols)
+    for (value, attained, y), (value1, attained1, y1) in zip(batch, lone):
+        assert (value, attained) == (value1, attained1)
+        assert np.array_equal(y, y1)
 
 
 def test_edge_functional_reference_values(cycle4):

@@ -18,11 +18,11 @@ holds, so it certifies nothing the cycle condition rejects; the tests
 `test_odd_transformed_cycle_implies_violated_condition` check both
 directions.
 
-The system-based rules additionally need the relaxation and its dual to
-behave (attained optima, bounded solution sets).  That is undecidable from
-the data in general, so the pipeline verifies the checkable sufficient
-condition — some nonnegative combination of the constraint matrices is
-positive definite — and refuses to certify when it cannot.
+The sign rules are primal (x_i = s_i sqrt(X_ii) for a feasible X).  The
+edge systems need the relaxation and its dual to behave (attained optima,
+bounded solution sets), which the data cannot decide in general; so the
+pipeline checks that some nonnegative combination of the constraint
+matrices is positive definite, and refuses to certify when it cannot.
 
 `certify` runs the rules from cheapest to most expensive and stops at the
 first one that fires; everything evaluated along the way is kept in the
@@ -49,7 +49,7 @@ from .graph import (
     edge_signs,
 )
 from .model import GeneralQcqpInstance, InstanceError, QcqpInstance
-from .relaxation import DEFAULT_RANK_TOL, solve_relaxation
+from .relaxation import DEFAULT_RANK_TOL, check_rank_tol, solve_relaxation
 from .sdp import (
     DEFAULT_TOL,
     DualSideEmpty,
@@ -361,41 +361,27 @@ def certify_sojoudi(inst: QcqpInstance) -> CertificationReport:
 
 
 def _sign_corollaries(st: _Structure) -> CertificationReport:
-    signs = st.signs
-    report = CertificationReport(
-        verdict=Verdict.NOT_CERTIFIED, sign_summary=signs
-    )
-    offdiag_nonneg = all(s == 1 for s in signs.values())
-    offdiag_nonpos = all(s == -1 for s in signs.values())
-    rule = None
-    if st.graph.edges and offdiag_nonpos:
-        rule = "nonpositive-off-diagonal"
-    elif offdiag_nonneg and st.graph.edges and st.bip.bipartite:
-        rule = "bipartite-nonnegative-off-diagonal"
-    if rule is None:
+    report = CertificationReport(verdict=Verdict.NOT_CERTIFIED, sign_summary=st.signs)
+    signs = set(st.signs.values())  # empty when the graph has no edges
+    if signs == {-1}:
+        report.applied_rule = "nonpositive-off-diagonal"
+    elif signs == {1} and st.bip.bipartite:
+        report.applied_rule = "bipartite-nonnegative-off-diagonal"
+    else:
         report.notes.append("sign-corollary premises not met")
         return report
-    report.assumption_check = st.assumption
-    if report.assumption_check.holds:
-        report.verdict = Verdict.CERTIFIED_EXACT
-        report.applied_rule = rule
-    else:
-        report.notes.append(report.assumption_check.note)
+    report.verdict = Verdict.CERTIFIED_EXACT
     return report
 
 
-def certify_sign_corollaries(
-    inst: QcqpInstance,
-    tol: float = MU_POSITIVITY_TOL,
-    solver_tol: float = DEFAULT_TOL,
-) -> CertificationReport:
+def certify_sign_corollaries(inst: QcqpInstance) -> CertificationReport:
     """Direct sign rules: nonpositive off-diagonals, or bipartite + nonnegative.
 
-    Both are consequences of the per-edge systems (any dual-feasible y
-    keeps S(y)_{kl} pinned on one side), so they inherit the assumption
-    check but need no SDP solves for the edges themselves.
+    Both are special cases of the edge-sign cycle condition and, like it,
+    primal: the relaxation value is exact, and a rank-1 optimum exists
+    whenever the relaxation attains its optimum.  No SDP is solved.
     """
-    return _sign_corollaries(_Structure(inst, tol, solver_tol=solver_tol))
+    return _sign_corollaries(_Structure(inst))
 
 
 def _labelled(label: str, sub: CertificationReport) -> CertificationReport:
@@ -433,12 +419,10 @@ def _rules(st: _Structure):
 def _merge(into: CertificationReport, other: CertificationReport) -> None:
     """Keep evidence from an evaluated rule in the pipeline report, and its
     verdict and rule name when it certified."""
-    if other.assumption_check is not None and into.assumption_check is None:
-        into.assumption_check = other.assumption_check
+    into.assumption_check = into.assumption_check or other.assumption_check
     for edge, res in other.per_edge.items():
         into.per_edge.setdefault(edge, res)
-    if other.cycle_checks and not into.cycle_checks:
-        into.cycle_checks = other.cycle_checks
+    into.cycle_checks = into.cycle_checks or other.cycle_checks
     into.notes.extend(other.notes)
     if other.verdict is Verdict.CERTIFIED_EXACT:
         into.verdict, into.applied_rule = other.verdict, other.applied_rule
@@ -459,9 +443,11 @@ def certify(
     reports the numerical rank (NumericallyExactOnly / InexactObserved —
     evidence, not a proof).  The sign-split reduction adds nothing to the
     cycle condition and is not run.  The structure and the assumption check
-    are computed once and shared by the rules.  Raises ValueError for
-    tol <= 0 or y_cap <= 0.
+    (of rules 3-4 only) are computed once and shared by the rules.  Raises
+    ValueError for tol <= 0, y_cap <= 0, solver_tol outside (0, 1e-4] or
+    rank_tol outside (0, 1).
     """
+    check_rank_tol(rank_tol)
     st = _Structure(inst, tol, y_cap, solver_tol)
     report = CertificationReport(verdict=Verdict.NOT_CERTIFIED, sign_summary=st.signs)
     for sub in _rules(st):

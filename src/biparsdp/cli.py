@@ -38,7 +38,7 @@ from .model import (
     save_instance,
 )
 from .relaxation import DEFAULT_RANK_TOL, solve_relaxation
-from .sdp import DEFAULT_TOL, SolverStatus
+from .sdp import DEFAULT_TOL, SolverStatus, check_solver_tol
 from .transform import (
     build_connecting_perturbation,
     build_full_graph_perturbation,
@@ -61,8 +61,7 @@ def _default_tol() -> float:
         tol = float(env)
     except ValueError as exc:
         raise InstanceError(f"BIPARSDP_TOL={env!r} is not a number") from exc
-    if not (0 < tol <= 1e-4):
-        raise InstanceError("BIPARSDP_TOL must lie in (0, 1e-4]")
+    check_solver_tol(tol, "BIPARSDP_TOL")
     return tol
 
 

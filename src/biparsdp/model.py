@@ -114,14 +114,17 @@ class GeneralQcqpInstance(QcqpInstance):
 
 def _matrix_from_triplets(triplets, n: int, name: str) -> np.ndarray:
     """Build a symmetric matrix from 1-based upper-triangle (i, j, v) triplets."""
+    if not isinstance(triplets, list):
+        raise InstanceError(f"{name}: expected a list of [i, j, v] triplets")
     Q = np.zeros((n, n))
     seen: dict[tuple[int, int], float] = {}
     counts: dict[tuple[int, int], int] = {}
     for entry in triplets:
-        if len(entry) != 3:
-            raise InstanceError(f"{name}: triplet {entry!r} must be [i, j, v]")
-        i, j, v = entry
-        i, j, v = int(i), int(j), float(v)
+        try:
+            i, j, v = entry
+            i, j, v = int(i), int(j), float(v)
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(f"{name}: triplet {entry!r} is not [i, j, v]") from exc
         if not (1 <= i <= n and 1 <= j <= n):
             raise InstanceError(f"{name}: index ({i}, {j}) out of range 1..{n}")
         if i > j:
@@ -169,9 +172,11 @@ def load_instance(path) -> QcqpInstance:
         raise InstanceError(f"{path}: missing field {exc}") from exc
     if n < 1:
         raise InstanceError(f"{path}: n must be >= 1")
+    if not isinstance(constraints, list):
+        raise InstanceError(f"{path}: constraints must be a list")
     if len(constraints) != m:
         raise InstanceError(f"{path}: expected {m} constraints, found {len(constraints)}")
-    objective = _matrix_from_triplets(obj_triplets, n, "objective")
+    objective = _matrix_from_triplets(obj_triplets, n, f"{path}: objective")
     mats = []
     rhs = []
     for p, con in enumerate(constraints):
@@ -181,7 +186,7 @@ def load_instance(path) -> QcqpInstance:
             raise InstanceError(
                 f"{path}: constraint {p + 1}: missing or malformed field {exc}"
             ) from exc
-        mats.append(_matrix_from_triplets(triplets, n, f"constraint {p + 1}"))
+        mats.append(_matrix_from_triplets(triplets, n, f"{path}: constraint {p + 1}"))
         if not np.isfinite(b):
             raise InstanceError(f"{path}: constraint {p + 1}: non-finite rhs")
         rhs.append(b)

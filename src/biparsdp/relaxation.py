@@ -49,6 +49,12 @@ def build_relaxation(inst: QcqpInstance) -> SdpProblem:
     )
 
 
+def check_rank_tol(rank_tol: float) -> None:
+    """Raise ValueError unless 0 < rank_tol < 1; outside, every X has rank 0 or n."""
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
+
+
 def _rank(lam: np.ndarray, rank_tol: float) -> int:
     """Rank from ascending eigenvalues; see `numerical_rank`."""
     return int(np.sum(lam > rank_tol * max(lam[-1], 1.0)))
@@ -60,6 +66,7 @@ def numerical_rank(X: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     The absolute floor of 1 keeps the threshold meaningful for matrices
     that are small in norm (e.g. X ~ 0 has rank 0, not n).
     """
+    check_rank_tol(rank_tol)
     return _rank(np.linalg.eigvalsh(X), rank_tol)
 
 
@@ -108,6 +115,7 @@ def solve_relaxation(
         raise InstanceError(
             "instance has linear terms; solve homogenize(instance) instead"
         )
+    check_rank_tol(rank_tol)
     prob = build_relaxation(inst)
     sol = solve(prob, tol=tol)
     S = dual_slack(prob, sol.y)

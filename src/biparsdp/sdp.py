@@ -702,11 +702,11 @@ def optimize_linear_functionals_over_dual_cone(
     cost y_cap, which pins the embedding's tau near 1/y_cap, and the
     tau-scaled iterate then loses digits.  No single price suits every
     problem, though: on a flat optimal face unit pricing can stall.  So the
-    members that do not end Optimal get one recovery run, as one batch,
-    with the slack y_cap - y; a member fails only if both runs fail, with
-    the status and message of the second.  A failed solve raises for the
-    first failing target in the given order, as solving the targets one at
-    a time would.
+    members that end neither Optimal nor DualInfeasible (the same set of y
+    at either price) get one recovery run, as one batch, with the slack
+    y_cap - y; a member fails only if both runs fail, with the status and
+    message of the second.  A failed solve raises for the first failing
+    target in the given order, as solving the targets one at a time would.
     """
     if y_cap <= 0:
         raise ValueError("y_cap must be positive")
@@ -728,7 +728,8 @@ def optimize_linear_functionals_over_dual_cone(
                             max_iter=200)
 
     sols = run(1.0, list(range(len(targets))))
-    failed = [i for i, res in enumerate(sols) if res.status is not SolverStatus.OPTIMAL]
+    final = (SolverStatus.OPTIMAL, SolverStatus.DUAL_INFEASIBLE)
+    failed = [i for i, res in enumerate(sols) if res.status not in final]
     if failed:
         for i, res in zip(failed, run(y_cap, failed)):
             sols[i] = res

@@ -199,6 +199,16 @@ def test_sojoudi_invariant_under_positive_diagonal_scaling():
     assert certify_sojoudi(scaled).verdict is certify_sojoudi(inst).verdict
 
 
+def _nonnegative_cycle4():
+    """The 4-cycle with +0.7 on every edge and a ball constraint."""
+    Q0 = np.zeros((4, 4))
+    for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]:
+        Q0[i, j] = Q0[j, i] = 0.7
+    return QcqpInstance(
+        objective=Q0, constraint_matrices=(np.eye(4),), rhs=np.array([1.0])
+    )
+
+
 def test_sign_corollaries():
     """Nonpositive off-diagonals certify anywhere; nonnegative need bipartite."""
     nonpos = _triangle_instance((-1.0, -2.0, -0.5))
@@ -209,28 +219,79 @@ def test_sign_corollaries():
     nonneg_triangle = _triangle_instance((1.0, 1.0, 1.0))
     assert certify_sign_corollaries(nonneg_triangle).verdict is Verdict.NOT_CERTIFIED
 
-    Q0 = np.zeros((4, 4))
-    for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]:
-        Q0[i, j] = Q0[j, i] = 0.7
-    nonneg_even = QcqpInstance(
-        objective=Q0, constraint_matrices=(np.eye(4),), rhs=np.array([1.0])
-    )
-    report = certify_sign_corollaries(nonneg_even)
+    report = certify_sign_corollaries(_nonnegative_cycle4())
     assert report.verdict is Verdict.CERTIFIED_EXACT
     assert report.applied_rule == "bipartite-nonnegative-off-diagonal"
 
 
-def test_sign_corollary_requires_assumption():
-    """Without a positive-definite combination the corollary refuses."""
+def test_sign_corollaries_need_no_assumption():
+    """The sign rules are primal (x_i = s_i sqrt(X_ii)): with no
+    positive-definite combination of the constraints they still certify,
+    and carry no assumption check."""
     inst = QcqpInstance(
         objective=np.array([[0.0, -1.0], [-1.0, 0.0]]),
         constraint_matrices=(np.diag([1.0, -1.0]),),
         rhs=np.array([1.0]),
     )
-    report = certify_sign_corollaries(inst)
-    assert report.verdict is Verdict.NOT_CERTIFIED
-    assert not report.assumption_check.holds
-    assert any("assumption unverified" in note for note in report.notes)
+    for report in (certify_sign_corollaries(inst), certify(inst)):
+        assert report.verdict is Verdict.CERTIFIED_EXACT
+        assert report.applied_rule == "nonpositive-off-diagonal"
+        assert report.assumption_check is None
+
+
+def test_sign_corollaries_solve_no_sdp(monkeypatch):
+    """certify settles an instance that rule 1 certifies without an SDP."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an SDP was solved")
+
+    monkeypatch.setattr(sdp_module, "_solve_batch", no_solve)
+    for inst in (_triangle_instance((-1.0, -2.0, -0.5)), _nonnegative_cycle4()):
+        assert certify(inst).verdict is Verdict.CERTIFIED_EXACT
+
+
+def _sign_rule_instance(rng, nonnegative):
+    """A random instance that meets rule 1's premises: every off-diagonal
+    entry of every matrix nonpositive on a random graph, or nonnegative on a
+    random bipartite graph.  With one constraint of mixed-sign diagonal no
+    nonnegative combination is positive definite."""
+    n = int(rng.integers(2, 9))
+    side = rng.integers(0, 2, size=n)
+    while True:
+        edges = [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < 0.5 and not (nonnegative and side[i] == side[j])
+        ]
+        if edges:
+            break
+        side = rng.integers(0, 2, size=n)
+    sign = 1.0 if nonnegative else -1.0
+    m = int(rng.integers(1, 4))
+    mats = []
+    for p in range(1 + m):
+        Q = np.diag(rng.uniform(-1.0, 2.0, size=n))
+        for i, j in edges:
+            if p == 0 or rng.random() < 0.5:  # Q0 carries every edge
+                Q[i, j] = Q[j, i] = sign * rng.uniform(0.1, 2.0)
+        mats.append(Q)
+    return QcqpInstance(
+        objective=mats[0], constraint_matrices=tuple(mats[1:]), rhs=np.ones(m)
+    )
+
+
+def test_sign_corollary_premises_imply_cycle_condition():
+    """Rule 1's premises are special cases of rule 2's: all edges -1 give
+    every cycle the product (-1)^length, and a bipartite graph has only even
+    cycles.  So on random draws where rule 1 applies, the edge-sign cycle
+    condition certifies as well, with or without the dual assumption."""
+    rng = np.random.default_rng(7)
+    assumption_fails = 0
+    for draw in range(200):
+        inst = _sign_rule_instance(rng, nonnegative=bool(draw % 2))
+        assert certify_sign_corollaries(inst).verdict is Verdict.CERTIFIED_EXACT, draw
+        assert certify_sojoudi(inst).verdict is Verdict.CERTIFIED_EXACT, draw
+        if inst.m == 1 and np.linalg.eigvalsh(inst.constraint_matrices[0])[0] <= 0:
+            assumption_fails += 1
+    assert assumption_fails >= 20
 
 
 def test_assumption_certificate_is_checked(monkeypatch, cycle4):
@@ -362,9 +423,6 @@ def test_nonpositive_tolerances_rejected(cycle4, bad):
             rule(cycle4, **bad)
     with pytest.raises(ValueError, match="must be positive"):
         check_edge_system_nonpositive(cycle4, 0, 1, **bad)
-    if "tol" in bad:
-        with pytest.raises(ValueError, match="must be positive"):
-            certify_sign_corollaries(cycle4, **bad)
 
 
 @pytest.mark.parametrize("solver_tol", [0.0, -1e-8, 1e-3, 0.5])
@@ -376,7 +434,7 @@ def test_solver_tol_out_of_range_rejected(monkeypatch, cycle4, solver_tol):
         raise AssertionError("an SDP was solved")
 
     monkeypatch.setattr(sdp_module, "_solve_batch", no_solve)
-    for rule in (certify, certify_bipartite, certify_forest, certify_sign_corollaries):
+    for rule in (certify, certify_bipartite, certify_forest):
         with pytest.raises(ValueError, match="solver_tol must lie in"):
             rule(cycle4, solver_tol=solver_tol)
     with pytest.raises(ValueError, match="solver_tol must lie in"):

@@ -106,12 +106,17 @@ _ONE_CONSTRAINT = {"matrix": [[1, 1, 1.0]], "rhs": 1.0}
         {"constraints": [7]},
         {"constraints": [_ONE_CONSTRAINT], "linear": {"constraints": [[0.0]]}},
         {"constraints": [_ONE_CONSTRAINT], "linear": {"objective": [0.0]}},
+        {"constraints": [_ONE_CONSTRAINT], "objective": [5]},
+        {"constraints": 5},
+        {"constraints": [_ONE_CONSTRAINT], "objective": [[1, 1, None]]},
+        {"constraints": [_ONE_CONSTRAINT], "objective": [[1, 1, "x"]]},
     ],
     ids=["no-rhs", "no-matrix", "not-an-object", "linear-no-objective",
-         "linear-no-constraints"],
+         "linear-no-constraints", "triplet-not-a-list", "constraints-not-a-list",
+         "null-value", "string-value"],
 )
 def test_malformed_instance_exit1(capsys, tmp_path, doc):
-    """A missing field inside a constraint or the linear section is an error line."""
+    """A missing or malformed field is an error line that names the file."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 1, "m": 1, "objective": [[1, 1, 1.0]], **doc}))
     code, out, err = _run(capsys, ["certify", str(path)])
@@ -162,12 +167,27 @@ def test_solve_failure_reports_no_rank(capsys):
     assert err.startswith("status: NumericalLimit, value ") and "rank" not in err
 
 
-@pytest.mark.parametrize("flag", [["--mu-tol", "-1"], ["--mu-tol", "0"], ["--y-cap", "0"]])
+_RANGE_ERRORS = {
+    "--mu-tol": "must be positive",
+    "--y-cap": "must be positive",
+    "--rank-tol": "rank_tol must lie in (0, 1)",
+}
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--mu-tol", "-1"], ["--mu-tol", "0"], ["--y-cap", "0"],
+     ["--rank-tol", "2"], ["--rank-tol", "0"], ["solve", "--rank-tol", "0"],
+     ["solve", "--rank-tol", "1"]],
+)
 def test_certify_rejects_nonpositive_tolerances(capsys, cycle4_path, flag):
-    code, out, err = _run(capsys, ["certify", cycle4_path, *flag])
+    """A tolerance outside its range exits 1 with an error line before any
+    solve; a leading "solve" runs that subcommand instead of certify."""
+    command, *flag = flag if flag[0] == "solve" else ["certify", *flag]
+    code, out, err = _run(capsys, [command, cycle4_path, *flag])
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and "must be positive" in err
+    assert err.startswith("error:") and _RANGE_ERRORS[flag[0]] in err
 
 
 @pytest.mark.parametrize("tol", ["0", "0.5"])

@@ -1,5 +1,7 @@
 """Tests for building and solving the relaxation and extracting optimizers."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,31 @@ def test_rank_tol_decides_extraction():
     )
     assert certify(tri).verdict is Verdict.INEXACT_OBSERVED
     assert certify(tri, rank_tol=1e-3).verdict is Verdict.NUMERICALLY_EXACT_ONLY
+
+
+def test_rank_tol_out_of_range_rejected(monkeypatch):
+    """At rank_tol >= 1 no eigenvalue clears the threshold, so certify called
+    the +1 triangle's rank-2 optimum rank 0 and solve_relaxation returned
+    x* = 0; at rank_tol <= 0 every X had full rank.  Every entry point now
+    refuses such a rank_tol before any solve."""
+    tri = QcqpInstance(
+        objective=np.ones((3, 3)) - np.eye(3),
+        constraint_matrices=(np.eye(3),),
+        rhs=np.ones(1),
+    )
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an SDP was solved")
+
+    monkeypatch.setattr(importlib.import_module("biparsdp.sdp"), "_solve_batch", no_solve)
+    for rank_tol in (2.0, 1.0, 0.0, -1e-6, float("nan")):
+        for call in (
+            lambda: certify(tri, rank_tol=rank_tol),
+            lambda: solve_relaxation(tri, rank_tol=rank_tol),
+            lambda: numerical_rank(np.eye(3), rank_tol=rank_tol),
+        ):
+            with pytest.raises(ValueError, match=r"rank_tol must lie in \(0, 1\)"):
+                call()
 
 
 def test_complementarity_residual(small):

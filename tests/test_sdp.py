@@ -626,15 +626,19 @@ def test_edge_functional_box_monotone(small):
     assert vals[1] >= vals[2] - 1e-6
 
 
-def test_dual_side_empty_raises():
-    """An instance with no PSD S(y) raises DualSideEmpty."""
+def test_dual_side_empty_raises(monkeypatch):
+    """An instance with no PSD S(y) raises DualSideEmpty after one engine
+    run: the set of y is the same at either price of the box slack, so a
+    recovery run could only confirm the certificate."""
     inst = QcqpInstance(
         objective=np.array([[-1.0, 0.5], [0.5, -1.0]]),
         constraint_matrices=(np.diag([1.0, -1.0]),),
         rhs=np.array([1.0]),
     )
+    runs = _engine_runs(monkeypatch)
     with pytest.raises(DualSideEmpty):
         minimize_linear_functional_over_dual_cone(inst, 0, 1)
+    assert [[sol.status for sol in run] for run in runs] == [[SolverStatus.DUAL_INFEASIBLE]]
 
 
 def test_max_min_eigen_identity():

@@ -107,18 +107,21 @@ class CertificationReport:
 
 
 def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> AssumptionCheck:
-    """Sufficient condition: some y >= 0, sum y_p = 1 has sum y_p Qp > t*I, t > 0.
+    """Sufficient condition: some y >= 0, sum y_p = 1 has sum y_p Qp >= t*I, t* > tol.
 
-    A t* above tol is checked without the IPM: the returned y_bar, scaled
-    so that sum y_bar_p Qp >= I, must leave sum y_bar_p Qp - I/2 with a
-    finite Cholesky factor, which proves the combination positive definite
+    The solve's box y <= 1/tol makes t* exact whenever it exceeds tol; an
+    empty box means t* <= tol (t_star None).  A t* above tol is checked
+    without the IPM: sum y_bar_p Qp >= I, so sum y_bar_p Qp - I/2 must have
+    a finite Cholesky factor, which proves the combination positive definite
     up to rounding far below the margin of 1/2.
     """
     try:
-        t_star, y_bar = max_min_eigen_combination(inst, tol=solver_tol)
+        t_star, y_bar = max_min_eigen_combination(inst, y_cap=1.0 / tol, tol=solver_tol)
+    except DualSideEmpty:
+        t_star = None
     except RuntimeError as exc:
         return AssumptionCheck(None, False, f"assumption check failed to solve: {exc}")
-    if t_star > tol:
+    if t_star is not None and t_star > tol:
         S = sum(yp * Qp for yp, Qp in zip(y_bar, inst.constraint_matrices))
         try:
             if np.isfinite(np.linalg.cholesky(S - 0.5 * np.eye(inst.n))).all():

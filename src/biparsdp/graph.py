@@ -50,18 +50,13 @@ class CycleBasis:
     cycles: tuple[tuple[Edge, ...], ...]
 
 
-def build_graph(inst: QcqpInstance, zero_tol: float = 0.0) -> SparsityGraph:
-    """Edge (i, j) present iff |Qp_ij| > zero_tol for some p in 0..m.
-
-    The default zero_tol = 0 treats the data exactly; a positive tolerance is
-    only meaningful for instances produced by floating-point transformations.
-    """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be >= 0")
+def build_graph(inst: QcqpInstance) -> SparsityGraph:
+    """Edge (i, j) present iff Qp_ij != 0 for some p in 0..m: the data are
+    taken exactly, so an entry of 1e-12 is an edge."""
     n = inst.n
     mask = np.zeros((n, n), dtype=bool)
     for Q in inst.all_matrices():
-        mask |= np.abs(Q) > zero_tol
+        mask |= Q != 0
     rows, cols = np.nonzero(np.triu(mask, 1))
     return SparsityGraph(n=n, edges=frozenset(zip(rows.tolist(), cols.tolist())))
 

@@ -121,8 +121,10 @@ def _matrix_from_triplets(triplets, n: int, name: str) -> np.ndarray:
     counts: dict[tuple[int, int], int] = {}
     for entry in triplets:
         try:
-            i, j, v = entry
-            i, j, v = int(i), int(j), float(v)
+            ei, ej, v = entry
+            i, j, v = int(ei), int(ej), float(v)
+            if i != ei or j != ej:
+                raise ValueError("index is not an integer")
         except (TypeError, ValueError) as exc:
             raise InstanceError(f"{name}: triplet {entry!r} is not [i, j, v]") from exc
         if not (1 <= i <= n and 1 <= j <= n):
@@ -156,7 +158,8 @@ def load_instance(path) -> QcqpInstance:
     """Load and validate an instance from a JSON file.
 
     Upper-triangle input is mirrored; files with a "linear" section yield a
-    :class:`GeneralQcqpInstance`.  Instances with m = 0 are rejected.
+    :class:`GeneralQcqpInstance`.  Instances with m = 0, and n, m or
+    triplet indices that are not integers, are rejected.
     """
     with open(path) as fh:
         try:
@@ -164,12 +167,13 @@ def load_instance(path) -> QcqpInstance:
         except json.JSONDecodeError as exc:
             raise InstanceError(f"{path}: parse error: {exc}") from exc
     try:
-        n = int(raw["n"])
-        m = int(raw["m"])
+        n, m = int(raw["n"]), int(raw["m"])
+        if n != raw["n"] or m != raw["m"]:
+            raise ValueError("n and m must be integers")
         obj_triplets = raw["objective"]
         constraints = raw["constraints"]
-    except (KeyError, TypeError) as exc:
-        raise InstanceError(f"{path}: missing field {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InstanceError(f"{path}: missing or malformed field {exc}") from exc
     if n < 1:
         raise InstanceError(f"{path}: n must be >= 1")
     if not isinstance(constraints, list):

@@ -17,13 +17,13 @@ every cone vector is kept as a d x d matrix; u and z are packed by svec
 once, on return.  Everything is dense: the target problems have matrix
 dimension well below a hundred.
 
-On top of the engine sit the three problem shapes the toolkit needs:
-inequality-form SDPs (the relaxation), optimizing one entry of the dual
-slack matrix S(y) = Q0 + sum_p y_p Qp over the dual feasible set (the
-per-edge systems; all edges of an instance are solved as one batch, and
-the members that fail once more as a second), and
-maximizing the minimum eigenvalue of a convex combination of constraint
-matrices (the positive-definiteness check).
+On top of the engine sit two problem builders: inequality-form SDPs (the
+relaxation), and LMI-form problems, max b.y over {0 <= y <= y_cap,
+F0 + sum_p y_p Fp PSD}, solved as one batch (and the members that fail
+once more as a second).  The LMI form serves the per-edge systems, which
+optimize one entry of the dual slack matrix S(y) = Q0 + sum_p y_p Qp (one
+batch per instance), and the positive-definiteness check, which minimizes
+sum_p y_p subject to sum_p y_p Qp >= I.
 The inequality-form solve ends with a Newton polish of the KKT system,
 solved by elimination in the eigenbasis of S(y) so that only the near-null
 block of S(y) stays as explicit unknowns: O(m n^3) per step.
@@ -50,7 +50,9 @@ class SolverStatus(enum.Enum):
 
 
 class DualSideEmpty(RuntimeError):
-    """No y >= 0 with S(y) PSD exists; per-edge systems are undefined."""
+    """No y in the box 0 <= y <= y_cap satisfies an LMI-form problem: no
+    S(y) PSD (the per-edge systems are undefined), or no sum_p y_p Qp >= I
+    (the assumption check finds no combination)."""
 
 
 # ---------------------------------------------------------------------------
@@ -694,97 +696,89 @@ def optimize_linear_functionals_over_dual_cone(
 ) -> list[tuple[float, bool, np.ndarray]]:
     """`minimize_linear_functional_over_dual_cone` for each target
     (k, ell, maximize), solved as one batched engine run (two if a member
-    fails).
+    fails); see `_maximize_over_lmi`.
 
-    The problems share the engine's c, A and cone; only b = -f (minimum) or
-    b = +f (maximum), f_p = (Qp)_{k,ell}, differs.  The box y <= y_cap has
-    the slack 1 - y/y_cap, which costs 1 in c.  The slack y_cap - y would
-    cost y_cap, which pins the embedding's tau near 1/y_cap, and the
-    tau-scaled iterate then loses digits.  No single price suits every
-    problem, though: on a flat optimal face unit pricing can stall.  So the
-    members that end neither Optimal nor DualInfeasible (the same set of y
-    at either price) get one recovery run, as one batch, with the slack
-    y_cap - y; a member fails only if both runs fail, with the status and
-    message of the second.  A failed solve raises for the first failing
-    target in the given order, as solving the targets one at a time would.
+    The problems share F0 = Q0 and Fp = Qp; only b = -f (minimum) or
+    b = +f (maximum), f_p = (Qp)_{k,ell}, differs.  A failed solve raises
+    for the first failing target in the given order, as solving the targets
+    one at a time would.
     """
-    if y_cap <= 0:
-        raise ValueError("y_cap must be positive")
-    n, m = inst.n, inst.m
+    m = inst.m
     Qs = inst.constraint_matrices
     b = np.array([[Q[k, ell] if maximize else -Q[k, ell] for Q in Qs]
                   for k, ell, maximize in targets]).reshape(len(targets), m)
-
-    def run(price: float, rows: list[int]) -> list[ConicSolution]:
-        """The targets `rows` as one batch.  Engine dual variables v = y;
-        slacks y, price * (1 - y/y_cap) (cost price in c) and S(y)."""
-        c = np.concatenate([np.zeros(m), np.full(m, price), svec(inst.objective)])
-        A = np.zeros((m, 2 * m + n * (n + 1) // 2))
-        for p, Qp in enumerate(Qs):
-            A[p, p] = -1.0
-            A[p, m + p] = price / y_cap
-            A[p, 2 * m :] = -svec(Qp)
-        return _solve_batch(c, A, b[rows], l=2 * m, d=n, feas_tol=tol, gap_tol=tol,
-                            max_iter=200)
-
-    sols = run(1.0, list(range(len(targets))))
-    final = (SolverStatus.OPTIMAL, SolverStatus.DUAL_INFEASIBLE)
-    failed = [i for i, res in enumerate(sols) if res.status not in final]
-    if failed:
-        for i, res in zip(failed, run(y_cap, failed)):
-            sols[i] = res
-
     out = []
-    for (k, ell, maximize), res in zip(targets, sols):
-        if res.status is SolverStatus.DUAL_INFEASIBLE:
-            raise DualSideEmpty("no y >= 0 with S(y) PSD")
-        if res.status is not SolverStatus.OPTIMAL:
-            raise RuntimeError(
-                f"edge-system solve failed ({res.status.value}): {res.message}"
-            )
-        y = res.v
+    for (k, ell, maximize), (by, y) in zip(
+        targets, _maximize_over_lmi(inst.objective, Qs, b, y_cap, tol, "edge-system", "S(y)")
+    ):
         f0 = inst.objective[k, ell]
-        value = f0 + res.dobj if maximize else f0 - res.dobj
+        value = f0 + by if maximize else f0 - by
         attained = bool(np.max(y, initial=0.0) < 0.999 * y_cap)
         out.append((float(value), attained, y))
     return out
 
 
 def max_min_eigen_combination(
-    inst: QcqpInstance, tol: float = DEFAULT_TOL
+    inst: QcqpInstance, y_cap: float = 1e6, tol: float = DEFAULT_TOL
 ) -> tuple[float, np.ndarray]:
-    """max t s.t. sum_p y_p Qp >= t*I, y >= 0, sum_p y_p = 1.
+    """max t s.t. sum_p y_p Qp >= t*I, y >= 0, sum_p y_p = 1, as the LMI
 
-    A positive t_star certifies that some nonnegative combination of the
-    constraint matrices is positive definite; the returned y_bar is then
-    rescaled so that sum_p y_bar_p Qp >= I.
+        min sum_p y_p  s.t.  sum_p y_p Qp - I PSD,  0 <= y <= y_cap,
+
+    with t_star = 1 / sum_p y_bar_p at its solution y_bar.  The returned
+    y_bar is itself the certificate sum_p y_bar_p Qp >= I.  t_star is the
+    exact maximum whenever it exceeds 1/y_cap: the unboxed minimizer then
+    lies inside the box.  Raises DualSideEmpty when no y in the box makes
+    sum_p y_p Qp >= I, which implies t_star <= 1/y_cap.
     """
-    n, m = inst.n, inst.m
-    Qs = inst.constraint_matrices
-    # eliminate y_m = 1 - sum of the others; engine dual vars v = (y_1..y_{m-1}, t)
-    k = m - 1
-    nvec = k + 1 + n * (n + 1) // 2
-    c = np.concatenate([np.zeros(k), [1.0], svec(Qs[-1])])
-    A = np.zeros((m, nvec))
-    for p in range(k):
-        A[p, p] = -1.0
-        A[p, k] = 1.0
-        A[p, k + 1 :] = -svec(Qs[p] - Qs[-1])
-    A[k, k + 1 :] = svec(np.eye(n))
-    b = np.zeros(m)
-    b[k] = 1.0
-
-    res = solve_standard_form(c, A, b, l=k + 1, d=n,
-                              feas_tol=tol, gap_tol=tol, max_iter=200)
-    if res.status is not SolverStatus.OPTIMAL:
-        raise RuntimeError(
-            f"eigen-combination solve failed ({res.status.value}): {res.message}"
-        )
-    y = np.empty(m)
-    y[:k] = res.v[:k]
-    y[k] = 1.0 - np.sum(res.v[:k])
-    t_star = float(res.v[k])
+    b = -np.ones((1, inst.m))
+    ((_, y),) = _maximize_over_lmi(-np.eye(inst.n), inst.constraint_matrices, b, y_cap,
+                                   tol, "eigen-combination", "sum_p y_p Qp - I")
     y = np.clip(y, 0.0, None)
-    if t_star > 0:
-        y = y / t_star
-    return t_star, y
+    return float(1.0 / np.sum(y)), y
+
+
+def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> list[tuple[float, np.ndarray]]:
+    """(b_i.y*, y*) of max b_i.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD}
+    for each row b_i of b, as one batched engine run (two if a member fails).
+
+    The engine's dual variables are v = y, with the slacks y, the box slack
+    and F0 + sum_p y_p Fp.  The box y <= y_cap has the slack 1 - y/y_cap,
+    which costs 1 in c.  The slack y_cap - y would cost y_cap, which pins the
+    embedding's tau near 1/y_cap, and the tau-scaled iterate then loses
+    digits.  No single price suits every problem, though: on a flat optimal
+    face unit pricing can stall.  So the members that end neither Optimal
+    nor DualInfeasible (the same set of y at either price) get one recovery
+    run, as one batch, with the slack y_cap - y; a member fails only if both
+    runs fail, with the status and message of the second.  Raises, for the
+    first failing row, DualSideEmpty when the set of y is empty and
+    RuntimeError (naming `what`) for any other failure; `lmi` names
+    F0 + sum_p y_p Fp in the DualSideEmpty message.
+    """
+    if y_cap <= 0:
+        raise ValueError("y_cap must be positive")
+    n, m = F0.shape[0], len(Fs)
+
+    def run(price: float, rows: list[int]) -> list[ConicSolution]:
+        c = np.concatenate([np.zeros(m), np.full(m, price), svec(F0)])
+        A = np.zeros((m, 2 * m + n * (n + 1) // 2))
+        for p, Fp in enumerate(Fs):
+            A[p, p] = -1.0
+            A[p, m + p] = price / y_cap
+            A[p, 2 * m :] = -svec(Fp)
+        return _solve_batch(c, A, b[rows], l=2 * m, d=n, feas_tol=tol, gap_tol=tol,
+                            max_iter=200)
+
+    sols = run(1.0, list(range(len(b))))
+    final = (SolverStatus.OPTIMAL, SolverStatus.DUAL_INFEASIBLE)
+    failed = [i for i, res in enumerate(sols) if res.status not in final]
+    if failed:
+        for i, res in zip(failed, run(y_cap, failed)):
+            sols[i] = res
+
+    for res in sols:
+        if res.status is SolverStatus.DUAL_INFEASIBLE:
+            raise DualSideEmpty(f"no y >= 0 with {lmi} PSD")
+        if res.status is not SolverStatus.OPTIMAL:
+            raise RuntimeError(f"{what} solve failed ({res.status.value}): {res.message}")
+    return [(res.dobj, res.v) for res in sols]

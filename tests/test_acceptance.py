@@ -439,3 +439,25 @@ def test_verdicts_invariant_under_diagonal_similarity(small, cycle4):
         f"rule ({len(mismatches)} changed)",
         not mismatches,
     )
+
+
+def test_verdicts_invariant_under_positive_scaling(cycle4):
+    """cycle4 with every matrix and rhs times s keeps verdict and applied
+    rule, and its t* scales by s: t* runs from about 4e-5 to 4e4."""
+    base = certify(cycle4)
+    t_base = base.assumption_check.t_star
+    bad = []
+    for s in (1e-3, 1.0, 1e3, 1e6):
+        scaled = certify(QcqpInstance(
+            objective=s * cycle4.objective,
+            constraint_matrices=tuple(s * Q for Q in cycle4.constraint_matrices),
+            rhs=s * cycle4.rhs,
+        ))
+        t_star = scaled.assumption_check.t_star
+        if ((scaled.verdict, scaled.applied_rule) != (base.verdict, base.applied_rule)
+                or t_star is None or abs(t_star / (s * t_base) - 1.0) > 1e-6):
+            bad.append((s, scaled.verdict.value, scaled.applied_rule, t_star))
+    _check(
+        f"metamorphic: cycle4 times s in 1e-3..1e6 keeps verdict, rule and t*/s ({bad})",
+        base.verdict is Verdict.CERTIFIED_EXACT and not bad,
+    )

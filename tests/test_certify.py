@@ -303,7 +303,7 @@ def test_assumption_certificate_is_checked(monkeypatch, cycle4):
     assert np.linalg.eigvalsh(sum(y * Q for y, Q in zip(y_bar, cycle4.constraint_matrices)))[0] > 0.5
     monkeypatch.setattr(
         certify_module, "max_min_eigen_combination",
-        lambda inst, tol: (t_star, 0.25 * y_bar),
+        lambda inst, y_cap, tol: (t_star, 0.25 * y_bar),
     )
     report = certify(cycle4)
     check = report.assumption_check
@@ -311,6 +311,27 @@ def test_assumption_certificate_is_checked(monkeypatch, cycle4):
     assert "fails the Cholesky check" in check.note
     assert report.verdict is not Verdict.CERTIFIED_EXACT
     assert any("fails the Cholesky check" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("eps, tol, holds", [
+    (2e-6, None, True), (5e-7, None, False), (5e-7, 1e-7, True),
+])
+def test_assumption_threshold_follows_tol(eps, tol, holds):
+    """The single constraint diag(1, eps) has t* = eps.  The check holds
+    exactly when t* > tol; below, its box y <= 1/tol holds no y with
+    y diag(1, eps) >= I, and t_star is None."""
+    inst = QcqpInstance(
+        objective=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        constraint_matrices=(np.diag([1.0, eps]),),
+        rhs=np.array([1.0]),
+    )
+    kwargs = {} if tol is None else {"tol": tol}
+    check = certify_bipartite(inst, **kwargs).assumption_check
+    assert check.holds is holds
+    if holds:
+        assert abs(check.t_star / eps - 1.0) < 1e-6
+    else:
+        assert check.t_star is None
 
 
 def test_pipeline_small(small):

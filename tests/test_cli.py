@@ -110,10 +110,13 @@ _ONE_CONSTRAINT = {"matrix": [[1, 1, 1.0]], "rhs": 1.0}
         {"constraints": 5},
         {"constraints": [_ONE_CONSTRAINT], "objective": [[1, 1, None]]},
         {"constraints": [_ONE_CONSTRAINT], "objective": [[1, 1, "x"]]},
+        {"constraints": [_ONE_CONSTRAINT], "objective": [[1.7, 1, 1.0]]},
+        {"constraints": [_ONE_CONSTRAINT], "n": 1.5},
+        {"constraints": [_ONE_CONSTRAINT], "n": "abc"},
     ],
     ids=["no-rhs", "no-matrix", "not-an-object", "linear-no-objective",
          "linear-no-constraints", "triplet-not-a-list", "constraints-not-a-list",
-         "null-value", "string-value"],
+         "null-value", "string-value", "fractional-index", "fractional-n", "string-n"],
 )
 def test_malformed_instance_exit1(capsys, tmp_path, doc):
     """A missing or malformed field is an error line that names the file."""

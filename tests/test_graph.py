@@ -3,7 +3,6 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from biparsdp import (
     QcqpInstance,
@@ -195,11 +194,7 @@ def test_build_graph_and_signs_match_entrywise_definition():
             assert sign == expected and type(sign) is int
 
 
-def test_build_graph_zero_tol():
-    """A positive zero_tol drops entries at or below it."""
+def test_build_graph_keeps_tiny_entries():
+    """The data are taken exactly: an entry of 1e-12 is an edge."""
     M = np.array([[0.0, 1e-12], [1e-12, 0.0]])
-    inst = _instance_from_pattern(M)
-    assert build_graph(inst).edges == frozenset({(0, 1)})
-    assert build_graph(inst, zero_tol=1e-9).edges == frozenset()
-    with pytest.raises(ValueError):
-        build_graph(inst, zero_tol=-1.0)
+    assert build_graph(_instance_from_pattern(M)).edges == frozenset({(0, 1)})

@@ -1,5 +1,8 @@
-"""numpy is the only runtime dependency: importing biparsdp loads nothing else."""
+"""numpy is the only runtime dependency: importing biparsdp loads nothing
+else; and every function the benchmark's tracer wraps exists."""
 
+import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -8,6 +11,7 @@ import sys
 import biparsdp
 
 SRC = str(pathlib.Path(biparsdp.__file__).resolve().parent.parent)
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 _NEW_TOP_LEVEL = """
 import sys
@@ -32,3 +36,21 @@ def test_import_loads_no_third_party_package_but_numpy():
     assert "biparsdp" in out and "numpy" in out
     stdlib = set(sys.stdlib_module_names) | set(sys.builtin_module_names)
     assert sorted(set(out) - stdlib - {"biparsdp", "numpy"}) == []
+
+
+def test_traced_functions_resolve():
+    """Each (module, function) in perfbench/tracing.py's TRACED exists in
+    biparsdp, so that deleting or renaming a traced function fails here, not
+    in a traced benchmark run.  TRACED is read as a literal; perfbench is
+    neither imported nor run."""
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACING.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    ]
+    assert traced
+    missing = [
+        (module, func) for module, func, _ in traced
+        if not callable(getattr(importlib.import_module(f"biparsdp.{module}"), func, None))
+    ]
+    assert missing == []

@@ -655,14 +655,14 @@ def test_max_min_eigen_identity():
 
 
 def test_max_min_eigen_indefinite():
-    """An indefinite single constraint cannot give a positive t*."""
+    """An indefinite single constraint has no multiple that dominates I."""
     inst = QcqpInstance(
         objective=np.zeros((2, 2)),
         constraint_matrices=(np.diag([1.0, -1.0]),),
         rhs=np.array([1.0]),
     )
-    t, _ = max_min_eigen_combination(inst)
-    assert t < 1e-6
+    with pytest.raises(DualSideEmpty):
+        max_min_eigen_combination(inst)
 
 
 def test_max_min_eigen_reference(cycle4):
@@ -670,7 +670,7 @@ def test_max_min_eigen_reference(cycle4):
     t, y = max_min_eigen_combination(cycle4)
     assert t > 0.02
     assert abs(t - 0.0370) < 2e-3
-    # y is rescaled so that the combination dominates the identity
+    # y is the certificate: the combination dominates the identity
     S = sum(yp * Q for yp, Q in zip(y, cycle4.constraint_matrices))
     assert np.linalg.eigvalsh(S)[0] > 1.0 - 1e-5
 

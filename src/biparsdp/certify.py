@@ -22,7 +22,9 @@ The sign rules are primal (x_i = s_i sqrt(X_ii) for a feasible X).  The
 edge systems need the relaxation and its dual to behave (attained optima,
 bounded solution sets), which the data cannot decide in general; so the
 pipeline checks that some nonnegative combination of the constraint
-matrices is positive definite, and refuses to certify when it cannot.
+matrices is positive definite, and refuses to certify when it cannot.  One
+eigenvalue of a single constraint matrix, or of their mean, usually proves
+it; an SDP finds the combination only when those fail.
 
 `certify` runs the rules from cheapest to most expensive and stops at the
 first one that fires; everything evaluated along the way is kept in the
@@ -83,6 +85,13 @@ class EdgeSystemResult:
 
 @dataclass
 class AssumptionCheck:
+    """Whether some y >= 0, sum y_p = 1 has sum y_p Qp >= t*I with t* > tol.
+
+    t_star is a certified lower bound on t* when a cheap candidate proved
+    the assumption, the maximum t* (to the solver tolerance) when the SDP
+    decided it, and None when the SDP found t* <= tol.
+    """
+
     t_star: float | None
     holds: bool
     note: str = ""
@@ -106,15 +115,38 @@ class CertificationReport:
     notes: list[str] = field(default_factory=list)
 
 
+#: rounding in forming S = sum_p y_p Qp (sum y_p = 1) and in eigvalsh(S) moves
+#: lambda_min(S) by a small multiple of (n + m) eps ||sum_p y_p |Qp| ||_inf,
+#: a norm that bounds ||S||_2; ten times that is the margin
+_EIGVALSH_MARGIN = 10 * np.finfo(float).eps
+
+
+def _cheap_candidates(mats):
+    """(sum_p y_p Qp, sum_p y_p |Qp|) for y = e_1 .. e_m, then the uniform y = 1/m."""
+    for Q in mats:
+        yield Q, np.abs(Q)
+    yield sum(mats) / len(mats), sum(map(np.abs, mats)) / len(mats)
+
+
 def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> AssumptionCheck:
     """Sufficient condition: some y >= 0, sum y_p = 1 has sum y_p Qp >= t*I, t* > tol.
 
-    The solve's box y <= 1/tol makes t* exact whenever it exceeds tol; an
-    empty box means t* <= tol (t_star None).  A t* above tol is checked
-    without the IPM: sum y_bar_p Qp >= I, so sum y_bar_p Qp - I/2 must have
-    a finite Cholesky factor, which proves the combination positive definite
-    up to rounding far below the margin of 1/2.
+    Cheap candidates come first: each Qp alone, then the uniform mix.  The
+    smallest eigenvalue of one, less the rounding margin, is a lower bound
+    on t*; the first that exceeds tol proves the assumption and is reported
+    as t_star, and no SDP runs.  Only when every candidate fails is t*
+    solved for: the solve's box y <= 1/tol makes t* exact whenever it
+    exceeds tol; an empty box means t* <= tol (t_star None).  A t* above
+    tol is checked without the IPM: sum y_bar_p Qp >= I, so
+    sum y_bar_p Qp - I/2 must have a finite Cholesky factor, which proves
+    the combination positive definite up to rounding far below the margin
+    of 1/2.
     """
+    scale = _EIGVALSH_MARGIN * (inst.n + inst.m)
+    for S, magnitude in _cheap_candidates(inst.constraint_matrices):
+        bound = np.linalg.eigvalsh(S)[0] - scale * magnitude.sum(axis=1).max()
+        if bound > tol:
+            return AssumptionCheck(float(bound), True)
     try:
         t_star, y_bar = max_min_eigen_combination(inst, y_cap=1.0 / tol, tol=solver_tol)
     except DualSideEmpty:
@@ -446,7 +478,8 @@ def certify(
     reports the numerical rank (NumericallyExactOnly / InexactObserved —
     evidence, not a proof).  The sign-split reduction adds nothing to the
     cycle condition and is not run.  The structure and the assumption check
-    (of rules 3-4 only) are computed once and shared by the rules.  Raises
+    (of rules 3-4 only: one eigenvalue per cheap candidate, an SDP only when
+    every candidate fails) are computed once and shared by the rules.  Raises
     ValueError for tol <= 0, y_cap <= 0, solver_tol outside (0, 1e-4] or
     rank_tol outside (0, 1).
     """

@@ -113,9 +113,36 @@ class GeneralQcqpInstance(QcqpInstance):
 
 
 def _matrix_from_triplets(triplets, n: int, name: str) -> np.ndarray:
-    """Build a symmetric matrix from 1-based upper-triangle (i, j, v) triplets."""
+    """Build a symmetric matrix from 1-based upper-triangle (i, j, v) triplets.
+
+    The checks run on whole columns.  Triplets that are not all numbers, an
+    entry that fails a check, and duplicate (i, j) go to `_matrix_by_loop`,
+    which names the first bad or conflicting triplet, or averages
+    duplicates that agree.
+    """
     if not isinstance(triplets, list):
         raise InstanceError(f"{name}: expected a list of [i, j, v] triplets")
+    try:
+        T = np.array(triplets)
+    except (ValueError, OverflowError):  # ragged, or an int beyond every dtype
+        return _matrix_by_loop(triplets, n, name)
+    if T.dtype.kind not in "biuf" or T.shape != (len(triplets), 3):
+        return _matrix_by_loop(triplets, n, name)
+    i, j, v = T.astype(float).T
+    ok = (1 <= i) & (i <= j) & (j <= n) & (i == np.floor(i)) & (j == np.floor(j))
+    if not (ok.all() and np.isfinite(v).all()):
+        return _matrix_by_loop(triplets, n, name)
+    i, j = i.astype(int) - 1, j.astype(int) - 1
+    keys = np.sort(i * n + j)  # np.unique would import numpy.ma, ~1 MiB
+    if (keys[1:] == keys[:-1]).any():
+        return _matrix_by_loop(triplets, n, name)
+    Q = np.zeros((n, n))
+    Q[i, j] = Q[j, i] = v
+    return Q
+
+
+def _matrix_by_loop(triplets, n: int, name: str) -> np.ndarray:
+    """`_matrix_from_triplets` one triplet at a time, raising for the first bad one."""
     Q = np.zeros((n, n))
     seen: dict[tuple[int, int], float] = {}
     counts: dict[tuple[int, int], int] = {}
@@ -125,7 +152,7 @@ def _matrix_from_triplets(triplets, n: int, name: str) -> np.ndarray:
             i, j, v = int(ei), int(ej), float(v)
             if i != ei or j != ej:
                 raise ValueError("index is not an integer")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceError(f"{name}: triplet {entry!r} is not [i, j, v]") from exc
         if not (1 <= i <= n and 1 <= j <= n):
             raise InstanceError(f"{name}: index ({i}, {j}) out of range 1..{n}")

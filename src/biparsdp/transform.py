@@ -47,6 +47,12 @@ class PerturbedInstance:
     F: frozenset[Edge]  # connecting edges (empty for the full-graph variant)
 
 
+def _check_positive_finite(value: float, name: str) -> None:
+    """NaN passes a `<= 0` guard, and inf makes the transformed data non-finite."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def sign_split_transform(inst: QcqpInstance, delta: float = 1.0) -> TransformResult:
     """Split each Qp by entry sign into the doubled-variable form.
 
@@ -60,8 +66,7 @@ def sign_split_transform(inst: QcqpInstance, delta: float = 1.0) -> TransformRes
     entries in both the plus and minus blocks and the doubled graph would
     pick up an odd triangle, defeating the purpose.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_positive_finite(delta, "delta")
     graph = build_graph(inst)
     signs = edge_signs(inst, graph)
     for edge, sigma in sorted(signs.items()):
@@ -141,8 +146,7 @@ def build_connecting_perturbation(inst: QcqpInstance, epsilon: float) -> Perturb
     perturbed sparsity graph is connected; joining bipartite components by
     a path keeps the union bipartite.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_positive_finite(epsilon, "epsilon")
     graph = build_graph(inst)
     comps = connected_components(graph)
     if len(comps) < 2:
@@ -158,8 +162,7 @@ def build_full_graph_perturbation(inst: QcqpInstance, epsilon: float) -> Perturb
     Every existing edge entry of the objective moves by +eps while the
     sparsity pattern is unchanged.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_positive_finite(epsilon, "epsilon")
     graph = build_graph(inst)
     if not graph.edges:
         raise InstanceError("no edges to perturb")
@@ -183,8 +186,8 @@ def epsilon_sweep_validation(
     its own, looser, mu-positivity threshold.
     """
     eps_sequence = [float(e) for e in eps_sequence]
-    if any(e <= 0 for e in eps_sequence):
-        raise ValueError("eps_sequence entries must be positive")
+    for eps in eps_sequence:
+        _check_positive_finite(eps, "eps_sequence entry")
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps_sequence must be strictly decreasing")
     build = (

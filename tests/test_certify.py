@@ -334,6 +334,59 @@ def test_assumption_threshold_follows_tol(eps, tol, holds):
         assert check.t_star is None
 
 
+def test_assumption_margin_defers_to_the_sdp(monkeypatch):
+    """Q1 = diag(1, tol (1 + delta)) has t* = tol (1 + delta), above tol by
+    less than the rounding margin of its eigenvalue: the cheap candidates do
+    not count it as a proof, and the one SDP solve decides it."""
+    tol, delta = 1e-6, 1e-9
+    assert tol * delta < 3 * certify_module._EIGVALSH_MARGIN  # n + m = 3, ||Q1|| = 1
+    inst = QcqpInstance(
+        objective=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        constraint_matrices=(np.diag([1.0, tol * (1.0 + delta)]),),
+        rhs=np.array([1.0]),
+    )
+    solves = []
+    real = certify_module.max_min_eigen_combination
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify_module, "max_min_eigen_combination", counted)
+    check = certify_bipartite(inst, tol=tol).assumption_check
+    assert len(solves) == 1
+    assert check.holds
+    assert abs(check.t_star / (tol * (1.0 + delta)) - 1.0) < 1e-6
+
+
+def _mixed_constraints(rng, n, m):
+    """m constraints A + Bp with A positive definite and sum_p Bp = 0: the
+    uniform mix is A, while a large Bp leaves each Qp indefinite."""
+    G = rng.standard_normal((n, n))
+    A = G @ G.T / n + rng.uniform(0.1, 1.0) * np.eye(n)
+    Bs = [rng.standard_normal((n, n)) * rng.uniform(0.1, 3.0) for _ in range(m - 1)]
+    Bs = [B + B.T for B in Bs]
+    Bs.append(-sum(Bs))
+    return tuple(A + B for B in Bs)
+
+
+def test_cheap_assumption_bound_is_below_t_star():
+    """On seeded draws where a single Qp or the uniform mix proves the
+    assumption, the reported t_star is a lower bound on the SDP's t*."""
+    rng = np.random.default_rng(5)
+    by_mix = 0
+    for _ in range(40):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        mats = _mixed_constraints(rng, n, m)
+        inst = QcqpInstance(objective=np.eye(n), constraint_matrices=mats, rhs=np.ones(m))
+        check = certify_module._check_assumption(inst, 1e-6, 1e-8)
+        assert check.holds
+        t_star, _ = certify_module.max_min_eigen_combination(inst, y_cap=1e6, tol=1e-8)
+        assert check.t_star <= t_star * (1.0 + 1e-9)
+        by_mix += all(np.linalg.eigvalsh(Q)[0] <= 1e-6 for Q in mats)
+    assert by_mix >= 10
+
+
 def test_pipeline_small(small):
     """The pipeline lands on the forest rule, noting the bipartite agreement."""
     report = certify(small)
@@ -357,10 +410,15 @@ def test_pipeline_forest_without_edge_systems():
     assert "bipartite-edge-systems: did not certify" in report.notes
 
 
-@pytest.mark.parametrize("name, edge_sdps", [("small", 2), ("cycle4", 4)])
-def test_pipeline_solves_each_sdp_once(request, monkeypatch, name, edge_sdps):
+@pytest.mark.parametrize(
+    "name, edge_sdps, assumption_sdps", [("small", 2, 0), ("cycle4", 4, 1)],
+    ids=["small-2", "cycle4-4"],
+)
+def test_pipeline_solves_each_sdp_once(request, monkeypatch, name, edge_sdps, assumption_sdps):
     """certify shares per-edge minima and the assumption check across rules,
-    and solves all edge SDPs of the instance as one batch of distinct problems."""
+    and solves all edge SDPs of the instance as one batch of distinct problems.
+    small's Q1 is positive definite, so its assumption needs no SDP; no cheap
+    candidate proves cycle4's, which is solved for once."""
     calls = {"edge": [], "assumption": 0}
     edge_solve = certify_module.optimize_linear_functionals_over_dual_cone
     assumption_solve = certify_module.max_min_eigen_combination
@@ -382,7 +440,7 @@ def test_pipeline_solves_each_sdp_once(request, monkeypatch, name, edge_sdps):
     (batch,) = calls["edge"]
     assert len(batch) == edge_sdps
     assert len(set(batch)) == edge_sdps
-    assert calls["assumption"] == 1
+    assert calls["assumption"] == assumption_sdps
 
 
 def test_pipeline_cycle4(cycle4):

@@ -113,10 +113,13 @@ _ONE_CONSTRAINT = {"matrix": [[1, 1, 1.0]], "rhs": 1.0}
         {"constraints": [_ONE_CONSTRAINT], "objective": [[1.7, 1, 1.0]]},
         {"constraints": [_ONE_CONSTRAINT], "n": 1.5},
         {"constraints": [_ONE_CONSTRAINT], "n": "abc"},
+        {"constraints": [_ONE_CONSTRAINT], "objective": [[float("inf"), 1, 1.0]]},
+        {"constraints": [_ONE_CONSTRAINT], "objective": [[1, 1, 1.0, 2.0]]},
     ],
     ids=["no-rhs", "no-matrix", "not-an-object", "linear-no-objective",
          "linear-no-constraints", "triplet-not-a-list", "constraints-not-a-list",
-         "null-value", "string-value", "fractional-index", "fractional-n", "string-n"],
+         "null-value", "string-value", "fractional-index", "fractional-n", "string-n",
+         "infinite-index", "four-entry-triplet"],
 )
 def test_malformed_instance_exit1(capsys, tmp_path, doc):
     """A missing or malformed field is an error line that names the file."""
@@ -345,6 +348,22 @@ def test_transform_sign_split_rejects_mixed_edge(capsys, small_path):
     code, _, err = _run(capsys, ["transform", small_path])
     assert code == 1
     assert "(1, 2)" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "nan"), ("--epsilon", "inf"), ("--delta", "nan"), ("--delta", "inf"),
+])
+def test_transform_rejects_non_finite_scales(capsys, tmp_path, cycle4_path, flag, value):
+    """A NaN or infinite --epsilon/--delta exits 1 naming the option's
+    parameter, not with a complaint about the transformed data."""
+    mode, path = (
+        ("sign-split", _save_triangle(tmp_path, (-1.0, -1.0, -2.0)))
+        if flag == "--delta" else ("full-laplacian", cycle4_path)
+    )
+    code, out, err = _run(capsys, ["transform", path, "--mode", mode, flag, value])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag[2:]} must be positive and finite")
 
 
 def test_transform_connect_cli(capsys, tmp_path, small):

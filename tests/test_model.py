@@ -15,6 +15,7 @@ from biparsdp import (
     save_instance,
     solve_relaxation,
 )
+from biparsdp.model import _DUPLICATE_RTOL, _matrix_from_triplets
 
 
 def test_load_small_instance(small):
@@ -63,6 +64,92 @@ def test_duplicate_entries(tmp_path):
     path.write_text(bad)
     with pytest.raises(InstanceError, match="conflicting duplicate"):
         load_instance(path)
+
+
+def _matrix_by_reference_loop(triplets, n, name):
+    """The per-triplet build that the column checks replaced: the oracle."""
+    if not isinstance(triplets, list):
+        raise InstanceError(f"{name}: expected a list of [i, j, v] triplets")
+    Q = np.zeros((n, n))
+    seen, counts = {}, {}
+    for entry in triplets:
+        try:
+            ei, ej, v = entry
+            i, j, v = int(ei), int(ej), float(v)
+            if i != ei or j != ej:
+                raise ValueError("index is not an integer")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InstanceError(f"{name}: triplet {entry!r} is not [i, j, v]") from exc
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise InstanceError(f"{name}: index ({i}, {j}) out of range 1..{n}")
+        if i > j:
+            raise InstanceError(f"{name}: lower-triangle triplet ({i}, {j}) not allowed")
+        if not np.isfinite(v):
+            raise InstanceError(f"{name}: non-finite entry at ({i}, {j})")
+        key = (i, j)
+        if key in seen:
+            scale = max(abs(seen[key]) / counts[key], abs(v))
+            if scale > 0 and abs(seen[key] / counts[key] - v) > _DUPLICATE_RTOL * scale:
+                raise InstanceError(f"{name}: conflicting duplicate entries at ({i}, {j})")
+            seen[key] += v
+            counts[key] += 1
+        else:
+            seen[key] = v
+            counts[key] = 1
+    for (i, j), total in seen.items():
+        Q[i - 1, j - 1] = Q[j - 1, i - 1] = total / counts[(i, j)]
+    return Q
+
+
+def _seeded_triplets(rng, n):
+    """Upper-triangle triplets in random order, with ints, floats, -0.0 and
+    bools; on half the draws, duplicates that are identical or agree to
+    about 1e-14."""
+    duplicates = rng.choice([0.0, 0.3])
+    out = []
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if rng.random() < 0.5:
+                continue
+            v = float(rng.choice([rng.normal(), -0.0, 0.1, int(rng.integers(-9, 9))]))
+            out.append([i, j, v])
+            if rng.random() < duplicates:
+                out += [[i, j, v], [i, j, v * (1.0 + 1e-14)]][: int(rng.integers(1, 3))]
+    rng.shuffle(out)
+    # True is the integer 1 to both builds
+    return [[True if i == 1 and rng.random() < 0.2 else i, j, v] for i, j, v in out]
+
+
+def test_column_build_matches_reference_loop():
+    """On seeded triplet lists the column build gives the loop's matrices,
+    bit for bit, and on corrupted ones the loop's error, for the same
+    first bad or conflicting triplet."""
+    rng = np.random.default_rng(3)
+    bad_entries = [
+        [1, 1, float("nan")], [1.5, 2, 1.0], [0, 1, 1.0], [2, 1, 1.0], [1, 2, 3, 4],
+        [1, 2], [1, "2", 1.0], [1, 2, None], [float("inf"), 1, 1.0], [1, 1, 1e300 * 10],
+        [10**30, 1, 1.0], [1, 1, [1.0]], "abc", [1, 1, "2.5"],
+    ]
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        triplets = _seeded_triplets(rng, n)
+        Q = _matrix_from_triplets(triplets, n, "doc")
+        assert Q.tobytes() == _matrix_by_reference_loop(triplets, n, "doc").tobytes()
+        corrupted = list(triplets)
+        corrupted.insert(int(rng.integers(len(corrupted) + 1)),
+                         bad_entries[int(rng.integers(len(bad_entries)))])
+        if triplets and rng.random() < 0.3:
+            i, j, v = triplets[int(rng.integers(len(triplets)))]
+            corrupted.append([i, j, v + 1.0])  # a conflicting duplicate
+        try:
+            expected = _matrix_by_reference_loop(corrupted, n, "doc").tobytes()
+        except InstanceError as exc:
+            expected = str(exc)
+        try:
+            got = _matrix_from_triplets(corrupted, n, "doc").tobytes()
+        except InstanceError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 def test_lower_triangle_rejected(tmp_path):

@@ -8,6 +8,8 @@ from biparsdp import (
     QcqpInstance,
     SdpProblem,
     SolverStatus,
+    Verdict,
+    certify,
     load_instance,
     max_min_eigen_combination,
     minimize_linear_functional_over_dual_cone,
@@ -32,7 +34,7 @@ from biparsdp.sdp import (
 
 from conftest import CYCLE4_MU, DATA_DIR
 from test_acceptance import _random_family_instance
-from test_certify import _blkdiag_double
+from test_certify import _blkdiag_double, certify_module
 
 
 def test_svec_smat_round_trip():
@@ -556,6 +558,32 @@ def test_edge_batches_need_no_recovery_run(monkeypatch, small, cycle4):
         runs.clear()
         optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst))
         assert len(runs) == 1
+
+
+def test_diagonally_dominant_constraints_need_no_assumption_sdp(monkeypatch, small, cycle4):
+    """small.json and the seeded forests and bipartite graphs, whose
+    constraints are diagonally dominant, prove the standing assumption from
+    one eigenvalue of Q1: certify gives the verdicts, rules, edge results
+    and assumption verdicts of the SDP path without solving the assumption
+    SDP.  An assumption SDP that became routine would cost a sixth of an
+    edge-systems certificate and change no answer."""
+    instances = [inst for inst in _seeded_instances(small, cycle4) if inst is not cycle4]
+
+    def outcome(report):
+        return (report.verdict, report.applied_rule, repr(report.per_edge),
+                report.assumption_check.holds)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(certify_module, "_cheap_candidates", lambda mats: iter(()))
+        by_sdp = [outcome(certify(inst)) for inst in instances]
+
+    def no_sdp(*args, **kwargs):
+        raise AssertionError("the assumption SDP ran")
+
+    monkeypatch.setattr(certify_module, "max_min_eigen_combination", no_sdp)
+    assert [outcome(certify(inst)) for inst in instances] == by_sdp
+    assert by_sdp[0][0] is Verdict.CERTIFIED_EXACT  # small.json
+    assert all(holds for *_, holds in by_sdp)
 
 
 def test_failed_members_get_one_recovery_run(monkeypatch, small):

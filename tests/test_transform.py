@@ -275,3 +275,19 @@ def test_epsilon_sweep_passes_tol_as_solver_tolerance(small, monkeypatch):
     monkeypatch.setattr(transform_module, "certify", recording)
     epsilon_sweep_validation(_blkdiag_double(small), [1e-2, 1e-3], tol=1e-9)
     assert seen == [{"solver_tol": 1e-9}] * 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+def test_scale_parameters_must_be_positive_and_finite(small, value):
+    """NaN, inf and non-positive scales are refused up front, naming the
+    parameter: NaN would pass a `<= 0` test, and inf makes the data non-finite."""
+    double = _blkdiag_double(small)
+    calls = [
+        ("delta", lambda: sign_split_transform(_chorded_cycle_instance(), delta=value)),
+        ("epsilon", lambda: build_connecting_perturbation(double, value)),
+        ("epsilon", lambda: build_full_graph_perturbation(small, value)),
+        ("eps_sequence entry", lambda: epsilon_sweep_validation(double, [1e-2, value])),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            call()

@@ -41,16 +41,12 @@ from .model import (
 )
 from .relaxation import (
     RelaxationResult,
-    build_relaxation,
     complementarity_residual,
-    extract_rank1,
     numerical_rank,
     solve_relaxation,
 )
 from .sdp import (
     DualSideEmpty,
-    SdpProblem,
-    SdpSolution,
     SolverStatus,
     max_min_eigen_combination,
     minimize_linear_functional_over_dual_cone,
@@ -76,8 +72,6 @@ __all__ = [
     "PerturbedInstance",
     "QcqpInstance",
     "RelaxationResult",
-    "SdpProblem",
-    "SdpSolution",
     "SolverStatus",
     "SparsityGraph",
     "TransformResult",
@@ -86,7 +80,6 @@ __all__ = [
     "build_connecting_perturbation",
     "build_full_graph_perturbation",
     "build_graph",
-    "build_relaxation",
     "certify",
     "certify_bipartite",
     "certify_forest",
@@ -100,7 +93,6 @@ __all__ = [
     "edge_signs",
     "epsilon_sweep_validation",
     "evaluate_quadratic",
-    "extract_rank1",
     "homogenize",
     "is_forest",
     "load_instance",

@@ -55,6 +55,7 @@ from .relaxation import DEFAULT_RANK_TOL, check_rank_tol, solve_relaxation
 from .sdp import (
     DEFAULT_TOL,
     DualSideEmpty,
+    check_positive_finite,
     check_solver_tol,
     max_min_eigen_combination,
     minimize_linear_functional_over_dual_cone,
@@ -173,13 +174,13 @@ def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> Assu
 
 
 def _check_tolerances(tol: float, y_cap: float, solver_tol: float) -> None:
-    """tol <= 0 would accept mu* <= 0 and t* <= 0 as proofs; y_cap <= 0 is an
-    empty box; a solver_tol the engine cannot meet, or one so loose that a
+    """tol <= 0 would accept mu* <= 0 and t* <= 0 as proofs, and tol = inf
+    leaves the assumption check the box y <= 1/tol = 0; y_cap <= 0 is an
+    empty box, and y_cap = inf counts every minimum as attained; a
+    solver_tol the engine cannot meet, or one so loose that a
     half-converged SDP counts as solved, would decide the edges on noise."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if not y_cap > 0:
-        raise ValueError(f"y_cap must be positive, got {y_cap!r}")
+    check_positive_finite(tol, "tol")
+    check_positive_finite(y_cap, "y_cap")
     check_solver_tol(solver_tol, "solver_tol")
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -38,7 +37,7 @@ from .model import (
     save_instance,
 )
 from .relaxation import DEFAULT_RANK_TOL, solve_relaxation
-from .sdp import DEFAULT_TOL, SolverStatus, check_solver_tol
+from .sdp import DEFAULT_TOL, SolverStatus
 from .transform import (
     build_connecting_perturbation,
     build_full_graph_perturbation,
@@ -53,18 +52,6 @@ _EXIT_CODES = {
 }
 
 
-def _default_tol() -> float:
-    env = os.environ.get("BIPARSDP_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(env)
-    except ValueError as exc:
-        raise InstanceError(f"BIPARSDP_TOL={env!r} is not a number") from exc
-    check_solver_tol(tol, "BIPARSDP_TOL")
-    return tol
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biparsdp",
@@ -77,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("input", help="instance JSON file")
         p.add_argument("-o", "--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--tol", type=float, default=None,
-                       help="solver tolerance (default 1e-8, or BIPARSDP_TOL)")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="solver tolerance (default 1e-8)")
 
     p = sub.add_parser("certify", help="run the exactness certification pipeline")
     common(p)
@@ -149,18 +136,17 @@ def _load_homogeneous(path) -> tuple[QcqpInstance, bool]:
 
 def _run_certify(args) -> int:
     inst, homogenized = _load_homogeneous(args.input)
-    tol = args.tol if args.tol is not None else _default_tol()
     report = certify(
         inst,
         tol=args.mu_tol,
         y_cap=args.y_cap,
-        solver_tol=tol,
+        solver_tol=args.tol,
         rank_tol=args.rank_tol,
     )
     if homogenized:
         report.notes.insert(0, _HOMOGENIZED_NOTE)
     doc = _report_header({
-        "solver_tol": tol,
+        "solver_tol": args.tol,
         "mu_positivity_tol": args.mu_tol,
         "rank_tol": args.rank_tol,
         "y_cap": args.y_cap,
@@ -209,15 +195,14 @@ def _run_certify(args) -> int:
 
 def _run_solve(args) -> int:
     inst, homogenized = _load_homogeneous(args.input)
-    tol = args.tol if args.tol is not None else _default_tol()
-    res = solve_relaxation(inst, tol=tol, rank_tol=args.rank_tol)
+    res = solve_relaxation(inst, tol=args.tol, rank_tol=args.rank_tol)
     x = res.x_star
     if homogenized and x is not None:
         x = dehomogenize(x)
     # the rank of a failed solve's last iterate means nothing, and rank 0
     # would read as "x* = 0 is optimal"
     optimal = res.status is SolverStatus.OPTIMAL
-    doc = _report_header({"solver_tol": tol, "rank_tol": args.rank_tol})
+    doc = _report_header({"solver_tol": args.tol, "rank_tol": args.rank_tol})
     doc.update({
         "status": res.status.value,
         "primal_value": res.primal_value,

@@ -240,13 +240,9 @@ def load_instance(path) -> QcqpInstance:
 
 
 def _triplets_of(Q: np.ndarray) -> list[list]:
-    out = []
-    n = Q.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            if Q[i, j] != 0.0:
-                out.append([i + 1, j + 1, Q[i, j]])
-    return out
+    """1-based upper-triangle triplets [i, j, Q_ij] of the nonzero entries, row by row."""
+    i, j = np.nonzero(np.triu(Q))
+    return [[a + 1, b + 1, v] for a, b, v in zip(i.tolist(), j.tolist(), Q[i, j].tolist())]
 
 
 def _instance_doc(inst: QcqpInstance) -> dict:

@@ -1,11 +1,13 @@
-"""Semidefinite relaxation of a QCQP: build, solve, extract.
+"""Semidefinite relaxation of a QCQP: solve, read the rank, extract.
 
 Replaces x x^T by a PSD matrix X to get the convex problem
 
     min  <Q0, X>   s.t.  <Qp, X> <= b_p,  X PSD,
 
-a lower bound on the QCQP.  When the optimal X has numerical rank 1 the
-relaxation is exact and the optimizer x* is read off its leading eigenpair.
+a lower bound on the QCQP.  `sdp.solve` solves it on the instance's own
+matrices; `solve_relaxation` reads the numerical rank of the optimal X off
+one eigendecomposition.  At rank 1 the relaxation is exact and the
+optimizer x* is read off the leading eigenpair.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GeneralQcqpInstance, InstanceError, QcqpInstance
-from .sdp import (
-    DEFAULT_TOL,
-    SdpProblem,
-    SolverStatus,
-    dual_slack,
-    solve,
-)
+from .sdp import DEFAULT_TOL, SolverStatus, dual_slack, solve
 
 DEFAULT_RANK_TOL = 1e-6
 
@@ -38,15 +34,6 @@ class RelaxationResult:
     x_star: np.ndarray | None  # populated when numeric_rank <= 1
     gap: float | None  # signed: x*^T Q0 x* - <Q0, X*>
     message: str = ""
-
-
-def build_relaxation(inst: QcqpInstance) -> SdpProblem:
-    """Relaxation data: C = Q0, one linear inequality per constraint."""
-    return SdpProblem(
-        C=inst.objective,
-        A=list(inst.constraint_matrices),
-        b=inst.rhs.copy(),
-    )
 
 
 def check_rank_tol(rank_tol: float) -> None:
@@ -71,7 +58,9 @@ def numerical_rank(X: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def _leading_factor(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """sqrt(lambda_1) * v_1, signed so the first nonzero coordinate is positive."""
+    """sqrt(lambda_1) * v_1 from ascending eigenpairs, signed so that the
+    first nonzero coordinate is positive (the QCQP is homogeneous, so both
+    signs of x are optimizers)."""
     x = np.sqrt(lam[-1]) * V[:, -1]
     nz = np.flatnonzero(np.abs(x) > 1e-12 * np.abs(x).max())
     if len(nz) and x[nz[0]] < 0:
@@ -79,24 +68,11 @@ def _leading_factor(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
     return x
 
 
-def extract_rank1(X: np.ndarray) -> np.ndarray:
-    """Factor a numerically rank-1 PSD matrix as x x^T and return x.
-
-    x = sqrt(lambda_1) * v_1 with the sign fixed so the first nonzero
-    coordinate is positive (the QCQP is homogeneous, so both signs of x
-    are optimizers).
-    """
-    lam, V = np.linalg.eigh(X)
-    if _rank(lam, DEFAULT_RANK_TOL) != 1:
-        raise ValueError("matrix does not have numerical rank 1")
-    return _leading_factor(lam, V)
-
-
 def complementarity_residual(
     inst: QcqpInstance, X: np.ndarray, y: np.ndarray
 ) -> float:
     """||X * S(y)||_F where S(y) = Q0 + sum_p y_p Qp."""
-    S = dual_slack(build_relaxation(inst), y)
+    S = dual_slack(inst, y)
     return float(np.linalg.norm(X @ S, "fro"))
 
 
@@ -116,42 +92,26 @@ def solve_relaxation(
             "instance has linear terms; solve homogenize(instance) instead"
         )
     check_rank_tol(rank_tol)
-    prob = build_relaxation(inst)
-    sol = solve(prob, tol=tol)
-    S = dual_slack(prob, sol.y)
-    if sol.status is not SolverStatus.OPTIMAL:
-        return RelaxationResult(
-            status=sol.status,
-            X_star=sol.X,
-            y_star=sol.y,
-            S_of_y=S,
-            primal_value=sol.primal_obj,
-            dual_value=sol.dual_obj,
-            numeric_rank=0,
-            x_star=None,
-            gap=None,
-            message=sol.message or f"relaxation not solved: {sol.status.value}",
-        )
-    # one eigendecomposition decides the rank, at the caller's rank_tol, and x*
-    lam, V = np.linalg.eigh(sol.X)
-    rank = _rank(lam, rank_tol)
-    x_star = None
-    gap = None
-    if rank == 1:
-        x_star = _leading_factor(lam, V)
-    elif rank == 0:
-        x_star = np.zeros(inst.n)
-    if x_star is not None:
-        gap = float(x_star @ inst.objective @ x_star - sol.primal_obj)
+    status, X, y, message = solve(inst, tol=tol)
+    optimal = status is SolverStatus.OPTIMAL
+    primal = float(inst.objective.ravel() @ X.ravel())
+    rank, x_star, gap = 0, None, None
+    if optimal:
+        # one eigendecomposition decides the rank, at the caller's rank_tol, and x*
+        lam, V = np.linalg.eigh(X)
+        rank = _rank(lam, rank_tol)
+        if rank <= 1:
+            x_star = _leading_factor(lam, V) if rank else np.zeros(inst.n)
+            gap = float(x_star @ inst.objective @ x_star - primal)
     return RelaxationResult(
-        status=sol.status,
-        X_star=sol.X,
-        y_star=sol.y,
-        S_of_y=S,
-        primal_value=sol.primal_obj,
-        dual_value=sol.dual_obj,
+        status=status,
+        X_star=X,
+        y_star=y,
+        S_of_y=dual_slack(inst, y),
+        primal_value=primal,
+        dual_value=-float(inst.rhs @ y),
         numeric_rank=rank,
         x_star=x_star,
         gap=gap,
-        message=sol.message,
+        message=message or ("" if optimal else f"relaxation not solved: {status.value}"),
     )

@@ -17,23 +17,24 @@ every cone vector is kept as a d x d matrix; u and z are packed by svec
 once, on return.  Everything is dense: the target problems have matrix
 dimension well below a hundred.
 
-On top of the engine sit two problem builders: inequality-form SDPs (the
-relaxation), and LMI-form problems, max b.y over {0 <= y <= y_cap,
-F0 + sum_p y_p Fp PSD}, solved as one batch (and the members that fail
-once more as a second).  The LMI form serves the per-edge systems, which
-optimize one entry of the dual slack matrix S(y) = Q0 + sum_p y_p Qp (one
-batch per instance), and the positive-definiteness check, which minimizes
-sum_p y_p subject to sum_p y_p Qp >= I.
-The inequality-form solve ends with a Newton polish of the KKT system,
+On top of the engine sit two problem builders.  The relaxation of a
+QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p}, is solved from the
+instance's own matrices and ends with a Newton polish of the KKT system,
 solved by elimination in the eigenbasis of S(y) so that only the near-null
-block of S(y) stays as explicit unknowns: O(m n^3) per step.
+block of S(y) stays as explicit unknowns: O(m n^3) per step.  LMI-form
+problems, max b.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD}, are solved
+as one batch (and the members that fail once more as a second).  The LMI
+form serves the per-edge systems, which optimize one entry of the dual
+slack matrix S(y) = Q0 + sum_p y_p Qp (one batch per instance), and the
+positive-definiteness check, which minimizes sum_p y_p subject to
+sum_p y_p Qp >= I.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -495,50 +496,22 @@ def _solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# inequality-form SDP
+# the relaxation: min <Q0, X>  s.t.  <Qp, X> <= b_p (p = 1..m),  X PSD
 
-@dataclass
-class SdpProblem:
-    """min <C, X>  s.t.  <A_p, X> <= b_p (p = 1..m),  X PSD."""
-
-    C: np.ndarray
-    A: list[np.ndarray]
-    b: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def m(self) -> int:
-        return len(self.A)
-
-
-@dataclass
-class SdpSolution:
-    status: SolverStatus
-    X: np.ndarray
-    y: np.ndarray
-    slack: np.ndarray
-    primal_obj: float
-    dual_obj: float
-    residuals: tuple[float, float, float]  # primal feas, dual feas, complementarity
-    iterations: int = 0
-    message: str = ""
-
-
-def dual_slack(prob: SdpProblem, y: np.ndarray) -> np.ndarray:
-    S = prob.C.copy()
-    for yp, Ap in zip(y, prob.A):
-        S = S + yp * Ap
+def dual_slack(inst: QcqpInstance, y: np.ndarray) -> np.ndarray:
+    """S(y) = Q0 + sum_p y_p Qp."""
+    S = inst.objective.copy()
+    for yp, Qp in zip(y, inst.constraint_matrices):
+        S = S + yp * Qp
     return S
 
 
-def _kkt_residuals(prob: SdpProblem, X, y, s) -> tuple[float, float, float]:
-    """(primal feas, dual feas, ||X S||_F) for an inequality-form iterate."""
-    S = dual_slack(prob, y)
-    pfeas = max(0.0, float(np.max([Ap.ravel() @ X.ravel() - bp
-                                   for Ap, bp in zip(prob.A, prob.b)], initial=0.0)))
+def _kkt_residuals(inst: QcqpInstance, X, y) -> tuple[float, float, float]:
+    """(primal feas, dual feas, ||X S||_F) for a relaxation iterate."""
+    S = dual_slack(inst, y)
+    pfeas = max(0.0, float(np.max([Qp.ravel() @ X.ravel() - bp
+                                   for Qp, bp in zip(inst.constraint_matrices, inst.rhs)],
+                                  initial=0.0)))
     pfeas = max(pfeas, -float(np.linalg.eigvalsh(X)[0]))
     dfeas = max(0.0, -float(np.linalg.eigvalsh(S)[0]), -float(np.min(y, initial=0.0)))
     compl = float(np.linalg.norm(X @ S, "fro"))
@@ -551,7 +524,7 @@ def _kkt_residuals(prob: SdpProblem, X, y, s) -> tuple[float, float, float]:
 _NULL_BLOCK_REL = 1e-3
 
 
-def _kkt_refine(prob: SdpProblem, X, y, s, steps: int = 3):
+def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = 3):
     """Newton iterations on the optimality system at mu = 0.
 
     The interior-point engine exits with iterates accurate in objective but
@@ -574,12 +547,12 @@ def _kkt_refine(prob: SdpProblem, X, y, s, steps: int = 3):
     a step costs O(m n^3).  With N covering every index the reduced system
     is the full Jacobian in rotated coordinates.
     """
-    m = prob.m
-    A = np.array(prob.A, dtype=float).reshape(m, prob.n, prob.n)
+    m = inst.m
+    A = np.array(inst.constraint_matrices, dtype=float).reshape(m, inst.n, inst.n)
     A_norms = np.linalg.norm(A.reshape(m, -1), axis=1)
-    C_norm = np.linalg.norm(prob.C)
+    C_norm = np.linalg.norm(inst.objective)
     for _ in range(steps):
-        S = dual_slack(prob, y)
+        S = dual_slack(inst, y)
         sig, U = np.linalg.eigh(S)
         Xt = U.T @ X @ U
         At = U.T @ A @ U
@@ -604,7 +577,7 @@ def _kkt_refine(prob: SdpProblem, X, y, s, steps: int = 3):
             M[2 * m :, kv + p] = svec(Gt[p, :k, :k])
         M[:m, kv : kv + m] = -At_flat @ WG.T
         M[:m, kv + m :] = np.eye(m)
-        rhs[:m] = prob.b - At_flat @ Xt.ravel() - s - At_flat @ WR
+        rhs[:m] = inst.rhs - At_flat @ Xt.ravel() - s - At_flat @ WR
         M[m : 2 * m, kv : kv + m] = np.diag(s)
         M[m : 2 * m, kv + m :] = np.diag(y)
         rhs[m : 2 * m] = -y * s
@@ -622,6 +595,13 @@ def _kkt_refine(prob: SdpProblem, X, y, s, steps: int = 3):
     return X, y, s
 
 
+def check_positive_finite(value: float, name: str) -> None:
+    """Raise ValueError unless 0 < value < inf: NaN passes a `<= 0` guard,
+    and inf makes data non-finite or a box test vacuous."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def check_solver_tol(tol: float, name: str = "tol") -> None:
     """Raise ValueError unless tol lies in (0, 1e-4], the range of targets
     the engine can meet and still call its result solved."""
@@ -629,38 +609,30 @@ def check_solver_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must lie in (0, 1e-4], got {tol!r}")
 
 
-def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = 100) -> SdpSolution:
-    """Solve an inequality-form SDP; tol sets both feasibility and gap targets."""
+def solve(
+    inst: QcqpInstance, tol: float = DEFAULT_TOL
+) -> tuple[SolverStatus, np.ndarray, np.ndarray, str]:
+    """(status, X, y, message) of the relaxation of `inst`, solved to tol.
+
+    tol sets both feasibility and gap targets.  An Optimal engine iterate is
+    polished by `_kkt_refine`, and the polished point replaces it when its
+    KKT residuals are smaller.
+    """
     check_solver_tol(tol)
-    n, m = prob.n, prob.m
-    nvec = m + n * (n + 1) // 2
-    c = np.concatenate([np.zeros(m), svec(prob.C)])
-    A = np.zeros((m, nvec))
-    for p, Ap in enumerate(prob.A):
+    n, m = inst.n, inst.m
+    c = np.concatenate([np.zeros(m), svec(inst.objective)])
+    A = np.zeros((m, m + n * (n + 1) // 2))
+    for p, Qp in enumerate(inst.constraint_matrices):
         A[p, p] = 1.0
-        A[p, m:] = svec(Ap)
-    res = solve_standard_form(c, A, prob.b, l=m, d=n,
-                              feas_tol=tol, gap_tol=tol, max_iter=max_iter)
-    slack = res.u[:m]
+        A[p, m:] = svec(Qp)
+    res = solve_standard_form(c, A, inst.rhs, l=m, d=n, feas_tol=tol, gap_tol=tol)
     X = smat(res.u[m:], n)
     y = -res.v
-    residuals = _kkt_residuals(prob, X, y, slack)
     if res.status is SolverStatus.OPTIMAL:
-        Xr, yr, sr = _kkt_refine(prob, X, y, slack)
-        refined = _kkt_residuals(prob, Xr, yr, sr)
-        if max(refined) < max(residuals):
-            X, y, slack, residuals = Xr, yr, sr, refined
-    return SdpSolution(
-        status=res.status,
-        X=X,
-        y=y,
-        slack=slack,
-        primal_obj=float(prob.C.ravel() @ X.ravel()),
-        dual_obj=-float(prob.b @ y),
-        residuals=residuals,
-        iterations=res.iterations,
-        message=res.message,
-    )
+        Xr, yr, _ = _kkt_refine(inst, X, y, res.u[:m])
+        if max(_kkt_residuals(inst, Xr, yr)) < max(_kkt_residuals(inst, X, y)):
+            X, y = Xr, yr
+    return res.status, X, y, res.message
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +727,7 @@ def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> list[tuple[float, np
     RuntimeError (naming `what`) for any other failure; `lmi` names
     F0 + sum_p y_p Fp in the DualSideEmpty message.
     """
-    if y_cap <= 0:
-        raise ValueError("y_cap must be positive")
+    check_positive_finite(y_cap, "y_cap")
     n, m = F0.shape[0], len(Fs)
 
     def run(price: float, rows: list[int]) -> list[ConicSolution]:

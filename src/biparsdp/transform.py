@@ -25,6 +25,7 @@ from .certify import certify
 from .graph import Edge, SparsityGraph, build_graph, connected_components, edge_signs
 from .model import InstanceError, QcqpInstance
 from .relaxation import solve_relaxation
+from .sdp import check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,6 @@ class PerturbedInstance:
     F: frozenset[Edge]  # connecting edges (empty for the full-graph variant)
 
 
-def _check_positive_finite(value: float, name: str) -> None:
-    """NaN passes a `<= 0` guard, and inf makes the transformed data non-finite."""
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def sign_split_transform(inst: QcqpInstance, delta: float = 1.0) -> TransformResult:
     """Split each Qp by entry sign into the doubled-variable form.
 
@@ -66,7 +61,7 @@ def sign_split_transform(inst: QcqpInstance, delta: float = 1.0) -> TransformRes
     entries in both the plus and minus blocks and the doubled graph would
     pick up an odd triangle, defeating the purpose.
     """
-    _check_positive_finite(delta, "delta")
+    check_positive_finite(delta, "delta")
     graph = build_graph(inst)
     signs = edge_signs(inst, graph)
     for edge, sigma in sorted(signs.items()):
@@ -146,7 +141,7 @@ def build_connecting_perturbation(inst: QcqpInstance, epsilon: float) -> Perturb
     perturbed sparsity graph is connected; joining bipartite components by
     a path keeps the union bipartite.
     """
-    _check_positive_finite(epsilon, "epsilon")
+    check_positive_finite(epsilon, "epsilon")
     graph = build_graph(inst)
     comps = connected_components(graph)
     if len(comps) < 2:
@@ -162,7 +157,7 @@ def build_full_graph_perturbation(inst: QcqpInstance, epsilon: float) -> Perturb
     Every existing edge entry of the objective moves by +eps while the
     sparsity pattern is unchanged.
     """
-    _check_positive_finite(epsilon, "epsilon")
+    check_positive_finite(epsilon, "epsilon")
     graph = build_graph(inst)
     if not graph.edges:
         raise InstanceError("no edges to perturb")
@@ -187,7 +182,7 @@ def epsilon_sweep_validation(
     """
     eps_sequence = [float(e) for e in eps_sequence]
     for eps in eps_sequence:
-        _check_positive_finite(eps, "eps_sequence entry")
+        check_positive_finite(eps, "eps_sequence entry")
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps_sequence must be strictly decreasing")
     build = (

@@ -493,14 +493,19 @@ def test_pipeline_never_runs_sign_split(monkeypatch):
     assert certify(_triangle_instance((1.0, 1.0, 1.0))).verdict is Verdict.INEXACT_OBSERVED
 
 
-@pytest.mark.parametrize("bad", [{"tol": -1e3}, {"tol": 0.0}, {"y_cap": 0.0}])
+@pytest.mark.parametrize(
+    "bad", [{"tol": -1e3}, {"tol": 0.0}, {"y_cap": 0.0}, {"tol": np.inf}, {"y_cap": np.inf}]
+)
 def test_nonpositive_tolerances_rejected(cycle4, bad):
     """tol <= 0 would accept mu* <= 0 and t* <= 0 as proofs; y_cap <= 0 is an
-    empty box.  Every entry point refuses them before any solve."""
+    empty box.  tol = inf leaves the assumption check an empty box, and
+    y_cap = inf counts every minimum as attained.  Every entry point refuses
+    them before any solve, and the error names the parameter."""
+    (name,) = bad
     for rule in (certify, certify_bipartite, certify_forest):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             rule(cycle4, **bad)
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
         check_edge_system_nonpositive(cycle4, 0, 1, **bad)
 
 

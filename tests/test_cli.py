@@ -174,8 +174,8 @@ def test_solve_failure_reports_no_rank(capsys):
 
 
 _RANGE_ERRORS = {
-    "--mu-tol": "must be positive",
-    "--y-cap": "must be positive",
+    "--mu-tol": "tol must be positive and finite",
+    "--y-cap": "y_cap must be positive and finite",
     "--rank-tol": "rank_tol must lie in (0, 1)",
 }
 
@@ -184,7 +184,7 @@ _RANGE_ERRORS = {
     "flag",
     [["--mu-tol", "-1"], ["--mu-tol", "0"], ["--y-cap", "0"],
      ["--rank-tol", "2"], ["--rank-tol", "0"], ["solve", "--rank-tol", "0"],
-     ["solve", "--rank-tol", "1"]],
+     ["solve", "--rank-tol", "1"], ["--mu-tol", "inf"], ["--y-cap", "inf"]],
 )
 def test_certify_rejects_nonpositive_tolerances(capsys, cycle4_path, flag):
     """A tolerance outside its range exits 1 with an error line before any
@@ -307,23 +307,11 @@ def test_output_file_and_determinism(capsys, tmp_path, cycle4_path):
     assert d1 == d2
 
 
-def test_env_tolerance_reflected(capsys, small_path, monkeypatch):
-    monkeypatch.setenv("BIPARSDP_TOL", "1e-7")
+def test_tol_reflected(capsys, small_path):
+    """--tol defaults to 1e-8, and the report names the tolerance it ran at."""
     code, out, _ = _run(capsys, ["solve", small_path])
     assert code == 0
-    assert json.loads(out)["tolerances"]["solver_tol"] == 1e-7
-
-    monkeypatch.setenv("BIPARSDP_TOL", "not-a-number")
-    code, _, err = _run(capsys, ["solve", small_path])
-    assert code == 1 and "BIPARSDP_TOL" in err
-
-    monkeypatch.setenv("BIPARSDP_TOL", "0.5")
-    code, _, err = _run(capsys, ["solve", small_path])
-    assert code == 1 and "BIPARSDP_TOL" in err
-
-
-def test_explicit_tol_overrides_env(capsys, small_path, monkeypatch):
-    monkeypatch.setenv("BIPARSDP_TOL", "1e-7")
+    assert json.loads(out)["tolerances"]["solver_tol"] == 1e-8
     code, out, _ = _run(capsys, ["solve", small_path, "--tol", "1e-6"])
     assert code == 0
     assert json.loads(out)["tolerances"]["solver_tol"] == 1e-6

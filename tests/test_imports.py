@@ -1,17 +1,21 @@
 """numpy is the only runtime dependency: importing biparsdp loads nothing
-else; and every function the benchmark's tracer wraps exists."""
+else; every function the benchmark's tracer wraps exists; and the public
+names, in `__all__` and in the README, exist."""
 
 import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import biparsdp
 
 SRC = str(pathlib.Path(biparsdp.__file__).resolve().parent.parent)
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+README = ROOT / "README.md"
 
 _NEW_TOP_LEVEL = """
 import sys
@@ -54,3 +58,17 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(f"biparsdp.{module}"), func, None))
     ]
     assert missing == []
+
+
+def test_public_names_resolve():
+    """Every name in `biparsdp.__all__` exists, and every function the
+    README's "Library" section names (imported in its example, or quoted as
+    `name` or `name(...)`) is in `__all__`, so that a deleted export cannot
+    stay documented."""
+    assert [name for name in biparsdp.__all__ if not hasattr(biparsdp, name)] == []
+    library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (imported,) = re.findall(r"^from biparsdp import (.+)$", library, flags=re.M)
+    named = {name.strip() for name in imported.split(",")}
+    named |= set(re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", library))
+    assert len(named) > 10
+    assert sorted(named - set(biparsdp.__all__)) == []

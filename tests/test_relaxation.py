@@ -1,4 +1,4 @@
-"""Tests for building and solving the relaxation and extracting optimizers."""
+"""Tests for solving the relaxation and extracting optimizers."""
 
 import importlib
 
@@ -8,23 +8,15 @@ import pytest
 from biparsdp import (
     QcqpInstance,
     Verdict,
-    build_relaxation,
     certify,
     complementarity_residual,
     evaluate_quadratic,
-    extract_rank1,
     numerical_rank,
     solve_relaxation,
 )
+from biparsdp.relaxation import _leading_factor
 
 from conftest import CYCLE4_XMAT, CYCLE4_XSTAR, SMALL_XSTAR, max_sign_error
-
-
-def test_build_relaxation_shapes(cycle4):
-    prob = build_relaxation(cycle4)
-    assert np.array_equal(prob.C, cycle4.objective)
-    assert len(prob.A) == 2
-    assert np.array_equal(prob.b, cycle4.rhs)
 
 
 def test_numerical_rank():
@@ -39,24 +31,24 @@ def test_numerical_rank():
     assert numerical_rank(np.diag([1.0, 1e-8]), rank_tol=1e-6) == 1
 
 
-def test_extract_rank1_round_trip():
+def test_leading_factor_round_trip():
     """x -> x x^T -> x reproduces the vector up to sign, tightly."""
     rng = np.random.default_rng(17)
     for _ in range(25):
         n = int(rng.integers(1, 8))
         x = rng.standard_normal(n)
-        got = extract_rank1(np.outer(x, x))
+        X = np.outer(x, x)
+        assert numerical_rank(X) == 1
+        got = _leading_factor(*np.linalg.eigh(X))
         assert max_sign_error(got, x) < 1e-10
 
 
-def test_extract_rank1_sign_convention():
-    x = extract_rank1(np.outer([-2.0, 1.0], [-2.0, 1.0]))
+def test_leading_factor_sign_convention():
+    x = _leading_factor(*np.linalg.eigh(np.outer([-2.0, 1.0], [-2.0, 1.0])))
     assert x[0] > 0  # first nonzero coordinate is positive
-
-
-def test_extract_rank1_rejects_higher_rank():
-    with pytest.raises(ValueError, match="rank 1"):
-        extract_rank1(np.eye(2))
+    # a leading zero coordinate passes the sign to the next one
+    x = _leading_factor(*np.linalg.eigh(np.outer([0.0, -3.0, 1.0], [0.0, -3.0, 1.0])))
+    assert abs(x[0]) < 1e-12 and x[1] > 0
 
 
 def test_rank_tol_decides_extraction():

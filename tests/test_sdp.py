@@ -6,7 +6,6 @@ import pytest
 from biparsdp import (
     DualSideEmpty,
     QcqpInstance,
-    SdpProblem,
     SolverStatus,
     Verdict,
     certify,
@@ -22,6 +21,7 @@ from biparsdp.transform import build_connecting_perturbation
 from biparsdp.sdp import (
     _flat,
     _kkt_refine,
+    _kkt_residuals,
     _NTScaling,
     _solve_batch,
     _stacked,
@@ -193,20 +193,18 @@ def test_standard_form_needs_psd_block():
 
 def test_trivial_minimum_zero():
     """min <I, X> s.t. trace X <= 5 is 0 at X = O."""
-    prob = SdpProblem(C=np.eye(3), A=[np.eye(3)], b=np.array([5.0]))
-    sol = solve(prob)
-    assert sol.status is SolverStatus.OPTIMAL
-    assert abs(sol.primal_obj) < 1e-7
-    assert np.linalg.norm(sol.X) < 1e-6
+    res = solve_relaxation(QcqpInstance(np.eye(3), (np.eye(3),), np.array([5.0])))
+    assert res.status is SolverStatus.OPTIMAL
+    assert abs(res.primal_value) < 1e-7
+    assert np.linalg.norm(res.X_star) < 1e-6
 
 
 def test_trace_bound_active():
     """min <-I, X> s.t. trace X <= 3 is -3 with the bound tight."""
-    prob = SdpProblem(C=-np.eye(2), A=[np.eye(2)], b=np.array([3.0]))
-    sol = solve(prob)
-    assert sol.status is SolverStatus.OPTIMAL
-    assert abs(sol.primal_obj + 3.0) < 1e-7
-    assert abs(np.trace(sol.X) - 3.0) < 1e-7
+    res = solve_relaxation(QcqpInstance(-np.eye(2), (np.eye(2),), np.array([3.0])))
+    assert res.status is SolverStatus.OPTIMAL
+    assert abs(res.primal_value + 3.0) < 1e-7
+    assert abs(np.trace(res.X_star) - 3.0) < 1e-7
 
 
 def test_scalar_family_against_closed_form():
@@ -215,28 +213,24 @@ def test_scalar_family_against_closed_form():
     for _ in range(20):
         c = float(rng.uniform(-2, 2))
         u = float(rng.uniform(0.5, 4))
-        prob = SdpProblem(
-            C=np.array([[c]]), A=[np.array([[1.0]])], b=np.array([u])
-        )
-        sol = solve(prob)
-        assert sol.status is SolverStatus.OPTIMAL
-        assert abs(sol.primal_obj - min(0.0, c * u)) < 1e-6 * (1 + abs(c * u))
+        inst = QcqpInstance(np.array([[c]]), (np.array([[1.0]]),), np.array([u]))
+        res = solve_relaxation(inst)
+        assert res.status is SolverStatus.OPTIMAL
+        assert abs(res.primal_value - min(0.0, c * u)) < 1e-6 * (1 + abs(c * u))
 
 
 def test_primal_infeasible_detected():
     """trace X <= -1 with X PSD has no solution."""
-    prob = SdpProblem(C=np.eye(2), A=[np.eye(2)], b=np.array([-1.0]))
-    sol = solve(prob)
-    assert sol.status is SolverStatus.PRIMAL_INFEASIBLE
+    res = solve_relaxation(QcqpInstance(np.eye(2), (np.eye(2),), np.array([-1.0])))
+    assert res.status is SolverStatus.PRIMAL_INFEASIBLE
 
 
 def test_unbounded_detected():
     """min <diag(1, -1), X> with only x11 bounded is unbounded below."""
     e11 = np.zeros((2, 2))
     e11[0, 0] = 1.0
-    prob = SdpProblem(C=np.diag([1.0, -1.0]), A=[e11], b=np.array([1.0]))
-    sol = solve(prob)
-    assert sol.status is SolverStatus.DUAL_INFEASIBLE
+    res = solve_relaxation(QcqpInstance(np.diag([1.0, -1.0]), (e11,), np.array([1.0])))
+    assert res.status is SolverStatus.DUAL_INFEASIBLE
 
 
 def test_weak_duality_and_kkt_invariants():
@@ -255,15 +249,16 @@ def test_weak_duality_and_kkt_invariants():
             # PSD + identity keeps the feasible set bounded and the problem solvable
             A.append(G @ G.T + np.eye(n))
         b = rng.uniform(0.5, 3.0, size=m)
-        sol = solve(SdpProblem(C=C, A=A, b=b), tol=tol)
-        assert sol.status is SolverStatus.OPTIMAL
-        pfeas, dfeas, compl = sol.residuals
+        inst = QcqpInstance(C, tuple(A), b)
+        res = solve_relaxation(inst, tol=tol)
+        assert res.status is SolverStatus.OPTIMAL
+        pfeas, dfeas, compl = _kkt_residuals(inst, res.X_star, res.y_star)
         assert pfeas < 1e-7
         assert dfeas < 1e-7
         assert compl <= 10 * tol * n
         # weak duality with room for the feasibility error
-        assert sol.dual_obj <= sol.primal_obj + 1e-6
-        assert np.all(sol.y >= -1e-9)
+        assert res.dual_value <= res.primal_value + 1e-6
+        assert np.all(res.y_star >= -1e-9)
         solved += 1
     assert solved == 40
 
@@ -271,32 +266,28 @@ def test_weak_duality_and_kkt_invariants():
 def test_bundled_instances_reach_machine_complementarity(small, cycle4):
     """The terminal refinement drives ||X S|| far below the solver tolerance."""
     for inst in (small, cycle4):
-        prob = SdpProblem(
-            C=inst.objective,
-            A=list(inst.constraint_matrices),
-            b=inst.rhs.copy(),
-        )
-        sol = solve(prob)
-        assert sol.status is SolverStatus.OPTIMAL
-        assert sol.residuals[2] < 1e-10
+        res = solve_relaxation(inst)
+        assert res.status is SolverStatus.OPTIMAL
+        assert _kkt_residuals(inst, res.X_star, res.y_star)[2] < 1e-10
 
 
-def _dense_kkt_step(prob, X, y, s):
+def _dense_kkt_step(inst, X, y, s):
     """Reference Newton step: the full Jacobian in svec coordinates, by lstsq.
 
     One column per basis matrix E_k of the symmetric space, so the system
     has n(n+1)/2 + 2m unknowns; the polish must reproduce its step.
     """
-    n, m = prob.n, prob.m
+    n, m = inst.n, inst.m
+    A, b = inst.constraint_matrices, inst.rhs
     nv = n * (n + 1) // 2
     basis = np.eye(nv)
-    S = dual_slack(prob, y)
+    S = dual_slack(inst, y)
     M = np.zeros((2 * m + nv, nv + 2 * m))
     rhs = np.zeros(2 * m + nv)
     for p in range(m):
-        M[p, :nv] = svec(prob.A[p])
+        M[p, :nv] = svec(A[p])
         M[p, nv + m + p] = 1.0
-        rhs[p] = prob.b[p] - prob.A[p].ravel() @ X.ravel() - s[p]
+        rhs[p] = b[p] - A[p].ravel() @ X.ravel() - s[p]
         M[m + p, nv + p] = s[p]
         M[m + p, nv + m + p] = y[p]
         rhs[m + p] = -y[p] * s[p]
@@ -304,8 +295,7 @@ def _dense_kkt_step(prob, X, y, s):
         Ek = smat(basis[k], n)
         M[2 * m :, k] = svec(Ek @ S + S @ Ek)
     for p in range(m):
-        Ap = prob.A[p]
-        M[2 * m :, nv + p] = svec(X @ Ap + Ap @ X)
+        M[2 * m :, nv + p] = svec(X @ A[p] + A[p] @ X)
     rhs[2 * m :] = svec(-(X @ S + S @ X))
     step, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     return X + smat(step[:nv], n), y + step[nv : nv + m], s + step[nv + m :]
@@ -323,6 +313,7 @@ def _planted_sdp(rng, n, rank, active, inactive):
     Q, _ = np.linalg.qr(np.hstack([V, rng.standard_normal((n, n - rank))]))
     Z = Q[:, rank:]
     S = Z @ np.diag(rng.uniform(1.0, 3.0, n - rank)) @ Z.T
+    S = 0.5 * (S + S.T)  # an instance's matrices must be exactly symmetric
     A = []
     for _ in range(m):
         G = rng.standard_normal((n, n))
@@ -332,7 +323,7 @@ def _planted_sdp(rng, n, rank, active, inactive):
     X = V @ V.T
     b = np.array([np.sum(Ap * X) for Ap in A]) + s
     C = S - sum(yp * Ap for yp, Ap in zip(y, A))
-    return SdpProblem(C=C, A=A, b=b), X, y, s
+    return QcqpInstance(C, tuple(A), b), X, y, s
 
 
 @pytest.mark.parametrize("n, rank, active, inactive", [
@@ -345,11 +336,11 @@ def test_polish_step_matches_dense_jacobian(monkeypatch, n, rank, active, inacti
     perturbed optimum, and solves a system of size rank(rank+1)/2 + 2m."""
     rng = np.random.default_rng(100 + n)
     for _ in range(5):
-        prob, X, y, s = _planted_sdp(rng, n, rank, active, inactive)
+        inst, X, y, s = _planted_sdp(rng, n, rank, active, inactive)
         E = rng.standard_normal((n, n))
         X0 = X + 1e-3 * (E + E.T)
-        y0 = y + 1e-3 * rng.standard_normal(prob.m)
-        s0 = s + 1e-3 * rng.standard_normal(prob.m)
+        y0 = y + 1e-3 * rng.standard_normal(inst.m)
+        s0 = s + 1e-3 * rng.standard_normal(inst.m)
 
         sizes = []
         lstsq = np.linalg.lstsq
@@ -359,19 +350,19 @@ def test_polish_step_matches_dense_jacobian(monkeypatch, n, rank, active, inacti
             return lstsq(M, rhs, rcond=rcond)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        X1, y1, s1 = _kkt_refine(prob, X0, y0, s0, steps=1)
+        X1, y1, s1 = _kkt_refine(inst, X0, y0, s0, steps=1)
         monkeypatch.undo()
-        kv = rank * (rank + 1) // 2 + 2 * prob.m
+        kv = rank * (rank + 1) // 2 + 2 * inst.m
         assert sizes == [(kv, kv)]
 
-        Xd, yd, sd = _dense_kkt_step(prob, X0, y0, s0)
+        Xd, yd, sd = _dense_kkt_step(inst, X0, y0, s0)
         assert np.max(np.abs(X1 - Xd)) < 1e-9
         assert np.max(np.abs(y1 - yd)) < 1e-9
         assert np.max(np.abs(s1 - sd)) < 1e-9
 
         # further steps converge to the planted optimum
-        X4, y4, s4 = _kkt_refine(prob, X1, y1, s1, steps=3)
-        assert np.linalg.norm(X4 @ dual_slack(prob, y4)) < 1e-10
+        X4, y4, s4 = _kkt_refine(inst, X1, y1, s1, steps=3)
+        assert np.linalg.norm(X4 @ dual_slack(inst, y4)) < 1e-10
         assert np.max(np.abs(X4 - X)) < 1e-8
         assert np.max(np.abs(y4 - y)) < 1e-8
         assert np.max(np.abs(s4 - s)) < 1e-8
@@ -423,11 +414,11 @@ def test_polish_reaches_rank1_at_n40():
 
 
 def test_tol_validation():
-    prob = SdpProblem(C=np.eye(1), A=[np.eye(1)], b=np.array([1.0]))
+    inst = QcqpInstance(np.eye(1), (np.eye(1),), np.array([1.0]))
     with pytest.raises(ValueError):
-        solve(prob, tol=0.0)
+        solve(inst, tol=0.0)
     with pytest.raises(ValueError):
-        solve(prob, tol=1e-3)
+        solve(inst, tol=1e-3)
 
 
 def _engine_runs(monkeypatch):
@@ -724,9 +715,9 @@ def test_against_cvxpy_if_available():
             G = rng.standard_normal((n, n))
             A.append(G @ G.T + np.eye(n))
         b = rng.uniform(0.5, 3.0, size=m)
-        sol = solve(SdpProblem(C=C, A=A, b=b))
+        res = solve_relaxation(QcqpInstance(C, tuple(A), b))
         X = cp.Variable((n, n), PSD=True)
         cons = [cp.trace(Ap @ X) <= bp for Ap, bp in zip(A, b)]
         cvx = cp.Problem(cp.Minimize(cp.trace(C @ X)), cons)
         cvx.solve()
-        assert abs(sol.primal_obj - cvx.value) < 1e-5 * (1 + abs(cvx.value))
+        assert abs(res.primal_value - cvx.value) < 1e-5 * (1 + abs(cvx.value))

@@ -16,7 +16,6 @@ from .certify import (
     certify_forest,
     certify_sign_corollaries,
     certify_sojoudi,
-    check_edge_system_nonpositive,
 )
 from .graph import (
     BipartitionResult,
@@ -41,7 +40,6 @@ from .model import (
 )
 from .relaxation import (
     RelaxationResult,
-    complementarity_residual,
     numerical_rank,
     solve_relaxation,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "certify_forest",
     "certify_sign_corollaries",
     "certify_sojoudi",
-    "check_edge_system_nonpositive",
-    "complementarity_residual",
     "connected_components",
     "cycle_basis",
     "dehomogenize",

@@ -22,9 +22,10 @@ The sign rules are primal (x_i = s_i sqrt(X_ii) for a feasible X).  The
 edge systems need the relaxation and its dual to behave (attained optima,
 bounded solution sets), which the data cannot decide in general; so the
 pipeline checks that some nonnegative combination of the constraint
-matrices is positive definite, and refuses to certify when it cannot.  One
-eigenvalue of a single constraint matrix, or of their mean, usually proves
-it; an SDP finds the combination only when those fail.
+matrices is positive definite, and refuses to certify when it cannot.  Every
+candidate combination is judged by one rule, a certified lower bound on its
+smallest eigenvalue.  A single constraint matrix, or their mean, usually
+passes; an SDP proposes a combination only when those fail.
 
 `certify` runs the rules from cheapest to most expensive and stops at the
 first one that fires; everything evaluated along the way is kept in the
@@ -50,7 +51,7 @@ from .graph import (
     cycle_basis,
     edge_signs,
 )
-from .model import GeneralQcqpInstance, InstanceError, QcqpInstance
+from .model import QcqpInstance, check_homogeneous
 from .relaxation import DEFAULT_RANK_TOL, check_rank_tol, solve_relaxation
 from .sdp import (
     DEFAULT_TOL,
@@ -58,7 +59,6 @@ from .sdp import (
     check_positive_finite,
     check_solver_tol,
     max_min_eigen_combination,
-    minimize_linear_functional_over_dual_cone,
     optimize_linear_functionals_over_dual_cone,
 )
 
@@ -88,9 +88,9 @@ class EdgeSystemResult:
 class AssumptionCheck:
     """Whether some y >= 0, sum y_p = 1 has sum y_p Qp >= t*I with t* > tol.
 
-    t_star is a certified lower bound on t* when a cheap candidate proved
-    the assumption, the maximum t* (to the solver tolerance) when the SDP
-    decided it, and None when the SDP found t* <= tol.
+    t_star is set exactly when the assumption holds: it is then a certified
+    lower bound on t*, the smallest eigenvalue of the proving combination
+    less its rounding margin.  Otherwise t_star is None.
     """
 
     t_star: float | None
@@ -129,45 +129,38 @@ def _cheap_candidates(mats):
     yield sum(mats) / len(mats), sum(map(np.abs, mats)) / len(mats)
 
 
+def _candidates(inst: QcqpInstance, tol: float, solver_tol: float):
+    """The cheap candidates, then y = y_bar / sum y_bar from the assumption
+    SDP, which is solved only when every cheap candidate has failed.  Its box
+    y <= 1/tol holds y_bar, with sum y_bar_p Qp >= I, whenever t* > tol."""
+    mats = inst.constraint_matrices
+    yield from _cheap_candidates(mats)
+    _, y_bar = max_min_eigen_combination(inst, y_cap=1.0 / tol, tol=solver_tol)
+    y = y_bar / y_bar.sum()
+    yield sum(yp * Q for yp, Q in zip(y, mats)), sum(yp * np.abs(Q) for yp, Q in zip(y, mats))
+
+
 def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> AssumptionCheck:
     """Sufficient condition: some y >= 0, sum y_p = 1 has sum y_p Qp >= t*I, t* > tol.
 
-    Cheap candidates come first: each Qp alone, then the uniform mix.  The
-    smallest eigenvalue of one, less the rounding margin, is a lower bound
-    on t*; the first that exceeds tol proves the assumption and is reported
-    as t_star, and no SDP runs.  Only when every candidate fails is t*
-    solved for: the solve's box y <= 1/tol makes t* exact whenever it
-    exceeds tol; an empty box means t* <= tol (t_star None).  A t* above
-    tol is checked without the IPM: sum y_bar_p Qp >= I, so
-    sum y_bar_p Qp - I/2 must have a finite Cholesky factor, which proves
-    the combination positive definite up to rounding far below the margin
-    of 1/2.
+    Every candidate y (each e_p, the uniform mix, then the SDP's) faces the
+    same test: the smallest eigenvalue of sum y_p Qp, less the rounding
+    margin, is a lower bound on t*, and the first bound above tol proves the
+    assumption and is reported as t_star.  The SDP only proposes its y; its
+    own value of t* proves nothing.
     """
     scale = _EIGVALSH_MARGIN * (inst.n + inst.m)
-    for S, magnitude in _cheap_candidates(inst.constraint_matrices):
-        bound = np.linalg.eigvalsh(S)[0] - scale * magnitude.sum(axis=1).max()
-        if bound > tol:
-            return AssumptionCheck(float(bound), True)
     try:
-        t_star, y_bar = max_min_eigen_combination(inst, y_cap=1.0 / tol, tol=solver_tol)
+        for S, magnitude in _candidates(inst, tol, solver_tol):
+            bound = np.linalg.eigvalsh(S)[0] - scale * magnitude.sum(axis=1).max()
+            if bound > tol:
+                return AssumptionCheck(float(bound), True)
     except DualSideEmpty:
-        t_star = None
+        pass
     except RuntimeError as exc:
         return AssumptionCheck(None, False, f"assumption check failed to solve: {exc}")
-    if t_star is not None and t_star > tol:
-        S = sum(yp * Qp for yp, Qp in zip(y_bar, inst.constraint_matrices))
-        try:
-            if np.isfinite(np.linalg.cholesky(S - 0.5 * np.eye(inst.n))).all():
-                return AssumptionCheck(t_star, True)
-        except np.linalg.LinAlgError:
-            pass
-        return AssumptionCheck(
-            t_star, False,
-            f"assumption unverified: the solver's combination (t* = {t_star:.3g}) "
-            "fails the Cholesky check of sum y_bar_p Qp - I/2",
-        )
     return AssumptionCheck(
-        t_star, False,
+        None, False,
         "assumption unverified: no strictly positive-definite nonnegative "
         "combination of constraint matrices found",
     )
@@ -198,10 +191,7 @@ class _Structure:
         y_cap: float = DEFAULT_Y_CAP,
         solver_tol: float = DEFAULT_TOL,
     ):
-        if isinstance(inst, GeneralQcqpInstance):
-            raise InstanceError(
-                "instance has linear terms; certify homogenize(instance) instead"
-            )
+        check_homogeneous(inst, "certify")
         _check_tolerances(tol, y_cap, solver_tol)
         self.inst = inst
         self.tol, self.y_cap, self.solver_tol = tol, y_cap, solver_tol
@@ -232,29 +222,6 @@ class _Structure:
 def _refutes(mu: float, attained: bool, tol: float) -> bool:
     """An edge system is infeasible when its attained minimum clears tol."""
     return bool(mu > tol and attained)
-
-
-def check_edge_system_nonpositive(
-    inst: QcqpInstance,
-    k: int,
-    ell: int,
-    tol: float = MU_POSITIVITY_TOL,
-    y_cap: float = DEFAULT_Y_CAP,
-    solver_tol: float = DEFAULT_TOL,
-) -> tuple[bool, float, bool]:
-    """Decide whether {y >= 0, S(y) PSD, S(y)_{k,ell} <= 0} is infeasible.
-
-    Returns (infeasible, mu_star, attained) with mu_star the minimum of
-    S(y)_{k,ell} over the dual feasible set (boxed by y <= y_cap).  The
-    system is declared infeasible only when mu_star > tol and the minimum
-    was attained inside the box; otherwise the answer is a conservative
-    False.  k and ell are 0-based.
-    """
-    _check_tolerances(tol, y_cap, solver_tol)
-    mu, attained, _ = minimize_linear_functional_over_dual_cone(
-        inst, k, ell, y_cap=y_cap, tol=solver_tol
-    )
-    return _refutes(mu, attained, tol), mu, attained
 
 
 def _edge_systems(st: _Structure, want_max: bool) -> CertificationReport:

@@ -64,20 +64,22 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("input", help="instance JSON file")
         p.add_argument("-o", "--output", help="write the JSON report here instead of stdout")
+
+    def solver(p):
+        common(p)
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="solver tolerance (default 1e-8)")
+        p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
 
     p = sub.add_parser("certify", help="run the exactness certification pipeline")
-    common(p)
-    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+    solver(p)
     p.add_argument("--y-cap", type=float, default=DEFAULT_Y_CAP,
                    help="box bound on dual multipliers in the edge systems")
     p.add_argument("--mu-tol", type=float, default=MU_POSITIVITY_TOL,
                    help="positivity threshold for the edge-system values")
 
     p = sub.add_parser("solve", help="solve the relaxation and extract the optimizer")
-    common(p)
-    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+    solver(p)
 
     p = sub.add_parser("graph", help="report the aggregated sparsity structure")
     common(p)
@@ -310,7 +312,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InstanceError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (InstanceError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

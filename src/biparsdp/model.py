@@ -112,6 +112,14 @@ class GeneralQcqpInstance(QcqpInstance):
         object.__setattr__(self, "linear_constraints", qs)
 
 
+def check_homogeneous(inst: QcqpInstance, verb: str) -> None:
+    """Raise InstanceError when inst has linear terms, which code that reads
+    only the quadratic data would silently drop; the message tells the
+    caller to <verb> homogenize(instance) instead."""
+    if isinstance(inst, GeneralQcqpInstance):
+        raise InstanceError(f"instance has linear terms; {verb} homogenize(instance) instead")
+
+
 def _matrix_from_triplets(triplets, n: int, name: str) -> np.ndarray:
     """Build a symmetric matrix from 1-based upper-triangle (i, j, v) triplets.
 

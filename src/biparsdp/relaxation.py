@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GeneralQcqpInstance, InstanceError, QcqpInstance
+from .model import QcqpInstance
 from .sdp import DEFAULT_TOL, SolverStatus, dual_slack, solve
 
 DEFAULT_RANK_TOL = 1e-6
@@ -68,14 +68,6 @@ def _leading_factor(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
     return x
 
 
-def complementarity_residual(
-    inst: QcqpInstance, X: np.ndarray, y: np.ndarray
-) -> float:
-    """||X * S(y)||_F where S(y) = Q0 + sum_p y_p Qp."""
-    S = dual_slack(inst, y)
-    return float(np.linalg.norm(X @ S, "fro"))
-
-
 def solve_relaxation(
     inst: QcqpInstance,
     tol: float = DEFAULT_TOL,
@@ -87,10 +79,6 @@ def solve_relaxation(
     and optimal for the QCQP.  An unbounded relaxation is reported via
     status DualInfeasible.
     """
-    if isinstance(inst, GeneralQcqpInstance):
-        raise InstanceError(
-            "instance has linear terms; solve homogenize(instance) instead"
-        )
     check_rank_tol(rank_tol)
     status, X, y, message = solve(inst, tol=tol)
     optimal = status is SolverStatus.OPTIMAL

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QcqpInstance
+from .model import QcqpInstance, check_homogeneous
 
 DEFAULT_TOL = 1e-8
 
@@ -616,8 +616,10 @@ def solve(
 
     tol sets both feasibility and gap targets.  An Optimal engine iterate is
     polished by `_kkt_refine`, and the polished point replaces it when its
-    KKT residuals are smaller.
+    KKT residuals are smaller.  An instance with linear terms is refused
+    with InstanceError.
     """
+    check_homogeneous(inst, "solve")
     check_solver_tol(tol)
     n, m = inst.n, inst.m
     c = np.concatenate([np.zeros(m), svec(inst.objective)])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .certify import certify
 from .graph import Edge, SparsityGraph, build_graph, connected_components, edge_signs
-from .model import InstanceError, QcqpInstance
+from .model import InstanceError, QcqpInstance, check_homogeneous
 from .relaxation import solve_relaxation
 from .sdp import check_positive_finite
 
@@ -61,6 +61,7 @@ def sign_split_transform(inst: QcqpInstance, delta: float = 1.0) -> TransformRes
     entries in both the plus and minus blocks and the doubled graph would
     pick up an odd triangle, defeating the purpose.
     """
+    check_homogeneous(inst, "transform")
     check_positive_finite(delta, "delta")
     graph = build_graph(inst)
     signs = edge_signs(inst, graph)
@@ -141,6 +142,7 @@ def build_connecting_perturbation(inst: QcqpInstance, epsilon: float) -> Perturb
     perturbed sparsity graph is connected; joining bipartite components by
     a path keeps the union bipartite.
     """
+    check_homogeneous(inst, "transform")
     check_positive_finite(epsilon, "epsilon")
     graph = build_graph(inst)
     comps = connected_components(graph)
@@ -157,6 +159,7 @@ def build_full_graph_perturbation(inst: QcqpInstance, epsilon: float) -> Perturb
     Every existing edge entry of the objective moves by +eps while the
     sparsity pattern is unchanged.
     """
+    check_homogeneous(inst, "transform")
     check_positive_finite(epsilon, "epsilon")
     graph = build_graph(inst)
     if not graph.edges:

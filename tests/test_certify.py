@@ -14,7 +14,7 @@ from biparsdp import (
     certify_forest,
     certify_sign_corollaries,
     certify_sojoudi,
-    check_edge_system_nonpositive,
+    minimize_linear_functional_over_dual_cone,
 )
 
 from conftest import CYCLE4_MU, DATA_DIR
@@ -56,22 +56,28 @@ def _triangle_instance(offdiag):
 
 
 def test_edge_system_reference_values(cycle4):
-    """All four per-edge systems of the 4-variable instance are infeasible."""
+    """All four per-edge systems of the 4-variable instance are infeasible;
+    the batched minimum in the report is the lone solve's, bit for bit."""
+    per_edge = certify_bipartite(cycle4).per_edge
+    assert per_edge.keys() == CYCLE4_MU.keys()
     for (k, ell), ref in CYCLE4_MU.items():
-        infeasible, mu, attained = check_edge_system_nonpositive(cycle4, k, ell)
-        assert infeasible and attained
+        mu, attained, _ = minimize_linear_functional_over_dual_cone(cycle4, k, ell)
+        res = per_edge[(k, ell)]
+        assert res.infeasible and res.min_attained and attained
+        assert res.mu_min == mu
         assert abs(mu - ref) < 5e-3
 
 
 def test_edge_system_negative_and_zero_cases():
     """mu* <= tol leaves the system conservatively unrefuted."""
+    tol = certify_module.MU_POSITIVITY_TOL
     inst = QcqpInstance(
         objective=np.array([[1.0, -1.0], [-1.0, 1.0]]),
         constraint_matrices=(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)),
         rhs=np.array([1.0, 1.0]),
     )
-    infeasible, mu, attained = check_edge_system_nonpositive(inst, 0, 1)
-    assert not infeasible
+    mu, attained, _ = minimize_linear_functional_over_dual_cone(inst, 0, 1)
+    assert not certify_module._refutes(mu, attained, tol)
     assert mu < 0  # y = 0 already gives S_01 = -1
 
     # identically zero functional (no data touches the pair)
@@ -80,8 +86,8 @@ def test_edge_system_negative_and_zero_cases():
         constraint_matrices=(np.eye(2),),
         rhs=np.array([1.0]),
     )
-    infeasible, mu, attained = check_edge_system_nonpositive(diag, 0, 1)
-    assert not infeasible
+    mu, attained, _ = minimize_linear_functional_over_dual_cone(diag, 0, 1)
+    assert not certify_module._refutes(mu, attained, tol)
     assert abs(mu) < 1e-6
 
 
@@ -295,22 +301,25 @@ def test_sign_corollary_premises_imply_cycle_condition():
 
 
 def test_assumption_certificate_is_checked(monkeypatch, cycle4):
-    """A t* above tol counts only if the returned combination passes the
-    Cholesky check: a bogus y_bar downgrades the assumption, and with it the
-    edge-system certificate, to a note."""
+    """The SDP only proposes a combination: its y_bar is judged by the same
+    eigenvalue bound as the cheap candidates, whatever t* the solver claims.
+    A y_bar of the wrong direction (all weight on Q1, which is indefinite)
+    downgrades the assumption, and with it the edge-system certificate, to a
+    note."""
     real = certify_module.max_min_eigen_combination
     t_star, y_bar = real(cycle4)
-    assert np.linalg.eigvalsh(sum(y * Q for y, Q in zip(y_bar, cycle4.constraint_matrices)))[0] > 0.5
+    Q1 = cycle4.constraint_matrices[0]
+    assert np.linalg.eigvalsh(Q1)[0] < 0
     monkeypatch.setattr(
         certify_module, "max_min_eigen_combination",
-        lambda inst, y_cap, tol: (t_star, 0.25 * y_bar),
+        lambda inst, y_cap, tol: (t_star, np.array([y_bar.sum(), 0.0])),
     )
     report = certify(cycle4)
     check = report.assumption_check
-    assert (check.t_star, check.holds) == (t_star, False)
-    assert "fails the Cholesky check" in check.note
+    assert (check.t_star, check.holds) == (None, False)
+    assert check.note.startswith("assumption unverified")
     assert report.verdict is not Verdict.CERTIFIED_EXACT
-    assert any("fails the Cholesky check" in note for note in report.notes)
+    assert any(check.note in note for note in report.notes)
 
 
 @pytest.mark.parametrize("eps, tol, holds", [
@@ -337,7 +346,8 @@ def test_assumption_threshold_follows_tol(eps, tol, holds):
 def test_assumption_margin_defers_to_the_sdp(monkeypatch):
     """Q1 = diag(1, tol (1 + delta)) has t* = tol (1 + delta), above tol by
     less than the rounding margin of its eigenvalue: the cheap candidates do
-    not count it as a proof, and the one SDP solve decides it."""
+    not count it as a proof, the one SDP solve proposes Q1 again, and the
+    same bound leaves the assumption unverified."""
     tol, delta = 1e-6, 1e-9
     assert tol * delta < 3 * certify_module._EIGVALSH_MARGIN  # n + m = 3, ||Q1|| = 1
     inst = QcqpInstance(
@@ -355,8 +365,7 @@ def test_assumption_margin_defers_to_the_sdp(monkeypatch):
     monkeypatch.setattr(certify_module, "max_min_eigen_combination", counted)
     check = certify_bipartite(inst, tol=tol).assumption_check
     assert len(solves) == 1
-    assert check.holds
-    assert abs(check.t_star / (tol * (1.0 + delta)) - 1.0) < 1e-6
+    assert (check.t_star, check.holds) == (None, False)
 
 
 def _mixed_constraints(rng, n, m):
@@ -505,8 +514,6 @@ def test_nonpositive_tolerances_rejected(cycle4, bad):
     for rule in (certify, certify_bipartite, certify_forest):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             rule(cycle4, **bad)
-    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-        check_edge_system_nonpositive(cycle4, 0, 1, **bad)
 
 
 @pytest.mark.parametrize("solver_tol", [0.0, -1e-8, 1e-3, 0.5])
@@ -521,8 +528,6 @@ def test_solver_tol_out_of_range_rejected(monkeypatch, cycle4, solver_tol):
     for rule in (certify, certify_bipartite, certify_forest):
         with pytest.raises(ValueError, match="solver_tol must lie in"):
             rule(cycle4, solver_tol=solver_tol)
-    with pytest.raises(ValueError, match="solver_tol must lie in"):
-        check_edge_system_nonpositive(cycle4, 0, 1, solver_tol=solver_tol)
 
 
 def test_solver_breakdown_is_a_note_not_a_traceback():

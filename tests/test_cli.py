@@ -95,6 +95,27 @@ def test_missing_file_exit1(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    lambda d, small: ["certify", d],
+    lambda d, small: ["solve", small, "-o", d],
+], ids=["read-directory", "write-directory"])
+def test_os_errors_exit1(capsys, tmp_path, small_path, argv):
+    """A directory where the input or the report file should be is an
+    error line and exit 1, not a traceback."""
+    code, _, err = _run(capsys, argv(str(tmp_path), small_path))
+    assert code == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["graph", "transform"])
+def test_tol_only_where_a_solver_runs(capsys, small_path, command):
+    """graph and transform solve nothing, so they take no --tol."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, small_path, "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 _ONE_CONSTRAINT = {"matrix": [[1, 1, 1.0]], "rhs": 1.0}
 
 

@@ -7,12 +7,21 @@ from biparsdp import (
     GeneralQcqpInstance,
     InstanceError,
     QcqpInstance,
+    build_connecting_perturbation,
+    build_full_graph_perturbation,
     certify,
+    certify_bipartite,
+    certify_forest,
+    certify_sign_corollaries,
+    certify_sojoudi,
     dehomogenize,
+    epsilon_sweep_validation,
     evaluate_quadratic,
     homogenize,
     load_instance,
     save_instance,
+    sign_split_transform,
+    solve,
     solve_relaxation,
 )
 from biparsdp.model import _DUPLICATE_RTOL, _matrix_from_triplets
@@ -325,19 +334,40 @@ def test_homogenized_1d_problem_solves_to_known_optimum():
     assert abs(x[0] - 1.0) < 1e-5
 
 
-def test_linear_terms_must_be_homogenized_first():
-    """certify and solve_relaxation refuse to drop linear terms silently."""
+_HOMOGENEOUS_ONLY = {
+    "certify": certify,
+    "certify_bipartite": certify_bipartite,
+    "certify_forest": certify_forest,
+    "certify_sign_corollaries": certify_sign_corollaries,
+    "certify_sojoudi": certify_sojoudi,
+    "solve_relaxation": solve_relaxation,
+    "solve": solve,
+    "sign_split_transform": sign_split_transform,
+    "build_connecting_perturbation": lambda g: build_connecting_perturbation(g, 1e-2),
+    "build_full_graph_perturbation": lambda g: build_full_graph_perturbation(g, 1e-2),
+    "epsilon_sweep_validation": lambda g: epsilon_sweep_validation(
+        g, [1e-2], mode="full-laplacian"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_HOMOGENEOUS_ONLY))
+def test_linear_terms_must_be_homogenized_first(entry):
+    """Every entry point that reads only the quadratic data refuses an
+    instance with linear terms instead of dropping them silently.  The
+    instance (edge (1, 2), vertex 3 alone, sign-definite) suits every
+    builder, so only its linear terms can be the reason."""
     g = GeneralQcqpInstance(
-        objective=np.array([[2.0]]),
-        constraint_matrices=(np.array([[1.0]]),),
+        objective=np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]),
+        constraint_matrices=(np.eye(3),),
         rhs=np.array([9.0]),
-        linear_objective=np.array([-4.0]),
-        linear_constraints=(np.array([0.0]),),
+        linear_objective=np.array([-4.0, 0.0, 1.0]),
+        linear_constraints=(np.zeros(3),),
     )
-    with pytest.raises(InstanceError, match="homogenize"):
-        certify(g)
-    with pytest.raises(InstanceError, match="homogenize"):
-        solve_relaxation(g)
+    with pytest.raises(
+        InstanceError, match=r"^instance has linear terms; \w+ homogenize\(instance\) instead$"
+    ):
+        _HOMOGENEOUS_ONLY[entry](g)
 
 
 def test_dehomogenize():

@@ -9,7 +9,6 @@ from biparsdp import (
     QcqpInstance,
     Verdict,
     certify,
-    complementarity_residual,
     evaluate_quadratic,
     numerical_rank,
     solve_relaxation,
@@ -102,12 +101,6 @@ def test_rank_tol_out_of_range_rejected(monkeypatch):
         ):
             with pytest.raises(ValueError, match=r"rank_tol must lie in \(0, 1\)"):
                 call()
-
-
-def test_complementarity_residual(small):
-    res = solve_relaxation(small)
-    r = complementarity_residual(small, res.X_star, res.y_star)
-    assert r < 1e-8 * (1 + np.linalg.norm(res.X_star))
 
 
 def test_trust_region_relaxation():

@@ -6,7 +6,8 @@ relaxation of a QCQP must have a rank-1 optimal solution:
 * sign corollaries — all off-diagonals nonpositive (any graph), or the
   graph is bipartite with all off-diagonals nonnegative;
 * the edge-sign cycle condition — every edge sign-definite and every
-  basis cycle's sign product equal to (-1)^length;
+  cycle's sign product equal to (-1)^length, decided by one signed
+  2-coloring (`graph.bipartition` with the edge signs);
 * per-edge feasibility systems — for forests, no dual-feasible y makes
   S(y)_{kl} = 0; for bipartite graphs, none makes S(y)_{kl} <= 0.  Both
   reduce to small SDPs over the dual feasible set.
@@ -18,7 +19,8 @@ holds, so it certifies nothing the cycle condition rejects; the tests
 `test_odd_transformed_cycle_implies_violated_condition` check both
 directions.
 
-The sign rules are primal (x_i = s_i sqrt(X_ii) for a feasible X).  The
+The sign rules are primal (x_i = s_i sqrt(X_ii) for a feasible X); their
+report carries the vertex signs s, s_k s_l = -sigma_kl on every edge.  The
 edge systems need the relaxation and its dual to behave (attained optima,
 bounded solution sets), which the data cannot decide in general; so the
 pipeline checks that some nonnegative combination of the constraint
@@ -43,12 +45,10 @@ import numpy as np
 
 from .graph import (
     BipartitionResult,
-    CycleBasis,
     Edge,
     bipartition,
     build_graph,
     connected_components,
-    cycle_basis,
     edge_signs,
 )
 from .model import QcqpInstance, check_homogeneous
@@ -99,20 +99,13 @@ class AssumptionCheck:
 
 
 @dataclass
-class CycleCheck:
-    cycle: tuple[Edge, ...]
-    product: int
-    ok: bool  # product == (-1)^length
-
-
-@dataclass
 class CertificationReport:
     verdict: Verdict
     applied_rule: str | None = None
     assumption_check: AssumptionCheck | None = None
     per_edge: dict[Edge, EdgeSystemResult] = field(default_factory=dict)
     sign_summary: dict[Edge, int] = field(default_factory=dict)
-    cycle_checks: list[CycleCheck] = field(default_factory=list)
+    vertex_signs: tuple[int, ...] | None = None  # rules 1-2: s_k s_l = -sigma_kl
     notes: list[str] = field(default_factory=list)
 
 
@@ -180,8 +173,8 @@ def _check_tolerances(tol: float, y_cap: float, solver_tol: float) -> None:
 class _Structure:
     """What every rule reads, built once per call of `certify` or a rule.
 
-    Graph and edge signs are built eagerly; the bipartition, components,
-    cycle basis and the assumption check only when a rule first asks.
+    Graph and edge signs are built eagerly; the bipartition, components
+    and the assumption check only when a rule first asks.
     """
 
     def __init__(
@@ -205,10 +198,6 @@ class _Structure:
     @cached_property
     def components(self) -> list[frozenset[int]]:
         return connected_components(self.graph)
-
-    @cached_property
-    def basis(self) -> CycleBasis:
-        return cycle_basis(self.graph)
 
     @property
     def forest(self) -> bool:
@@ -315,50 +304,54 @@ def certify_forest(
     return _edge_systems(_Structure(inst, tol, y_cap, solver_tol), want_max=True)
 
 
+def _vertex_signs(parts: tuple[frozenset[int], frozenset[int]]) -> tuple[int, ...]:
+    """+1 on the left part, -1 on the right."""
+    left, right = parts
+    return tuple(1 if i in left else -1 for i in range(len(left) + len(right)))
+
+
 def _sojoudi(st: _Structure) -> CertificationReport:
     signs = st.signs
-    report = CertificationReport(
-        verdict=Verdict.NOT_CERTIFIED, sign_summary=signs
-    )
+    report = CertificationReport(verdict=Verdict.NOT_CERTIFIED, sign_summary=signs)
     mixed = sorted(e for e, s in signs.items() if s == 0)
     if mixed:
         report.notes.append(
             "mixed-sign edges (sigma = 0): "
             + ", ".join(str(tuple(v + 1 for v in e)) for e in mixed)
         )
-    cycles_ok = True
-    for cyc in st.basis.cycles:
-        product = 1
-        for e in cyc:
-            product *= signs[e]
-        ok = product == (-1) ** len(cyc)
-        report.cycle_checks.append(CycleCheck(cyc, product, ok))
-        if not ok:
-            cycles_ok = False
-            report.notes.append(
-                f"cycle of length {len(cyc)} has sign product {product}, "
-                f"expected {(-1) ** len(cyc)}"
-            )
-    if not mixed and cycles_ok:
-        report.verdict = Verdict.CERTIFIED_EXACT
-        report.applied_rule = "edge-sign-cycle-condition"
-        # shortcut cases, for the record
-        if st.forest:
-            report.notes.append("shortcut: forest with sign-definite edges")
-        if all(s == 1 for s in signs.values()) and st.bip.bipartite:
-            report.notes.append("shortcut: bipartite with all edge signs +1")
-        if all(s == -1 for s in signs.values()):
-            report.notes.append("shortcut: all edge signs -1")
+        return report
+    coloring = bipartition(st.graph, signs)
+    if not coloring.bipartite:
+        cyc = coloring.witness
+        product = np.prod([signs[min(a, b), max(a, b)] for a, b in zip(cyc, cyc[1:])])
+        report.notes.append(
+            f"cycle {tuple(v + 1 for v in cyc)} of length {len(cyc) - 1} has "
+            f"sign product {product}, expected {(-1) ** (len(cyc) - 1)}"
+        )
+        return report
+    report.verdict = Verdict.CERTIFIED_EXACT
+    report.applied_rule = "edge-sign-cycle-condition"
+    report.vertex_signs = _vertex_signs(coloring.parts)
+    # shortcut cases, for the record; with all signs +1 the coloring is a bipartition
+    if st.forest:
+        report.notes.append("shortcut: forest with sign-definite edges")
+    if all(s == 1 for s in signs.values()):
+        report.notes.append("shortcut: bipartite with all edge signs +1")
+    if all(s == -1 for s in signs.values()):
+        report.notes.append("shortcut: all edge signs -1")
     return report
 
 
 def certify_sojoudi(inst: QcqpInstance) -> CertificationReport:
     """Purely sign-based certificate: sign-definite edges, matching cycles.
 
-    Certifies when every edge sign is nonzero and every basis cycle has
-    sign product (-1)^length.  The classic shortcut cases (forest with
-    sign-definite edges, bipartite with all +1, arbitrary graph with all
-    -1) are recorded in the notes when they hold.
+    Certifies when every edge sign is nonzero and every cycle has sign
+    product (-1)^length: one signed 2-coloring finds vertex signs s with
+    s_k s_l = -sigma_kl, reported as `vertex_signs`, or one cycle of the
+    wrong product, named in a note.  Mixed edges stop it before the
+    coloring.  The classic shortcut cases (forest with sign-definite edges,
+    bipartite with all +1, arbitrary graph with all -1) are recorded in the
+    notes when they hold.
     """
     return _sojoudi(_Structure(inst))
 
@@ -368,8 +361,10 @@ def _sign_corollaries(st: _Structure) -> CertificationReport:
     signs = set(st.signs.values())  # empty when the graph has no edges
     if signs == {-1}:
         report.applied_rule = "nonpositive-off-diagonal"
+        report.vertex_signs = (1,) * st.graph.n
     elif signs == {1} and st.bip.bipartite:
         report.applied_rule = "bipartite-nonnegative-off-diagonal"
+        report.vertex_signs = _vertex_signs(st.bip.parts)
     else:
         report.notes.append("sign-corollary premises not met")
         return report
@@ -382,7 +377,9 @@ def certify_sign_corollaries(inst: QcqpInstance) -> CertificationReport:
 
     Both are special cases of the edge-sign cycle condition and, like it,
     primal: the relaxation value is exact, and a rank-1 optimum exists
-    whenever the relaxation attains its optimum.  No SDP is solved.
+    whenever the relaxation attains its optimum.  No SDP is solved.  The
+    vertex signs are all +1 for nonpositive data, and +1/-1 on the two
+    sides of the bipartition for nonnegative data.
     """
     return _sign_corollaries(_Structure(inst))
 
@@ -425,7 +422,7 @@ def _merge(into: CertificationReport, other: CertificationReport) -> None:
     into.assumption_check = into.assumption_check or other.assumption_check
     for edge, res in other.per_edge.items():
         into.per_edge.setdefault(edge, res)
-    into.cycle_checks = into.cycle_checks or other.cycle_checks
+    into.vertex_signs = into.vertex_signs or other.vertex_signs
     into.notes.extend(other.notes)
     if other.verdict is Verdict.CERTIFIED_EXACT:
         into.verdict, into.applied_rule = other.verdict, other.applied_rule

@@ -38,11 +38,7 @@ from .model import (
 )
 from .relaxation import DEFAULT_RANK_TOL, solve_relaxation
 from .sdp import DEFAULT_TOL, SolverStatus
-from .transform import (
-    build_connecting_perturbation,
-    build_full_graph_perturbation,
-    sign_split_transform,
-)
+from .transform import PERTURBATIONS, sign_split_transform
 
 _EXIT_CODES = {
     Verdict.CERTIFIED_EXACT: 0,
@@ -86,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="sign-split or perturb an instance")
     common(p)
-    p.add_argument("--mode", choices=["sign-split", "connect", "full-laplacian"],
+    p.add_argument("--mode", choices=["sign-split", *PERTURBATIONS],
                    default="sign-split")
     p.add_argument("--delta", type=float, default=1.0,
                    help="diagonal shift for the sign-splitting transformation")
@@ -176,14 +172,7 @@ def _run_certify(args) -> int:
             {"edge": _edge_1based(e), "sign": s}
             for e, s in sorted(report.sign_summary.items())
         ],
-        "cycle_checks": [
-            {
-                "cycle": [_edge_1based(e) for e in c.cycle],
-                "sign_product": c.product,
-                "ok": c.ok,
-            }
-            for c in report.cycle_checks
-        ],
+        "vertex_signs": report.vertex_signs,
         "notes": report.notes,
     })
     _emit(doc, args.output)
@@ -276,12 +265,7 @@ def _run_transform(args) -> int:
             "coupling_constraint": result.coupling_index + 1,
         }
     else:
-        build = (
-            build_connecting_perturbation
-            if args.mode == "connect"
-            else build_full_graph_perturbation
-        )
-        result = build(inst, args.epsilon)
+        result = PERTURBATIONS[args.mode](inst, args.epsilon)
         out_inst = result.instance
         mapping = {
             "mode": args.mode,

@@ -2,8 +2,9 @@
 
 The graph has a vertex per variable and an edge (i, j) wherever some data
 matrix has a nonzero off-diagonal entry at (i, j).  The queries implemented
-here (edge signs, bipartition, connectivity, cycle basis, forest test) decide
-which exactness condition applies to an instance.
+here (edge signs, signed bipartition, connectivity, cycle basis, forest
+test) decide which exactness condition applies to an instance; one signed
+2-coloring decides both bipartiteness and the edge-sign cycle condition.
 
 Vertices are 0-based internally; the CLI layer converts to 1-based output.
 """
@@ -42,7 +43,7 @@ class SparsityGraph:
 class BipartitionResult:
     bipartite: bool
     parts: tuple[frozenset[int], frozenset[int]] | None
-    witness: tuple[int, ...] | None  # odd closed walk v0, ..., vk = v0
+    witness: tuple[int, ...] | None  # cycle v0, ..., vk = v0 of the wrong sign product
 
 
 @dataclass(frozen=True)
@@ -131,25 +132,39 @@ def connected_components(graph: SparsityGraph) -> list[frozenset[int]]:
     return [frozenset(c) for c in comps]
 
 
-def bipartition(graph: SparsityGraph) -> BipartitionResult:
-    """BFS 2-coloring per component; parts, or an odd closed walk witness.
+def bipartition(
+    graph: SparsityGraph, signs: dict[Edge, int] | None = None
+) -> BipartitionResult:
+    """Signed BFS 2-coloring per component; parts, or a witness cycle.
 
-    The first edge (v, w), in BFS order of v and then of w, joining two
-    vertices of equal depth closes the witness v, ..., lca, ..., w, v.
-    Isolated vertices land in the left part, so an empty edge set gives
-    parts (V, {}).
+    Vertex signs run along the BFS forest: s = +1 at each root, s_child =
+    -sigma * s_parent.  signs gives each edge's sigma, +1 or -1 (else
+    ValueError); None is sigma = +1, a plain 2-coloring.  By Harary's
+    balance theorem, s_k s_l = -sigma_kl can hold on every edge exactly when
+    every cycle has sign product (-1)^length.  The first edge (v, w), in BFS
+    order of v and then of w, that breaks it closes the witness v, ..., lca,
+    ..., w, v, a cycle of the wrong product.  Parts are {s = +1}, {s = -1};
+    isolated vertices land in the left part, so no edges gives (V, {}).
     """
-    order, parent, depth, adj = _bfs_forest(graph)
+    if signs is None:
+        signs = dict.fromkeys(graph.edges, 1)
+    elif any(signs.get(e) not in (1, -1) for e in graph.edges):
+        raise ValueError("every edge sign must be +1 or -1")
+    order, parent, _, adj = _bfs_forest(graph)
+    s = [1] * graph.n
+    for v in order:
+        if parent[v] != -1:
+            s[v] = -signs[_norm_edge(parent[v], v)] * s[parent[v]]
     for v in order:
         for w in adj[v]:
-            if depth[w] == depth[v]:
+            if s[v] * s[w] != -signs[_norm_edge(v, w)]:
                 return BipartitionResult(
                     bipartite=False,
                     parts=None,
                     witness=(*_tree_path(v, w, parent), v),
                 )
-    left = frozenset(i for i in range(graph.n) if depth[i] % 2 == 0)
-    right = frozenset(i for i in range(graph.n) if depth[i] % 2 == 1)
+    left = frozenset(i for i in range(graph.n) if s[i] == 1)
+    right = frozenset(i for i in range(graph.n) if s[i] == -1)
     return BipartitionResult(bipartite=True, parts=(left, right), witness=None)
 
 

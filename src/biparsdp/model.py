@@ -96,6 +96,10 @@ class GeneralQcqpInstance(QcqpInstance):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.linear_objective is None or self.linear_constraints is None:
+            raise InstanceError(
+                "both linear parts are required: linear_objective and linear_constraints"
+            )
         q0 = np.asarray(self.linear_objective, dtype=float)
         qs = tuple(np.asarray(q, dtype=float) for q in self.linear_constraints)
         if len(qs) != self.m:
@@ -315,7 +319,7 @@ def dehomogenize(x_full: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Recover the original variables from a homogenized solution."""
     x_full = np.asarray(x_full, dtype=float)
     x0 = x_full[0]
-    if abs(abs(x0) - 1.0) > tol:
+    if not abs(abs(x0) - 1.0) <= tol:  # NaN fails
         raise InstanceError(f"homogenizing variable has |x0| = {abs(x0):.3g}, not 1")
     return x_full[1:] * np.sign(x0)
 

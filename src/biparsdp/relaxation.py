@@ -51,9 +51,12 @@ def numerical_rank(X: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of eigenvalues above rank_tol * max(largest eigenvalue, 1).
 
     The absolute floor of 1 keeps the threshold meaningful for matrices
-    that are small in norm (e.g. X ~ 0 has rank 0, not n).
+    that are small in norm (e.g. X ~ 0 has rank 0, not n).  Raises
+    ValueError for a non-finite X, whose NaN eigenvalues would count as 0.
     """
     check_rank_tol(rank_tol)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X has non-finite entries")
     return _rank(np.linalg.eigvalsh(X), rank_tol)
 
 

@@ -106,7 +106,8 @@ def recover_from_transformed(x_tilde: np.ndarray, tol: float = 1e-6) -> np.ndarr
         raise InstanceError("expected a vector of even length 2n")
     n = len(x_tilde) // 2
     x, z = x_tilde[:n], x_tilde[n:]
-    if np.linalg.norm(x + z) > tol * (1.0 + np.linalg.norm(x)):
+    # written as not (<=) so that a NaN anywhere fails the check
+    if not np.linalg.norm(x + z) <= tol * (1.0 + np.linalg.norm(x)):
         raise InstanceError("coupling violated: second half is not -x")
     return x
 
@@ -167,6 +168,13 @@ def build_full_graph_perturbation(inst: QcqpInstance, epsilon: float) -> Perturb
     return _perturb(inst, epsilon, _negative_laplacian(inst.n, sorted(graph.edges)), [])
 
 
+#: perturbation mode name -> builder, for the sweep and `biparsdp transform --mode`
+PERTURBATIONS = {
+    "connect": build_connecting_perturbation,
+    "full-laplacian": build_full_graph_perturbation,
+}
+
+
 def epsilon_sweep_validation(
     inst: QcqpInstance,
     eps_sequence,
@@ -188,16 +196,11 @@ def epsilon_sweep_validation(
         check_positive_finite(eps, "eps_sequence entry")
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps_sequence must be strictly decreasing")
-    build = (
-        build_connecting_perturbation
-        if mode == "connect"
-        else build_full_graph_perturbation
-    )
-    if mode not in ("connect", "full-laplacian"):
+    if mode not in PERTURBATIONS:
         raise ValueError("mode must be 'connect' or 'full-laplacian'")
     out = []
     for eps in eps_sequence:
-        perturbed = build(inst, eps).instance
+        perturbed = PERTURBATIONS[mode](inst, eps).instance
         report = certify(perturbed, solver_tol=tol)
         res = solve_relaxation(perturbed, tol=tol)
         out.append((eps, report.verdict.value, res.primal_value))

@@ -48,3 +48,15 @@ def max_sign_error(x, ref):
     x = np.asarray(x)
     ref = np.asarray(ref)
     return min(np.max(np.abs(x - ref)), np.max(np.abs(x + ref)))
+
+
+def vertex_signs_hold(report, n):
+    """The report's vertex signs are n entries of +-1 with s_k s_l = -sigma_kl
+    on every edge of its sign summary."""
+    s = report.vertex_signs
+    return (
+        s is not None
+        and len(s) == n
+        and set(s) <= {1, -1}
+        and all(s[k] * s[l] == -sigma for (k, l), sigma in report.sign_summary.items())
+    )

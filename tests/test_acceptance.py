@@ -25,7 +25,13 @@ from biparsdp import (
     solve_relaxation,
 )
 
-from conftest import CYCLE4_XMAT, CYCLE4_XSTAR, SMALL_XSTAR, max_sign_error
+from conftest import (
+    CYCLE4_XMAT,
+    CYCLE4_XSTAR,
+    SMALL_XSTAR,
+    max_sign_error,
+    vertex_signs_hold,
+)
 
 
 def _check(name, ok):
@@ -92,14 +98,15 @@ def test_criterion_4_assumption_quantities(cycle4):
 
 
 def test_criterion_5_sign_rule_negative_controls(small, cycle4):
-    """The sign-based certificate refuses both instances, with reasons."""
+    """The sign-based certificate refuses both instances for their mixed
+    edges, which it names."""
     rep_small = certify_sojoudi(small)
     rep_cycle = certify_sojoudi(cycle4)
     ok = (
         rep_small.verdict is Verdict.NOT_CERTIFIED
         and any("sigma = 0" in n and "(1, 2)" in n for n in rep_small.notes)
         and rep_cycle.verdict is Verdict.NOT_CERTIFIED
-        and any("sign product 0" in n for n in rep_cycle.notes)
+        and rep_cycle.notes == ["mixed-sign edges (sigma = 0): (1, 2), (2, 3), (3, 4)"]
     )
     _check("criterion 5: sign-based rule rejects both instances with reasons", ok)
 
@@ -189,6 +196,13 @@ def _bipartite_by_exhaustion(g):
     return False
 
 
+SIGN_RULES = {
+    "nonpositive-off-diagonal",
+    "bipartite-nonnegative-off-diagonal",
+    "edge-sign-cycle-condition",
+}
+
+
 def test_criterion_7_property_suite():
     """Randomized invariants: certification, ranks, identities, oracles."""
     start = time.perf_counter()
@@ -196,12 +210,16 @@ def test_criterion_7_property_suite():
 
     # (a) 100 bipartite nonnegative instances certify with rank-1 solutions
     # (b) the dual slack at the optimum loses at most one eigenvalue
-    certified = rank1 = slack_ok = 0
+    # (f) every sign-rule certificate carries valid vertex signs
+    certified = rank1 = slack_ok = sign_rule = signs_ok = 0
     for _ in range(100):
         inst = _random_bipartite_nonneg_instance(rng)
         report = certify(inst)
         if report.verdict is Verdict.CERTIFIED_EXACT:
             certified += 1
+        if report.applied_rule in SIGN_RULES:
+            sign_rule += 1
+            signs_ok += vertex_signs_hold(report, inst.n)
         res = solve_relaxation(inst)
         if (
             res.status.value == "Optimal"
@@ -220,6 +238,11 @@ def test_criterion_7_property_suite():
     _check(
         "criterion 7b: dual slack at the optimum has at most one small eigenvalue",
         slack_ok == 100,
+    )
+    _check(
+        "criterion 7f: every sign-rule certificate has vertex signs with "
+        "s_k s_l = -sigma_kl",
+        sign_rule > 0 and signs_ok == sign_rule,
     )
 
     # (c) transformation value identity on 1000 sampled pairs

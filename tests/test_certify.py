@@ -17,9 +17,10 @@ from biparsdp import (
     minimize_linear_functional_over_dual_cone,
 )
 
-from conftest import CYCLE4_MU, DATA_DIR
+from conftest import CYCLE4_MU, DATA_DIR, vertex_signs_hold
 
 certify_module = importlib.import_module("biparsdp.certify")
+graph_module = importlib.import_module("biparsdp.graph")
 sdp_module = importlib.import_module("biparsdp.sdp")
 
 
@@ -155,13 +156,12 @@ def test_sojoudi_rejects_mixed_sign_edge(small):
 
 
 def test_sojoudi_rejects_cycle4(cycle4):
-    """Mixed edges force a zero cycle sign product on the 4-cycle."""
+    """Three of the 4-cycle's edges are mixed (sigma = 0); the rule names
+    them and stops, with no vertex signs."""
     report = certify_sojoudi(cycle4)
     assert report.verdict is Verdict.NOT_CERTIFIED
-    assert len(report.cycle_checks) == 1
-    check = report.cycle_checks[0]
-    assert check.product == 0 and not check.ok
-    assert any("sign product 0" in note for note in report.notes)
+    assert report.notes == ["mixed-sign edges (sigma = 0): (1, 2), (2, 3), (3, 4)"]
+    assert report.vertex_signs is None
 
 
 def test_sojoudi_accepts_nonpositive_triangle():
@@ -170,6 +170,7 @@ def test_sojoudi_accepts_nonpositive_triangle():
     assert report.verdict is Verdict.CERTIFIED_EXACT
     assert report.applied_rule == "edge-sign-cycle-condition"
     assert any("all edge signs -1" in note for note in report.notes)
+    assert report.vertex_signs == (1, 1, 1)
 
 
 def test_sojoudi_accepts_nonnegative_even_cycle():
@@ -186,10 +187,48 @@ def test_sojoudi_accepts_nonnegative_even_cycle():
 
 
 def test_sojoudi_rejects_odd_positive_cycle():
-    """A triangle of +1 signs has product +1 but needs -1."""
+    """A triangle of +1 signs has product +1 but needs -1: the coloring
+    names that one cycle (BFS from 1 reaches 2 and 3, and edge (2, 3)
+    closes it) in one note."""
     report = certify_sojoudi(_triangle_instance((1.0, 1.0, 1.0)))
     assert report.verdict is Verdict.NOT_CERTIFIED
-    assert any("expected -1" in note for note in report.notes)
+    assert report.notes == [
+        "cycle (2, 1, 3, 2) of length 3 has sign product 1, expected -1"
+    ]
+    assert report.vertex_signs is None
+
+
+def test_sojoudi_vertex_signs_reach_the_pipeline():
+    """Signs (+1, +1, -1) on a triangle fail rule 1 but meet the cycle
+    condition; certify's report keeps rule 2's vertex signs."""
+    inst = _triangle_instance((1.0, 1.0, -1.0))
+    rule = certify_sojoudi(inst)
+    report = certify(inst)
+    assert report.applied_rule == rule.applied_rule == "edge-sign-cycle-condition"
+    assert report.vertex_signs == rule.vertex_signs
+    assert vertex_signs_hold(report, 3)
+
+
+def test_rules_never_build_the_cycle_basis(monkeypatch, small, cycle4):
+    """The signed coloring decides rule 2; no rule enumerates cycles."""
+    def no_basis(*args, **kwargs):
+        raise AssertionError("cycle_basis was called")
+
+    for module in (graph_module, certify_module):  # also a name bound at import
+        monkeypatch.setattr(module, "cycle_basis", no_basis, raising=False)
+    instances = [
+        small,
+        cycle4,
+        _nonnegative_cycle4(),
+        _triangle_instance((1.0, 1.0, 1.0)),
+        _triangle_instance((1.0, 1.0, -1.0)),
+        _triangle_instance((-1.0, -2.0, -0.5)),
+    ]
+    rules = (certify, certify_sign_corollaries, certify_sojoudi,
+             certify_forest, certify_bipartite)
+    for inst in instances:
+        for rule in rules:
+            rule(inst)
 
 
 def test_sojoudi_invariant_under_positive_diagonal_scaling():
@@ -221,6 +260,7 @@ def test_sign_corollaries():
     report = certify_sign_corollaries(nonpos)
     assert report.verdict is Verdict.CERTIFIED_EXACT
     assert report.applied_rule == "nonpositive-off-diagonal"
+    assert report.vertex_signs == (1, 1, 1)
 
     nonneg_triangle = _triangle_instance((1.0, 1.0, 1.0))
     assert certify_sign_corollaries(nonneg_triangle).verdict is Verdict.NOT_CERTIFIED
@@ -228,6 +268,7 @@ def test_sign_corollaries():
     report = certify_sign_corollaries(_nonnegative_cycle4())
     assert report.verdict is Verdict.CERTIFIED_EXACT
     assert report.applied_rule == "bipartite-nonnegative-off-diagonal"
+    assert report.vertex_signs == (1, -1, 1, -1)
 
 
 def test_sign_corollaries_need_no_assumption():
@@ -293,8 +334,9 @@ def test_sign_corollary_premises_imply_cycle_condition():
     assumption_fails = 0
     for draw in range(200):
         inst = _sign_rule_instance(rng, nonnegative=bool(draw % 2))
-        assert certify_sign_corollaries(inst).verdict is Verdict.CERTIFIED_EXACT, draw
-        assert certify_sojoudi(inst).verdict is Verdict.CERTIFIED_EXACT, draw
+        for report in (certify_sign_corollaries(inst), certify_sojoudi(inst)):
+            assert report.verdict is Verdict.CERTIFIED_EXACT, draw
+            assert vertex_signs_hold(report, inst.n), draw
         if inst.m == 1 and np.linalg.eigvalsh(inst.constraint_matrices[0])[0] <= 0:
             assumption_fails += 1
     assert assumption_fails >= 20

@@ -57,7 +57,19 @@ def test_certify_certified_exit0(capsys, cycle4_path):
     assert abs(mus[(2, 3)] - 12.84) < 5e-3
     assert abs(mus[(1, 4)] - 8.897) < 5e-3
     assert abs(mus[(3, 4)] - 0.3215) < 5e-3
+    assert doc["vertex_signs"] is None  # an edge-system certificate
+    assert "cycle_checks" not in doc
     assert "CertifiedExact" in err
+
+
+def test_certify_reports_vertex_signs(capsys, tmp_path):
+    """A rule-2 certificate lists its vertex signs, s_k s_l = -sigma_kl:
+    edges (1, 2) and (1, 3) are +1, edge (2, 3) is -1."""
+    code, out, _ = _run(capsys, ["certify", _save_triangle(tmp_path, (1.0, 1.0, -1.0))])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["applied_rule"] == "edge-sign-cycle-condition"
+    assert doc["vertex_signs"] == [1, -1, -1]
 
 
 def test_certify_exit_codes(capsys, tmp_path):

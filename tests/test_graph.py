@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from biparsdp import (
     QcqpInstance,
@@ -198,3 +199,64 @@ def test_build_graph_keeps_tiny_entries():
     """The data are taken exactly: an entry of 1e-12 is an edge."""
     M = np.array([[0.0, 1e-12], [1e-12, 0.0]])
     assert build_graph(_instance_from_pattern(M)).edges == frozenset({(0, 1)})
+
+
+def _random_signed_graph(rng):
+    """Random graph on up to 10 vertices (isolated vertices and several
+    components included) with random +-1 edge signs."""
+    n = int(rng.integers(1, 11))
+    p = rng.uniform(0.05, 0.6)
+    edges = sorted(
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+    )
+    signs = {e: int(rng.choice([-1, 1])) for e in edges}
+    return SparsityGraph(n=n, edges=frozenset(edges)), signs
+
+
+def _sign_product(signs, walk):
+    return int(np.prod([signs[min(a, b), max(a, b)] for a, b in zip(walk, walk[1:])]))
+
+
+def test_signed_bipartition_decides_the_cycle_condition():
+    """The signed coloring succeeds exactly when every basis cycle has sign
+    product (-1)^length.  On success its parts give vertex signs with
+    s_k s_l = -sigma_kl; on failure the witness is a closed walk along edges
+    whose product is not (-1)^length."""
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for _ in range(400):
+        g, signs = _random_signed_graph(rng)
+        res = bipartition(g, signs)
+        condition = all(
+            np.prod([signs[e] for e in cyc]) == (-1) ** len(cyc)
+            for cyc in cycle_basis(g).cycles
+        )
+        assert res.bipartite == condition
+        outcomes.add(res.bipartite)
+        if res.bipartite:
+            left, right = res.parts
+            assert left | right == set(range(g.n)) and not left & right
+            s = [1 if v in left else -1 for v in range(g.n)]
+            assert all(s[k] * s[l] == -sigma for (k, l), sigma in signs.items())
+        else:
+            walk = res.witness
+            assert walk[0] == walk[-1]
+            assert all((min(a, b), max(a, b)) in g.edges for a, b in zip(walk, walk[1:]))
+            assert _sign_product(signs, walk) != (-1) ** (len(walk) - 1)
+    assert outcomes == {True, False}
+
+
+def test_bipartition_default_signs_are_plus_one():
+    """signs=None is sigma = +1 on every edge: the same parts and witness."""
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        g, _ = _random_signed_graph(rng)
+        assert bipartition(g) == bipartition(g, dict.fromkeys(g.edges, 1))
+
+
+def test_bipartition_refuses_signs_other_than_plus_minus_one():
+    """A mixed edge (sigma = 0), any other value or a missing edge raises."""
+    g = SparsityGraph(n=3, edges=frozenset({(0, 1), (1, 2)}))
+    for bad in ({(0, 1): 1, (1, 2): 0}, {(0, 1): 2, (1, 2): -1}, {(0, 1): 1}):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            bipartition(g, bad)

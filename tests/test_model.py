@@ -376,3 +376,23 @@ def test_dehomogenize():
     assert np.allclose(dehomogenize([-1.0, 2.0, -3.0]), [-2.0, 3.0])
     with pytest.raises(InstanceError, match="x0"):
         dehomogenize([0.5, 1.0])
+
+
+def test_dehomogenize_refuses_nan_x0():
+    """|x0| = NaN is not 1; a comparison with NaN is False, so the check is
+    written to pass only on a finite deviation."""
+    with pytest.raises(InstanceError, match="x0"):
+        dehomogenize([np.nan, 1.0])
+
+
+def test_general_instance_needs_both_linear_parts():
+    """Leaving out the linear terms is an InstanceError, not a TypeError."""
+    data = dict(
+        objective=np.array([[2.0]]),
+        constraint_matrices=(np.array([[1.0]]),),
+        rhs=np.array([9.0]),
+    )
+    for linear in ({}, {"linear_objective": np.array([1.0])},
+                   {"linear_constraints": (np.array([0.0]),)}):
+        with pytest.raises(InstanceError, match="both linear parts are required"):
+            GeneralQcqpInstance(**data, **linear)

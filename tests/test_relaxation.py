@@ -30,6 +30,14 @@ def test_numerical_rank():
     assert numerical_rank(np.diag([1.0, 1e-8]), rank_tol=1e-6) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_numerical_rank_refuses_non_finite(bad):
+    """NaN eigenvalues compare False with the threshold and would count as
+    rank 0; a non-finite matrix is refused instead."""
+    with pytest.raises(ValueError, match="non-finite"):
+        numerical_rank(np.diag([1.0, bad]))
+
+
 def test_leading_factor_round_trip():
     """x -> x x^T -> x reproduces the vector up to sign, tightly."""
     rng = np.random.default_rng(17)

@@ -189,6 +189,14 @@ def test_recover_from_transformed():
         recover_from_transformed(np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("x_tilde", [[1.0, np.nan], [np.nan, -1.0], [np.nan, np.nan]])
+def test_recover_from_transformed_refuses_nan(x_tilde):
+    """A NaN in either half fails the coupling check; a comparison with NaN
+    is False, so the check is written to pass only on a finite residual."""
+    with pytest.raises(InstanceError, match="coupling violated"):
+        recover_from_transformed(np.array(x_tilde))
+
+
 def test_transformed_solution_recovers_original_value():
     """Solving the doubled instance reproduces the original optimal value.
 

@@ -50,6 +50,7 @@ from .graph import (
     build_graph,
     connected_components,
     edge_signs,
+    is_forest,
 )
 from .model import QcqpInstance, check_homogeneous
 from .relaxation import DEFAULT_RANK_TOL, check_rank_tol, solve_relaxation
@@ -94,8 +95,11 @@ class AssumptionCheck:
     """
 
     t_star: float | None
-    holds: bool
     note: str = ""
+
+    @property
+    def holds(self) -> bool:
+        return self.t_star is not None
 
 
 @dataclass
@@ -147,13 +151,13 @@ def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> Assu
         for S, magnitude in _candidates(inst, tol, solver_tol):
             bound = np.linalg.eigvalsh(S)[0] - scale * magnitude.sum(axis=1).max()
             if bound > tol:
-                return AssumptionCheck(float(bound), True)
+                return AssumptionCheck(float(bound))
     except DualSideEmpty:
         pass
     except RuntimeError as exc:
-        return AssumptionCheck(None, False, f"assumption check failed to solve: {exc}")
+        return AssumptionCheck(None, f"assumption check failed to solve: {exc}")
     return AssumptionCheck(
-        None, False,
+        None,
         "assumption unverified: no strictly positive-definite nonnegative "
         "combination of constraint matrices found",
     )
@@ -173,8 +177,8 @@ def _check_tolerances(tol: float, y_cap: float, solver_tol: float) -> None:
 class _Structure:
     """What every rule reads, built once per call of `certify` or a rule.
 
-    Graph and edge signs are built eagerly; the bipartition, components
-    and the assumption check only when a rule first asks.
+    Graph and edge signs are built eagerly; the bipartition and the
+    assumption check only when a rule first asks.
     """
 
     def __init__(
@@ -195,13 +199,9 @@ class _Structure:
     def bip(self) -> BipartitionResult:
         return bipartition(self.graph)
 
-    @cached_property
-    def components(self) -> list[frozenset[int]]:
-        return connected_components(self.graph)
-
     @property
     def forest(self) -> bool:
-        return len(self.graph.edges) == self.graph.n - len(self.components)
+        return is_forest(self.graph)
 
     @cached_property
     def assumption(self) -> AssumptionCheck:
@@ -230,7 +230,7 @@ def _edge_systems(st: _Structure, want_max: bool) -> CertificationReport:
             return report
         rule = (
             "connected-bipartite-edge-systems"
-            if len(st.components) <= 1
+            if len(connected_components(st.graph)) <= 1
             else "disconnected-bipartite-edge-systems"
         )
     report.assumption_check = st.assumption
@@ -335,9 +335,9 @@ def _sojoudi(st: _Structure) -> CertificationReport:
     # shortcut cases, for the record; with all signs +1 the coloring is a bipartition
     if st.forest:
         report.notes.append("shortcut: forest with sign-definite edges")
-    if all(s == 1 for s in signs.values()):
+    if signs and all(s == 1 for s in signs.values()):
         report.notes.append("shortcut: bipartite with all edge signs +1")
-    if all(s == -1 for s in signs.values()):
+    if signs and all(s == -1 for s in signs.values()):
         report.notes.append("shortcut: all edge signs -1")
     return report
 
@@ -359,7 +359,7 @@ def certify_sojoudi(inst: QcqpInstance) -> CertificationReport:
 def _sign_corollaries(st: _Structure) -> CertificationReport:
     report = CertificationReport(verdict=Verdict.NOT_CERTIFIED, sign_summary=st.signs)
     signs = set(st.signs.values())  # empty when the graph has no edges
-    if signs == {-1}:
+    if signs <= {-1}:
         report.applied_rule = "nonpositive-off-diagonal"
         report.vertex_signs = (1,) * st.graph.n
     elif signs == {1} and st.bip.bipartite:

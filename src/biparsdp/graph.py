@@ -5,6 +5,8 @@ matrix has a nonzero off-diagonal entry at (i, j).  The queries implemented
 here (edge signs, signed bipartition, connectivity, cycle basis, forest
 test) decide which exactness condition applies to an instance; one signed
 2-coloring decides both bipartiteness and the edge-sign cycle condition.
+Each graph walks its BFS spanning forest once, on first use, and every
+structural query reads that one walk.
 
 Vertices are 0-based internally; the CLI layer converts to 1-based output.
 """
@@ -12,6 +14,7 @@ Vertices are 0-based internally; the CLI layer converts to 1-based output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,24 +29,53 @@ def _norm_edge(i: int, j: int) -> Edge:
 
 @dataclass(frozen=True)
 class SparsityGraph:
+    """Vertices 0..n-1, edges (i, j) with i < j, and the BFS spanning forest,
+    walked once on first use; every structural query reads that walk."""
+
     n: int
     edges: frozenset[Edge]
 
-    def adjacency(self) -> list[list[int]]:
+    @cached_property
+    def bfs_forest(self) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+        """(order, parent, depth, adj) of the breadth-first spanning forest.
+
+        Each unvisited vertex, in increasing order, roots a tree; the queue
+        is FIFO and neighbours are visited in increasing order.  order lists
+        the vertices as visited, so each tree is a run from its root (depth
+        0); parent is -1 at a root; the adjacency lists come out sorted, as
+        the edges are added in sorted order.
+        """
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for a, b in sorted(self.edges):
             adj[a].append(b)
             adj[b].append(a)
-        for lst in adj:
-            lst.sort()
-        return adj
+        parent = [-1] * self.n
+        depth = [-1] * self.n
+        order: list[int] = []
+        for start in range(self.n):
+            if depth[start] != -1:
+                continue
+            depth[start] = 0
+            head = len(order)
+            order.append(start)
+            while head < len(order):
+                v = order[head]
+                head += 1
+                for w in adj[v]:
+                    if depth[w] == -1:
+                        depth[w], parent[w] = depth[v] + 1, v
+                        order.append(w)
+        return order, parent, depth, adj
 
 
 @dataclass(frozen=True)
 class BipartitionResult:
-    bipartite: bool
     parts: tuple[frozenset[int], frozenset[int]] | None
     witness: tuple[int, ...] | None  # cycle v0, ..., vk = v0 of the wrong sign product
+
+    @property
+    def bipartite(self) -> bool:
+        return self.parts is not None
 
 
 @dataclass(frozen=True)
@@ -78,37 +110,6 @@ def edge_signs(inst: QcqpInstance, graph: SparsityGraph) -> dict[Edge, int]:
     return dict(zip(edges, signs.tolist()))
 
 
-def _bfs_forest(
-    graph: SparsityGraph,
-) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-    """Breadth-first spanning forest shared by the structural queries.
-
-    Each unvisited vertex, in increasing order, roots a tree; the queue is
-    FIFO and neighbours are visited in increasing order.  Returns
-    (order, parent, depth, adj): the vertices in visiting order, so each
-    tree is a run starting at its root (depth 0), the tree parent (-1 at a
-    root) and depth of each vertex, and the sorted adjacency lists.
-    """
-    adj = graph.adjacency()
-    parent = [-1] * graph.n
-    depth = [-1] * graph.n
-    order: list[int] = []
-    for start in range(graph.n):
-        if depth[start] != -1:
-            continue
-        depth[start] = 0
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for w in adj[v]:
-                if depth[w] == -1:
-                    depth[w], parent[w] = depth[v] + 1, v
-                    order.append(w)
-    return order, parent, depth, adj
-
-
 def _tree_path(a: int, b: int, parent: list[int]) -> list[int]:
     """Vertices of the tree path a, ..., lca(a, b), ..., b."""
     up_a = [a]
@@ -123,7 +124,7 @@ def _tree_path(a: int, b: int, parent: list[int]) -> list[int]:
 
 def connected_components(graph: SparsityGraph) -> list[frozenset[int]]:
     """Components ordered by their smallest vertex."""
-    order, _, depth, _ = _bfs_forest(graph)
+    order, _, depth, _ = graph.bfs_forest
     comps: list[list[int]] = []
     for v in order:
         if depth[v] == 0:
@@ -150,7 +151,7 @@ def bipartition(
         signs = dict.fromkeys(graph.edges, 1)
     elif any(signs.get(e) not in (1, -1) for e in graph.edges):
         raise ValueError("every edge sign must be +1 or -1")
-    order, parent, _, adj = _bfs_forest(graph)
+    order, parent, _, adj = graph.bfs_forest
     s = [1] * graph.n
     for v in order:
         if parent[v] != -1:
@@ -158,14 +159,10 @@ def bipartition(
     for v in order:
         for w in adj[v]:
             if s[v] * s[w] != -signs[_norm_edge(v, w)]:
-                return BipartitionResult(
-                    bipartite=False,
-                    parts=None,
-                    witness=(*_tree_path(v, w, parent), v),
-                )
+                return BipartitionResult(None, (*_tree_path(v, w, parent), v))
     left = frozenset(i for i in range(graph.n) if s[i] == 1)
     right = frozenset(i for i in range(graph.n) if s[i] == -1)
-    return BipartitionResult(bipartite=True, parts=(left, right), witness=None)
+    return BipartitionResult((left, right), None)
 
 
 def cycle_basis(graph: SparsityGraph) -> CycleBasis:
@@ -174,7 +171,7 @@ def cycle_basis(graph: SparsityGraph) -> CycleBasis:
     Each non-tree edge closes exactly one cycle against the forest, so the
     basis has |E| - n + (#components) cycles.
     """
-    _, parent, _, _ = _bfs_forest(graph)
+    _, parent, _, _ = graph.bfs_forest
     cycles = []
     for (a, b) in sorted(graph.edges):
         if parent[a] == b or parent[b] == a:
@@ -187,6 +184,6 @@ def cycle_basis(graph: SparsityGraph) -> CycleBasis:
 
 
 def is_forest(graph: SparsityGraph) -> bool:
-    """True iff the graph has no cycles."""
-    comps = connected_components(graph)
-    return len(graph.edges) == graph.n - len(comps)
+    """True iff every edge is one of the n - (#roots) BFS forest edges."""
+    _, parent, _, _ = graph.bfs_forest
+    return len(graph.edges) == graph.n - parent.count(-1)

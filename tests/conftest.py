@@ -50,6 +50,15 @@ def max_sign_error(x, ref):
     return min(np.max(np.abs(x - ref)), np.max(np.abs(x + ref)))
 
 
+def bipartite_by_exhaustion(g):
+    """Brute-force 2-colorability of a SparsityGraph over all colorings."""
+    for bits in range(2 ** g.n):
+        colors = [(bits >> v) & 1 for v in range(g.n)]
+        if all(colors[a] != colors[b] for a, b in g.edges):
+            return True
+    return False
+
+
 def vertex_signs_hold(report, n):
     """The report's vertex signs are n entries of +-1 with s_k s_l = -sigma_kl
     on every edge of its sign summary."""

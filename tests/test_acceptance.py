@@ -29,6 +29,7 @@ from conftest import (
     CYCLE4_XMAT,
     CYCLE4_XSTAR,
     SMALL_XSTAR,
+    bipartite_by_exhaustion,
     max_sign_error,
     vertex_signs_hold,
 )
@@ -188,14 +189,6 @@ def _sign_definite_instance(rng):
     )
 
 
-def _bipartite_by_exhaustion(g):
-    for bits in range(2 ** g.n):
-        colors = [(bits >> v) & 1 for v in range(g.n)]
-        if all(colors[a] != colors[b] for a, b in g.edges):
-            return True
-    return False
-
-
 SIGN_RULES = {
     "nonpositive-off-diagonal",
     "bipartite-nonnegative-off-diagonal",
@@ -283,7 +276,7 @@ def test_criterion_7_property_suite():
         }
         graphs.append(SparsityGraph(n=n, edges=frozenset(edges)))
     agree = all(
-        bipartition(g).bipartite == _bipartite_by_exhaustion(g) for g in graphs
+        bipartition(g).bipartite == bipartite_by_exhaustion(g) for g in graphs
     )
     _check("criterion 7d: bipartition agrees with exhaustive 2-coloring", agree)
 

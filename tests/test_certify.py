@@ -231,6 +231,49 @@ def test_rules_never_build_the_cycle_basis(monkeypatch, small, cycle4):
             rule(inst)
 
 
+def test_certify_walks_each_sparsity_graph_once(monkeypatch, small, cycle4):
+    """Every structural query of one certify call reads one BFS walk: the
+    forest rule (small), the bipartite rule (cycle4), an all-+1 odd
+    triangle that falls back, and a rule-2 certificate."""
+    walk = graph_module.SparsityGraph.__dict__["bfs_forest"]
+    original = walk.func
+    walks = []
+
+    def counted(graph):
+        walks.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(walk, "func", counted)
+    cases = [
+        (small, "forest-edge-systems"),
+        (cycle4, "connected-bipartite-edge-systems"),
+        (_triangle_instance((1.0, 1.0, 1.0)), "relaxation-rank-check"),
+        (_triangle_instance((1.0, 1.0, -1.0)), "edge-sign-cycle-condition"),
+    ]
+    for inst, rule in cases:
+        walks.clear()
+        assert certify(inst).applied_rule == rule
+        assert len(walks) == 1, rule
+
+
+def test_edgeless_instance_is_nonpositive():
+    """No off-diagonal entries: every one is 0 <= 0, so rule 1 applies with
+    all vertex signs +1, and rule 2 records only the forest shortcut."""
+    inst = QcqpInstance(
+        objective=np.diag([1.0, -2.0]),
+        constraint_matrices=(np.eye(2),),
+        rhs=np.array([1.0]),
+    )
+    report = certify(inst)
+    assert report.verdict is Verdict.CERTIFIED_EXACT
+    assert report.applied_rule == "nonpositive-off-diagonal"
+    assert report.vertex_signs == (1, 1)
+    assert not report.notes
+    sojoudi = certify_sojoudi(inst)
+    assert sojoudi.verdict is Verdict.CERTIFIED_EXACT
+    assert sojoudi.notes == ["shortcut: forest with sign-definite edges"]
+
+
 def test_sojoudi_invariant_under_positive_diagonal_scaling():
     """Scaling x -> Dx with positive D preserves all edge signs."""
     rng = np.random.default_rng(9)

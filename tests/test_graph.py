@@ -16,6 +16,8 @@ from biparsdp import (
     is_forest,
 )
 
+from conftest import bipartite_by_exhaustion
+
 
 def _instance_from_pattern(M):
     """Instance with a single constraint carrying the given symmetric pattern."""
@@ -141,15 +143,6 @@ def test_bipartite_iff_even_basis_cycles():
         assert bipartition(g).bipartite == all_even
 
 
-def _bipartite_by_exhaustion(g):
-    """Brute-force 2-colorability over all colorings."""
-    for bits in range(2 ** g.n):
-        colors = [(bits >> v) & 1 for v in range(g.n)]
-        if all(colors[a] != colors[b] for a, b in g.edges):
-            return True
-    return False
-
-
 def test_bipartition_matches_exhaustive_coloring():
     """BFS 2-coloring agrees with exhaustive search on small random graphs."""
     rng = np.random.default_rng(5)
@@ -163,7 +156,48 @@ def test_bipartition_matches_exhaustive_coloring():
             if rng.random() < p
         }
         g = SparsityGraph(n=n, edges=frozenset(edges))
-        assert bipartition(g).bipartite == _bipartite_by_exhaustion(g)
+        assert bipartition(g).bipartite == bipartite_by_exhaustion(g)
+
+
+def _union_find(g):
+    """(components ordered by smallest vertex, acyclic) of a SparsityGraph:
+    an edge inside one set closes a cycle."""
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    acyclic = True
+    for a, b in sorted(g.edges):
+        ra, rb = find(a), find(b)
+        acyclic &= ra != rb
+        root[ra] = rb
+    comps = {}
+    for v in range(g.n):
+        comps.setdefault(find(v), set()).add(v)
+    return sorted(map(frozenset, comps.values()), key=min), acyclic
+
+
+def test_components_and_forest_match_union_find():
+    """Components and the forest test agree with a union-find oracle on
+    random graphs, isolated vertices included."""
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        p = rng.uniform(0.0, 0.5)
+        edges = frozenset(
+            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+        )
+        g = SparsityGraph(n=n, edges=edges)
+        comps, acyclic = _union_find(g)
+        assert connected_components(g) == comps
+        assert is_forest(g) == acyclic
+        seen.add((acyclic, any(len(c) == 1 for c in comps)))
+    assert len(seen) == 4  # forests and not, with and without isolated vertices
 
 
 def test_build_graph_and_signs_match_entrywise_definition():

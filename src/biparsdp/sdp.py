@@ -12,7 +12,13 @@ A and K and differ only in b; a lone solve is a batch of one.  Each
 iteration factors the PSD iterates once, in the NT scaling (one stacked
 Cholesky factor of X, eigh and inverse of the scaling matrix); step lengths
 are taken in the NT-scaled space, and the Schur complements come from one
-batched congruence of A's stacked rows.  Inside the loop the PSD block of
+batched congruence of A's stacked rows.  Each Schur complement is solved
+twice per iteration: the tau column and the predictor as one two-column
+right-hand side, then the corrector.  The predictor needs no dual
+direction: its Newton solution satisfies dU^ + dZ^ = -Lambda in the scaled
+space, so its dual half, both of its step bounds (one eigvalsh per member)
+and its du.dz come from du alone.  The corrector forms dz and takes its
+step bounds from one eigvalsh per side.  Inside the loop the PSD block of
 every cone vector is kept as a d x d matrix; u and z are packed by svec
 once, on return.  Everything is dense: the target problems have matrix
 dimension well below a hundred.
@@ -195,7 +201,10 @@ class _NTScaling:
         G^-1 X G^-T = G^T Z G = Lambda = diag(lams),
 
     and W = G G^T satisfies W Z W = X.  Directions are carried into the
-    scaled space by the same maps, and step lengths are read off there.
+    scaled space by the same maps, and step lengths are read off there:
+    `scale` and `max_step` for a general direction (du, dz), `affine` for
+    the predictor, whose dual half follows from du by the scaled
+    complementarity identity.
     Members whose iterate has no scaling (X or Z off the cone interior, or
     u/z out of floating-point range) are flagged in `bad` and carry the
     identity scaling, so that the rest of the stack goes on.
@@ -258,8 +267,39 @@ class _NTScaling:
         np.multiply(dZh, r[:, :, None], out=S[1])
         S *= r[:, None, :]
         lam, _ = _stacked(np.linalg.eigvalsh, S.reshape(-1, self.d, self.d))
-        w = np.concatenate([self.laml, self.laml, np.ones((len(r), 2))], axis=1)
-        dw = np.concatenate([qu, qz, lam[:, :1].reshape(2, -1).T], axis=1)
+        return self._bound(qu, qz, *lam[:, 0].reshape(2, -1))
+
+    def affine(self, du: np.ndarray) -> tuple:
+        """Scaled pair, largest step and du.dz of an affine-scaling direction,
+        from its primal half du alone.
+
+        The affine direction solves the linearized complementarity with the
+        right-hand side -lam o lam, which reads qu + qz = -lam on the
+        orthant and dU^ + dZ^ = -Lambda on the PSD block.  So the dual half
+        is qz = -lam - qu, dZ^ = -Lambda - dU^, and with
+        T = Lambda^-1/2 dU^ Lambda^-1/2 the PSD step bounds are
+        -1 / lambda_min(T) (primal) and 1 / (1 + lambda_max(T)) (dual):
+        one eigvalsh per member gives both.  In the same space
+        du.dz = qu.qz + <dU^, dZ^>.
+        """
+        dul, dX = _split(du, self.l, self.d)
+        qu = dul / self.dl
+        qz = -self.laml - qu
+        dUh = self.Gi @ dX @ _T(self.Gi)
+        dZh = -_diag(self.lams) - dUh
+        r = self.lams ** -0.5
+        lam, _ = _stacked(np.linalg.eigvalsh, dUh * r[:, :, None] * r[:, None, :])
+        step = self._bound(qu, qz, lam[:, 0], -1.0 - lam[:, -1])
+        B = len(du)
+        dudz = _rowdot(qu, qz) + _rowdot(dUh.reshape(B, -1), dZh.reshape(B, -1))
+        return (qu, qz, dUh, dZh), step, dudz
+
+    def _bound(self, qu, qz, tu, tz) -> np.ndarray:
+        """Largest alpha per member with lam + alpha * q >= 0 for q = qu, qz
+        and 1 + alpha * t >= 0 for t = tu, tz, the smallest eigenvalues of
+        the two PSD directions with Lambda^-1/2 taken off both sides."""
+        w = np.concatenate([self.laml, self.laml, np.ones((len(tu), 2))], axis=1)
+        dw = np.concatenate([qu, qz, tu[:, None], tz[:, None]], axis=1)
         return _ratio(w, dw).min(axis=1)
 
     def unscale_comp(self, rl: np.ndarray, Rs: np.ndarray) -> np.ndarray:
@@ -404,9 +444,19 @@ def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
 
     Returns the members whose Schur complement is singular (their step is
     meaningless), the step lengths alpha, and the stepped iterate (u, v, z,
-    tau, kappa).  Directions and temporaries die here, and the predictor's
-    as soon as the corrector has its terms: at a few dozen members the live
-    (B, l + d*d) arrays, not the flops, set the solver's peak memory.
+    tau, kappa).
+
+    A Newton solve has du = H + F(rc hx + A^T dv - dtau c) and
+    dz = -rc hx - A^T dv + dtau c, so du + F(dz) = H, the complementarity
+    term: in the scaled space dU^ + dZ^ = Rs / denom (qu + qz = rl / lam).
+    For the predictor that is -Lambda (-lam), so the predictor stops at du,
+    dtau and dkappa; `_NTScaling.affine` reads off its dual half, its step
+    bound and du.dz, and mu_aff needs no dv or dz.  Its Schur solve is
+    stacked with the tau column's; the corrector's is the second solve of
+    M, and the corrector forms (dv, dz) for its step.  Directions and
+    temporaries die here, and the predictor's as soon as the corrector has
+    its terms: at a few dozen members the live (B, l + d*d) arrays, not the
+    flops, set the solver's peak memory.
     """
     l, d = nt.l, nt.d
     m = len(A)
@@ -422,55 +472,53 @@ def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
     if singular.any():
         M[singular] = np.eye(m)
 
-    # the tau column and F(hx) do not depend on the Newton right-hand side
+    # F(c) and F(hx) do not depend on the Newton right-hand side
     Fc = nt.apply_w2(cl, Cs)
-    v2 = _solve(M, _mv(Fc, A.T) + b)
-    K2 = _mv(v2, FA) - Fc
-    den = -_rowdot(K2, c) + _rowdot(b, v2) + kappa / tau
     Fhx = nt.apply_w2(*_split(hx, l, d))
     AFhx = _mv(Fhx, A.T)
-    del Fc
 
-    def newton(rs, dcl, dcs, dctau):
-        """One Newton solve per member; rs scales the linear residuals."""
-        # du grows in place from Hd through K1: one (B, l + d*d) buffer
-        du = nt.unscale_comp(dcl, dcs)
+    def schur_rhs(rs, du):
+        """Schur right-hand side of a Newton solve whose du holds the
+        complementarity term H; rs scales the linear residuals."""
         rc = rs[:, None]
-        v1 = _solve(M, -rc * hy - _mv(du, A.T) - rc * AFhx)
-        du += rc * Fhx
+        return -rc * hy - _mv(du, A.T) - rc * AFhx
+
+    def complete(rs, du, v1, dctau):
+        """Grow du in place from H into the Newton direction of the Schur
+        solution v1; returns (dtau, dkappa)."""
+        du += rs[:, None] * Fhx
         du += _mv(v1, FA)
         num = -rs * htau + _rowdot(du, c) - _rowdot(b, v1) + dctau / tau
         dtau = num / den
-        dv = v1 + dtau[:, None] * v2
         du += dtau[:, None] * K2
         # the congruences round asymmetrically; X must stay symmetric,
         # since its factorizations read one triangle only
         dX = _split(du, l, d)[1]
         dX[...] = 0.5 * (dX + _T(dX))
-        dz = -rc * hx
-        dz -= _mv(dv, A)
-        dz += dtau[:, None] * c
-        dkappa = (dctau - kappa * dtau) / tau
-        return du, dv, dz, dtau, dkappa
+        return dtau, (dctau - kappa * dtau) / tau
 
     tk = np.stack([tau, kappa], axis=1)
 
-    def step_bound(scaled, dtau, dkappa):
-        """Largest step keeping the cone part and (tau, kappa) interior."""
-        return np.minimum(nt.max_step(scaled), _ratio(tk, np.stack([dtau, dkappa], 1)).min(1))
+    def tk_bound(dtau, dkappa):
+        """Largest step keeping (tau, kappa) positive."""
+        return _ratio(tk, np.stack([dtau, dkappa], 1)).min(1)
 
-    # predictor (affine scaling) direction
-    du_a, dv_a, dz_a, dtau_a, dkap_a = newton(
-        np.ones_like(tau), -nt.laml ** 2, -_diag(nt.lams ** 2), -tau * kappa
-    )
-    sc_a = nt.scale(du_a, dz_a)
-    # (u + a du).(z + a dz) as a polynomial in a, so the predictor's
-    # direction is freed before its step length is found
-    uz, cross, dudz = _rowdot(u, z), _rowdot(u, dz_a) + _rowdot(du_a, z), _rowdot(du_a, dz_a)
-    del du_a, dv_a, dz_a
-    aa = np.minimum(1.0, step_bound(sc_a, dtau_a, dkap_a))  # predictor step length
+    # predictor (affine scaling) direction: its u-space half only, solved
+    # together with the tau column
+    ones = np.ones_like(tau)
+    du_a = nt.unscale_comp(-nt.laml ** 2, -_diag(nt.lams ** 2))
+    v2, v1 = _solve(M, _mv(Fc, A.T) + b, schur_rhs(ones, du_a))
+    K2 = _mv(v2, FA) - Fc
+    den = -_rowdot(K2, c) + _rowdot(b, v2) + kappa / tau
+    del Fc
+    dtau_a, dkap_a = complete(ones, du_a, v1, -tau * kappa)
+    sc_a, step_a, dudz = nt.affine(du_a)
+    del du_a
+    aa = np.minimum(1.0, np.minimum(step_a, tk_bound(dtau_a, dkap_a)))  # predictor step length
+    # (u + a du).(z + a dz) = uz (1 - a) + a^2 du.dz, since u.dz + du.z = -u.z
+    uz = _rowdot(u, z)
     tk_aff = (tau + aa * dtau_a) * (kappa + aa * dkap_a)
-    mu_aff = (uz + aa * cross + aa * aa * dudz + tk_aff) / (nu + 1)
+    mu_aff = (uz * (1.0 - aa) + aa * aa * dudz + tk_aff) / (nu + 1)
     sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0)
 
     # Mehrotra corrector from the predictor's scaled pair
@@ -481,18 +529,29 @@ def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
     dctau = smu - tau * kappa - dtau_a * dkap_a
     del sc_a, dUh, dZh
 
-    du, dv, dz, dtau, dkappa = newton(1.0 - sigma, dcl, dcs, dctau)
+    rs = 1.0 - sigma
+    du = nt.unscale_comp(dcl, dcs)
+    (v1,) = _solve(M, schur_rhs(rs, du))
+    dtau, dkappa = complete(rs, du, v1, dctau)
     del dcs, FA, K2, Fhx
+    dv = v1 + dtau[:, None] * v2
+    dz = -rs[:, None] * hx
+    dz -= _mv(dv, A)
+    dz += dtau[:, None] * c
 
-    alpha = np.minimum(1.0, 0.99 * step_bound(nt.scale(du, dz), dtau, dkappa))
+    step = np.minimum(nt.max_step(nt.scale(du, dz)), tk_bound(dtau, dkappa))
+    alpha = np.minimum(1.0, 0.99 * step)
     a = alpha[:, None]
     return singular, alpha, (
         u + a * du, v + a * dv, z + a * dz, tau + alpha * dtau, kappa + alpha * dkappa
     )
 
 
-def _solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(M, r[..., None])[..., 0]
+def _solve(M: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
+    """Solutions x of M x = r, one (B, m) row of the result for each
+    right-hand side r (B, m), from one stacked solve: each M is factored
+    once."""
+    return np.linalg.solve(M, np.stack(rhs, axis=2)).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------

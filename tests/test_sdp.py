@@ -23,6 +23,7 @@ from biparsdp.sdp import (
     _kkt_refine,
     _kkt_residuals,
     _NTScaling,
+    _pack,
     _solve_batch,
     _stacked,
     dual_slack,
@@ -120,6 +121,137 @@ def test_scaled_step_matches_cholesky_step():
             assert g == ref if np.isinf(ref) else abs(g - ref) <= 1e-10 * ref
 
 
+def _nt_point(u, z, l, d):
+    """NT scaling of one packed point, from matrix square roots: u/z on the
+    orthant and W = X^1/2 (X^1/2 Z X^1/2)^-1/2 X^1/2, with W Z W = X."""
+    def power(S, p):
+        w, V = np.linalg.eigh(S)
+        return (V * w ** p) @ V.T
+
+    Xh = power(smat(u[l:], d), 0.5)
+    return u[:l] / z[:l], Xh @ power(Xh @ smat(z[l:], d) @ Xh, -0.5) @ Xh
+
+
+def _affine_point(rng, l, d):
+    """Random interior (u, z), a random du and the dz that solves the
+    affine-scaling complementarity du + F(dz) = -u, F the NT congruence."""
+    u, z, du, _ = _interior_point(rng, l, d)
+    wl, W = _nt_point(u, z, l, d)
+    Wi = np.linalg.inv(W)
+    dz = np.concatenate([(-u[:l] - du[:l]) / wl, svec(Wi @ -smat(u[l:] + du[l:], d) @ Wi)])
+    return u, z, du, dz
+
+
+def _engine_predictors(monkeypatch, run):
+    """Every predictor of the engine runs made by run(): the problem's c, A
+    and b, the iterate, its scaling and the engine's affine du."""
+    seen = []
+    real_step, real_affine = sdp._mehrotra_step, _NTScaling.affine
+
+    def step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
+        seen.append(dict(nt=nt, c=c, A=A, b=b, u=u.copy(), tau=tau, kappa=kappa,
+                         hx=hx.copy(), hy=hy.copy(), htau=htau, mu=mu))
+        return real_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu)
+
+    def affine(self, du):
+        seen[-1]["du"] = du.copy()
+        return real_affine(self, du)
+
+    monkeypatch.setattr(sdp, "_mehrotra_step", step)
+    monkeypatch.setattr(_NTScaling, "affine", affine)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _dense_affine_direction(p):
+    """(du, dz) of a lone solve's predictor from the linearized homogeneous
+    model, one dense solve in svec coordinates:
+
+        A du - b dtau = -hy,    A^T dv + dz - c dtau = -hx,
+        -c.du + b.dv - dkappa = -htau,    du + F(dz) = -u,
+        kappa dtau + tau dkappa = -tau kappa.
+    """
+    nt = p["nt"]
+    l, d = nt.l, nt.d
+    N, m = l + d * (d + 1) // 2, len(p["A"])
+    c, hx, u = (_pack(w, l, d) for w in (p["c"], p["hx"][0], p["u"][0]))
+    A = np.array([_pack(row, l, d) for row in p["A"]])
+    b, tau, kappa = p["b"][0], p["tau"][0], p["kappa"][0]
+    W = nt.W[0]
+    F = np.array([np.concatenate([nt.dl[0] ** 2 * e[:l], svec(W @ smat(e[l:], d) @ W)])
+                  for e in np.eye(N)]).T
+    du, dv, dz, t, k = np.cumsum([0, N, m, N, 1])
+    K = np.zeros((2 * N + m + 2,) * 2)
+    r = np.zeros(len(K))
+    K[:m, du:dv], K[:m, t] = A, -b
+    r[:m] = -p["hy"][0]
+    rows = slice(m, m + N)
+    K[rows, dv:dz], K[rows, dz:t], K[rows, t] = A.T, np.eye(N), -c
+    r[rows] = -hx
+    K[m + N, du:dv], K[m + N, dv:dz], K[m + N, k] = -c, b, -1.0
+    r[m + N] = -p["htau"][0]
+    rows = slice(m + N + 1, m + 2 * N + 1)
+    K[rows, du:dv], K[rows, dz:t] = np.eye(N), F
+    r[rows] = -u
+    K[-1, t], K[-1, k] = kappa, tau
+    r[-1] = -tau * kappa
+    x = np.linalg.solve(K, r)
+    return _unpacked(x[du:dv], l, d), _unpacked(x[dz:t], l, d)
+
+
+def test_affine_dual_half_matches_engine_directions(monkeypatch, cycle4):
+    """On the engine's own predictors (the relaxation of cycle4 and one of
+    its edge SDPs), the dual half read off the scaled complementarity
+    identity, qz = -lam - qu and dZ^ = -Lambda - dU^, is the scaled image of
+    the dz of the Newton system, to 1e-10 of ||Lambda||.  The check runs
+    while mu >= 1e-4, where the dense reference solve is accurate; it also
+    confirms the engine's du."""
+    for run in (lambda: solve(cycle4), lambda: minimize_linear_functional_over_dual_cone(cycle4, 0, 1)):
+        checked = [p for p in _engine_predictors(monkeypatch, run) if p["mu"][0] >= 1e-4]
+        assert len(checked) >= 4
+        for p in checked:
+            nt = p["nt"]
+            du, dz = _dense_affine_direction(p)
+            assert np.max(np.abs(p["du"] - du)) <= 1e-8 * np.max(np.abs(du))
+            (_, qz, _, dZh), _, _ = nt.affine(p["du"])
+            _, qz_ref, _, dZh_ref = nt.scale(du[None], dz[None])
+            lam = np.linalg.norm(np.concatenate([nt.laml[0], nt.lams[0]]))
+            assert np.max(np.abs(qz - qz_ref), initial=0.0) <= 1e-10 * lam
+            assert np.max(np.abs(dZh - dZh_ref)) <= 1e-10 * lam
+
+
+def test_affine_step_matches_cholesky_step():
+    """The predictor's step bound, one eigvalsh of Lambda^-1/2 dU^ Lambda^-1/2
+    per member for both sides, equals the step from separate Cholesky
+    factors of X and Z on directions that solve the affine complementarity."""
+    rng = np.random.default_rng(7)
+    for l, d in [(0, 1), (2, 3), (3, 6), (1, 10)]:
+        points = [_affine_point(rng, l, d) for _ in range(10)]
+        u, z, du, _ = _stack(points, l, d)
+        nt = _NTScaling(u, z, l, d)
+        assert not nt.bad.any()
+        _, got, _ = nt.affine(du)
+        for g, (ui, zi, dui, dzi) in zip(got, points):
+            ref = min(_cholesky_step(ui, dui, l, d), _cholesky_step(zi, dzi, l, d))
+            assert g == ref if np.isinf(ref) else abs(g - ref) <= 1e-10 * ref
+
+
+def test_affine_gap_matches_u_space_polynomial():
+    """(u + a du).(z + a dz) = u.z (1 - a) + a^2 du.dz along an affine
+    direction, with du.dz = qu.qz + <dU^, dZ^> taken in the scaled space."""
+    rng = np.random.default_rng(8)
+    for l, d in [(0, 1), (2, 3), (3, 6), (1, 10)]:
+        points = [_affine_point(rng, l, d) for _ in range(10)]
+        u, z, du, _ = _stack(points, l, d)
+        _, _, dudz = _NTScaling(u, z, l, d).affine(du)
+        for g, (ui, zi, dui, dzi) in zip(dudz, points):
+            size = ui @ zi + np.linalg.norm(dui) * np.linalg.norm(dzi)
+            for a in (0.25, 0.5, 1.0, 2.0):
+                ref = (ui + a * dui) @ (zi + a * dzi)
+                assert abs(ui @ zi * (1 - a) + a * a * g - ref) <= 1e-10 * (1 + a * a) * size
+
+
 def test_stacked_schur_matches_per_row_assembly():
     """One batched W A_p W over the stacked rows gives, for every member,
     the Schur complement of the row-by-row congruence."""
@@ -155,34 +287,45 @@ def test_stacked_factorization_isolates_failures():
 
 
 def _counted_linalg(monkeypatch, names):
-    counts = dict.fromkeys(names, 0)
+    """The calls of each np.linalg function from now on, one entry per call:
+    the number of matrices it was given."""
+    calls = {name: [] for name in names}
     for name in names:
         real = getattr(np.linalg, name)
 
-        def counted(a, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(a)
+        def counted(a, *args, _real=real, _name=name):
+            calls[_name].append(len(a) if np.ndim(a) == 3 else 1)
+            return _real(a, *args)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    return counts
+    return calls
 
 
 def test_one_factorization_per_iteration(monkeypatch):
-    """Each iteration that takes a step factors X once, inverts G once and
-    factors the Schur complement once: one stacked call each, whatever the
-    number of problems in the batch."""
+    """Each iteration that takes a step factors X once (Cholesky, eigh,
+    inverse of G), factors the Schur complement once and solves with it
+    twice (the tau column with the predictor, then the corrector), and finds
+    its step lengths from one eigvalsh per member for the predictor and two
+    for the corrector: one stacked call each, whatever the number of
+    problems in the batch."""
     n, m = 4, 3
     rng = np.random.default_rng(5)
     G = rng.standard_normal((n, n))
     c = np.concatenate([np.zeros(m), svec(G + G.T)])
     A = np.hstack([np.eye(m), np.array([svec(np.eye(n) * (p + 1)) for p in range(m)])])
+    names = ("cholesky", "eigh", "inv", "solve", "eigvalsh")
     for b in (np.ones((1, m)), rng.uniform(0.5, 3.0, size=(6, m))):
-        counts = _counted_linalg(monkeypatch, ("cholesky", "inv"))
+        calls = _counted_linalg(monkeypatch, names)
         sols = _solve_batch(c, A, b, l=m, d=n)
         monkeypatch.undo()
         assert all(s.status is SolverStatus.OPTIMAL for s in sols)
         steps = max(s.iterations for s in sols) - 1  # the last only checks convergence
-        assert counts == {"cholesky": 2 * steps, "inv": steps}
+        member_steps = sum(s.iterations - 1 for s in sols)
+        assert {name: len(calls[name]) for name in names} == {
+            "cholesky": 2 * steps, "eigh": steps, "inv": steps, "solve": 2 * steps,
+            "eigvalsh": 2 * steps,
+        }
+        assert sum(calls["eigvalsh"]) == 3 * member_steps
     assert len({s.iterations for s in sols}) > 1  # members left the batch at different iterations
 
 
@@ -578,12 +721,12 @@ def test_diagonally_dominant_constraints_need_no_assumption_sdp(monkeypatch, sma
 
 
 def test_failed_members_get_one_recovery_run(monkeypatch, small):
-    """On the eps = 1e-2 connecting perturbation of two copies of small.json,
+    """On the eps = 5e-4 connecting perturbation of two copies of small.json,
     the forest minima of edges (1, 2) and (3, 4) drift along a flat optimal
     face with the box slack priced at 1 and lose the cone interior.  They,
     and only they, are solved once more with the slack priced at y_cap; the
     batch's results are then those of the lone solves, bit for bit."""
-    inst = build_connecting_perturbation(_blkdiag_double(small), 1e-2).instance
+    inst = build_connecting_perturbation(_blkdiag_double(small), 5e-4).instance
     targets = _all_targets(inst)
     runs = _engine_runs(monkeypatch)
     optimize_linear_functionals_over_dual_cone(inst, targets)
@@ -602,6 +745,24 @@ def test_failed_members_get_one_recovery_run(monkeypatch, small):
     for (value, attained, y), (value1, attained1, y1) in zip(batch, lone):
         assert (value, attained) == (value1, attained1)
         assert np.array_equal(y, y1)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+def test_connecting_perturbation_certifies_from_one_engine_run(monkeypatch, small, eps):
+    """The eps = 0.1 and 0.05 connecting perturbations of two copies of
+    small.json certify by the forest edge systems from one engine run: no
+    edge SDP loses the cone interior, so none needs the recovery run and
+    certify needs no fallback.  An independent relaxation solve has rank 1."""
+    inst = build_connecting_perturbation(_blkdiag_double(small), eps).instance
+    runs = _engine_runs(monkeypatch)
+    report = certify(inst)
+    monkeypatch.undo()
+    assert report.verdict is Verdict.CERTIFIED_EXACT
+    assert report.applied_rule == "forest-edge-systems"
+    assert len(runs) == 1
+    assert all(sol.status is SolverStatus.OPTIMAL for sol in runs[0])
+    res = solve_relaxation(inst)
+    assert res.status is SolverStatus.OPTIMAL and res.numeric_rank <= 1
 
 
 def test_edge_functional_reference_values(cycle4):

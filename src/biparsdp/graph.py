@@ -5,8 +5,9 @@ matrix has a nonzero off-diagonal entry at (i, j).  The queries implemented
 here (edge signs, signed bipartition, connectivity, cycle basis, forest
 test) decide which exactness condition applies to an instance; one signed
 2-coloring decides both bipartiteness and the edge-sign cycle condition.
-Each graph walks its BFS spanning forest once, on first use, and every
-structural query reads that one walk.
+Each graph sorts its edges and walks its BFS spanning forest once, on first
+use (`build_graph` hands over the sorted edges it found), and every
+structural query reads that one sort and that one walk.
 
 Vertices are 0-based internally; the CLI layer converts to 1-based output.
 """
@@ -29,11 +30,20 @@ def _norm_edge(i: int, j: int) -> Edge:
 
 @dataclass(frozen=True)
 class SparsityGraph:
-    """Vertices 0..n-1, edges (i, j) with i < j, and the BFS spanning forest,
-    walked once on first use; every structural query reads that walk."""
+    """Vertices 0..n-1, edges (i, j) with i < j, the edges in sorted order
+    and the BFS spanning forest, each built once on first use; every
+    structural query reads them."""
 
     n: int
     edges: frozenset[Edge]
+
+    @cached_property
+    def sorted_edges(self) -> tuple[tuple[Edge, ...], np.ndarray, np.ndarray]:
+        """(edges, rows, cols): the edges in increasing order, as (i, j)
+        tuples and as the arrays of their i and of their j."""
+        edges = tuple(sorted(self.edges))
+        rows, cols = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        return edges, rows, cols
 
     @cached_property
     def bfs_forest(self) -> tuple[list[int], list[int], list[int], list[list[int]]]:
@@ -46,7 +56,7 @@ class SparsityGraph:
         the edges are added in sorted order.
         """
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in sorted(self.edges):
+        for a, b in self.sorted_edges[0]:
             adj[a].append(b)
             adj[b].append(a)
         parent = [-1] * self.n
@@ -90,8 +100,14 @@ def build_graph(inst: QcqpInstance) -> SparsityGraph:
     mask = np.zeros((n, n), dtype=bool)
     for Q in inst.all_matrices():
         mask |= Q != 0
-    rows, cols = np.nonzero(np.triu(mask, 1))
-    return SparsityGraph(n=n, edges=frozenset(zip(rows.tolist(), cols.tolist())))
+    # row-major, so the edges come out sorted (a 2-D nonzero is much slower)
+    rows, cols = np.divmod(np.flatnonzero(mask), n)
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    edges = tuple(zip(rows.tolist(), cols.tolist()))
+    graph = SparsityGraph(n=n, edges=frozenset(edges))
+    graph.__dict__["sorted_edges"] = (edges, rows, cols)  # fills the cached property
+    return graph
 
 
 def edge_signs(inst: QcqpInstance, graph: SparsityGraph) -> dict[Edge, int]:
@@ -100,10 +116,9 @@ def edge_signs(inst: QcqpInstance, graph: SparsityGraph) -> dict[Edge, int]:
     The sign is nonzero exactly when {Q0_ij, ..., Qm_ij} is sign-definite.
     Exact sign tests are used; the data carries no tolerance.
     """
-    edges = sorted(graph.edges)
+    edges, rows, cols = graph.sorted_edges
     if not edges:
         return {}
-    rows, cols = np.array(edges).T
     vals = np.array([Q[rows, cols] for Q in inst.all_matrices()])
     signs = np.where(np.all(vals >= 0, axis=0), 1,
                      np.where(np.all(vals <= 0, axis=0), -1, 0))
@@ -142,26 +157,39 @@ def bipartition(
     -sigma * s_parent.  signs gives each edge's sigma, +1 or -1 (else
     ValueError); None is sigma = +1, a plain 2-coloring.  By Harary's
     balance theorem, s_k s_l = -sigma_kl can hold on every edge exactly when
-    every cycle has sign product (-1)^length.  The first edge (v, w), in BFS
-    order of v and then of w, that breaks it closes the witness v, ..., lca,
-    ..., w, v, a cycle of the wrong product.  Parts are {s = +1}, {s = -1};
+    every cycle has sign product (-1)^length.  The first edge (v, w), v in
+    BFS order and then w in increasing order, that breaks it closes the
+    witness v, ..., lca, ..., w, v, a cycle of the wrong product.  Parts are {s = +1}, {s = -1};
     isolated vertices land in the left part, so no edges gives (V, {}).
     """
+    edges, rows, cols = graph.sorted_edges
     if signs is None:
-        signs = dict.fromkeys(graph.edges, 1)
-    elif any(signs.get(e) not in (1, -1) for e in graph.edges):
-        raise ValueError("every edge sign must be +1 or -1")
-    order, parent, _, adj = graph.bfs_forest
+        sigma = np.ones(len(edges), dtype=int)
+    else:
+        sigma = [signs.get(e) for e in edges]
+        if not set(sigma) <= {1, -1}:
+            raise ValueError("every edge sign must be +1 or -1")
+        sigma = np.array(sigma, dtype=int)
+    order, parent, _, _ = graph.bfs_forest
     s = [1] * graph.n
     for v in order:
-        if parent[v] != -1:
-            s[v] = -signs[_norm_edge(parent[v], v)] * s[parent[v]]
-    for v in order:
-        for w in adj[v]:
-            if s[v] * s[w] != -signs[_norm_edge(v, w)]:
-                return BipartitionResult(None, (*_tree_path(v, w, parent), v))
-    left = frozenset(i for i in range(graph.n) if s[i] == 1)
-    right = frozenset(i for i in range(graph.n) if s[i] == -1)
+        p = parent[v]
+        if p != -1:
+            s[v] = -s[p] if signs is None else -signs[_norm_edge(p, v)] * s[p]
+    s = np.array(s)
+    broken = s[rows] * s[cols] != -sigma
+    if broken.any():
+        # each broken edge is met first from its end earlier in BFS order
+        rank = np.empty(graph.n, dtype=int)
+        rank[order] = np.arange(graph.n)
+        a, b = rows[broken], cols[broken]
+        a_first = rank[a] < rank[b]
+        v, w = np.where(a_first, a, b), np.where(a_first, b, a)
+        k = np.lexsort((w, rank[v]))[0]
+        v, w = int(v[k]), int(w[k])
+        return BipartitionResult(None, (*_tree_path(v, w, parent), v))
+    left = frozenset(np.flatnonzero(s == 1).tolist())
+    right = frozenset(np.flatnonzero(s == -1).tolist())
     return BipartitionResult((left, right), None)
 
 
@@ -173,7 +201,7 @@ def cycle_basis(graph: SparsityGraph) -> CycleBasis:
     """
     _, parent, _, _ = graph.bfs_forest
     cycles = []
-    for (a, b) in sorted(graph.edges):
+    for (a, b) in graph.sorted_edges[0]:
         if parent[a] == b or parent[b] == a:
             continue
         verts = _tree_path(a, b, parent)

@@ -7,6 +7,13 @@ An instance is the homogeneous problem
 with all data matrices symmetric and of common dimension n.  Instances with
 linear terms are held in :class:`GeneralQcqpInstance` and reduced to the
 homogeneous form via :func:`homogenize`.
+
+Instance files hold 1-based upper-triangle (i, j, v) triplets.
+:func:`load_instance` reads every triplet of a file into one array, checks
+them in one vectorized pass, and scatters them into one (m + 1, n, n) array
+whose slices are the instance's matrices; a file that fails a check is read
+again one field and one triplet at a time, so that its first error is the
+one reported.
 """
 
 from __future__ import annotations
@@ -124,44 +131,86 @@ def check_homogeneous(inst: QcqpInstance, verb: str) -> None:
         raise InstanceError(f"instance has linear terms; {verb} homogenize(instance) instead")
 
 
-def _matrix_from_triplets(triplets, n: int, name: str) -> np.ndarray:
-    """Build a symmetric matrix from 1-based upper-triangle (i, j, v) triplets.
+def _number(x) -> float:
+    """float(x) for a JSON number; a string raises TypeError even when it
+    spells a number.  true reads as 1."""
+    if isinstance(x, str):
+        raise TypeError(f"{x!r} is a string, not a number")
+    return float(x)
 
-    The checks run on whole columns.  Triplets that are not all numbers, an
-    entry that fails a check, and duplicate (i, j) go to `_matrix_by_loop`,
-    which names the first bad or conflicting triplet, or averages
-    duplicates that agree.
-    """
-    if not isinstance(triplets, list):
-        raise InstanceError(f"{name}: expected a list of [i, j, v] triplets")
+
+def _numbers(x) -> np.ndarray:
+    """x as a float array; TypeError unless every entry is a JSON number."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biuf":
+        raise TypeError("entries must be JSON numbers")
+    return a.astype(float)
+
+
+def _zero_stack(k: int, n: int, name: str) -> np.ndarray:
+    """np.zeros((k, n, n)), or InstanceError when n is too large for it."""
     try:
-        T = np.array(triplets)
+        return np.zeros((k, n, n))
+    except (MemoryError, ValueError) as exc:  # ValueError: size beyond intp
+        raise InstanceError(
+            f"{name}: n = {n} is too large: {k} dense {n}x{n} matrices cannot be allocated"
+        ) from exc
+
+
+def _scatter_triplets(stack: np.ndarray, lists) -> bool:
+    """Fill the zero stack (k, n, n) from k lists of 1-based upper-triangle
+    (i, j, v) triplets, mirrored, in one vectorized pass over all of them.
+
+    Returns False, with the stack untouched, unless every list is a list,
+    every triplet is three numbers, every index an integer with
+    1 <= i <= j <= n, every value finite and no (i, j) repeats within a
+    list; `_matrix_by_loop` then names the first bad or conflicting
+    triplet, or averages duplicates that agree.
+    """
+    k, n, _ = stack.shape
+    if not all(isinstance(triplets, list) for triplets in lists):
+        return False
+    counts = [len(triplets) for triplets in lists]
+    try:
+        T = np.array([t for triplets in lists for t in triplets])
     except (ValueError, OverflowError):  # ragged, or an int beyond every dtype
-        return _matrix_by_loop(triplets, n, name)
-    if T.dtype.kind not in "biuf" or T.shape != (len(triplets), 3):
-        return _matrix_by_loop(triplets, n, name)
+        return False
+    if T.dtype.kind not in "biuf" or T.shape != (sum(counts), 3):
+        return False
     i, j, v = T.astype(float).T
     ok = (1 <= i) & (i <= j) & (j <= n) & (i == np.floor(i)) & (j == np.floor(j))
     if not (ok.all() and np.isfinite(v).all()):
-        return _matrix_by_loop(triplets, n, name)
+        return False
+    p = np.repeat(np.arange(k), counts)
     i, j = i.astype(int) - 1, j.astype(int) - 1
-    keys = np.sort(i * n + j)  # np.unique would import numpy.ma, ~1 MiB
+    keys = np.sort((p * n + i) * n + j)  # np.unique would import numpy.ma, ~1 MiB
     if (keys[1:] == keys[:-1]).any():
-        return _matrix_by_loop(triplets, n, name)
-    Q = np.zeros((n, n))
-    Q[i, j] = Q[j, i] = v
-    return Q
+        return False
+    stack[p, i, j] = stack[p, j, i] = v
+    return True
 
 
-def _matrix_by_loop(triplets, n: int, name: str) -> np.ndarray:
-    """`_matrix_from_triplets` one triplet at a time, raising for the first bad one."""
-    Q = np.zeros((n, n))
+def _matrix_from_triplets(triplets, n: int, name: str) -> np.ndarray:
+    """Symmetric matrix from 1-based upper-triangle (i, j, v) triplets: the
+    one-list case of the build `load_instance` runs on a whole file."""
+    Q = _zero_stack(1, n, name)
+    if not _scatter_triplets(Q, [triplets]):
+        _matrix_by_loop(triplets, Q[0], name)
+    return Q[0]
+
+
+def _matrix_by_loop(triplets, Q: np.ndarray, name: str) -> None:
+    """Fill the zero matrix Q one triplet at a time, raising for the first
+    bad one; duplicates that agree are averaged."""
+    if not isinstance(triplets, list):
+        raise InstanceError(f"{name}: expected a list of [i, j, v] triplets")
+    n = Q.shape[0]
     seen: dict[tuple[int, int], float] = {}
     counts: dict[tuple[int, int], int] = {}
     for entry in triplets:
         try:
             ei, ej, v = entry
-            i, j, v = int(ei), int(ej), float(v)
+            i, j, v = int(ei), int(ej), _number(v)
             if i != ei or j != ej:
                 raise ValueError("index is not an integer")
         except (TypeError, ValueError, OverflowError) as exc:
@@ -190,15 +239,56 @@ def _matrix_by_loop(triplets, n: int, name: str) -> np.ndarray:
         v = total / counts[(i, j)]
         Q[i - 1, j - 1] = v
         Q[j - 1, i - 1] = v
-    return Q
+
+
+def _fill_at_once(stack: np.ndarray, obj_triplets, constraints) -> np.ndarray | None:
+    """Fill the stack from every triplet of the file in one pass and return
+    the rhs; None, with the stack untouched, when any field or triplet fails
+    a check."""
+    try:
+        lists = [obj_triplets, *(con["matrix"] for con in constraints)]
+        rhs = _numbers([con["rhs"] for con in constraints])
+    except (KeyError, TypeError, ValueError):
+        return None
+    if rhs.shape != (len(constraints),) or not np.isfinite(rhs).all():
+        return None
+    return rhs if _scatter_triplets(stack, lists) else None
+
+
+def _fill_by_loop(stack: np.ndarray, path, obj_triplets, constraints) -> np.ndarray:
+    """The objective, then each constraint's fields, matrix and rhs, in
+    document order, one triplet at a time: raises the first error of the
+    file, or fills the stack and returns the rhs."""
+    _matrix_by_loop(obj_triplets, stack[0], f"{path}: objective")
+    rhs = []
+    for p, con in enumerate(constraints, 1):
+        try:
+            triplets, b = con["matrix"], _number(con["rhs"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InstanceError(
+                f"{path}: constraint {p}: missing or malformed field {exc}"
+            ) from exc
+        _matrix_by_loop(triplets, stack[p], f"{path}: constraint {p}")
+        if not np.isfinite(b):
+            raise InstanceError(f"{path}: constraint {p}: non-finite rhs")
+        rhs.append(b)
+    return np.array(rhs)
 
 
 def load_instance(path) -> QcqpInstance:
     """Load and validate an instance from a JSON file.
 
     Upper-triangle input is mirrored; files with a "linear" section yield a
-    :class:`GeneralQcqpInstance`.  Instances with m = 0, and n, m or
-    triplet indices that are not integers, are rejected.
+    :class:`GeneralQcqpInstance`.  Instances with m = 0, n, m or triplet
+    indices that are not integers, numeric fields that are not JSON numbers
+    (true reads as 1), and an n whose dense matrices cannot be allocated are
+    rejected.
+
+    All m + 1 matrices are scattered into one (m + 1, n, n) array, whose
+    slices become the instance's matrices, from one array of every
+    triplet of the file, checked in one vectorized pass.  A file that fails
+    any check is read again field by field and triplet by triplet, so the
+    error names the first bad field or triplet in document order.
     """
     with open(path) as fh:
         try:
@@ -219,30 +309,18 @@ def load_instance(path) -> QcqpInstance:
         raise InstanceError(f"{path}: constraints must be a list")
     if len(constraints) != m:
         raise InstanceError(f"{path}: expected {m} constraints, found {len(constraints)}")
-    objective = _matrix_from_triplets(obj_triplets, n, f"{path}: objective")
-    mats = []
-    rhs = []
-    for p, con in enumerate(constraints):
-        try:
-            triplets, b = con["matrix"], float(con["rhs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceError(
-                f"{path}: constraint {p + 1}: missing or malformed field {exc}"
-            ) from exc
-        mats.append(_matrix_from_triplets(triplets, n, f"{path}: constraint {p + 1}"))
-        if not np.isfinite(b):
-            raise InstanceError(f"{path}: constraint {p + 1}: non-finite rhs")
-        rhs.append(b)
+    stack = _zero_stack(m + 1, n, str(path))
+    rhs = _fill_at_once(stack, obj_triplets, constraints)
+    if rhs is None:
+        rhs = _fill_by_loop(stack, path, obj_triplets, constraints)
     cls = QcqpInstance
-    data = dict(objective=objective, constraint_matrices=tuple(mats), rhs=np.array(rhs))
+    data = dict(objective=stack[0], constraint_matrices=tuple(stack[1:]), rhs=rhs)
     if "linear" in raw and raw["linear"] is not None:
         cls = GeneralQcqpInstance
         lin = raw["linear"]
         try:
-            data["linear_objective"] = np.asarray(lin["objective"], dtype=float)
-            data["linear_constraints"] = tuple(
-                np.asarray(q, dtype=float) for q in lin["constraints"]
-            )
+            data["linear_objective"] = _numbers(lin["objective"])
+            data["linear_constraints"] = tuple(_numbers(q) for q in lin["constraints"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"{path}: linear: missing or malformed field {exc}") from exc
     try:

@@ -148,11 +148,19 @@ _ONE_CONSTRAINT = {"matrix": [[1, 1, 1.0]], "rhs": 1.0}
         {"constraints": [_ONE_CONSTRAINT], "n": "abc"},
         {"constraints": [_ONE_CONSTRAINT], "objective": [[float("inf"), 1, 1.0]]},
         {"constraints": [_ONE_CONSTRAINT], "objective": [[1, 1, 1.0, 2.0]]},
+        {"constraints": [_ONE_CONSTRAINT], "objective": [[1, 1, "2.5"]]},
+        {"constraints": [{"matrix": [[1, 1, 1.0]], "rhs": "1.5"}]},
+        {"constraints": [_ONE_CONSTRAINT],
+         "linear": {"objective": ["0.5"], "constraints": [[0.0]]}},
+        {"constraints": [_ONE_CONSTRAINT], "n": 10**8},
+        {"constraints": [_ONE_CONSTRAINT], "objective": {}},
     ],
     ids=["no-rhs", "no-matrix", "not-an-object", "linear-no-objective",
          "linear-no-constraints", "triplet-not-a-list", "constraints-not-a-list",
          "null-value", "string-value", "fractional-index", "fractional-n", "string-n",
-         "infinite-index", "four-entry-triplet"],
+         "infinite-index", "four-entry-triplet", "numeric-string-value",
+         "numeric-string-rhs", "numeric-string-linear", "unallocatable-n",
+         "objective-not-a-list"],
 )
 def test_malformed_instance_exit1(capsys, tmp_path, doc):
     """A missing or malformed field is an error line that names the file."""

@@ -251,16 +251,37 @@ def _sign_product(signs, walk):
     return int(np.prod([signs[min(a, b), max(a, b)] for a, b in zip(walk, walk[1:])]))
 
 
+def _first_broken_edge_by_loop(g, signs):
+    """The loop the vectorized edge check replaced: vertex signs along the
+    BFS forest, then the first edge (v, w), v in BFS order and w along v's
+    sorted neighbours, with s_v s_w != -sigma_vw; None when there is none."""
+    order, parent, _, adj = g.bfs_forest
+    s = [1] * g.n
+    for v in order:
+        if parent[v] != -1:
+            s[v] = -signs[min(parent[v], v), max(parent[v], v)] * s[parent[v]]
+    for v in order:
+        for w in adj[v]:
+            if s[v] * s[w] != -signs[min(v, w), max(v, w)]:
+                return v, w
+    return None
+
+
 def test_signed_bipartition_decides_the_cycle_condition():
     """The signed coloring succeeds exactly when every basis cycle has sign
     product (-1)^length.  On success its parts give vertex signs with
     s_k s_l = -sigma_kl; on failure the witness is a closed walk along edges
-    whose product is not (-1)^length."""
+    whose product is not (-1)^length, closed by the first broken edge the
+    per-edge loop meets."""
     rng = np.random.default_rng(23)
     outcomes = set()
     for _ in range(400):
         g, signs = _random_signed_graph(rng)
         res = bipartition(g, signs)
+        broken = _first_broken_edge_by_loop(g, signs)
+        assert res.bipartite == (broken is None)
+        if broken is not None:  # the witness is closed by that edge
+            assert (res.witness[0], res.witness[-2]) == broken
         condition = all(
             np.prod([signs[e] for e in cyc]) == (-1) ** len(cyc)
             for cyc in cycle_basis(g).cycles

@@ -1,5 +1,7 @@
 """Tests for instance representation, validation, I/O and homogenization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,8 @@ def test_duplicate_entries(tmp_path):
 
 
 def _matrix_by_reference_loop(triplets, n, name):
-    """The per-triplet build that the column checks replaced: the oracle."""
+    """The per-triplet build that the column checks replaced: the oracle.
+    A value must be a JSON number: a string is refused even when it spells one."""
     if not isinstance(triplets, list):
         raise InstanceError(f"{name}: expected a list of [i, j, v] triplets")
     Q = np.zeros((n, n))
@@ -84,6 +87,8 @@ def _matrix_by_reference_loop(triplets, n, name):
     for entry in triplets:
         try:
             ei, ej, v = entry
+            if isinstance(v, str):
+                raise TypeError("value is a string")
             i, j, v = int(ei), int(ej), float(v)
             if i != ei or j != ej:
                 raise ValueError("index is not an integer")
@@ -110,11 +115,12 @@ def _matrix_by_reference_loop(triplets, n, name):
     return Q
 
 
-def _seeded_triplets(rng, n):
+def _seeded_triplets(rng, n, duplicates=None):
     """Upper-triangle triplets in random order, with ints, floats, -0.0 and
-    bools; on half the draws, duplicates that are identical or agree to
-    about 1e-14."""
-    duplicates = rng.choice([0.0, 0.3])
+    bools; on half the draws (or at the given rate), duplicates that are
+    identical or agree to about 1e-14."""
+    if duplicates is None:
+        duplicates = rng.choice([0.0, 0.3])
     out = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -129,16 +135,18 @@ def _seeded_triplets(rng, n):
     return [[True if i == 1 and rng.random() < 0.2 else i, j, v] for i, j, v in out]
 
 
+_BAD_TRIPLETS = [
+    [1, 1, float("nan")], [1.5, 2, 1.0], [0, 1, 1.0], [2, 1, 1.0], [1, 2, 3, 4],
+    [1, 2], [1, "2", 1.0], [1, 2, None], [float("inf"), 1, 1.0], [1, 1, 1e300 * 10],
+    [10**30, 1, 1.0], [1, 1, [1.0]], "abc", [1, 1, "2.5"],
+]
+
+
 def test_column_build_matches_reference_loop():
     """On seeded triplet lists the column build gives the loop's matrices,
     bit for bit, and on corrupted ones the loop's error, for the same
     first bad or conflicting triplet."""
     rng = np.random.default_rng(3)
-    bad_entries = [
-        [1, 1, float("nan")], [1.5, 2, 1.0], [0, 1, 1.0], [2, 1, 1.0], [1, 2, 3, 4],
-        [1, 2], [1, "2", 1.0], [1, 2, None], [float("inf"), 1, 1.0], [1, 1, 1e300 * 10],
-        [10**30, 1, 1.0], [1, 1, [1.0]], "abc", [1, 1, "2.5"],
-    ]
     for _ in range(60):
         n = int(rng.integers(1, 9))
         triplets = _seeded_triplets(rng, n)
@@ -146,7 +154,7 @@ def test_column_build_matches_reference_loop():
         assert Q.tobytes() == _matrix_by_reference_loop(triplets, n, "doc").tobytes()
         corrupted = list(triplets)
         corrupted.insert(int(rng.integers(len(corrupted) + 1)),
-                         bad_entries[int(rng.integers(len(bad_entries)))])
+                         _BAD_TRIPLETS[int(rng.integers(len(_BAD_TRIPLETS)))])
         if triplets and rng.random() < 0.3:
             i, j, v = triplets[int(rng.integers(len(triplets)))]
             corrupted.append([i, j, v + 1.0])  # a conflicting duplicate
@@ -159,6 +167,115 @@ def test_column_build_matches_reference_loop():
         except InstanceError as exc:
             got = str(exc)
         assert got == expected
+
+
+def _load_by_reference(doc, name):
+    """The objective, then each constraint's fields, matrix and rhs, in
+    document order, each matrix by the reference loop: the matrices and rhs,
+    or the first error."""
+    n = doc["n"]
+    mats = [_matrix_by_reference_loop(doc["objective"], n, f"{name}: objective")]
+    rhs = []
+    for p, con in enumerate(doc["constraints"], 1):
+        try:
+            triplets, b = con["matrix"], float(con["rhs"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceError(
+                f"{name}: constraint {p}: missing or malformed field {exc}"
+            ) from exc
+        mats.append(_matrix_by_reference_loop(triplets, n, f"{name}: constraint {p}"))
+        if not np.isfinite(b):
+            raise InstanceError(f"{name}: constraint {p}: non-finite rhs")
+        rhs.append(b)
+    return mats, np.array(rhs)
+
+
+def _corrupt(rng, doc):
+    """One bad triplet, conflicting duplicate, matrix that is not a list, or
+    missing or malformed rhs, in a random matrix or constraint."""
+    m = len(doc["constraints"])
+    p = int(rng.integers(m + 1))  # 0: the objective
+    holder, key = (doc, "objective") if p == 0 else (doc["constraints"][p - 1], "matrix")
+    triplets = holder[key]
+    if not isinstance(triplets, list):
+        return
+    entries = [t for t in triplets if isinstance(t, list) and len(t) == 3
+               and isinstance(t[2], (int, float))]
+    kind = int(rng.integers(5 if p else 3))
+    if kind == 0 or (kind == 1 and not entries):
+        bad = _BAD_TRIPLETS[int(rng.integers(len(_BAD_TRIPLETS)))]
+        triplets.insert(int(rng.integers(len(triplets) + 1)), bad)
+    elif kind == 1:
+        i, j, v = entries[int(rng.integers(len(entries)))]
+        triplets.append([i, j, v + 1.0])
+    elif kind == 2:
+        holder[key] = [{}, "abc", 5][int(rng.integers(3))]
+    elif kind == 3:
+        holder.pop("rhs", None)
+    else:
+        holder["rhs"] = [float("nan"), float("inf"), None, [1.0]][int(rng.integers(4))]
+
+
+def _seeded_docs(rng, count):
+    """Two fixed files whose only fault is one rhs, then `count` seeded ones
+    with an objective and m constraints and up to three faults.  Duplicate
+    triplets, which the whole-file build leaves to the loop, are in a fifth
+    of the files."""
+    one = {"n": 1, "m": 1, "objective": [[1, 1, 1.0]]}
+    yield {**one, "constraints": [{"matrix": [[1, 1, 1.0]], "rhs": [1.0]}]}
+    yield {**one, "constraints": [{"matrix": [[1, 1, 1.0]], "rhs": float("nan")}]}
+    for _ in range(count):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        duplicates = None if rng.random() < 0.2 else 0.0
+        doc = {
+            "n": n,
+            "m": m,
+            "objective": _seeded_triplets(rng, n, duplicates),
+            "constraints": [
+                {"matrix": _seeded_triplets(rng, n, duplicates), "rhs": float(rng.normal())}
+                for _ in range(m)
+            ],
+        }
+        for _ in range(int(rng.choice([0, 1, 1, 2, 3]))):
+            _corrupt(rng, doc)
+        yield doc
+
+
+def test_whole_file_build_matches_reference_loop(tmp_path):
+    """Seeded files give the reference loop's matrices and rhs bit for bit,
+    or the error it raises first in document order: the objective, then
+    each constraint's fields, matrix and rhs."""
+    path = tmp_path / "doc.json"
+    outcomes = set()
+    for doc in _seeded_docs(np.random.default_rng(19), 300):
+        path.write_text(json.dumps(doc))
+        try:
+            mats, rhs = _load_by_reference(doc, str(path))
+            expected = ([Q.tobytes() for Q in mats], rhs.tobytes())
+        except InstanceError as exc:
+            expected = str(exc)
+        try:
+            inst = load_instance(path)
+            got = ([Q.tobytes() for Q in inst.all_matrices()], inst.rhs.tobytes())
+        except InstanceError as exc:
+            got = str(exc)
+        assert got == expected
+        outcomes.add(type(got))
+    assert outcomes == {tuple, str}
+
+
+@pytest.mark.parametrize("n", [10**8, 10**10])
+def test_unallocatable_n_refused(tmp_path, n):
+    """An n whose dense matrices cannot be allocated is an InstanceError that
+    names n.  Both sizes lie beyond the address space, so the allocation
+    fails at once and commits no memory."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "n": n, "m": 1, "objective": [[1, 1, 1.0]],
+        "constraints": [{"matrix": [[1, 1, 1.0]], "rhs": 1.0}],
+    }))
+    with pytest.raises(InstanceError, match=f"n = {n} is too large"):
+        load_instance(path)
 
 
 def test_lower_triangle_rejected(tmp_path):

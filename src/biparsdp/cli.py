@@ -203,6 +203,9 @@ def _run_solve(args) -> int:
         "X": res.X_star,
         "y": res.y_star,
         "gap": res.gap,
+        "ipm_iterations": res.ipm_iterations,
+        "polish_steps": res.polish_steps,
+        "status_from": res.status_from,
     })
     _emit(doc, args.output)
     print(

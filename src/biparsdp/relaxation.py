@@ -33,6 +33,9 @@ class RelaxationResult:
     numeric_rank: int
     x_star: np.ndarray | None  # populated when numeric_rank <= 1
     gap: float | None  # signed: x*^T Q0 x* - <Q0, X*>
+    ipm_iterations: int  # engine iterations, over both runs when the run went on
+    polish_steps: int  # Newton steps of the KKT polish kept in X*, y*
+    status_from: str  # "handoff" (the polished sqrt(tol) iterate) or "full-run"
     message: str = ""
 
 
@@ -83,7 +86,8 @@ def solve_relaxation(
     status DualInfeasible.
     """
     check_rank_tol(rank_tol)
-    status, X, y, message = solve(inst, tol=tol)
+    sol = solve(inst, tol=tol)
+    status, X, y = sol.status, sol.X, sol.y
     optimal = status is SolverStatus.OPTIMAL
     primal = float(inst.objective.ravel() @ X.ravel())
     rank, x_star, gap = 0, None, None
@@ -104,5 +108,8 @@ def solve_relaxation(
         numeric_rank=rank,
         x_star=x_star,
         gap=gap,
-        message=message or ("" if optimal else f"relaxation not solved: {status.value}"),
+        ipm_iterations=sol.ipm_iterations,
+        polish_steps=sol.polish_steps,
+        status_from=sol.status_from,
+        message=sol.message or ("" if optimal else f"relaxation not solved: {status.value}"),
     )

@@ -23,11 +23,19 @@ every cone vector is kept as a d x d matrix; u and z are packed by svec
 once, on return.  Everything is dense: the target problems have matrix
 dimension well below a hundred.
 
+A run can stop early and be continued: each result carries the raw
+iterate it stopped at (`Iterate`), and `solve_standard_form` accepts it as
+`start`, so the two runs end exactly as one run to the tighter targets.
+
 On top of the engine sit two problem builders.  The relaxation of a
 QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p}, is solved from the
-instance's own matrices and ends with a Newton polish of the KKT system,
-solved by elimination in the eigenbasis of S(y) so that only the near-null
-block of S(y) stays as explicit unknowns: O(m n^3) per step.  LMI-form
+instance's own matrices.  The engine runs only to sqrt(tol) and hands its
+iterate to a Newton polish of the KKT system, solved by elimination in the
+eigenbasis of S(y) so that only the near-null block of S(y) stays as
+explicit unknowns: O(m n^3) per step.  The polished point is the answer
+when it passes the engine's own stopping test at tol, read at the nearest
+point of the cones; otherwise the engine run continues from where it
+stopped to tol, and an Optimal result of that run is polished.  LMI-form
 problems, max b.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD}, are solved
 as one batch (and the members that fail once more as a second).  The LMI
 form serves the per-edge systems, which optimize one entry of the dual
@@ -41,6 +49,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +113,19 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # standard-form engine
 
+class Iterate(NamedTuple):
+    """The raw state at which a run stopped: the iterate (u, v, z, tau,
+    kappa) of the homogeneous embedding, the PSD blocks of u and z as
+    flattened d x d matrices, and the loop count `it` of the check that
+    stopped it.  As `start`, it continues the same run."""
+    u: np.ndarray
+    v: np.ndarray
+    z: np.ndarray
+    tau: float
+    kappa: float
+    it: int
+
+
 @dataclass
 class ConicSolution:
     status: SolverStatus
@@ -115,8 +137,9 @@ class ConicSolution:
     pres: float
     dres: float
     relgap: float
-    iterations: int
+    iterations: int  # of this run; a continuation counts only its own steps
     message: str = ""
+    last: Iterate | None = None
 
 
 def _T(a: np.ndarray) -> np.ndarray:
@@ -321,14 +344,19 @@ def solve_standard_form(
     feas_tol: float = DEFAULT_TOL,
     gap_tol: float = DEFAULT_TOL,
     max_iter: int = 100,
+    start: Iterate | None = None,
 ) -> ConicSolution:
     """Homogeneous self-dual interior-point solve of the (P)/(D) pair.
 
     Stops at the first tau-scaled iterate that meets the feasibility and
-    gap targets.  The cone needs its PSD block: d >= 1.
+    gap targets.  The cone needs its PSD block: d >= 1.  `start`, the
+    `last` iterate of an earlier run on the same (c, A, b), continues that
+    run: the loop resumes at the iterate and count where it stopped, so a
+    run stopped early and continued at tighter targets ends exactly as one
+    run at those targets, and its iterations add up to that run's.
     """
     b = np.asarray(b, dtype=float)
-    return _solve_batch(c, A, b[None], l, d, feas_tol, gap_tol, max_iter)[0]
+    return _solve_batch(c, A, b[None], l, d, feas_tol, gap_tol, max_iter, start)[0]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -341,6 +369,7 @@ def _solve_batch(
     feas_tol: float = DEFAULT_TOL,
     gap_tol: float = DEFAULT_TOL,
     max_iter: int = 100,
+    start: Iterate | None = None,
 ) -> list[ConicSolution]:
     """`solve_standard_form` for the problems (c, A, b[i]), run as one batch.
 
@@ -350,7 +379,8 @@ def _solve_batch(
     as in a lone solve.  A non-finite or unfactorable iterate ends its own
     problem with NUMERICAL_LIMIT and a message.  Inside the loop the PSD
     block of every cone vector is a d x d matrix, so inner products are
-    plain dot products; u and z are packed once, on return.
+    plain dot products; u and z are packed once, on return.  A `start`
+    iterate is shared by every member.
     """
     if d < 1:
         raise ValueError("the cone needs a PSD block: d must be >= 1")
@@ -363,10 +393,11 @@ def _solve_batch(
     c_norm = np.linalg.norm(c)
     b_den = 1.0 + np.linalg.norm(b, axis=1)
 
-    u = np.tile(_flat(np.ones(l), np.eye(d)), (nb, 1))
-    z = u.copy()
-    v = np.zeros((nb, m))
-    tau, kappa = np.ones(nb), np.ones(nb)
+    if start is None:
+        e = _flat(np.ones(l), np.eye(d))  # the identity of the cone
+        start = Iterate(e, np.zeros(m), e, 1.0, 1.0, 0)
+    u, v, z = (np.tile(a, (nb, 1)) for a in start[:3])
+    tau, kappa = np.full(nb, start.tau), np.full(nb, start.kappa)
     idx = np.arange(nb)  # the problem that each row of the batch solves
     done = np.zeros(nb, dtype=bool)
     out: list[ConicSolution] = [None] * nb
@@ -382,11 +413,14 @@ def _solve_batch(
             out[idx[i]] = ConicSolution(
                 status, _pack(u[i] / su, l, d), v[i] / svz, _pack(z[i] / svz, l, d),
                 float(pobj[i]), float(dobj[i]), float(pres[i]), float(dres[i]),
-                float(relgap[i]), it, message,
+                float(relgap[i]), it - start.it, message,
+                Iterate(u[i].copy(), v[i].copy(), z[i].copy(), float(tau[i]), float(kappa[i]), it),
             )
             done[i] = True
 
-    for it in range(1, max_iter + 1):
+    # a continuation re-checks the iterate it was handed at the count where
+    # its run stopped; that check is not a new iteration
+    for it in range(max(start.it, 1), max_iter + 1):
         Au = _mv(u, A.T)
         cu, bv = _rowdot(u, c), _rowdot(b, v)
         hx = _mv(v, A) + z - tau[:, None] * c
@@ -566,15 +600,31 @@ def dual_slack(inst: QcqpInstance, y: np.ndarray) -> np.ndarray:
 
 
 def _kkt_residuals(inst: QcqpInstance, X, y) -> tuple[float, float, float]:
-    """(primal feas, dual feas, ||X S||_F) for a relaxation iterate."""
-    S = dual_slack(inst, y)
-    pfeas = max(0.0, float(np.max([Qp.ravel() @ X.ravel() - bp
-                                   for Qp, bp in zip(inst.constraint_matrices, inst.rhs)],
-                                  initial=0.0)))
-    pfeas = max(pfeas, -float(np.linalg.eigvalsh(X)[0]))
-    dfeas = max(0.0, -float(np.linalg.eigvalsh(S)[0]), -float(np.min(y, initial=0.0)))
-    compl = float(np.linalg.norm(X @ S, "fro"))
-    return pfeas, dfeas, compl
+    """(pres, dres, relgap) of a relaxation point (X, y): the engine's
+    stopping measures, read at the nearest point of the cones.
+
+    That point is X+ (X with its negative eigenvalues set to zero) with the
+    slacks max(0, b_p - <Qp, X+>) on the primal side and (y+, S(y)+) on the
+    dual side; subscripts + and - are the two parts of an eigen- or
+    elementwise split, and
+
+        pres   = ||(<Qp, X+> - b_p)+|| / (1 + ||b||)
+        dres   = ||(y-, S(y)-)||_F / (1 + ||Q0||_F)
+        relgap = |<Q0, X+> + b.y| / (1 + max(|<Q0, X+>|, |b.y|)).
+
+    So X not PSD, S(y) not PSD and y not >= 0 count against the point, and
+    a point with all three <= tol passes the engine's own test at tol.
+    """
+    lam, V = np.linalg.eigh(X)
+    Xp = X - (V * np.minimum(lam, 0.0)) @ V.T
+    A = np.array(inst.constraint_matrices, dtype=float).reshape(inst.m, -1)
+    b = inst.rhs
+    pres = np.linalg.norm(np.maximum(A @ Xp.ravel() - b, 0.0)) / (1.0 + np.linalg.norm(b))
+    neg = np.minimum(np.concatenate([np.linalg.eigvalsh(dual_slack(inst, y)), y]), 0.0)
+    dres = np.linalg.norm(neg) / (1.0 + np.linalg.norm(inst.objective))
+    pobj, dobj = float(inst.objective.ravel() @ Xp.ravel()), -float(b @ y)
+    relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
+    return float(pres), float(dres), relgap
 
 
 # Eigenvalues of S(y) up to this fraction of the size of its terms,
@@ -582,18 +632,30 @@ def _kkt_residuals(inst: QcqpInstance, X, y) -> tuple[float, float, float]:
 # as explicit unknowns; every other entry of the step is eliminated.
 _NULL_BLOCK_REL = 1e-3
 
+# Newton steps that the polish takes at most; it stops sooner, at the first
+# step that does not halve the residual of the optimality system.
+_POLISH_STEPS = 6
 
-def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = 3):
-    """Newton iterations on the optimality system at mu = 0.
 
-    The interior-point engine exits with iterates accurate in objective but
-    only ~sqrt(mu)-accurate in complementarity.  Newton steps on
+def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
+    """Newton steps on the optimality system at mu = 0, taken one at a time
+    while they lower its residual: (X, y, s) at the lowest residual, and the
+    number of steps that led there.
+
+    `solve` starts it from the engine's iterate at sqrt(tol), which meets
+    the feasibility and gap targets only to sqrt(tol).  Newton steps on
 
         <A_p, X> + s_p = b_p,   y_p s_p = 0,   sym(X S(y)) = O
 
     taken without the cone safeguard converge quadratically to the exact
-    KKT point, pushing ||X S|| to machine precision.  Cone violations the
-    steps introduce are second order and checked by the caller.
+    KKT point near a nondegenerate, strictly complementary optimum
+    (Alizadeh, Haeberly & Overton, SIAM J. Optim. 8, 1998), so such a start
+    is close enough: the residual norm of the three equations, read off
+    each point's eigenbasis of S(y) below, falls by orders of magnitude per
+    step until rounding stops it.  So the first step that does not halve it
+    ends the refinement, as does the `steps`-th; the last step's point is
+    kept only if it lowers the residual.  Cone violations the steps
+    introduce are second order and judged by the caller (`_kkt_residuals`).
 
     Each step is solved in the eigenbasis S = U diag(sigma) U^T, where the
     linearized complementarity equation reads entrywise
@@ -610,14 +672,25 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = 3):
     A = np.array(inst.constraint_matrices, dtype=float).reshape(m, inst.n, inst.n)
     A_norms = np.linalg.norm(A.reshape(m, -1), axis=1)
     C_norm = np.linalg.norm(inst.objective)
-    for _ in range(steps):
-        S = dual_slack(inst, y)
-        sig, U = np.linalg.eigh(S)
+    best = None
+    for taken in range(steps + 1):
+        sig, U = np.linalg.eigh(dual_slack(inst, y))
         Xt = U.T @ X @ U
         At = U.T @ A @ U
+        At_flat = At.reshape(m, -1)
+        Rt = -(Xt * sig + sig[:, None] * Xt)
+        rp = inst.rhs - At_flat @ Xt.ravel() - s
+        ys = y * s
+        residual = np.sqrt(rp @ rp + ys @ ys + np.sum(Rt * Rt))
+        if best is not None and not residual < best[0]:
+            break
+        fell_far = best is None or residual < 0.5 * best[0]
+        best = (residual, X, y, s, taken)
+        if taken == steps or not fell_far:
+            break
+
         Gt = Xt @ At
         Gt = Gt + Gt.transpose(0, 2, 1)
-        Rt = -(Xt * sig + sig[:, None] * Xt)
         # sig ascends, so the near-null block is the leading k indices
         k = int(np.sum(sig <= _NULL_BLOCK_REL * (C_norm + np.abs(y) @ A_norms)))
         D = sig[:, None] + sig[None, :]
@@ -626,7 +699,6 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = 3):
         W[:k, k:] = W[k:, :k].T
         WG = (W * Gt).reshape(m, -1)
         WR = (W * Rt).ravel()
-        At_flat = At.reshape(m, -1)
 
         kv = k * (k + 1) // 2
         M = np.zeros((kv + 2 * m, kv + 2 * m))
@@ -636,10 +708,10 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = 3):
             M[2 * m :, kv + p] = svec(Gt[p, :k, :k])
         M[:m, kv : kv + m] = -At_flat @ WG.T
         M[:m, kv + m :] = np.eye(m)
-        rhs[:m] = inst.rhs - At_flat @ Xt.ravel() - s - At_flat @ WR
+        rhs[:m] = rp - At_flat @ WR
         M[m : 2 * m, kv : kv + m] = np.diag(s)
         M[m : 2 * m, kv + m :] = np.diag(y)
-        rhs[m : 2 * m] = -y * s
+        rhs[m : 2 * m] = -ys
         M[2 * m :, :kv] = np.diag(D[:k, :k][_triu(k)[0]])
         rhs[2 * m :] = svec(Rt[:k, :k])
         step, *_ = np.linalg.lstsq(M, rhs, rcond=None)
@@ -651,7 +723,8 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = 3):
         X = X + 0.5 * (dX + dX.T)
         y = y + dy
         s = s + step[kv + m :]
-    return X, y, s
+    _, X, y, s, taken = best
+    return X, y, s, taken
 
 
 def check_positive_finite(value: float, name: str) -> None:
@@ -668,15 +741,32 @@ def check_solver_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must lie in (0, 1e-4], got {tol!r}")
 
 
-def solve(
-    inst: QcqpInstance, tol: float = DEFAULT_TOL
-) -> tuple[SolverStatus, np.ndarray, np.ndarray, str]:
-    """(status, X, y, message) of the relaxation of `inst`, solved to tol.
+class RelaxationSolve(NamedTuple):
+    status: SolverStatus
+    X: np.ndarray
+    y: np.ndarray
+    message: str
+    ipm_iterations: int  # engine iterations, over both runs when the run went on
+    polish_steps: int  # Newton steps that the polish kept
+    status_from: str  # "handoff" or "full-run": the test that set the status
 
-    tol sets both feasibility and gap targets.  An Optimal engine iterate is
-    polished by `_kkt_refine`, and the polished point replaces it when its
-    KKT residuals are smaller.  An instance with linear terms is refused
-    with InstanceError.
+
+def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
+    """The relaxation of `inst` solved to tol: status, X, y and message,
+    with the engine's iteration count, the polish steps kept and the test
+    that set the status.
+
+    tol sets both feasibility and gap targets.  The engine first runs only
+    to sqrt(tol) and hands its iterate to the Newton polish (`_kkt_refine`).
+    When the polished point passes the engine's own stopping test at tol
+    (`_kkt_residuals`: pres, dres and relgap <= tol), it is the answer, with
+    status Optimal ("handoff").  In every other case, the sqrt(tol) run
+    ending in any other status included, the same run continues from its
+    last iterate to tol: a certificate is held to tol, and the engine's
+    result equals that of one run to tol.  An Optimal result is then
+    polished, and the polished point replaces it when the polish lowers
+    the residual of the optimality system ("full-run").  An instance with
+    linear terms is refused with InstanceError.
     """
     check_homogeneous(inst, "solve")
     check_solver_tol(tol)
@@ -686,14 +776,25 @@ def solve(
     for p, Qp in enumerate(inst.constraint_matrices):
         A[p, p] = 1.0
         A[p, m:] = svec(Qp)
-    res = solve_standard_form(c, A, inst.rhs, l=m, d=n, feas_tol=tol, gap_tol=tol)
-    X = smat(res.u[m:], n)
-    y = -res.v
+
+    def point(res: ConicSolution):
+        return smat(res.u[m:], n), -res.v, res.u[:m]
+
+    res = solve_standard_form(c, A, inst.rhs, l=m, d=n, feas_tol=np.sqrt(tol),
+                              gap_tol=np.sqrt(tol))
+    iterations = res.iterations
     if res.status is SolverStatus.OPTIMAL:
-        Xr, yr, _ = _kkt_refine(inst, X, y, res.u[:m])
-        if max(_kkt_residuals(inst, Xr, yr)) < max(_kkt_residuals(inst, X, y)):
-            X, y = Xr, yr
-    return res.status, X, y, res.message
+        X, y, _, steps = _kkt_refine(inst, *point(res))
+        if max(_kkt_residuals(inst, X, y)) <= tol:
+            return RelaxationSolve(res.status, X, y, "", iterations, steps, "handoff")
+    res = solve_standard_form(c, A, inst.rhs, l=m, d=n, feas_tol=tol, gap_tol=tol,
+                              start=res.last)
+    iterations += res.iterations
+    X, y, s = point(res)
+    steps = 0
+    if res.status is SolverStatus.OPTIMAL:
+        X, y, _, steps = _kkt_refine(inst, X, y, s)
+    return RelaxationSolve(res.status, X, y, res.message, iterations, steps, "full-run")
 
 
 # ---------------------------------------------------------------------------

@@ -618,10 +618,13 @@ def test_solver_tol_out_of_range_rejected(monkeypatch, cycle4, solver_tol):
 def test_solver_breakdown_is_a_note_not_a_traceback():
     """Edge SDPs asked for a gap below what their iterates resolve break
     down (u/z overflows, then the eigenvalue solver fails): certify ends
-    them with NumericalLimit and reports NotCertified, with no warning."""
+    them with NumericalLimit, notes the failure, with no warning, and falls
+    back to the relaxation.  Its Newton polish meets 1e-15, so the verdict
+    is the one of the default tolerance, not a certificate."""
     inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
     report = certify(inst, solver_tol=1e-15)
-    assert report.verdict is Verdict.NOT_CERTIFIED
+    assert report.verdict is Verdict.NUMERICALLY_EXACT_ONLY
+    assert report.verdict is certify(inst).verdict
     assert (
         "bipartite-edge-systems: edge-system solver failure: edge-system solve "
         "failed (NumericalLimit): scaling breakdown (lost cone interior)"

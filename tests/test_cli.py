@@ -202,12 +202,25 @@ def test_solve_rank_tol_extracts(capsys, tmp_path):
     assert np.allclose(doc["x"], [1.0, 0.0], atol=1e-6)
 
 
+def test_solve_reports_engine_and_polish(capsys):
+    """The solve report carries the engine's iteration count, the polish
+    steps kept and the test that set the status.  The breakdown instance
+    solves at 1e-12 by the hand-off."""
+    path = str(DATA_DIR / "bipartite_breakdown_n16.json")
+    code, out, err = _run(capsys, ["solve", path, "--tol", "1e-12"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["status"] == "Optimal" and doc["status_from"] == "handoff"
+    assert doc["ipm_iterations"] > 0 and doc["polish_steps"] > 0
+
+
 def test_solve_failure_reports_no_rank(capsys):
     """A solve that ends short of Optimal has no meaningful rank: "rank" is
     null, not 0 (which reads as "x* = 0 is optimal"), and stderr names none.
-    A 1e-14 target is below what the iterates can resolve."""
+    A 1e-16 target is below the unit roundoff, so neither the engine nor
+    the Newton polish meets it."""
     path = str(DATA_DIR / "bipartite_breakdown_n16.json")
-    code, out, err = _run(capsys, ["solve", path, "--tol", "1e-14"])
+    code, out, err = _run(capsys, ["solve", path, "--tol", "1e-16"])
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "NumericalLimit"

@@ -395,10 +395,15 @@ def test_weak_duality_and_kkt_invariants():
         inst = QcqpInstance(C, tuple(A), b)
         res = solve_relaxation(inst, tol=tol)
         assert res.status is SolverStatus.OPTIMAL
-        pfeas, dfeas, compl = _kkt_residuals(inst, res.X_star, res.y_star)
+        X, S = res.X_star, res.S_of_y
+        pfeas = max(max(np.sum(Ap * X) - bp for Ap, bp in zip(A, b)),
+                    -np.linalg.eigvalsh(X)[0])
+        dfeas = -np.linalg.eigvalsh(S)[0]
         assert pfeas < 1e-7
         assert dfeas < 1e-7
-        assert compl <= 10 * tol * n
+        assert np.linalg.norm(X @ S) <= 10 * tol * n
+        # the engine's stopping measures, at the nearest point of the cones
+        assert max(_kkt_residuals(inst, X, res.y_star)) <= tol
         # weak duality with room for the feasibility error
         assert res.dual_value <= res.primal_value + 1e-6
         assert np.all(res.y_star >= -1e-9)
@@ -411,7 +416,7 @@ def test_bundled_instances_reach_machine_complementarity(small, cycle4):
     for inst in (small, cycle4):
         res = solve_relaxation(inst)
         assert res.status is SolverStatus.OPTIMAL
-        assert _kkt_residuals(inst, res.X_star, res.y_star)[2] < 1e-10
+        assert np.linalg.norm(res.X_star @ res.S_of_y) < 1e-10
 
 
 def _dense_kkt_step(inst, X, y, s):
@@ -493,10 +498,10 @@ def test_polish_step_matches_dense_jacobian(monkeypatch, n, rank, active, inacti
             return lstsq(M, rhs, rcond=rcond)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        X1, y1, s1 = _kkt_refine(inst, X0, y0, s0, steps=1)
+        X1, y1, s1, taken = _kkt_refine(inst, X0, y0, s0, steps=1)
         monkeypatch.undo()
         kv = rank * (rank + 1) // 2 + 2 * inst.m
-        assert sizes == [(kv, kv)]
+        assert sizes == [(kv, kv)] and taken == 1
 
         Xd, yd, sd = _dense_kkt_step(inst, X0, y0, s0)
         assert np.max(np.abs(X1 - Xd)) < 1e-9
@@ -504,7 +509,7 @@ def test_polish_step_matches_dense_jacobian(monkeypatch, n, rank, active, inacti
         assert np.max(np.abs(s1 - sd)) < 1e-9
 
         # further steps converge to the planted optimum
-        X4, y4, s4 = _kkt_refine(inst, X1, y1, s1, steps=3)
+        X4, y4, s4, _ = _kkt_refine(inst, X1, y1, s1, steps=3)
         assert np.linalg.norm(X4 @ dual_slack(inst, y4)) < 1e-10
         assert np.max(np.abs(X4 - X)) < 1e-8
         assert np.max(np.abs(y4 - y)) < 1e-8
@@ -554,6 +559,105 @@ def test_polish_reaches_rank1_at_n40():
     assert np.linalg.norm(res.X_star @ res.S_of_y) < 1e-10
     assert numerical_rank(res.X_star) == 1
     assert res.x_star is not None and abs(res.gap) < 1e-8
+
+
+def _agrees_with(tight, ref):
+    """`tight`, a solve at a tighter tolerance, is Optimal with ref's rank,
+    its values to 1e-9 relative and x* to 1e-8."""
+    assert tight.status is SolverStatus.OPTIMAL, tight.message
+    assert tight.numeric_rank == ref.numeric_rank
+    for a, b in ((tight.primal_value, ref.primal_value), (tight.dual_value, ref.dual_value)):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+    if ref.x_star is not None:
+        scale = max(1.0, np.max(np.abs(ref.x_star)))
+        assert np.max(np.abs(tight.x_star - ref.x_star)) <= 1e-8 * scale
+
+
+def test_breakdown_relaxation_solves_at_1e13():
+    """At 1e-13 the relaxation of the breakdown instance ends Optimal, where
+    an engine run to 1e-13 stops in NumericalLimit: the polish of the
+    sqrt(tol) iterate meets the target.  Its answer is the 1e-8 one, and
+    the result records the hand-off."""
+    inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
+    tight = solve_relaxation(inst, tol=1e-13)
+    _agrees_with(tight, solve_relaxation(inst))
+    assert tight.status_from == "handoff" and tight.ipm_iterations > 0
+    assert 1 <= tight.polish_steps <= sdp._POLISH_STEPS
+
+
+def test_odd_cycle_sweep_solves_at_1e11():
+    """Twenty seeded odd-cycle mixed-sign draws, n from 8 to 32, solve at
+    1e-11 to their 1e-8 answers."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        inst = _odd_cycle_mixed_sign_instance(rng, int(rng.integers(8, 33)))
+        _agrees_with(solve_relaxation(inst, tol=1e-11), solve_relaxation(inst))
+
+
+def _standard_form_runs(monkeypatch):
+    """The (keyword arguments, solution) of every `solve_standard_form` call
+    from now on, and the unwrapped function."""
+    runs = []
+    real = sdp.solve_standard_form
+
+    def spy(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        runs.append((args, kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve_standard_form", spy)
+    return runs, real
+
+
+def _assert_same_solution(a, b):
+    """Two engine results are equal bit for bit, the iterate they stopped
+    at included; only their iteration counts may differ."""
+    for field in ("status", "pobj", "dobj", "pres", "dres", "relgap", "message"):
+        assert getattr(a, field) == getattr(b, field), field
+    for field in ("u", "v", "z"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    for x, y in zip(a.last, b.last):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
+def test_continuation_equals_one_run(monkeypatch, small, cycle4, tol):
+    """With the hand-off test forced to fail, the sqrt(tol) run goes on from
+    its last iterate to tol, and the result handed to the polish is the
+    one-run solve to tol bit for bit, with the same iteration total."""
+    monkeypatch.setattr(sdp, "_kkt_residuals", lambda inst, X, y: (np.inf,) * 3)
+    runs, real = _standard_form_runs(monkeypatch)
+    insts = [small, cycle4, load_instance(DATA_DIR / "bipartite_breakdown_n16.json"),
+             _odd_cycle_mixed_sign_instance(np.random.default_rng(2), 28)]
+    for inst in insts:
+        runs.clear()
+        res = solve_relaxation(inst, tol=tol)
+        [(args, kwargs, first), (_, kwargs2, final)] = runs
+        assert kwargs["feas_tol"] == kwargs["gap_tol"] == np.sqrt(tol)
+        assert kwargs2["feas_tol"] == kwargs2["gap_tol"] == tol
+        assert kwargs2["start"] is first.last
+        one = real(*args, l=kwargs["l"], d=kwargs["d"], feas_tol=tol, gap_tol=tol)
+        _assert_same_solution(final, one)
+        assert first.iterations + final.iterations == one.iterations == res.ipm_iterations
+        assert res.status is one.status and res.status_from == "full-run"
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_certificates_held_to_callers_tol(monkeypatch, tol):
+    """A primal-infeasible and an unbounded relaxation keep their statuses,
+    and the run that decides them is at the caller's tol, not sqrt(tol)."""
+    e11 = np.diag([1.0, 0.0])
+    cases = [
+        (QcqpInstance(np.eye(2), (np.eye(2),), np.array([-1.0])), SolverStatus.PRIMAL_INFEASIBLE),
+        (QcqpInstance(np.diag([1.0, -1.0]), (e11,), np.array([1.0])), SolverStatus.DUAL_INFEASIBLE),
+    ]
+    runs, _ = _standard_form_runs(monkeypatch)
+    for inst, status in cases:
+        runs.clear()
+        res = solve_relaxation(inst, tol=tol)
+        assert res.status is status and res.status_from == "full-run"
+        _, kwargs, last = runs[-1]
+        assert last.status is status and kwargs["feas_tol"] == tol
 
 
 def test_tol_validation():

@@ -235,7 +235,7 @@ def _edge_systems(st: _Structure, want_max: bool) -> CertificationReport:
         )
     report.assumption_check = st.assumption
     # one batched solve: each edge's minimum, then (forests) its maximum
-    edges = sorted(st.graph.edges)
+    edges = st.graph.sorted_edges[0]
     sides = (False, True) if want_max else (False,)
     targets = [(k, ell, maximize) for k, ell in edges for maximize in sides]
     try:

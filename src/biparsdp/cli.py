@@ -227,7 +227,7 @@ def _run_graph(args) -> int:
     doc = _report_header({})
     doc.update({
         "n": graph.n,
-        "edges": [_edge_1based(e) for e in sorted(graph.edges)],
+        "edges": [_edge_1based(e) for e in graph.sorted_edges[0]],
         "signs": [
             {"edge": _edge_1based(e), "sign": s} for e, s in sorted(signs.items())
         ],

@@ -190,15 +190,6 @@ def _scatter_triplets(stack: np.ndarray, lists) -> bool:
     return True
 
 
-def _matrix_from_triplets(triplets, n: int, name: str) -> np.ndarray:
-    """Symmetric matrix from 1-based upper-triangle (i, j, v) triplets: the
-    one-list case of the build `load_instance` runs on a whole file."""
-    Q = _zero_stack(1, n, name)
-    if not _scatter_triplets(Q, [triplets]):
-        _matrix_by_loop(triplets, Q[0], name)
-    return Q[0]
-
-
 def _matrix_by_loop(triplets, Q: np.ndarray, name: str) -> None:
     """Fill the zero matrix Q one triplet at a time, raising for the first
     bad one; duplicates that agree are averaged."""

@@ -27,21 +27,21 @@ A run can stop early and be continued: each result carries the raw
 iterate it stopped at (`Iterate`), and `solve_standard_form` accepts it as
 `start`, so the two runs end exactly as one run to the tighter targets.
 
-On top of the engine sit two problem builders.  The relaxation of a
-QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p}, is solved from the
-instance's own matrices.  The engine runs only to sqrt(tol) and hands its
-iterate to a Newton polish of the KKT system, solved by elimination in the
-eigenbasis of S(y) so that only the near-null block of S(y) stays as
-explicit unknowns: O(m n^3) per step.  The polished point is the answer
-when it passes the engine's own stopping test at tol, read at the nearest
-point of the cones; otherwise the engine run continues from where it
-stopped to tol, and an Optimal result of that run is polished.  LMI-form
-problems, max b.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD}, are solved
-as one batch (and the members that fail once more as a second).  The LMI
-form serves the per-edge systems, which optimize one entry of the dual
-slack matrix S(y) = Q0 + sum_p y_p Qp (one batch per instance), and the
-positive-definiteness check, which minimizes sum_p y_p subject to
-sum_p y_p Qp >= I.
+On top of the engine sits one problem form, max b.y over {y >= 0,
+F0 + sum_p y_p Fp PSD}, optionally boxed by y <= y_cap; `_lmi_form` builds
+its engine data, and y is the engine's dual variable v in every SDP.  The
+relaxation of a QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p}, is
+its primal side with F0 = Q0, Fp = Qp, b = -rhs and no box.  The engine
+runs only to sqrt(tol) and hands its iterate to a Newton polish of the KKT
+system, solved by elimination in the eigenbasis of S(y) so that only the
+near-null block of S(y) stays as explicit unknowns: O(m n^3) per step.  The
+polished point is the answer when it passes the engine's own stopping test
+at tol, read at the nearest point of the cones; otherwise the engine run
+continues from where it stopped to tol, and an Optimal result of that run
+is polished.  Boxed problems run as one batch (the members that fail once
+more as a second): the per-edge systems, which optimize one entry of
+S(y) = Q0 + sum_p y_p Qp (one batch per instance), and the
+positive-definiteness check, min sum_p y_p s.t. sum_p y_p Qp >= I.
 """
 
 from __future__ import annotations
@@ -589,7 +589,22 @@ def _solve(M: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the relaxation: min <Q0, X>  s.t.  <Qp, X> <= b_p (p = 1..m),  X PSD
+# the LMI form, max b.y  s.t.  y >= 0,  F0 + sum_p y_p Fp PSD (maybe boxed),
+# and the relaxation, its primal side: min <Q0, X>  s.t.  <Qp, X> <= b_p,  X PSD
+
+def _lmi_form(F0, Fs, price: float | None = None, y_cap: float | None = None):
+    """Engine data (c, A) of max b.y over {y >= 0, F0 + sum_p y_p Fp PSD}
+    for any b, y being the engine's v: z = c - A^T v holds the slacks y,
+    then (given a price) the box slacks price * (1 - y/y_cap), then the
+    PSD block F0 + sum_p y_p Fp."""
+    m = len(Fs)
+    c = [np.zeros(m), svec(F0)]
+    A = [np.diag(np.full(m, -1.0)), -svec(np.asarray(Fs))]
+    if price is not None:
+        c.insert(1, np.full(m, price))
+        A.insert(1, np.diag(np.full(m, price / y_cap)))
+    return np.concatenate(c), np.concatenate(A, axis=1)
+
 
 def dual_slack(inst: QcqpInstance, y: np.ndarray) -> np.ndarray:
     """S(y) = Q0 + sum_p y_p Qp."""
@@ -754,7 +769,9 @@ class RelaxationSolve(NamedTuple):
 def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     """The relaxation of `inst` solved to tol: status, X, y and message,
     with the engine's iteration count, the polish steps kept and the test
-    that set the status.
+    that set the status.  The engine solves the LMI form with F0 = Q0,
+    Fp = Qp and b = -rhs (`_lmi_form`): y is its dual variable v, and X the
+    PSD block of its u.
 
     tol sets both feasibility and gap targets.  The engine first runs only
     to sqrt(tol) and hands its iterate to the Newton polish (`_kkt_refine`).
@@ -771,24 +788,19 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     check_homogeneous(inst, "solve")
     check_solver_tol(tol)
     n, m = inst.n, inst.m
-    c = np.concatenate([np.zeros(m), svec(inst.objective)])
-    A = np.zeros((m, m + n * (n + 1) // 2))
-    for p, Qp in enumerate(inst.constraint_matrices):
-        A[p, p] = 1.0
-        A[p, m:] = svec(Qp)
+    c, A = _lmi_form(inst.objective, inst.constraint_matrices)
+    b = -inst.rhs
 
     def point(res: ConicSolution):
-        return smat(res.u[m:], n), -res.v, res.u[:m]
+        return smat(res.u[m:], n), res.v, res.u[:m]
 
-    res = solve_standard_form(c, A, inst.rhs, l=m, d=n, feas_tol=np.sqrt(tol),
-                              gap_tol=np.sqrt(tol))
+    res = solve_standard_form(c, A, b, l=m, d=n, feas_tol=np.sqrt(tol), gap_tol=np.sqrt(tol))
     iterations = res.iterations
     if res.status is SolverStatus.OPTIMAL:
         X, y, _, steps = _kkt_refine(inst, *point(res))
         if max(_kkt_residuals(inst, X, y)) <= tol:
             return RelaxationSolve(res.status, X, y, "", iterations, steps, "handoff")
-    res = solve_standard_form(c, A, inst.rhs, l=m, d=n, feas_tol=tol, gap_tol=tol,
-                              start=res.last)
+    res = solve_standard_form(c, A, b, l=m, d=n, feas_tol=tol, gap_tol=tol, start=res.last)
     iterations += res.iterations
     X, y, s = point(res)
     steps = 0
@@ -798,7 +810,7 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
 
 
 # ---------------------------------------------------------------------------
-# LMI-form problems (variables y live on the dual side of the engine)
+# boxed LMI-form problems: the per-edge systems and the assumption check
 
 def minimize_linear_functional_over_dual_cone(
     inst: QcqpInstance,
@@ -876,29 +888,25 @@ def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> list[tuple[float, np
     """(b_i.y*, y*) of max b_i.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD}
     for each row b_i of b, as one batched engine run (two if a member fails).
 
-    The engine's dual variables are v = y, with the slacks y, the box slack
-    and F0 + sum_p y_p Fp.  The box y <= y_cap has the slack 1 - y/y_cap,
-    which costs 1 in c.  The slack y_cap - y would cost y_cap, which pins the
-    embedding's tau near 1/y_cap, and the tau-scaled iterate then loses
-    digits.  No single price suits every problem, though: on a flat optimal
-    face unit pricing can stall.  So the members that end neither Optimal
-    nor DualInfeasible (the same set of y at either price) get one recovery
-    run, as one batch, with the slack y_cap - y; a member fails only if both
-    runs fail, with the status and message of the second.  Raises, for the
-    first failing row, DualSideEmpty when the set of y is empty and
-    RuntimeError (naming `what`) for any other failure; `lmi` names
-    F0 + sum_p y_p Fp in the DualSideEmpty message.
+    As in every SDP here, y is the engine's dual variable v (`_lmi_form`),
+    with the slacks y, the box slack and F0 + sum_p y_p Fp.  The box
+    y <= y_cap has the slack 1 - y/y_cap, which costs 1 in c.  The slack
+    y_cap - y would cost y_cap, which pins the embedding's tau near
+    1/y_cap, and the tau-scaled iterate then loses digits.  No single price
+    suits every problem, though: on a flat optimal face unit pricing can
+    stall.  So the members that end neither Optimal nor DualInfeasible (the
+    same set of y at either price) get one recovery run, as one batch, with
+    the slack y_cap - y; a member fails only if both runs fail, with the
+    status and message of the second.  Raises, for the first failing row,
+    DualSideEmpty when the set of y is empty and RuntimeError (naming
+    `what`) for any other failure; `lmi` names F0 + sum_p y_p Fp in the
+    DualSideEmpty message.
     """
     check_positive_finite(y_cap, "y_cap")
     n, m = F0.shape[0], len(Fs)
 
     def run(price: float, rows: list[int]) -> list[ConicSolution]:
-        c = np.concatenate([np.zeros(m), np.full(m, price), svec(F0)])
-        A = np.zeros((m, 2 * m + n * (n + 1) // 2))
-        for p, Fp in enumerate(Fs):
-            A[p, p] = -1.0
-            A[p, m + p] = price / y_cap
-            A[p, 2 * m :] = -svec(Fp)
+        c, A = _lmi_form(F0, Fs, price, y_cap)
         return _solve_batch(c, A, b[rows], l=2 * m, d=n, feas_tol=tol, gap_tol=tol,
                             max_iter=200)
 

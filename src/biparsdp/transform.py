@@ -165,7 +165,7 @@ def build_full_graph_perturbation(inst: QcqpInstance, epsilon: float) -> Perturb
     graph = build_graph(inst)
     if not graph.edges:
         raise InstanceError("no edges to perturb")
-    return _perturb(inst, epsilon, _negative_laplacian(inst.n, sorted(graph.edges)), [])
+    return _perturb(inst, epsilon, _negative_laplacian(inst.n, graph.sorted_edges[0]), [])
 
 
 #: perturbation mode name -> builder, for the sweep and `biparsdp transform --mode`

@@ -453,6 +453,39 @@ def test_assumption_margin_defers_to_the_sdp(monkeypatch):
     assert (check.t_star, check.holds) == (None, False)
 
 
+def test_assumption_solver_failure_is_a_note(monkeypatch, cycle4):
+    """No cheap candidate proves cycle4's assumption, so its SDP runs; when
+    that solve fails, the check is unverified with a note that carries the
+    solver's message, and the edge systems, which all pass, do not certify."""
+    def failing(inst, y_cap, tol):
+        raise RuntimeError("eigen-combination solve failed (NumericalLimit): stub")
+
+    monkeypatch.setattr(certify_module, "max_min_eigen_combination", failing)
+    report = certify_bipartite(cycle4)
+    check = report.assumption_check
+    assert (check.t_star, check.holds) == (None, False)
+    assert check.note == (
+        "assumption check failed to solve: "
+        "eigen-combination solve failed (NumericalLimit): stub"
+    )
+    assert all(res.infeasible for res in report.per_edge.values())
+    assert report.verdict is Verdict.NOT_CERTIFIED
+    assert report.notes == [check.note]
+
+
+def test_bipartite_minimum_in_the_box_is_unresolved(cycle4):
+    """cycle4's edge (3, 4) needs y ~ 17 for its minimum and the other edges
+    y ~ 7: under y <= 10 only (3, 4) ends in the box, and the bipartite rule
+    leaves it unresolved with a note."""
+    report = certify_bipartite(cycle4, y_cap=10.0)
+    assert report.verdict is Verdict.NOT_CERTIFIED
+    assert [edge for edge, res in report.per_edge.items() if not res.min_attained] == [(2, 3)]
+    assert not report.per_edge[(2, 3)].infeasible
+    assert report.notes == [
+        "edge (3, 4): minimum hit the y <= 10 box; treating as unresolved"
+    ]
+
+
 def _mixed_constraints(rng, n, m):
     """m constraints A + Bp with A positive definite and sum_p Bp = 0: the
     uniform mix is A, while a large Bp leaves each Qp indefinite."""

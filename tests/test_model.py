@@ -26,7 +26,7 @@ from biparsdp import (
     solve,
     solve_relaxation,
 )
-from biparsdp.model import _DUPLICATE_RTOL, _matrix_from_triplets
+from biparsdp.model import _DUPLICATE_RTOL, _matrix_by_loop, _scatter_triplets
 
 
 def test_load_small_instance(small):
@@ -142,6 +142,15 @@ _BAD_TRIPLETS = [
 ]
 
 
+def _column_build(triplets, n: int, name: str) -> np.ndarray:
+    """The one-list case of the build `load_instance` runs on a whole file:
+    `_scatter_triplets`, with `_matrix_by_loop` as its fallback."""
+    Q = np.zeros((1, n, n))
+    if not _scatter_triplets(Q, [triplets]):
+        _matrix_by_loop(triplets, Q[0], name)
+    return Q[0]
+
+
 def test_column_build_matches_reference_loop():
     """On seeded triplet lists the column build gives the loop's matrices,
     bit for bit, and on corrupted ones the loop's error, for the same
@@ -150,7 +159,7 @@ def test_column_build_matches_reference_loop():
     for _ in range(60):
         n = int(rng.integers(1, 9))
         triplets = _seeded_triplets(rng, n)
-        Q = _matrix_from_triplets(triplets, n, "doc")
+        Q = _column_build(triplets, n, "doc")
         assert Q.tobytes() == _matrix_by_reference_loop(triplets, n, "doc").tobytes()
         corrupted = list(triplets)
         corrupted.insert(int(rng.integers(len(corrupted) + 1)),
@@ -163,7 +172,7 @@ def test_column_build_matches_reference_loop():
         except InstanceError as exc:
             expected = str(exc)
         try:
-            got = _matrix_from_triplets(corrupted, n, "doc").tobytes()
+            got = _column_build(corrupted, n, "doc").tobytes()
         except InstanceError as exc:
             got = str(exc)
         assert got == expected
@@ -338,6 +347,48 @@ def test_constructor_validation():
             constraint_matrices=(np.eye(3),),
             rhs=np.array([1.0]),
         )
+
+
+_GOOD = dict(objective=np.eye(2), constraint_matrices=(np.eye(2),), rhs=np.array([1.0]))
+_LINEAR = dict(linear_objective=np.zeros(2), linear_constraints=(np.zeros(2),))
+
+
+@pytest.mark.parametrize("cls, data, message", [
+    (QcqpInstance, {"objective": np.ones((2, 3))},
+     r"^objective: expected a square matrix, got shape \(2, 3\)$"),
+    (QcqpInstance, {"objective": np.zeros((0, 0))}, "^objective: dimension must be >= 1$"),
+    (QcqpInstance, {"constraint_matrices": (np.diag([1.0, np.inf]),)},
+     "^constraint 1: non-finite entry$"),
+    (QcqpInstance, {"rhs": np.array([np.nan])}, "^rhs: non-finite entry$"),
+    (GeneralQcqpInstance, {**_LINEAR, "linear_constraints": ()},
+     "^need one linear term per constraint$"),
+    (GeneralQcqpInstance, {**_LINEAR, "linear_constraints": (np.zeros(3),)},
+     "^q1: expected length 2$"),
+    (GeneralQcqpInstance, {**_LINEAR, "linear_objective": np.array([0.0, np.nan])},
+     "^q0: non-finite entry$"),
+], ids=["non-square", "empty", "non-finite-matrix", "non-finite-rhs",
+        "linear-count", "linear-length", "linear-non-finite"])
+def test_constructor_refuses_bad_data(cls, data, message):
+    """Each check of the constructors names what it refuses."""
+    with pytest.raises(InstanceError, match=message):
+        cls(**{**_GOOD, **data})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 2, "m": 1,', "parse error"),
+    ('{"n": 0, "m": 1, "objective": [], "constraints": [{"matrix": [], "rhs": 1.0}]}',
+     "n must be >= 1$"),
+    ('{"n": 1, "m": 2, "objective": [], "constraints": [{"matrix": [], "rhs": 1.0}]}',
+     "expected 2 constraints, found 1$"),
+], ids=["unparsable", "zero-n", "constraint-count"])
+def test_load_instance_refuses_bad_header(tmp_path, text, message):
+    """A file that is not JSON, has n = 0 or holds a number of constraints
+    other than m is refused before any triplet is read, naming the file."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(InstanceError, match=message) as info:
+        load_instance(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_save_load_round_trip(tmp_path, cycle4):

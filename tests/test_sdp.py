@@ -334,6 +334,16 @@ def test_standard_form_needs_psd_block():
         solve_standard_form(np.ones(1), np.ones((1, 1)), np.ones(1), l=1, d=0)
 
 
+def test_iteration_limit_ends_numerical_limit(cycle4):
+    """A run that meets no target within max_iter iterations ends
+    NumericalLimit at its last iterate, saying so."""
+    c, A = sdp._lmi_form(cycle4.objective, cycle4.constraint_matrices)
+    res = solve_standard_form(c, A, -cycle4.rhs, l=cycle4.m, d=cycle4.n, max_iter=1)
+    assert res.status is SolverStatus.NUMERICAL_LIMIT
+    assert res.message == "no convergence within 1 iterations"
+    assert res.iterations == 1 and res.last.it == 1
+
+
 def test_trivial_minimum_zero():
     """min <I, X> s.t. trace X <= 5 is 0 at X = O."""
     res = solve_relaxation(QcqpInstance(np.eye(3), (np.eye(3),), np.array([5.0])))
@@ -640,6 +650,24 @@ def test_continuation_equals_one_run(monkeypatch, small, cycle4, tol):
         _assert_same_solution(final, one)
         assert first.iterations + final.iterations == one.iterations == res.ipm_iterations
         assert res.status is one.status and res.status_from == "full-run"
+
+
+def test_engine_is_sign_equivariant(small, cycle4):
+    """Negating A and b negates v and changes no other bit of the run: every
+    product and solve of the loop flips sign exactly or not at all.  So the
+    relaxation reads the same (X, y) from its LMI form, with b = -rhs and
+    y = v, as from the layout (+e_p, +svec Qp, b = rhs) with y = -v."""
+    insts = [small, cycle4, load_instance(DATA_DIR / "bipartite_breakdown_n16.json"),
+             _odd_cycle_mixed_sign_instance(np.random.default_rng(4), 20)]
+    for inst in insts:
+        c, A = sdp._lmi_form(inst.objective, inst.constraint_matrices)
+        lmi = solve_standard_form(c, A, -inst.rhs, l=inst.m, d=inst.n)
+        flipped = solve_standard_form(c, -A, inst.rhs, l=inst.m, d=inst.n)
+        for field in ("status", "pobj", "dobj", "pres", "dres", "relgap", "iterations"):
+            assert getattr(lmi, field) == getattr(flipped, field), field
+        for field in ("u", "z"):
+            assert np.array_equal(getattr(lmi, field), getattr(flipped, field)), field
+        assert np.array_equal(lmi.v, -flipped.v)
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])

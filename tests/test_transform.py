@@ -268,6 +268,8 @@ def test_epsilon_sweep_on_disconnected_instance(small):
         epsilon_sweep_validation(inst, [1e-3, 1e-2])
     with pytest.raises(ValueError, match="positive"):
         epsilon_sweep_validation(inst, [1e-2, -1e-3])
+    with pytest.raises(ValueError, match="^mode must be 'connect' or 'full-laplacian'$"):
+        epsilon_sweep_validation(inst, [1e-2], mode="diagonal")
 
 
 def test_epsilon_sweep_passes_tol_as_solver_tolerance(small, monkeypatch):

@@ -206,6 +206,7 @@ def _run_solve(args) -> int:
         "ipm_iterations": res.ipm_iterations,
         "polish_steps": res.polish_steps,
         "status_from": res.status_from,
+        "dual_path_steps": res.dual_path_steps,
     })
     _emit(doc, args.output)
     print(

@@ -18,6 +18,7 @@ one reported.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -88,6 +89,13 @@ class QcqpInstance:
     @property
     def m(self) -> int:
         return len(self.constraint_matrices)
+
+    @functools.cached_property
+    def constraint_stack(self) -> np.ndarray:
+        """Q1..Qm as one read-only (m, n, n) array, built on first use."""
+        stack = np.array(self.constraint_matrices)
+        stack.setflags(write=False)
+        return stack
 
     def all_matrices(self) -> list[np.ndarray]:
         """Q0 followed by Q1..Qm."""

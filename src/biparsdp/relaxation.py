@@ -5,9 +5,12 @@ Replaces x x^T by a PSD matrix X to get the convex problem
     min  <Q0, X>   s.t.  <Qp, X> <= b_p,  X PSD,
 
 a lower bound on the QCQP.  `sdp.solve` solves it on the instance's own
-matrices; `solve_relaxation` reads the numerical rank of the optimal X off
-one eigendecomposition.  At rank 1 the relaxation is exact and the
-optimizer x* is read off the leading eigenpair.
+matrices: first by the central path of its dual in the m multipliers y
+alone, then, when that gives no answer at the tolerance, by the
+interior-point engine; `status_from` records which.  `solve_relaxation`
+reads the numerical rank of the optimal X off one eigendecomposition.  At
+rank 1 the relaxation is exact and the optimizer x* is read off the
+leading eigenpair.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ class RelaxationResult:
     gap: float | None  # signed: x*^T Q0 x* - <Q0, X*>
     ipm_iterations: int  # engine iterations, over both runs when the run went on
     polish_steps: int  # Newton steps of the KKT polish kept in X*, y*
-    status_from: str  # "handoff" (the polished sqrt(tol) iterate) or "full-run"
+    status_from: str  # "dual-path"/"handoff" (the path's/engine's sqrt(tol) point) or "full-run"
+    dual_path_steps: int  # Newton steps of the dual path; 0 when it gave no point
     message: str = ""
 
 
@@ -111,5 +115,6 @@ def solve_relaxation(
         ipm_iterations=sol.ipm_iterations,
         polish_steps=sol.polish_steps,
         status_from=sol.status_from,
+        dual_path_steps=sol.dual_path_steps,
         message=sol.message or ("" if optimal else f"relaxation not solved: {status.value}"),
     )

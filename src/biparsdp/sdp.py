@@ -31,17 +31,23 @@ On top of the engine sits one problem form, max b.y over {y >= 0,
 F0 + sum_p y_p Fp PSD}, optionally boxed by y <= y_cap; `_lmi_form` builds
 its engine data, and y is the engine's dual variable v in every SDP.  The
 relaxation of a QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p}, is
-its primal side with F0 = Q0, Fp = Qp, b = -rhs and no box.  The engine
-runs only to sqrt(tol) and hands its iterate to a Newton polish of the KKT
-system, solved by elimination in the eigenbasis of S(y) so that only the
-near-null block of S(y) stays as explicit unknowns: O(m n^3) per step.  The
-polished point is the answer when it passes the engine's own stopping test
-at tol, read at the nearest point of the cones; otherwise the engine run
-continues from where it stopped to tol, and an Optimal result of that run
-is polished.  Boxed problems run as one batch (the members that fail once
-more as a second): the per-edge systems, which optimize one entry of
-S(y) = Q0 + sum_p y_p Qp (one batch per instance), and the
-positive-definiteness check, min sum_p y_p s.t. sum_p y_p Qp >= I.
+its primal side with F0 = Q0, Fp = Qp, b = -rhs and no box.  Its dual has
+only m unknowns, so `solve` first follows the dual's central path in y
+alone (`_dual_path`: damped Newton steps on a log barrier, one n x n
+Cholesky factor and an m x m solve per step) to a gap of sqrt(tol), and
+hands the point to a Newton polish of the KKT system, solved by
+elimination in the eigenbasis of S(y) so that only the near-null block of
+S(y) stays as explicit unknowns: O(m n^3) per step.  The polished point is
+the answer when it passes the engine's own stopping test at tol, read at
+the nearest point of the cones.  Otherwise, or when the path cannot start
+or finish, the engine runs to sqrt(tol) and its iterate is polished and
+tested the same way; failing that, the engine run continues from where it
+stopped to tol, and an Optimal result of that run is polished.  Every
+infeasibility certificate comes from the engine.  Boxed problems run as
+one batch (the members that fail once more as a second): the per-edge
+systems, which optimize one entry of S(y) = Q0 + sum_p y_p Qp (one batch
+per instance), and the positive-definiteness check, min sum_p y_p s.t.
+sum_p y_p Qp >= I.
 """
 
 from __future__ import annotations
@@ -607,9 +613,14 @@ def _lmi_form(F0, Fs, price: float | None = None, y_cap: float | None = None):
 
 
 def dual_slack(inst: QcqpInstance, y: np.ndarray) -> np.ndarray:
-    """S(y) = Q0 + sum_p y_p Qp."""
-    S = inst.objective.copy()
-    for yp, Qp in zip(y, inst.constraint_matrices):
+    """S(y) = Q0 + sum_p y_p Qp, summed one term at a time from Q0.
+
+    The order sets the rounding of S(y), and a polished relaxation at
+    tol 1e-14 sits at that rounding floor: one tensordot over the stack
+    rounds otherwise and turns cycle4 at 1e-14 from Optimal to
+    NumericalLimit."""
+    S = inst.objective
+    for yp, Qp in zip(y, inst.constraint_stack):
         S = S + yp * Qp
     return S
 
@@ -632,7 +643,7 @@ def _kkt_residuals(inst: QcqpInstance, X, y) -> tuple[float, float, float]:
     """
     lam, V = np.linalg.eigh(X)
     Xp = X - (V * np.minimum(lam, 0.0)) @ V.T
-    A = np.array(inst.constraint_matrices, dtype=float).reshape(inst.m, -1)
+    A = inst.constraint_stack.reshape(inst.m, -1)
     b = inst.rhs
     pres = np.linalg.norm(np.maximum(A @ Xp.ravel() - b, 0.0)) / (1.0 + np.linalg.norm(b))
     neg = np.minimum(np.concatenate([np.linalg.eigvalsh(dual_slack(inst, y)), y]), 0.0)
@@ -683,8 +694,7 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     a step costs O(m n^3).  With N covering every index the reduced system
     is the full Jacobian in rotated coordinates.
     """
-    m = inst.m
-    A = np.array(inst.constraint_matrices, dtype=float).reshape(m, inst.n, inst.n)
+    m, A = inst.m, inst.constraint_stack
     A_norms = np.linalg.norm(A.reshape(m, -1), axis=1)
     C_norm = np.linalg.norm(inst.objective)
     best = None
@@ -742,6 +752,131 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     return X, y, s, taken
 
 
+# Newton steps that the dual path takes at most before it leaves the solve
+# to the engine, and the doublings of y = (1, ..., 1) it tries for a start.
+_PATH_STEPS = 60
+_START_DOUBLINGS = 40
+
+
+def _ray_minimum(slope: float, lam: np.ndarray) -> float:
+    """A step alpha near the minimum over alpha >= 0 of the barrier on a ray,
+
+        phi(alpha) = alpha slope - sum_i log(1 + alpha lam_i),
+
+    by safeguarded Newton steps until phi's Newton decrement is below 0.25.
+    phi is convex, and its domain ends at hi, where 1 + alpha lam_i first
+    reaches 0.  On a Newton direction of the dual path, the Newton step of
+    phi from 0 is the full step alpha = 1, so the search starts there, or at
+    hi / 2 if that is nearer.  inf when phi falls without bound: no
+    lam_i < 0 and slope <= 0."""
+    neg = lam < 0
+    lo, hi = 0.0, np.min(-1.0 / lam[neg]) if neg.any() else np.inf
+    if hi == np.inf and slope <= 0:
+        return np.inf
+    alpha = min(1.0, 0.5 * hi)
+    for _ in range(50):
+        r = lam / (1.0 + alpha * lam)
+        d1, d2 = slope - r.sum(), r @ r
+        if d1 * d1 <= 0.0625 * d2:
+            break
+        if d1 < 0:
+            lo = alpha
+        else:
+            hi = alpha
+        alpha -= d1 / d2
+        if not lo < alpha < hi:
+            alpha = 0.5 * (lo + hi)
+    return alpha
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _dual_path(inst: QcqpInstance, gap_tol: float):
+    """(X, y, s, steps): a point near the relaxation's optimum, with a
+    duality gap of about gap_tol * (1 + |b.y|), from the central path of its
+    dual in y alone, and the Newton steps taken; None when the path cannot
+    start or does not get there.
+
+    The dual, max -b.y over {y >= 0, S(y) PSD}, has only m unknowns.  Damped
+    Newton steps minimize the barrier
+
+        f_mu(y) = b.y - mu (log det S(y) + sum_p log y_p),
+
+    whose gradient g_p = b_p - mu (<S^-1, Qp> + 1/y_p) and Hessian
+    H_pq = mu (<S^-1 Qp, Qq S^-1> + delta_pq / y_p^2) come from
+    B_p = L^-1 Qp L^-T, L the Cholesky factor of S(y): one n x n factor and
+    an m x m solve per step (the dual-scaling idea of Benson, Ye & Zhang,
+    SIAM J. Optim. 10, 2000).  Along the Newton direction dy the barrier is
+    a function of the step alone, through the eigenvalues of sum_p dy_p B_p
+    and dy / y, so each step goes to its minimum on the ray; the factor at
+    the new y serves the next step.  Once the Newton decrement is below 1,
+    mu shrinks tenfold.  The path starts at the first y = 2^k (1, ..., 1)
+    with S(y) positive definite, taken as centred: mu starts a tenth of the
+    value that minimizes ||g|| there.
+
+    Near the path, the Newton step gives the primal point
+    X = mu S^-1 (S - sum_p dy_p Qp) S^-1, s_p = mu (1 - dy_p / y_p) / y_p,
+    which satisfies <Qp, X> + s_p = b_p exactly and is PSD with a decrement
+    below 1; on the path its gap is mu (n + m).  The path ends there once
+    mu (n + m) <= gap_tol * (1 + |b.y|).  It returns None when there is no
+    start, b.y falls without bound along a ray, an iterate is not finite, a
+    step collapses or `_PATH_STEPS` steps do not suffice: the engine then
+    takes the solve, and every infeasibility certificate comes from it.
+    """
+    n, m = inst.n, inst.m
+    Qs, b = inst.constraint_stack, inst.rhs
+
+    def factor(y):
+        """Cholesky factor of S(y), or None off the interior."""
+        if not (np.isfinite(y).all() and (y > 0).all()):
+            return None
+        try:
+            return np.linalg.cholesky(dual_slack(inst, y))
+        except np.linalg.LinAlgError:
+            return None
+
+    for k in range(_START_DOUBLINGS):
+        y = np.full(m, 2.0 ** k)
+        L = factor(y)
+        if L is not None:
+            break
+    else:
+        return None
+    mu = None
+    try:
+        for steps in range(_PATH_STEPS):
+            Li = np.linalg.inv(L)
+            B = (Li @ Qs @ Li.T).reshape(m, -1)
+            a = B[:, :: n + 1].sum(axis=1) + 1.0 / y  # <S^-1, Qp> + 1/y_p
+            H = B @ B.T + np.diag(y ** -2.0)  # the Hessian over mu
+            if mu is None:  # one reduction below the mu that best centres the start
+                mu = max(0.1 * (b @ a) / (a @ a), 1e-12)
+            while True:
+                g = b - mu * a
+                dy = np.linalg.solve(H, -g / mu)
+                decrement = np.sqrt(max(-g @ dy / mu, 0.0))
+                if not np.isfinite(decrement):
+                    return None
+                if decrement >= 1.0:
+                    break
+                if mu * (n + m) <= gap_tol * (1.0 + abs(b @ y)):
+                    X = mu * (Li.T @ (np.eye(n) - (dy @ B).reshape(n, n)) @ Li)
+                    return X, y, mu * (1.0 - dy / y) / y, steps
+                mu *= 0.1
+            lam = np.concatenate([np.linalg.eigvalsh((dy @ B).reshape(n, n)), dy / y])
+            alpha = _ray_minimum(b @ dy / mu, lam)
+            if alpha == np.inf:
+                return None
+            # rounding can put the minimum a hair outside the cone
+            while alpha > 1e-10 and (L_new := factor(y + alpha * dy)) is None:
+                alpha *= 0.5
+            if not alpha > 1e-10:
+                return None
+            y, L = y + alpha * dy, L_new
+    except np.linalg.LinAlgError:  # a singular Hessian, or eigvalsh failed
+        pass
+    return None
+
+
 def check_positive_finite(value: float, name: str) -> None:
     """Raise ValueError unless 0 < value < inf: NaN passes a `<= 0` guard,
     and inf makes data non-finite or a box test vacuous."""
@@ -763,32 +898,47 @@ class RelaxationSolve(NamedTuple):
     message: str
     ipm_iterations: int  # engine iterations, over both runs when the run went on
     polish_steps: int  # Newton steps that the polish kept
-    status_from: str  # "handoff" or "full-run": the test that set the status
+    status_from: str  # "dual-path", "handoff" or "full-run": the test that set the status
+    dual_path_steps: int  # Newton steps of the dual path; 0 when it gave no point
 
 
 def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     """The relaxation of `inst` solved to tol: status, X, y and message,
-    with the engine's iteration count, the polish steps kept and the test
-    that set the status.  The engine solves the LMI form with F0 = Q0,
-    Fp = Qp and b = -rhs (`_lmi_form`): y is its dual variable v, and X the
-    PSD block of its u.
+    with the engine's iteration count, the polish steps kept, the test that
+    set the status and the dual path's Newton steps.
 
-    tol sets both feasibility and gap targets.  The engine first runs only
-    to sqrt(tol) and hands its iterate to the Newton polish (`_kkt_refine`).
-    When the polished point passes the engine's own stopping test at tol
-    (`_kkt_residuals`: pres, dres and relgap <= tol), it is the answer, with
-    status Optimal ("handoff").  In every other case, the sqrt(tol) run
-    ending in any other status included, the same run continues from its
-    last iterate to tol: a certificate is held to tol, and the engine's
-    result equals that of one run to tol.  An Optimal result is then
-    polished, and the polished point replaces it when the polish lowers
-    the residual of the optimality system ("full-run").  An instance with
-    linear terms is refused with InstanceError.
+    tol sets both feasibility and gap targets, and three tests in turn can
+    set the status; each polishes a point by Newton steps on the KKT system
+    (`_kkt_refine`) and accepts it when it passes the engine's own stopping
+    test at tol (`_kkt_residuals`: pres, dres and relgap <= tol).
+
+    - "dual-path": the point of the dual's central path at a gap of
+      sqrt(tol) (`_dual_path`), with no engine run.
+    - "handoff": when the path gives no point, or its point fails, the
+      engine solves the LMI form with F0 = Q0, Fp = Qp and b = -rhs
+      (`_lmi_form`; y is its dual variable v, and X the PSD block of its
+      u), first only to sqrt(tol), and its iterate is polished.
+    - "full-run": in every other case, the sqrt(tol) run ending in any
+      other status included, the same run continues from its last iterate
+      to tol: a certificate is held to tol, and the engine's result equals
+      that of one run to tol.  An Optimal result is then polished, and the
+      polished point replaces it when the polish lowers the residual of the
+      optimality system.
+
+    An instance with linear terms is refused with InstanceError.
     """
     check_homogeneous(inst, "solve")
     check_solver_tol(tol)
+    path = _dual_path(inst, np.sqrt(tol))
+    path_steps = 0
+    if path is not None:
+        *start, path_steps = path
+        X, y, _, steps = _kkt_refine(inst, *start)
+        if max(_kkt_residuals(inst, X, y)) <= tol:
+            return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path",
+                                   path_steps)
     n, m = inst.n, inst.m
-    c, A = _lmi_form(inst.objective, inst.constraint_matrices)
+    c, A = _lmi_form(inst.objective, inst.constraint_stack)
     b = -inst.rhs
 
     def point(res: ConicSolution):
@@ -799,14 +949,14 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     if res.status is SolverStatus.OPTIMAL:
         X, y, _, steps = _kkt_refine(inst, *point(res))
         if max(_kkt_residuals(inst, X, y)) <= tol:
-            return RelaxationSolve(res.status, X, y, "", iterations, steps, "handoff")
+            return RelaxationSolve(res.status, X, y, "", iterations, steps, "handoff", path_steps)
     res = solve_standard_form(c, A, b, l=m, d=n, feas_tol=tol, gap_tol=tol, start=res.last)
     iterations += res.iterations
     X, y, s = point(res)
     steps = 0
     if res.status is SolverStatus.OPTIMAL:
         X, y, _, steps = _kkt_refine(inst, X, y, s)
-    return RelaxationSolve(res.status, X, y, res.message, iterations, steps, "full-run")
+    return RelaxationSolve(res.status, X, y, res.message, iterations, steps, "full-run", path_steps)
 
 
 # ---------------------------------------------------------------------------

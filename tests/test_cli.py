@@ -203,15 +203,17 @@ def test_solve_rank_tol_extracts(capsys, tmp_path):
 
 
 def test_solve_reports_engine_and_polish(capsys):
-    """The solve report carries the engine's iteration count, the polish
-    steps kept and the test that set the status.  The breakdown instance
-    solves at 1e-12 by the hand-off."""
+    """The solve report carries the engine's iteration count, the dual
+    path's Newton steps, the polish steps kept and the test that set the
+    status.  The breakdown instance solves at 1e-12 by the dual path, with
+    no engine run."""
     path = str(DATA_DIR / "bipartite_breakdown_n16.json")
     code, out, err = _run(capsys, ["solve", path, "--tol", "1e-12"])
     assert code == 0, err
     doc = json.loads(out)
-    assert doc["status"] == "Optimal" and doc["status_from"] == "handoff"
-    assert doc["ipm_iterations"] > 0 and doc["polish_steps"] > 0
+    assert doc["status"] == "Optimal" and doc["status_from"] == "dual-path"
+    assert doc["dual_path_steps"] > 0 and doc["polish_steps"] > 0
+    assert doc["ipm_iterations"] == 0
 
 
 def test_solve_failure_reports_no_rank(capsys):

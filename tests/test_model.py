@@ -49,6 +49,18 @@ def test_load_cycle4_instance(cycle4):
     assert np.array_equal(cycle4.rhs, [10.0, 10.0])
 
 
+def test_constraint_stack_is_one_read_only_array(cycle4):
+    """The (m, n, n) stack of the constraint matrices is built once per
+    instance, holds them in order and cannot be written."""
+    stack = cycle4.constraint_stack
+    assert stack is cycle4.constraint_stack
+    assert stack.shape == (cycle4.m, cycle4.n, cycle4.n) and not stack.flags.writeable
+    for Qp, row in zip(cycle4.constraint_matrices, stack, strict=True):
+        assert np.array_equal(Qp, row)
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+
+
 def test_upper_triangle_is_mirrored(tmp_path):
     """Triplet input gives symmetric matrices."""
     doc = """{"n": 2, "m": 1,

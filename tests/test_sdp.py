@@ -201,13 +201,18 @@ def _dense_affine_direction(p):
 
 
 def test_affine_dual_half_matches_engine_directions(monkeypatch, cycle4):
-    """On the engine's own predictors (the relaxation of cycle4 and one of
-    its edge SDPs), the dual half read off the scaled complementarity
-    identity, qz = -lam - qu and dZ^ = -Lambda - dU^, is the scaled image of
-    the dz of the Newton system, to 1e-10 of ||Lambda||.  The check runs
-    while mu >= 1e-4, where the dense reference solve is accurate; it also
-    confirms the engine's du."""
-    for run in (lambda: solve(cycle4), lambda: minimize_linear_functional_over_dual_cone(cycle4, 0, 1)):
+    """On the engine's own predictors (the relaxation of cycle4, in its LMI
+    form with b = -rhs, and one of its edge SDPs), the dual half read off
+    the scaled complementarity identity, qz = -lam - qu and
+    dZ^ = -Lambda - dU^, is the scaled image of the dz of the Newton system,
+    to 1e-10 of ||Lambda||.  The check runs while mu >= 1e-4, where the
+    dense reference solve is accurate; it also confirms the engine's du."""
+    c, A = sdp._lmi_form(cycle4.objective, cycle4.constraint_matrices)
+
+    def relaxation():
+        solve_standard_form(c, A, -cycle4.rhs, l=cycle4.m, d=cycle4.n)
+
+    for run in (relaxation, lambda: minimize_linear_functional_over_dual_cone(cycle4, 0, 1)):
         checked = [p for p in _engine_predictors(monkeypatch, run) if p["mu"][0] >= 1e-4]
         assert len(checked) >= 4
         for p in checked:
@@ -583,15 +588,34 @@ def _agrees_with(tight, ref):
         assert np.max(np.abs(tight.x_star - ref.x_star)) <= 1e-8 * scale
 
 
+def _no_dual_path(monkeypatch):
+    """Send every relaxation solve from now on straight to the engine."""
+    monkeypatch.setattr(sdp, "_dual_path", lambda inst, gap_tol: None)
+
+
 def test_breakdown_relaxation_solves_at_1e13():
     """At 1e-13 the relaxation of the breakdown instance ends Optimal, where
-    an engine run to 1e-13 stops in NumericalLimit: the polish of the
-    sqrt(tol) iterate meets the target.  Its answer is the 1e-8 one, and
-    the result records the hand-off."""
+    an engine run to 1e-13 stops in NumericalLimit: the polish of the dual
+    path's sqrt(tol) point meets the target, and no engine run is made.
+    Its answer is the 1e-8 one, and the result records the path."""
     inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
     tight = solve_relaxation(inst, tol=1e-13)
     _agrees_with(tight, solve_relaxation(inst))
+    assert tight.status_from == "dual-path" and tight.dual_path_steps > 0
+    assert tight.ipm_iterations == 0
+    assert 1 <= tight.polish_steps <= sdp._POLISH_STEPS
+
+
+def test_breakdown_relaxation_hands_off_at_1e13(monkeypatch):
+    """Without the dual path, the engine's sqrt(tol) iterate is polished to
+    the same 1e-13 answer, and the result records the hand-off."""
+    inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
+    ref = solve_relaxation(inst)
+    _no_dual_path(monkeypatch)
+    tight = solve_relaxation(inst, tol=1e-13)
+    _agrees_with(tight, ref)
     assert tight.status_from == "handoff" and tight.ipm_iterations > 0
+    assert tight.dual_path_steps == 0
     assert 1 <= tight.polish_steps <= sdp._POLISH_STEPS
 
 
@@ -635,6 +659,7 @@ def test_continuation_equals_one_run(monkeypatch, small, cycle4, tol):
     """With the hand-off test forced to fail, the sqrt(tol) run goes on from
     its last iterate to tol, and the result handed to the polish is the
     one-run solve to tol bit for bit, with the same iteration total."""
+    _no_dual_path(monkeypatch)
     monkeypatch.setattr(sdp, "_kkt_residuals", lambda inst, X, y: (np.inf,) * 3)
     runs, real = _standard_form_runs(monkeypatch)
     insts = [small, cycle4, load_instance(DATA_DIR / "bipartite_breakdown_n16.json"),
@@ -686,6 +711,102 @@ def test_certificates_held_to_callers_tol(monkeypatch, tol):
         assert res.status is status and res.status_from == "full-run"
         _, kwargs, last = runs[-1]
         assert last.status is status and kwargs["feas_tol"] == tol
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_dual_path_agrees_with_engine_path(monkeypatch, small, cycle4, tol):
+    """The dual path's answer is the engine path's: the same status and
+    numeric rank, values to 1e-12 relative and x* to 1e-10."""
+    insts = [small, cycle4, load_instance(DATA_DIR / "bipartite_breakdown_n16.json")]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        insts.append(_odd_cycle_mixed_sign_instance(rng, int(rng.integers(8, 33))))
+    got = [solve_relaxation(inst, tol=tol) for inst in insts]
+    _no_dual_path(monkeypatch)
+    for res, inst in zip(got, insts):
+        ref = solve_relaxation(inst, tol=tol)
+        assert res.status_from == "dual-path" and res.ipm_iterations == 0
+        assert res.status is ref.status is SolverStatus.OPTIMAL
+        assert res.numeric_rank == ref.numeric_rank
+        for a, b in ((res.primal_value, ref.primal_value), (res.dual_value, ref.dual_value)):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        if ref.x_star is not None:
+            scale = max(1.0, np.max(np.abs(ref.x_star)))
+            assert np.max(np.abs(res.x_star - ref.x_star)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_engine_takes_what_the_dual_path_cannot(monkeypatch, tol):
+    """A relaxation the path cannot start (S(y) = diag(1 + y, -1) is never
+    PSD; the engine finds it DualInfeasible) and a PrimalInfeasible one
+    (trace X <= -1, along which -b.y grows without bound) end as the engine
+    path alone ends them: the same status, message and iteration count."""
+    e11 = np.diag([1.0, 0.0])
+    cases = [
+        (QcqpInstance(np.diag([1.0, -1.0]), (e11,), np.array([1.0])), SolverStatus.DUAL_INFEASIBLE),
+        (QcqpInstance(np.eye(2), (np.eye(2),), np.array([-1.0])), SolverStatus.PRIMAL_INFEASIBLE),
+    ]
+    for inst, _ in cases:
+        assert sdp._dual_path(inst, np.sqrt(tol)) is None
+    got = [solve_relaxation(inst, tol=tol) for inst, _ in cases]
+    _no_dual_path(monkeypatch)
+    for res, (inst, status) in zip(got, cases):
+        ref = solve_relaxation(inst, tol=tol)
+        assert res.status is ref.status is status
+        assert res.message == ref.message and res.ipm_iterations == ref.ipm_iterations > 0
+        assert res.status_from == ref.status_from == "full-run" and res.dual_path_steps == 0
+
+
+def test_dual_path_solves_odd_cycle_draws():
+    """Three odd-cycle mixed-sign draws at each n = 16, 24, ..., 48 all end
+    by the dual path with no engine run, in at most 200 Newton steps in
+    all.  The path's own point, before the polish, is feasible on both
+    sides (<Qp, X> + s_p = b_p to rounding, X PSD, s > 0, y > 0, S(y)
+    positive definite) with a gap of at most twice its target."""
+    total = 0
+    for n in range(16, 49, 8):
+        for seed in range(3):
+            inst = _odd_cycle_mixed_sign_instance(np.random.default_rng(seed), n)
+            res = solve_relaxation(inst)
+            assert res.status_from == "dual-path" and res.ipm_iterations == 0
+            total += res.dual_path_steps
+
+            X, y, s, steps = sdp._dual_path(inst, 1e-4)
+            assert steps == res.dual_path_steps
+            lhs = inst.constraint_stack.reshape(inst.m, -1) @ X.ravel() + s
+            assert np.max(np.abs(lhs - inst.rhs)) <= 1e-12 * np.abs(X).sum()
+            assert np.linalg.eigvalsh(X)[0] >= -1e-12 * np.linalg.norm(X)
+            assert np.all(s > 0) and np.all(y > 0)
+            np.linalg.cholesky(dual_slack(inst, y))
+            gap = np.sum(inst.objective * X) + inst.rhs @ y
+            assert -1e-9 <= gap <= 2e-4 * (1.0 + abs(inst.rhs @ y))
+    assert total <= 200
+
+
+def test_ray_minimum_is_near_the_barrier_minimum():
+    """On rays like the dual path's, where the barrier falls at alpha = 0
+    with a Newton decrement of at least 1, the step lies in the barrier's
+    domain within 0.04 of its minimum over a fine grid: phi is
+    self-concordant, and a Newton decrement d < 1 bounds the excess by
+    -d - log(1 - d), 0.038 at the search's d = 0.25.  A ray with no
+    lam_i < 0 and slope <= 0 is unbounded."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        lam = rng.standard_normal(int(rng.integers(2, 8))) * 10.0 ** rng.uniform(-2, 2)
+        slope = lam.sum() - rng.uniform(1.0, 5.0) * np.linalg.norm(lam)
+        alpha = sdp._ray_minimum(slope, lam)
+        if np.all(lam >= 0) and slope <= 0:
+            assert alpha == np.inf
+            continue
+        assert alpha > 0 and np.all(1.0 + alpha * lam > 0)
+        end = np.min(-1.0 / lam[lam < 0]) if np.any(lam < 0) else 100.0 * (1.0 + alpha)
+        grid = np.linspace(0.0, end, 20001)[:-1]
+
+        def phi(a):
+            return a * slope - np.log1p(np.multiply.outer(a, lam)).sum(axis=-1)
+
+        assert phi(alpha) <= phi(grid).min() + 0.04
+    assert sdp._ray_minimum(-1.0, np.array([0.5, 2.0])) == np.inf
 
 
 def test_tol_validation():

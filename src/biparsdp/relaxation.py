@@ -36,9 +36,9 @@ class RelaxationResult:
     numeric_rank: int
     x_star: np.ndarray | None  # populated when numeric_rank <= 1
     gap: float | None  # signed: x*^T Q0 x* - <Q0, X*>
-    ipm_iterations: int  # engine iterations, over both runs when the run went on
+    ipm_iterations: int  # engine iterations; 0 when the dual path answered
     polish_steps: int  # Newton steps of the KKT polish kept in X*, y*
-    status_from: str  # "dual-path"/"handoff" (the path's/engine's sqrt(tol) point) or "full-run"
+    status_from: str  # "dual-path" (the path's polished point) or "full-run" (the engine's)
     dual_path_steps: int  # Newton steps of the dual path; 0 when it gave no point
     message: str = ""
 

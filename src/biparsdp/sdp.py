@@ -23,10 +23,6 @@ every cone vector is kept as a d x d matrix; u and z are packed by svec
 once, on return.  Everything is dense: the target problems have matrix
 dimension well below a hundred.
 
-A run can stop early and be continued: each result carries the raw
-iterate it stopped at (`Iterate`), and `solve_standard_form` accepts it as
-`start`, so the two runs end exactly as one run to the tighter targets.
-
 On top of the engine sits one problem form, max b.y over {y >= 0,
 F0 + sum_p y_p Fp PSD}, optionally boxed by y <= y_cap; `_lmi_form` builds
 its engine data, and y is the engine's dual variable v in every SDP.  The
@@ -40,20 +36,19 @@ elimination in the eigenbasis of S(y) so that only the near-null block of
 S(y) stays as explicit unknowns: O(m n^3) per step.  The polished point is
 the answer when it passes the engine's own stopping test at tol, read at
 the nearest point of the cones.  Otherwise, or when the path cannot start
-or finish, the engine runs to sqrt(tol) and its iterate is polished and
-tested the same way; failing that, the engine run continues from where it
-stopped to tol, and an Optimal result of that run is polished.  Every
-infeasibility certificate comes from the engine.  Boxed problems run as
-one batch (the members that fail once more as a second): the per-edge
-systems, which optimize one entry of S(y) = Q0 + sum_p y_p Qp (one batch
-per instance), and the positive-definiteness check, min sum_p y_p s.t.
-sum_p y_p Qp >= I.
+or finish, the engine runs once to tol, and an Optimal result is
+polished.  Every infeasibility certificate comes from the engine.  Boxed
+problems run as one batch (the members that fail once more as a second):
+the per-edge systems, which optimize one entry of S(y) = Q0 + sum_p y_p Qp
+(one batch per instance), and the positive-definiteness check,
+min sum_p y_p s.t. sum_p y_p Qp >= I.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,19 +114,6 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # standard-form engine
 
-class Iterate(NamedTuple):
-    """The raw state at which a run stopped: the iterate (u, v, z, tau,
-    kappa) of the homogeneous embedding, the PSD blocks of u and z as
-    flattened d x d matrices, and the loop count `it` of the check that
-    stopped it.  As `start`, it continues the same run."""
-    u: np.ndarray
-    v: np.ndarray
-    z: np.ndarray
-    tau: float
-    kappa: float
-    it: int
-
-
 @dataclass
 class ConicSolution:
     status: SolverStatus
@@ -143,9 +125,8 @@ class ConicSolution:
     pres: float
     dres: float
     relgap: float
-    iterations: int  # of this run; a continuation counts only its own steps
+    iterations: int
     message: str = ""
-    last: Iterate | None = None
 
 
 def _T(a: np.ndarray) -> np.ndarray:
@@ -350,19 +331,14 @@ def solve_standard_form(
     feas_tol: float = DEFAULT_TOL,
     gap_tol: float = DEFAULT_TOL,
     max_iter: int = 100,
-    start: Iterate | None = None,
 ) -> ConicSolution:
     """Homogeneous self-dual interior-point solve of the (P)/(D) pair.
 
     Stops at the first tau-scaled iterate that meets the feasibility and
-    gap targets.  The cone needs its PSD block: d >= 1.  `start`, the
-    `last` iterate of an earlier run on the same (c, A, b), continues that
-    run: the loop resumes at the iterate and count where it stopped, so a
-    run stopped early and continued at tighter targets ends exactly as one
-    run at those targets, and its iterations add up to that run's.
+    gap targets.  The cone needs its PSD block: d >= 1.
     """
     b = np.asarray(b, dtype=float)
-    return _solve_batch(c, A, b[None], l, d, feas_tol, gap_tol, max_iter, start)[0]
+    return _solve_batch(c, A, b[None], l, d, feas_tol, gap_tol, max_iter)[0]
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -375,7 +351,6 @@ def _solve_batch(
     feas_tol: float = DEFAULT_TOL,
     gap_tol: float = DEFAULT_TOL,
     max_iter: int = 100,
-    start: Iterate | None = None,
 ) -> list[ConicSolution]:
     """`solve_standard_form` for the problems (c, A, b[i]), run as one batch.
 
@@ -385,8 +360,7 @@ def _solve_batch(
     as in a lone solve.  A non-finite or unfactorable iterate ends its own
     problem with NUMERICAL_LIMIT and a message.  Inside the loop the PSD
     block of every cone vector is a d x d matrix, so inner products are
-    plain dot products; u and z are packed once, on return.  A `start`
-    iterate is shared by every member.
+    plain dot products; u and z are packed once, on return.
     """
     if d < 1:
         raise ValueError("the cone needs a PSD block: d must be >= 1")
@@ -399,11 +373,9 @@ def _solve_batch(
     c_norm = np.linalg.norm(c)
     b_den = 1.0 + np.linalg.norm(b, axis=1)
 
-    if start is None:
-        e = _flat(np.ones(l), np.eye(d))  # the identity of the cone
-        start = Iterate(e, np.zeros(m), e, 1.0, 1.0, 0)
-    u, v, z = (np.tile(a, (nb, 1)) for a in start[:3])
-    tau, kappa = np.full(nb, start.tau), np.full(nb, start.kappa)
+    e = _flat(np.ones(l), np.eye(d))  # the identity of the cone
+    u, v, z = np.tile(e, (nb, 1)), np.zeros((nb, m)), np.tile(e, (nb, 1))
+    tau, kappa = np.ones(nb), np.ones(nb)
     idx = np.arange(nb)  # the problem that each row of the batch solves
     done = np.zeros(nb, dtype=bool)
     out: list[ConicSolution] = [None] * nb
@@ -419,14 +391,11 @@ def _solve_batch(
             out[idx[i]] = ConicSolution(
                 status, _pack(u[i] / su, l, d), v[i] / svz, _pack(z[i] / svz, l, d),
                 float(pobj[i]), float(dobj[i]), float(pres[i]), float(dres[i]),
-                float(relgap[i]), it - start.it, message,
-                Iterate(u[i].copy(), v[i].copy(), z[i].copy(), float(tau[i]), float(kappa[i]), it),
+                float(relgap[i]), it, message,
             )
             done[i] = True
 
-    # a continuation re-checks the iterate it was handed at the count where
-    # its run stopped; that check is not a new iteration
-    for it in range(max(start.it, 1), max_iter + 1):
+    for it in range(1, max_iter + 1):
         Au = _mv(u, A.T)
         cu, bv = _rowdot(u, c), _rowdot(b, v)
         hx = _mv(v, A) + z - tau[:, None] * c
@@ -668,8 +637,8 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     while they lower its residual: (X, y, s) at the lowest residual, and the
     number of steps that led there.
 
-    `solve` starts it from the engine's iterate at sqrt(tol), which meets
-    the feasibility and gap targets only to sqrt(tol).  Newton steps on
+    `solve` starts it from the dual path's point at a gap of sqrt(tol), or
+    from the engine's result at tol.  Newton steps on
 
         <A_p, X> + s_p = b_p,   y_p s_p = 0,   sym(X S(y)) = O
 
@@ -752,10 +721,34 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     return X, y, s, taken
 
 
-# Newton steps that the dual path takes at most before it leaves the solve
-# to the engine, and the doublings of y = (1, ..., 1) it tries for a start.
+# The dual path's Newton steps at most before it leaves the solve to the
+# engine, its doublings (then halvings) of y = (1, ..., 1) for a start, and
+# its steps at one mu after which mu is too small (a healthy path takes 6).
 _PATH_STEPS = 60
 _START_DOUBLINGS = 40
+_CENTRING_STEPS = 10
+
+
+def _opposite_pairs(inst: QcqpInstance) -> list[tuple[int, int]]:
+    """The pairs p < q, each constraint in one at most, with Qq = -Qp and
+    b_q = -b_p exactly: the equality <Qp, X> = b_p, as `homogenize` writes
+    x0^2 = 1."""
+    Qs, b, pairs = inst.constraint_stack, inst.rhs, []
+    for p, q in itertools.combinations(range(inst.m), 2):
+        if b[q] == -b[p] and np.array_equal(Qs[q], -Qs[p]) \
+                and not {p, q} & {i for pair in pairs for i in pair}:
+            pairs.append((p, q))
+    return pairs
+
+
+def _fold(y: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """y with each pair's multipliers set to (w+, w-), w = y_p - y_q: the
+    same S(y) and b.y, with one of the two exactly 0."""
+    y = y.copy()
+    for p, q in pairs:
+        w = y[p] - y[q]
+        y[p], y[q] = max(0.0, w), max(0.0, -w)
+    return y
 
 
 def _ray_minimum(slope: float, lam: np.ndarray) -> float:
@@ -805,51 +798,74 @@ def _dual_path(inst: QcqpInstance, gap_tol: float):
     H_pq = mu (<S^-1 Qp, Qq S^-1> + delta_pq / y_p^2) come from
     B_p = L^-1 Qp L^-T, L the Cholesky factor of S(y): one n x n factor and
     an m x m solve per step (the dual-scaling idea of Benson, Ye & Zhang,
-    SIAM J. Optim. 10, 2000).  Along the Newton direction dy the barrier is
-    a function of the step alone, through the eigenvalues of sum_p dy_p B_p
-    and dy / y, so each step goes to its minimum on the ray; the factor at
-    the new y serves the next step.  Once the Newton decrement is below 1,
-    mu shrinks tenfold.  The path starts at the first y = 2^k (1, ..., 1)
-    with S(y) positive definite, taken as centred: mu starts a tenth of the
-    value that minimizes ||g|| there.
+    SIAM J. Optim. 10, 2000).  An opposite pair (`_opposite_pairs`) is one
+    free multiplier w with no log term, as in the standard SDP dual of an
+    equality: along (y_p, y_q) += t (1, 1) the barrier falls without bound.
+    Along the Newton direction dy the barrier is a function of the step
+    alone, through the eigenvalues of sum_p dy_p B_p and dy / y, so each
+    step goes to its minimum on the ray.  Once the Newton decrement is
+    below 1, mu shrinks tenfold.  The path starts at the first
+    y = 2^k (1, ..., 1) with S(y) positive definite, k = 0, ..., 39, then
+    -1, ..., -39 (then with w = 4^k, as homogenized constraints with large
+    linear terms need), taken as centred: mu starts a tenth of the value
+    that minimizes ||g|| there.  When that is not positive, or
+    `_CENTRING_STEPS` steps at one mu leave the decrement above 1 (crawling
+    along the cone's boundary), mu is reset to the minimizer of the
+    decrement at the current y.
 
     Near the path, the Newton step gives the primal point
-    X = mu S^-1 (S - sum_p dy_p Qp) S^-1, s_p = mu (1 - dy_p / y_p) / y_p,
-    which satisfies <Qp, X> + s_p = b_p exactly and is PSD with a decrement
-    below 1; on the path its gap is mu (n + m).  The path ends there once
-    mu (n + m) <= gap_tol * (1 + |b.y|).  It returns None when there is no
-    start, b.y falls without bound along a ray, an iterate is not finite, a
-    step collapses or `_PATH_STEPS` steps do not suffice: the engine then
-    takes the solve, and every infeasibility certificate comes from it.
+    X = mu S^-1 (S - sum_p dy_p Qp) S^-1, s_p = mu (1 - dy_p / y_p) / y_p
+    (s_p = s_q = 0 for a pair, whose w `_fold` maps back), which satisfies
+    <Qp, X> + s_p = b_p exactly and is PSD with a decrement below 1; on the
+    path its gap is mu (n + r), r the number of log terms.  The path ends
+    there once mu (n + r) <= gap_tol * (1 + |b.y|).  It returns None when
+    there is no start, b.y falls without bound along a ray, an iterate is
+    not finite, a step collapses or `_PATH_STEPS` steps do not suffice: the
+    engine then takes the solve, and every certificate comes from it.
     """
-    n, m = inst.n, inst.m
-    Qs, b = inst.constraint_stack, inst.rhs
+    pairs = _opposite_pairs(inst)
+    paired = [i for pair in pairs for i in pair]
+    r = inst.m - len(paired)  # the unknowns: r multipliers with a log term, then each w
+    keep = [p for p in range(inst.m) if p not in paired] + [p for p, _ in pairs]
+    sub = inst if not pairs else QcqpInstance(
+        inst.objective, tuple(inst.constraint_matrices[p] for p in keep), inst.rhs[keep])
+    n, m = sub.n, sub.m
+    Qs, b = sub.constraint_stack, sub.rhs
 
     def factor(y):
         """Cholesky factor of S(y), or None off the interior."""
-        if not (np.isfinite(y).all() and (y > 0).all()):
+        if not (np.isfinite(y).all() and (y[:r] > 0).all()):
             return None
         try:
-            return np.linalg.cholesky(dual_slack(inst, y))
+            return np.linalg.cholesky(dual_slack(sub, y))
         except np.linalg.LinAlgError:
             return None
 
-    for k in range(_START_DOUBLINGS):
+    ks = (*range(_START_DOUBLINGS), *range(-1, -_START_DOUBLINGS, -1))
+    for j, k in itertools.product(range(2 if pairs else 1), ks):
         y = np.full(m, 2.0 ** k)
-        L = factor(y)
-        if L is not None:
+        y[r:] *= 2.0 ** (j * k)
+        if (L := factor(y)) is not None:
             break
     else:
         return None
-    mu = None
+    mu, damped = None, 0  # damped: steps taken at this mu
     try:
         for steps in range(_PATH_STEPS):
             Li = np.linalg.inv(L)
             B = (Li @ Qs @ Li.T).reshape(m, -1)
-            a = B[:, :: n + 1].sum(axis=1) + 1.0 / y  # <S^-1, Qp> + 1/y_p
-            H = B @ B.T + np.diag(y ** -2.0)  # the Hessian over mu
+            inv, inv2 = 1.0 / y, y ** -2.0
+            inv[r:] = inv2[r:] = 0.0  # a free multiplier has no log term
+            a = B[:, :: n + 1].sum(axis=1) + inv  # <S^-1, Qp> + 1/y_p
+            H = B @ B.T + np.diag(inv2)  # the Hessian over mu
             if mu is None:  # one reduction below the mu that best centres the start
-                mu = max(0.1 * (b @ a) / (a @ a), 1e-12)
+                mu = 0.1 * (b @ a) / (a @ a)
+            if not mu > 1e-12 or damped == _CENTRING_STEPS:
+                # mu is too small for y: take the mu that best centres y
+                Hb = np.linalg.solve(H, b)
+                mu, damped = (b @ Hb) / (a @ Hb), 0
+                if not mu > 0:
+                    return None
             while True:
                 g = b - mu * a
                 dy = np.linalg.solve(H, -g / mu)
@@ -858,11 +874,14 @@ def _dual_path(inst: QcqpInstance, gap_tol: float):
                     return None
                 if decrement >= 1.0:
                     break
-                if mu * (n + m) <= gap_tol * (1.0 + abs(b @ y)):
+                if mu * (n + r) <= gap_tol * (1.0 + abs(b @ y)):
                     X = mu * (Li.T @ (np.eye(n) - (dy @ B).reshape(n, n)) @ Li)
-                    return X, y, mu * (1.0 - dy / y) / y, steps
+                    ys = np.zeros((2, inst.m))  # y and s in the instance's order
+                    ys[:, keep] = y, np.where(np.arange(m) < r, mu * (1.0 - dy / y) / y, 0.0)
+                    return X, _fold(ys[0], pairs), ys[1], steps
                 mu *= 0.1
-            lam = np.concatenate([np.linalg.eigvalsh((dy @ B).reshape(n, n)), dy / y])
+                damped = 0
+            lam = np.concatenate([np.linalg.eigvalsh((dy @ B).reshape(n, n)), (dy / y)[:r]])
             alpha = _ray_minimum(b @ dy / mu, lam)
             if alpha == np.inf:
                 return None
@@ -872,6 +891,7 @@ def _dual_path(inst: QcqpInstance, gap_tol: float):
             if not alpha > 1e-10:
                 return None
             y, L = y + alpha * dy, L_new
+            damped += 1
     except np.linalg.LinAlgError:  # a singular Hessian, or eigvalsh failed
         pass
     return None
@@ -896,34 +916,23 @@ class RelaxationSolve(NamedTuple):
     X: np.ndarray
     y: np.ndarray
     message: str
-    ipm_iterations: int  # engine iterations, over both runs when the run went on
+    ipm_iterations: int  # engine iterations; 0 when the dual path answered
     polish_steps: int  # Newton steps that the polish kept
-    status_from: str  # "dual-path", "handoff" or "full-run": the test that set the status
+    status_from: str  # "dual-path" or "full-run": the test that set the status
     dual_path_steps: int  # Newton steps of the dual path; 0 when it gave no point
 
 
 def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
-    """The relaxation of `inst` solved to tol: status, X, y and message,
-    with the engine's iteration count, the polish steps kept, the test that
-    set the status and the dual path's Newton steps.
-
-    tol sets both feasibility and gap targets, and three tests in turn can
-    set the status; each polishes a point by Newton steps on the KKT system
-    (`_kkt_refine`) and accepts it when it passes the engine's own stopping
-    test at tol (`_kkt_residuals`: pres, dres and relgap <= tol).
-
-    - "dual-path": the point of the dual's central path at a gap of
-      sqrt(tol) (`_dual_path`), with no engine run.
-    - "handoff": when the path gives no point, or its point fails, the
-      engine solves the LMI form with F0 = Q0, Fp = Qp and b = -rhs
-      (`_lmi_form`; y is its dual variable v, and X the PSD block of its
-      u), first only to sqrt(tol), and its iterate is polished.
-    - "full-run": in every other case, the sqrt(tol) run ending in any
-      other status included, the same run continues from its last iterate
-      to tol: a certificate is held to tol, and the engine's result equals
-      that of one run to tol.  An Optimal result is then polished, and the
-      polished point replaces it when the polish lowers the residual of the
-      optimality system.
+    """The relaxation of `inst` solved to tol, which sets both feasibility
+    and gap targets, as a `RelaxationSolve`.  "dual-path": the dual path's
+    point (`_dual_path`) is polished (`_kkt_refine`), each pair's
+    multipliers are folded once more (`_fold`; the polish leaves both
+    nonzero), and the point is accepted when it passes the engine's own
+    stopping test at tol (`_kkt_residuals`).  "full-run": otherwise the
+    engine solves the LMI form with F0 = Q0, Fp = Qp and b = -rhs
+    (`_lmi_form`; y is its v, X the PSD block of its u) in one run to tol,
+    which holds every certificate to tol, and an Optimal result is
+    polished.
 
     An instance with linear terms is refused with InstanceError.
     """
@@ -934,29 +943,19 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     if path is not None:
         *start, path_steps = path
         X, y, _, steps = _kkt_refine(inst, *start)
+        y = _fold(y, _opposite_pairs(inst))
         if max(_kkt_residuals(inst, X, y)) <= tol:
             return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path",
                                    path_steps)
     n, m = inst.n, inst.m
     c, A = _lmi_form(inst.objective, inst.constraint_stack)
-    b = -inst.rhs
-
-    def point(res: ConicSolution):
-        return smat(res.u[m:], n), res.v, res.u[:m]
-
-    res = solve_standard_form(c, A, b, l=m, d=n, feas_tol=np.sqrt(tol), gap_tol=np.sqrt(tol))
-    iterations = res.iterations
-    if res.status is SolverStatus.OPTIMAL:
-        X, y, _, steps = _kkt_refine(inst, *point(res))
-        if max(_kkt_residuals(inst, X, y)) <= tol:
-            return RelaxationSolve(res.status, X, y, "", iterations, steps, "handoff", path_steps)
-    res = solve_standard_form(c, A, b, l=m, d=n, feas_tol=tol, gap_tol=tol, start=res.last)
-    iterations += res.iterations
-    X, y, s = point(res)
+    res = solve_standard_form(c, A, -inst.rhs, l=m, d=n, feas_tol=tol, gap_tol=tol)
+    X, y, s = smat(res.u[m:], n), res.v, res.u[:m]
     steps = 0
     if res.status is SolverStatus.OPTIMAL:
         X, y, _, steps = _kkt_refine(inst, X, y, s)
-    return RelaxationSolve(res.status, X, y, res.message, iterations, steps, "full-run", path_steps)
+    return RelaxationSolve(res.status, X, y, res.message, res.iterations, steps, "full-run",
+                           path_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -263,18 +263,13 @@ def test_certify_rejects_solver_tol_out_of_range(capsys, cycle4_path, tol):
     assert err.startswith("error: solver_tol must lie in (0, 1e-4]")
 
 
-def _save_small_with_linear_terms(tmp_path, small_path):
-    with open(small_path) as fh:
-        doc = json.load(fh)
-    doc["linear"] = {"objective": [1.0, -2.0], "constraints": [[0.5, 0.0]]}
-    path = tmp_path / "small_linear.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+# small.json with linear terms q0 = (1, -2) and q1 = (0.5, 0)
+SMALL_LINEAR = str(DATA_DIR / "small_linear.json")
 
 
-def test_certify_homogenizes_linear_terms(capsys, tmp_path, small_path):
+def test_certify_homogenizes_linear_terms(capsys):
     """Linear terms are certified through the homogenization, not dropped."""
-    path = _save_small_with_linear_terms(tmp_path, small_path)
+    path = SMALL_LINEAR
     expected = certify(homogenize(load_instance(path)))
     assert expected.verdict is Verdict.NUMERICALLY_EXACT_ONLY
     code, out, _ = _run(capsys, ["certify", path])
@@ -285,9 +280,9 @@ def test_certify_homogenizes_linear_terms(capsys, tmp_path, small_path):
     assert doc["notes"][1:] == expected.notes
 
 
-def test_solve_homogenizes_linear_terms(capsys, tmp_path, small_path):
+def test_solve_homogenizes_linear_terms(capsys):
     """solve maps the homogenized optimizer back to the original variables."""
-    path = _save_small_with_linear_terms(tmp_path, small_path)
+    path = SMALL_LINEAR
     g = load_instance(path)
     code, out, _ = _run(capsys, ["solve", path])
     assert code == 0
@@ -311,9 +306,9 @@ def test_graph_report(capsys, cycle4_path):
     assert len(doc["cycle_basis"]) == 1
 
 
-def test_graph_homogenizes_linear_terms(capsys, tmp_path, small_path):
+def test_graph_homogenizes_linear_terms(capsys):
     """graph reports the homogenized graph that certify works on."""
-    path = _save_small_with_linear_terms(tmp_path, small_path)
+    path = SMALL_LINEAR
     expected = build_graph(homogenize(load_instance(path)))
     code, out, err = _run(capsys, ["graph", path])
     assert code == 0
@@ -323,9 +318,9 @@ def test_graph_homogenizes_linear_terms(capsys, tmp_path, small_path):
     assert "vertex 1 is x0" in err
 
 
-def test_transform_homogenizes_linear_terms(capsys, tmp_path, small_path):
+def test_transform_homogenizes_linear_terms(capsys, tmp_path):
     """transform keeps the linear terms, via the homogenization."""
-    path = _save_small_with_linear_terms(tmp_path, small_path)
+    path = SMALL_LINEAR
     expected = build_full_graph_perturbation(homogenize(load_instance(path)), 0.1).instance
     code, out, err = _run(
         capsys, ["transform", path, "--mode", "full-laplacian", "--epsilon", "0.1"]

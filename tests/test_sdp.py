@@ -5,10 +5,13 @@ import pytest
 
 from biparsdp import (
     DualSideEmpty,
+    GeneralQcqpInstance,
     QcqpInstance,
     SolverStatus,
     Verdict,
     certify,
+    dehomogenize,
+    homogenize,
     load_instance,
     max_min_eigen_combination,
     minimize_linear_functional_over_dual_cone,
@@ -34,7 +37,7 @@ from biparsdp.sdp import (
 )
 
 from conftest import CYCLE4_MU, DATA_DIR
-from test_acceptance import _random_family_instance
+from test_acceptance import _metamorphic_instances, _random_family_instance
 from test_certify import _blkdiag_double, certify_module
 
 
@@ -346,7 +349,7 @@ def test_iteration_limit_ends_numerical_limit(cycle4):
     res = solve_standard_form(c, A, -cycle4.rhs, l=cycle4.m, d=cycle4.n, max_iter=1)
     assert res.status is SolverStatus.NUMERICAL_LIMIT
     assert res.message == "no convergence within 1 iterations"
-    assert res.iterations == 1 and res.last.it == 1
+    assert res.iterations == 1
 
 
 def test_trivial_minimum_zero():
@@ -606,19 +609,6 @@ def test_breakdown_relaxation_solves_at_1e13():
     assert 1 <= tight.polish_steps <= sdp._POLISH_STEPS
 
 
-def test_breakdown_relaxation_hands_off_at_1e13(monkeypatch):
-    """Without the dual path, the engine's sqrt(tol) iterate is polished to
-    the same 1e-13 answer, and the result records the hand-off."""
-    inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
-    ref = solve_relaxation(inst)
-    _no_dual_path(monkeypatch)
-    tight = solve_relaxation(inst, tol=1e-13)
-    _agrees_with(tight, ref)
-    assert tight.status_from == "handoff" and tight.ipm_iterations > 0
-    assert tight.dual_path_steps == 0
-    assert 1 <= tight.polish_steps <= sdp._POLISH_STEPS
-
-
 def test_odd_cycle_sweep_solves_at_1e11():
     """Twenty seeded odd-cycle mixed-sign draws, n from 8 to 32, solve at
     1e-11 to their 1e-8 answers."""
@@ -643,40 +633,6 @@ def _standard_form_runs(monkeypatch):
     return runs, real
 
 
-def _assert_same_solution(a, b):
-    """Two engine results are equal bit for bit, the iterate they stopped
-    at included; only their iteration counts may differ."""
-    for field in ("status", "pobj", "dobj", "pres", "dres", "relgap", "message"):
-        assert getattr(a, field) == getattr(b, field), field
-    for field in ("u", "v", "z"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    for x, y in zip(a.last, b.last):
-        assert np.array_equal(x, y)
-
-
-@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-13])
-def test_continuation_equals_one_run(monkeypatch, small, cycle4, tol):
-    """With the hand-off test forced to fail, the sqrt(tol) run goes on from
-    its last iterate to tol, and the result handed to the polish is the
-    one-run solve to tol bit for bit, with the same iteration total."""
-    _no_dual_path(monkeypatch)
-    monkeypatch.setattr(sdp, "_kkt_residuals", lambda inst, X, y: (np.inf,) * 3)
-    runs, real = _standard_form_runs(monkeypatch)
-    insts = [small, cycle4, load_instance(DATA_DIR / "bipartite_breakdown_n16.json"),
-             _odd_cycle_mixed_sign_instance(np.random.default_rng(2), 28)]
-    for inst in insts:
-        runs.clear()
-        res = solve_relaxation(inst, tol=tol)
-        [(args, kwargs, first), (_, kwargs2, final)] = runs
-        assert kwargs["feas_tol"] == kwargs["gap_tol"] == np.sqrt(tol)
-        assert kwargs2["feas_tol"] == kwargs2["gap_tol"] == tol
-        assert kwargs2["start"] is first.last
-        one = real(*args, l=kwargs["l"], d=kwargs["d"], feas_tol=tol, gap_tol=tol)
-        _assert_same_solution(final, one)
-        assert first.iterations + final.iterations == one.iterations == res.ipm_iterations
-        assert res.status is one.status and res.status_from == "full-run"
-
-
 def test_engine_is_sign_equivariant(small, cycle4):
     """Negating A and b negates v and changes no other bit of the run: every
     product and solve of the loop flips sign exactly or not at all.  So the
@@ -698,7 +654,7 @@ def test_engine_is_sign_equivariant(small, cycle4):
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
 def test_certificates_held_to_callers_tol(monkeypatch, tol):
     """A primal-infeasible and an unbounded relaxation keep their statuses,
-    and the run that decides them is at the caller's tol, not sqrt(tol)."""
+    decided by one engine run at the caller's tol, not sqrt(tol)."""
     e11 = np.diag([1.0, 0.0])
     cases = [
         (QcqpInstance(np.eye(2), (np.eye(2),), np.array([-1.0])), SolverStatus.PRIMAL_INFEASIBLE),
@@ -709,8 +665,30 @@ def test_certificates_held_to_callers_tol(monkeypatch, tol):
         runs.clear()
         res = solve_relaxation(inst, tol=tol)
         assert res.status is status and res.status_from == "full-run"
-        _, kwargs, last = runs[-1]
+        [(_, kwargs, last)] = runs
         assert last.status is status and kwargs["feas_tol"] == tol
+
+
+def _engine_references(monkeypatch, insts):
+    """The engine path's polished solves at the default tol 1e-8, with the
+    dual path off from now on.  An engine run to 1e-12 can end
+    NumericalLimit (step size collapsed) where the path and the polish
+    reach the target, as on cycle4."""
+    _no_dual_path(monkeypatch)
+    return [solve_relaxation(inst) for inst in insts]
+
+
+def _agrees_to_1e12(res, ref):
+    """`res` ended by the dual path, Optimal with ref's numeric rank, its
+    values to 1e-12 relative and x* to 1e-10."""
+    assert res.status_from == "dual-path" and res.ipm_iterations == 0
+    assert res.status is ref.status is SolverStatus.OPTIMAL
+    assert res.numeric_rank == ref.numeric_rank
+    for a, b in ((res.primal_value, ref.primal_value), (res.dual_value, ref.dual_value)):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+    if ref.x_star is not None:
+        scale = max(1.0, np.max(np.abs(ref.x_star)))
+        assert np.max(np.abs(res.x_star - ref.x_star)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
@@ -722,17 +700,85 @@ def test_dual_path_agrees_with_engine_path(monkeypatch, small, cycle4, tol):
         rng = np.random.default_rng(seed)
         insts.append(_odd_cycle_mixed_sign_instance(rng, int(rng.integers(8, 33))))
     got = [solve_relaxation(inst, tol=tol) for inst in insts]
-    _no_dual_path(monkeypatch)
-    for res, inst in zip(got, insts):
-        ref = solve_relaxation(inst, tol=tol)
-        assert res.status_from == "dual-path" and res.ipm_iterations == 0
-        assert res.status is ref.status is SolverStatus.OPTIMAL
-        assert res.numeric_rank == ref.numeric_rank
-        for a, b in ((res.primal_value, ref.primal_value), (res.dual_value, ref.dual_value)):
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-        if ref.x_star is not None:
-            scale = max(1.0, np.max(np.abs(ref.x_star)))
-            assert np.max(np.abs(res.x_star - ref.x_star)) <= 1e-10 * scale
+    for res, ref in zip(got, _engine_references(monkeypatch, insts)):
+        _agrees_to_1e12(res, ref)
+
+
+def _homogenized_draw(rng):
+    """homogenize() of a QCQP with n = 2..6 variables, m = 1..3 constraints
+    with positive definite quadratic parts, and linear terms throughout."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    G = rng.standard_normal((n, n))
+    mats, qs = [], []
+    for _ in range(m):
+        B = rng.standard_normal((n, n))
+        mats.append(B @ B.T + 0.5 * np.eye(n))
+        qs.append(rng.standard_normal(n))
+    return homogenize(GeneralQcqpInstance(
+        objective=(G + G.T) / 2, constraint_matrices=tuple(mats),
+        rhs=rng.uniform(1.0, 3.0, size=m), linear_objective=rng.standard_normal(n),
+        linear_constraints=tuple(qs),
+    ))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
+def test_dual_path_solves_homogenized_problems(monkeypatch, tol):
+    """homogenize writes x0^2 = 1 as the pair x0^2 <= 1, -x0^2 <= -1, whose
+    multipliers the path carries as one free multiplier.  small.json with
+    linear terms, min 2x^2 - 4x on x^2 <= 9 and 20 seeded draws all end by
+    the dual path with the engine path's 1e-8 answer; x* maps back through
+    dehomogenize, and the pair's multipliers are >= 0 with one exactly 0."""
+    rng = np.random.default_rng(5)
+    insts = [
+        homogenize(load_instance(DATA_DIR / "small_linear.json")),
+        homogenize(GeneralQcqpInstance(
+            objective=np.array([[2.0]]), constraint_matrices=(np.array([[1.0]]),),
+            rhs=np.array([9.0]), linear_objective=np.array([-4.0]),
+            linear_constraints=(np.array([0.0]),),
+        )),
+        *(_homogenized_draw(rng) for _ in range(20)),
+    ]
+    got = [solve_relaxation(inst, tol=tol) for inst in insts]
+    refs = _engine_references(monkeypatch, insts)
+    assert [res.numeric_rank for res in got[:2]] == [1, 1]
+    for res, ref, inst in zip(got, refs, insts):
+        _agrees_to_1e12(res, ref)
+        if res.x_star is not None:
+            dehomogenize(res.x_star)
+        y = res.y_star  # the polish may leave the other multipliers a rounding below 0
+        assert np.all(y[-2:] >= 0) and min(y[-2:]) == 0.0
+        assert np.all(y >= -1e-15 * np.max(np.abs(y)))
+        assert sdp._opposite_pairs(inst) == [(inst.m - 2, inst.m - 1)]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-14])
+def test_dual_path_recentres_a_start_near_the_boundary(monkeypatch, small, cycle4, tol):
+    """Draw 47 of the metamorphic set (n = 3, m = 2) starts at y = (1, 1),
+    where lambda_min(S) = 2.4e-3 and the start rule's mu is far too small:
+    the steps crawl along lambda_min(S) ~ 2e-8 with the decrement above 1.
+    After `_CENTRING_STEPS` steps at that mu the path takes the mu that
+    best centres its iterate, and ends with the engine path's answer."""
+    inst = _metamorphic_instances(np.random.default_rng(0), small, cycle4)[47]
+    assert (inst.n, inst.m) == (3, 2)
+    res = solve_relaxation(inst, tol=tol)
+    assert res.dual_path_steps > sdp._CENTRING_STEPS
+    _agrees_to_1e12(res, *_engine_references(monkeypatch, [inst]))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_dual_path_starts_below_one(tol):
+    """S(y) = (1 - y) I is positive definite only for y < 1, so the path
+    starts at the first halving, y = 1/2, and solves min trace X over
+    trace X >= 1 (value 1 at y* = 1) with no engine run.  With b = 0
+    (S(y) = (y - 1) I) the dual objective is flat, no mu centres a start,
+    and the engine takes the solve."""
+    res = solve_relaxation(QcqpInstance(np.eye(2), (-np.eye(2),), np.array([-1.0])), tol=tol)
+    assert res.status is SolverStatus.OPTIMAL
+    assert res.status_from == "dual-path" and res.ipm_iterations == 0
+    assert abs(res.primal_value - 1.0) <= 10 * tol and abs(res.y_star[0] - 1.0) <= 10 * tol
+    flat = solve_relaxation(QcqpInstance(-np.eye(2), (np.eye(2),), np.array([0.0])), tol=tol)
+    assert flat.status is SolverStatus.OPTIMAL
+    assert flat.status_from == "full-run" and flat.dual_path_steps == 0
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])

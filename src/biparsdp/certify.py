@@ -10,7 +10,11 @@ relaxation of a QCQP must have a rank-1 optimal solution:
   2-coloring (`graph.bipartition` with the edge signs);
 * per-edge feasibility systems — for forests, no dual-feasible y makes
   S(y)_{kl} = 0; for bipartite graphs, none makes S(y)_{kl} <= 0.  Both
-  reduce to small SDPs over the dual feasible set.
+  reduce to optimizing S(y)_{kl} over the dual feasible set, the dual of a
+  small relaxation: `sdp.optimize_linear_functionals_over_dual_cone`
+  answers every edge of an instance at once, from the box corner, one
+  stacked y-space path whose refutations rest on a checked primal point,
+  or, for what those leave, the conic engine.
 
 The paper's sign-split reduction (`transform.sign_split_transform`) is not
 run.  Its doubled graph is bipartite exactly when the cycle condition
@@ -55,6 +59,7 @@ from .graph import (
 from .model import QcqpInstance, check_homogeneous
 from .relaxation import DEFAULT_RANK_TOL, check_rank_tol, solve_relaxation
 from .sdp import (
+    _EIGVALSH_MARGIN,
     DEFAULT_TOL,
     DualSideEmpty,
     check_positive_finite,
@@ -113,12 +118,6 @@ class CertificationReport:
     notes: list[str] = field(default_factory=list)
 
 
-#: rounding in forming S = sum_p y_p Qp (sum y_p = 1) and in eigvalsh(S) moves
-#: lambda_min(S) by a small multiple of (n + m) eps ||sum_p y_p |Qp| ||_inf,
-#: a norm that bounds ||S||_2; ten times that is the margin
-_EIGVALSH_MARGIN = 10 * np.finfo(float).eps
-
-
 def _cheap_candidates(mats):
     """(sum_p y_p Qp, sum_p y_p |Qp|) for y = e_1 .. e_m, then the uniform y = 1/m."""
     for Q in mats:
@@ -126,18 +125,22 @@ def _cheap_candidates(mats):
     yield sum(mats) / len(mats), sum(map(np.abs, mats)) / len(mats)
 
 
-def _candidates(inst: QcqpInstance, tol: float, solver_tol: float):
+def _candidates(inst: QcqpInstance, tol: float):
     """The cheap candidates, then y = y_bar / sum y_bar from the assumption
     SDP, which is solved only when every cheap candidate has failed.  Its box
-    y <= 1/tol holds y_bar, with sum y_bar_p Qp >= I, whenever t* > tol."""
+    y <= 1/tol holds y_bar, with sum y_bar_p Qp >= I, whenever t* > tol.
+    The SDP only proposes y_bar, which the eigenvalue bound then proves or
+    rejects, so it is solved at DEFAULT_TOL whatever the solver tolerance of
+    the edge systems: a tighter target adds no proof, only a chance of a
+    solver breakdown."""
     mats = inst.constraint_matrices
     yield from _cheap_candidates(mats)
-    _, y_bar = max_min_eigen_combination(inst, y_cap=1.0 / tol, tol=solver_tol)
+    _, y_bar = max_min_eigen_combination(inst, y_cap=1.0 / tol, tol=DEFAULT_TOL)
     y = y_bar / y_bar.sum()
     yield sum(yp * Q for yp, Q in zip(y, mats)), sum(yp * np.abs(Q) for yp, Q in zip(y, mats))
 
 
-def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> AssumptionCheck:
+def _check_assumption(inst: QcqpInstance, tol: float) -> AssumptionCheck:
     """Sufficient condition: some y >= 0, sum y_p = 1 has sum y_p Qp >= t*I, t* > tol.
 
     Every candidate y (each e_p, the uniform mix, then the SDP's) faces the
@@ -146,9 +149,12 @@ def _check_assumption(inst: QcqpInstance, tol: float, solver_tol: float) -> Assu
     assumption and is reported as t_star.  The SDP only proposes its y; its
     own value of t* proves nothing.
     """
+    # rounding in forming S = sum_p y_p Qp (sum y_p = 1) and in eigvalsh(S)
+    # moves lambda_min(S) by a small multiple of (n + m) eps
+    # ||sum_p y_p |Qp| ||_inf, a norm that bounds ||S||_2
     scale = _EIGVALSH_MARGIN * (inst.n + inst.m)
     try:
-        for S, magnitude in _candidates(inst, tol, solver_tol):
+        for S, magnitude in _candidates(inst, tol):
             bound = np.linalg.eigvalsh(S)[0] - scale * magnitude.sum(axis=1).max()
             if bound > tol:
                 return AssumptionCheck(float(bound))
@@ -205,7 +211,7 @@ class _Structure:
 
     @cached_property
     def assumption(self) -> AssumptionCheck:
-        return _check_assumption(self.inst, self.tol, self.solver_tol)
+        return _check_assumption(self.inst, self.tol)
 
 
 def _refutes(mu: float, attained: bool, tol: float) -> bool:
@@ -234,7 +240,7 @@ def _edge_systems(st: _Structure, want_max: bool) -> CertificationReport:
             else "disconnected-bipartite-edge-systems"
         )
     report.assumption_check = st.assumption
-    # one batched solve: each edge's minimum, then (forests) its maximum
+    # one call for every edge's minimum, then (forests) its maximum
     edges = st.graph.sorted_edges[0]
     sides = (False, True) if want_max else (False,)
     targets = [(k, ell, maximize) for k, ell in edges for maximize in sides]
@@ -443,8 +449,9 @@ def certify(
     reports the numerical rank (NumericallyExactOnly / InexactObserved —
     evidence, not a proof).  The sign-split reduction adds nothing to the
     cycle condition and is not run.  The structure and the assumption check
-    (of rules 3-4 only: one eigenvalue per cheap candidate, an SDP only when
-    every candidate fails) are computed once and shared by the rules.  Raises
+    (of rules 3-4 only: one eigenvalue per cheap candidate, an SDP at
+    DEFAULT_TOL only when every candidate fails) are computed once and
+    shared by the rules.  Raises
     ValueError for tol <= 0, y_cap <= 0, solver_tol outside (0, 1e-4] or
     rank_tol outside (0, 1).
     """

@@ -29,19 +29,28 @@ its engine data, and y is the engine's dual variable v in every SDP.  The
 relaxation of a QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p}, is
 its primal side with F0 = Q0, Fp = Qp, b = -rhs and no box.  Its dual has
 only m unknowns, so `solve` first follows the dual's central path in y
-alone (`_dual_path`: damped Newton steps on a log barrier, one n x n
-Cholesky factor and an m x m solve per step) to a gap of sqrt(tol), and
-hands the point to a Newton polish of the KKT system, solved by
-elimination in the eigenbasis of S(y) so that only the near-null block of
-S(y) stays as explicit unknowns: O(m n^3) per step.  The polished point is
-the answer when it passes the engine's own stopping test at tol, read at
-the nearest point of the cones.  Otherwise, or when the path cannot start
-or finish, the engine runs once to tol, and an Optimal result is
-polished.  Every infeasibility certificate comes from the engine.  Boxed
-problems run as one batch (the members that fail once more as a second):
-the per-edge systems, which optimize one entry of S(y) = Q0 + sum_p y_p Qp
-(one batch per instance), and the positive-definiteness check,
-min sum_p y_p s.t. sum_p y_p Qp >= I.
+alone (`_dual_paths`, a stack of one: damped Newton steps on a log
+barrier, one n x n Cholesky factor and an m x m solve per step) to a gap
+of sqrt(tol), and hands the point to a Newton polish of the KKT system,
+solved by elimination in the eigenbasis of S(y) so that only the near-null
+block of S(y) stays as explicit unknowns: O(m n^3) per step.  The polished
+point is the answer when it passes the engine's own stopping test at tol,
+read at the nearest point of the cones.  Otherwise, or when the path
+cannot start or finish, the engine runs once to tol, and an Optimal result
+is polished; every infeasibility certificate of a relaxation comes from the
+engine.
+
+The per-edge systems optimize one entry S(y)_{kl} of S(y) = Q0 +
+sum_p y_p Qp over the same set of y, boxed; each is the dual of a
+relaxation with rhs +-(Qp)_{kl}.  `optimize_linear_functionals_over_dual_cone`
+answers each edge target from the box corner when S(y) is positive
+definite there, else from one stacked dual path for all the targets of an
+instance, whose points are accepted on checked evidence (a PSD primal
+point feasible for the target's relaxation, which bounds the optimum by
+weak duality), else from `solve`'s first tier; the boxed engine batch takes
+what is left (the members that fail once more as a second batch), and so
+does the positive-definiteness check, min sum_p y_p s.t.
+sum_p y_p Qp >= I.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -588,8 +598,14 @@ def dual_slack(inst: QcqpInstance, y: np.ndarray) -> np.ndarray:
     tol 1e-14 sits at that rounding floor: one tensordot over the stack
     rounds otherwise and turns cycle4 at 1e-14 from Optimal to
     NumericalLimit."""
-    S = inst.objective
-    for yp, Qp in zip(y, inst.constraint_stack):
+    return _slack(inst.objective, inst.constraint_stack, y)
+
+
+def _slack(Q0: np.ndarray, Qs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Q0 + sum_p y_p Qs[p] for y of shape (..., m), one (n, n) matrix per
+    row, summed as `dual_slack` sums it."""
+    S = Q0
+    for yp, Qp in zip(y.T[..., None, None], Qs):
         S = S + yp * Qp
     return S
 
@@ -621,6 +637,11 @@ def _kkt_residuals(inst: QcqpInstance, X, y) -> tuple[float, float, float]:
     relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
     return float(pres), float(dres), relgap
 
+
+# eigvalsh moves the eigenvalues of a matrix M by a small multiple of
+# n eps ||M||; ten times that, with ||M||_inf bounding ||M||_2, is the
+# rounding margin of a PSD test.
+_EIGVALSH_MARGIN = 10 * np.finfo(float).eps
 
 # Eigenvalues of S(y) up to this fraction of the size of its terms,
 # ||C|| + sum_p |y_p| ||A_p||, mark the near-null block that the polish keeps
@@ -729,13 +750,14 @@ _START_DOUBLINGS = 40
 _CENTRING_STEPS = 10
 
 
-def _opposite_pairs(inst: QcqpInstance) -> list[tuple[int, int]]:
+def _opposite_pairs(inst: QcqpInstance, b: np.ndarray | None = None) -> list[tuple[int, int]]:
     """The pairs p < q, each constraint in one at most, with Qq = -Qp and
-    b_q = -b_p exactly: the equality <Qp, X> = b_p, as `homogenize` writes
-    x0^2 = 1."""
-    Qs, b, pairs = inst.constraint_stack, inst.rhs, []
+    b_q = -b_p exactly, in every row of b (by default the instance's rhs):
+    the equality <Qp, X> = b_p, as `homogenize` writes x0^2 = 1."""
+    Qs, pairs = inst.constraint_stack, []
+    b = np.atleast_2d(inst.rhs if b is None else b).T.tolist()  # one list per constraint
     for p, q in itertools.combinations(range(inst.m), 2):
-        if b[q] == -b[p] and np.array_equal(Qs[q], -Qs[p]) \
+        if b[q] == [-v for v in b[p]] and np.array_equal(Qs[q], -Qs[p]) \
                 and not {p, q} & {i for pair in pairs for i in pair}:
             pairs.append((p, q))
     return pairs
@@ -751,46 +773,75 @@ def _fold(y: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
     return y
 
 
-def _ray_minimum(slope: float, lam: np.ndarray) -> float:
+def _solve_each(M: np.ndarray, rhs: np.ndarray):
+    """Solutions x_i of M_i x_i = rhs_i, each as a lone solve gives it, and
+    the mask of singular M_i, whose x_i is meaningless."""
+    x, singular = _stacked(lambda S: np.linalg.solve(S, rhs[..., None]), M)
+    return x[..., 0], singular
+
+
+def _ray_minimum(slope, lam: np.ndarray):
     """A step alpha near the minimum over alpha >= 0 of the barrier on a ray,
 
         phi(alpha) = alpha slope - sum_i log(1 + alpha lam_i),
 
-    by safeguarded Newton steps until phi's Newton decrement is below 0.25.
-    phi is convex, and its domain ends at hi, where 1 + alpha lam_i first
-    reaches 0.  On a Newton direction of the dual path, the Newton step of
-    phi from 0 is the full step alpha = 1, so the search starts there, or at
-    hi / 2 if that is nearer.  inf when phi falls without bound: no
-    lam_i < 0 and slope <= 0."""
-    neg = lam < 0
-    lo, hi = 0.0, np.min(-1.0 / lam[neg]) if neg.any() else np.inf
-    if hi == np.inf and slope <= 0:
-        return np.inf
-    alpha = min(1.0, 0.5 * hi)
+    by safeguarded Newton steps until phi's Newton decrement is below 0.25;
+    for a stack of rays (slope_t, lam_t), one alpha per ray.  phi is
+    convex, and its domain ends at hi, where 1 + alpha lam_i first reaches
+    0.  On a Newton direction of the dual path, the Newton step of phi from
+    0 is the full step alpha = 1, so the search starts there, or at hi / 2
+    if that is nearer.  inf when phi falls without bound: no lam_i < 0 and
+    slope <= 0.  The derivatives of the rays still searched are one stacked
+    evaluation; the safeguard's scalar updates run per ray, in floats."""
+    if lam.ndim == 1:
+        return _ray_minimum(np.array([slope]), lam[None])[0]
+    # -1 / lam_i is least at the least lam_i, and rounding keeps that order
+    hi = [-1.0 / low if low < 0 else np.inf for low in lam.min(axis=1).tolist()]
+    lo, slope = [0.0] * len(lam), slope.tolist()
+    alpha = [np.inf if h == np.inf and s <= 0 else min(1.0, 0.5 * h)
+             for h, s in zip(hi, slope)]
+    rows = [t for t, a in enumerate(alpha) if a < np.inf]  # the rays still searched
+    if len(rows) < len(lam):
+        lam = lam[rows]
+    at = np.array([[alpha[t]] for t in rows])  # their alphas, as a column
     for _ in range(50):
-        r = lam / (1.0 + alpha * lam)
-        d1, d2 = slope - r.sum(), r @ r
-        if d1 * d1 <= 0.0625 * d2:
+        if not rows:
             break
-        if d1 < 0:
-            lo = alpha
-        else:
-            hi = alpha
-        alpha -= d1 / d2
-        if not lo < alpha < hi:
-            alpha = 0.5 * (lo + hi)
-    return alpha
+        r = lam / (1.0 + at * lam)
+        searched, kept = [], []
+        for j, (t, rsum, d2) in enumerate(zip(rows, r.sum(axis=1).tolist(),
+                                              np.vecdot(r, r).tolist())):
+            d1 = slope[t] - rsum
+            if d1 * d1 <= 0.0625 * d2:
+                continue
+            if d1 < 0:
+                lo[t] = alpha[t]
+            else:
+                hi[t] = alpha[t]
+            # (a flat ray, d2 = 0, gives the infinite step that numpy would)
+            step = alpha[t] - (d1 / d2 if d2 else math.copysign(math.inf, d1))
+            alpha[t] = at[j, 0] = step if lo[t] < step < hi[t] else 0.5 * (lo[t] + hi[t])
+            searched.append(t)
+            kept.append(j)
+        rows = searched
+        if len(kept) < len(lam):
+            lam, at = lam[kept], at[kept]
+    return np.array(alpha)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _dual_path(inst: QcqpInstance, gap_tol: float):
-    """(X, y, s, steps): a point near the relaxation's optimum, with a
-    duality gap of about gap_tol * (1 + |b.y|), from the central path of its
-    dual in y alone, and the Newton steps taken; None when the path cannot
-    start or does not get there.
+def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float) -> list:
+    """For each row b of bs, (X, y, s, steps): a point near the optimum of
+    the relaxation of `inst` with rhs b, with a duality gap of about
+    gap_tol * (1 + |b.y|), from the central path of its dual in y alone, and
+    the Newton steps taken; None when the path cannot start or does not get
+    there.  The rows share F = {y >= 0, S(y) PSD}, so they run as one stack
+    (stacked Cholesky factors, inverses and Hessians, one mu per row), and a
+    row leaves the stack when it ends or fails; each row's arithmetic is
+    that of a stack of one.
 
-    The dual, max -b.y over {y >= 0, S(y) PSD}, has only m unknowns.  Damped
-    Newton steps minimize the barrier
+    The dual, max -b.y over F, has only m unknowns.  Damped Newton steps
+    minimize the barrier
 
         f_mu(y) = b.y - mu (log det S(y) + sum_p log y_p),
 
@@ -798,103 +849,157 @@ def _dual_path(inst: QcqpInstance, gap_tol: float):
     H_pq = mu (<S^-1 Qp, Qq S^-1> + delta_pq / y_p^2) come from
     B_p = L^-1 Qp L^-T, L the Cholesky factor of S(y): one n x n factor and
     an m x m solve per step (the dual-scaling idea of Benson, Ye & Zhang,
-    SIAM J. Optim. 10, 2000).  An opposite pair (`_opposite_pairs`) is one
-    free multiplier w with no log term, as in the standard SDP dual of an
-    equality: along (y_p, y_q) += t (1, 1) the barrier falls without bound.
-    Along the Newton direction dy the barrier is a function of the step
-    alone, through the eigenvalues of sum_p dy_p B_p and dy / y, so each
-    step goes to its minimum on the ray.  Once the Newton decrement is
-    below 1, mu shrinks tenfold.  The path starts at the first
+    SIAM J. Optim. 10, 2000).  An opposite pair (`_opposite_pairs`, in every
+    row) is one free multiplier w with no log term, as in the standard SDP
+    dual of an equality: along (y_p, y_q) += t (1, 1) the barrier falls
+    without bound.  Along the Newton direction dy the barrier is a function
+    of the step alone, through the eigenvalues of sum_p dy_p B_p and dy / y,
+    so each step goes to its minimum on the ray.  Once the Newton decrement
+    is below 1, mu shrinks tenfold.  The path starts at the first
     y = 2^k (1, ..., 1) with S(y) positive definite, k = 0, ..., 39, then
     -1, ..., -39 (then with w = 4^k, as homogenized constraints with large
     linear terms need), taken as centred: mu starts a tenth of the value
     that minimizes ||g|| there.  When that is not positive, or
     `_CENTRING_STEPS` steps at one mu leave the decrement above 1 (crawling
     along the cone's boundary), mu is reset to the minimizer of the
-    decrement at the current y.
+    decrement at the current y, or multiplied by ten when that minimizer
+    is not positive: the decrement then falls as mu grows.
 
     Near the path, the Newton step gives the primal point
     X = mu S^-1 (S - sum_p dy_p Qp) S^-1, s_p = mu (1 - dy_p / y_p) / y_p
     (s_p = s_q = 0 for a pair, whose w `_fold` maps back), which satisfies
     <Qp, X> + s_p = b_p exactly and is PSD with a decrement below 1; on the
-    path its gap is mu (n + r), r the number of log terms.  The path ends
-    there once mu (n + r) <= gap_tol * (1 + |b.y|).  It returns None when
-    there is no start, b.y falls without bound along a ray, an iterate is
-    not finite, a step collapses or `_PATH_STEPS` steps do not suffice: the
-    engine then takes the solve, and every certificate comes from it.
+    path its gap is mu (n + r), r the number of log terms.  A row ends there
+    once mu (n + r) <= gap_tol * (1 + |b.y|).  It gets None when there is
+    no start, b.y falls without bound along a ray, an iterate is not finite,
+    its Hessian is singular, a step collapses or `_PATH_STEPS` steps do not
+    suffice.
     """
-    pairs = _opposite_pairs(inst)
+    out = [None] * len(bs)
+    pairs = _opposite_pairs(inst, bs)
     paired = [i for pair in pairs for i in pair]
     r = inst.m - len(paired)  # the unknowns: r multipliers with a log term, then each w
     keep = [p for p in range(inst.m) if p not in paired] + [p for p, _ in pairs]
-    sub = inst if not pairs else QcqpInstance(
-        inst.objective, tuple(inst.constraint_matrices[p] for p in keep), inst.rhs[keep])
-    n, m = sub.n, sub.m
-    Qs, b = sub.constraint_stack, sub.rhs
+    Q0, Qs, b = inst.objective, inst.constraint_stack, bs
+    if pairs:
+        Qs, b = Qs[keep], b[:, keep]
+    n, m = len(Q0), len(keep)
+
+    low = np.array([0.0] * r + [-np.inf] * (m - r))  # y_p > 0 for a log term
 
     def factor(y):
-        """Cholesky factor of S(y), or None off the interior."""
-        if not (np.isfinite(y).all() and (y[:r] > 0).all()):
-            return None
-        try:
-            return np.linalg.cholesky(dual_slack(sub, y))
-        except np.linalg.LinAlgError:
-            return None
+        """Cholesky factors of S(y) for the rows of y, and the mask of rows
+        off the interior (or not finite)."""
+        L, off = _stacked(np.linalg.cholesky, _slack(Q0, Qs, y))
+        return L, off | ~((y > low) & (y < np.inf)).all(axis=1)
 
     ks = (*range(_START_DOUBLINGS), *range(-1, -_START_DOUBLINGS, -1))
     for j, k in itertools.product(range(2 if pairs else 1), ks):
-        y = np.full(m, 2.0 ** k)
-        y[r:] *= 2.0 ** (j * k)
-        if (L := factor(y)) is not None:
+        y = np.full((1, m), 2.0 ** k)
+        y[:, r:] *= 2.0 ** (j * k)
+        L, off = factor(y)
+        if not off[0]:
             break
     else:
-        return None
-    mu, damped = None, 0  # damped: steps taken at this mu
-    try:
-        for steps in range(_PATH_STEPS):
-            Li = np.linalg.inv(L)
-            B = (Li @ Qs @ Li.T).reshape(m, -1)
-            inv, inv2 = 1.0 / y, y ** -2.0
-            inv[r:] = inv2[r:] = 0.0  # a free multiplier has no log term
-            a = B[:, :: n + 1].sum(axis=1) + inv  # <S^-1, Qp> + 1/y_p
-            H = B @ B.T + np.diag(inv2)  # the Hessian over mu
-            if mu is None:  # one reduction below the mu that best centres the start
-                mu = 0.1 * (b @ a) / (a @ a)
-            if not mu > 1e-12 or damped == _CENTRING_STEPS:
-                # mu is too small for y: take the mu that best centres y
-                Hb = np.linalg.solve(H, b)
-                mu, damped = (b @ Hb) / (a @ Hb), 0
-                if not mu > 0:
-                    return None
-            while True:
-                g = b - mu * a
-                dy = np.linalg.solve(H, -g / mu)
-                decrement = np.sqrt(max(-g @ dy / mu, 0.0))
-                if not np.isfinite(decrement):
-                    return None
-                if decrement >= 1.0:
-                    break
-                if mu * (n + r) <= gap_tol * (1.0 + abs(b @ y)):
-                    X = mu * (Li.T @ (np.eye(n) - (dy @ B).reshape(n, n)) @ Li)
-                    ys = np.zeros((2, inst.m))  # y and s in the instance's order
-                    ys[:, keep] = y, np.where(np.arange(m) < r, mu * (1.0 - dy / y) / y, 0.0)
-                    return X, _fold(ys[0], pairs), ys[1], steps
-                mu *= 0.1
-                damped = 0
-            lam = np.concatenate([np.linalg.eigvalsh((dy @ B).reshape(n, n)), (dy / y)[:r]])
-            alpha = _ray_minimum(b @ dy / mu, lam)
-            if alpha == np.inf:
-                return None
-            # rounding can put the minimum a hair outside the cone
-            while alpha > 1e-10 and (L_new := factor(y + alpha * dy)) is None:
-                alpha *= 0.5
-            if not alpha > 1e-10:
-                return None
-            y, L = y + alpha * dy, L_new
-            damped += 1
-    except np.linalg.LinAlgError:  # a singular Hessian, or eigvalsh failed
-        pass
-    return None
+        return out
+    # per row of the stack: the row of bs it follows, and its steps at this mu
+    idx, damped = list(range(len(bs))), [0] * len(bs)
+    y, L = y.repeat(len(bs), axis=0), L.repeat(len(bs), axis=0)
+    for steps in range(_PATH_STEPS):
+        Li = np.linalg.inv(L)
+        B = (Li[:, None] @ Qs @ _T(Li)[:, None]).reshape(len(y), m, -1)
+        inv, inv2 = 1.0 / y, y ** -2.0
+        if r < m:
+            inv[:, r:] = inv2[:, r:] = 0.0  # a free multiplier has no log term
+        a = B[:, :, :: n + 1].sum(axis=2) + inv  # <S^-1, Qp> + 1/y_p
+        H = B @ _T(B)  # the Hessian over mu
+        H.reshape(len(y), -1)[:, :: m + 1] += inv2
+        if not steps:  # one reduction below the mu that best centres the start
+            mu = 0.1 * np.vecdot(b, a) / np.vecdot(a, a)
+        gone = set()  # rows that end or fail at this step
+        recentre = [t for t, (u, k) in enumerate(zip(mu.tolist(), damped))
+                    if not u > 1e-12 or k == _CENTRING_STEPS]
+        if recentre:
+            # mu is too small for y: take the mu that best centres y, or ten
+            # times mu when that is not positive (the decrement then falls
+            # as mu grows)
+            Hb, singular = _solve_each(H[recentre], b[recentre])
+            best = np.vecdot(b[recentre], Hb) / np.vecdot(a[recentre], Hb)
+            for t, bad, u in zip(recentre, singular.tolist(), best.tolist()):
+                mu[t], damped[t] = u if u > 0 else 10.0 * mu[t], 0
+                if bad or not mu[t] > 0:
+                    gone.add(t)
+        while True:  # a row with a decrement below 1 ends, or shrinks mu
+            mu_col = mu[:, None]
+            ng = mu_col * a - b  # -g, as rounding is symmetric
+            dy, singular = _solve_each(H, ng / mu_col)
+            by = None  # b.y, once a row needs it
+            shrink = []
+            for t, bad, dec in zip(range(len(y)), singular.tolist(),
+                                   (np.vecdot(ng, dy) / mu).tolist()):
+                if t in gone:
+                    continue
+                dec = math.sqrt(max(dec, 0.0))  # the Newton decrement
+                if bad or not dec < np.inf:
+                    gone.add(t)
+                    continue
+                if dec >= 1.0:
+                    continue
+                if by is None:
+                    by = np.vecdot(b, y).tolist()
+                if mu[t] * (n + r) > gap_tol * (1.0 + abs(by[t])):
+                    shrink.append(t)
+                    continue
+                X = mu[t] * (Li[t].T @ (np.eye(n) - (dy[t] @ B[t]).reshape(n, n)) @ Li[t])
+                ys = np.zeros((2, inst.m))  # y and s in the instance's order
+                ys[:, keep] = y[t], np.where(
+                    np.arange(m) < r, mu[t] * (1.0 - dy[t] / y[t]) / y[t], 0.0)
+                out[idx[t]] = X, _fold(ys[0], pairs), ys[1], steps
+                gone.add(t)
+            if not shrink:
+                break
+            mu[shrink] *= 0.1
+            for t in shrink:
+                damped[t] = 0
+        if gone:
+            rows = [t for t in range(len(y)) if t not in gone]
+            if not rows:
+                break
+            y, L, b, mu, dy, B = (v[rows] for v in (y, L, b, mu, dy, B))
+            idx, damped = [idx[t] for t in rows], [damped[t] for t in rows]
+        lam, off = _stacked(np.linalg.eigvalsh, np.vecmat(dy, B).reshape(-1, n, n))
+        lam = np.concatenate([lam, (dy / y)[:, :r]], axis=1)
+        alpha = _ray_minimum(np.vecdot(b, dy) / mu, lam)
+        # rounding can put the minimum a hair outside the cone: halve the
+        # step until S(y) factors
+        ok = [not bad and 1e-10 < al < np.inf for bad, al in zip(off.tolist(), alpha.tolist())]
+        y_new = y + alpha[:, None] * dy
+        L, off = factor(y_new)
+        retry = [t for t, bad in enumerate(off.tolist()) if bad and ok[t]]
+        while retry:
+            for t in retry:
+                alpha[t] *= 0.5
+                ok[t] = alpha[t] > 1e-10
+            retry = [t for t in retry if ok[t]]
+            if retry:
+                y_new[retry] = y[retry] + alpha[retry, None] * dy[retry]
+                L[retry], off = factor(y_new[retry])
+                retry = [t for t, bad in zip(retry, off.tolist()) if bad]
+        y = y_new
+        if not all(ok):
+            rows = [t for t in range(len(y)) if ok[t]]
+            if not rows:
+                break
+            y, L, b, mu = (v[rows] for v in (y, L, b, mu))
+            idx, damped = [idx[t] for t in rows], [damped[t] for t in rows]
+        damped = [k + 1 for k in damped]
+    return out
+
+
+def _dual_path(inst: QcqpInstance, gap_tol: float):
+    """`_dual_paths` for the relaxation itself, b = rhs: a stack of one.
+    (X, y, s, steps), or None when the path gives no point."""
+    return _dual_paths(inst, inst.rhs[None], gap_tol)[0]
 
 
 def check_positive_finite(value: float, name: str) -> None:
@@ -922,31 +1027,41 @@ class RelaxationSolve(NamedTuple):
     dual_path_steps: int  # Newton steps of the dual path; 0 when it gave no point
 
 
+def _polished_path(inst: QcqpInstance, tol: float):
+    """The dual path's answer to the relaxation of `inst` at tol, which sets
+    both feasibility and gap targets: the path's point at a gap of sqrt(tol)
+    (`_dual_path`) is polished (`_kkt_refine`), each pair's multipliers are
+    folded once more (`_fold`; the polish leaves both nonzero), and the point
+    is accepted when it passes the engine's own stopping test at tol
+    (`_kkt_residuals`).  ((X, y, polish steps) or None, path steps)."""
+    path = _dual_path(inst, np.sqrt(tol))
+    if path is None:
+        return None, 0
+    *start, path_steps = path
+    X, y, _, steps = _kkt_refine(inst, *start)
+    y = _fold(y, _opposite_pairs(inst))
+    if max(_kkt_residuals(inst, X, y)) <= tol:
+        return (X, y, steps), path_steps
+    return None, path_steps
+
+
 def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     """The relaxation of `inst` solved to tol, which sets both feasibility
-    and gap targets, as a `RelaxationSolve`.  "dual-path": the dual path's
-    point (`_dual_path`) is polished (`_kkt_refine`), each pair's
-    multipliers are folded once more (`_fold`; the polish leaves both
-    nonzero), and the point is accepted when it passes the engine's own
-    stopping test at tol (`_kkt_residuals`).  "full-run": otherwise the
-    engine solves the LMI form with F0 = Q0, Fp = Qp and b = -rhs
-    (`_lmi_form`; y is its v, X the PSD block of its u) in one run to tol,
-    which holds every certificate to tol, and an Optimal result is
-    polished.
+    and gap targets, as a `RelaxationSolve`.  "dual-path": the polished
+    point of the dual path, when it passes the engine's own stopping test
+    at tol (`_polished_path`).  "full-run": otherwise the engine solves the
+    LMI form with F0 = Q0, Fp = Qp and b = -rhs (`_lmi_form`; y is its v, X
+    the PSD block of its u) in one run to tol, which holds every
+    certificate to tol, and an Optimal result is polished.
 
     An instance with linear terms is refused with InstanceError.
     """
     check_homogeneous(inst, "solve")
     check_solver_tol(tol)
-    path = _dual_path(inst, np.sqrt(tol))
-    path_steps = 0
-    if path is not None:
-        *start, path_steps = path
-        X, y, _, steps = _kkt_refine(inst, *start)
-        y = _fold(y, _opposite_pairs(inst))
-        if max(_kkt_residuals(inst, X, y)) <= tol:
-            return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path",
-                                   path_steps)
+    point, path_steps = _polished_path(inst, tol)
+    if point is not None:
+        X, y, steps = point
+        return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path", path_steps)
     n, m = inst.n, inst.m
     c, A = _lmi_form(inst.objective, inst.constraint_stack)
     res = solve_standard_form(c, A, -inst.rhs, l=m, d=n, feas_tol=tol, gap_tol=tol)
@@ -990,14 +1105,104 @@ def optimize_linear_functionals_over_dual_cone(
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[float, bool, np.ndarray]]:
     """`minimize_linear_functional_over_dual_cone` for each target
-    (k, ell, maximize), solved as one batched engine run (two if a member
-    fails); see `_maximize_over_lmi`.
+    (k, ell, maximize): the optimum of S(y)_{k,ell} = Q0_{k,ell} + f.y,
+    f_p = (Qp)_{k,ell}, over {0 <= y <= y_cap, S(y) PSD}, as (value,
+    attained, y), the value being S(y)_{k,ell} at the y returned.
 
-    The problems share F0 = Q0 and Fp = Qp; only b = -f (minimum) or
-    b = +f (maximum), f_p = (Qp)_{k,ell}, differs.  A failed solve raises
-    for the first failing target in the given order, as solving the targets
-    one at a time would.
+    Maximizing c.y, with c = f (maximum) or c = -f (minimum), over
+    F = {y >= 0, S(y) PSD} is the dual of the relaxation of `inst` with
+    rhs -c.  Each target takes the first of four tiers that answers it:
+
+    1. The box corner y_p = y_cap where c_p >= 0, else 0, maximizes c.y
+       over the box; when S(y) is positive definite there (one Cholesky
+       factor), it is optimal, and attained exactly when no c_p > 0.
+    2. One stacked dual path for the other targets (`_dual_paths`, each to
+       a gap of tol (1 + |c.y|)).  Its point is accepted when its y lies
+       inside the box, max y < 0.999 y_cap, and its primal point X is
+       checked evidence (`_weak_duality_gaps`): X PSD up to rounding with
+       <Qp, X> <= -c_p makes -<Q0, X> a lower bound on -c.y over F, and
+       -c.y must lie within 2 tol (1 + |c.y|) of that bound.
+    3. `solve`'s first tier on the target's relaxation (`_polished_path`)
+       for a target the path did not finish or whose evidence failed.
+    4. The boxed engine batch (`_engine_targets`) for the rest, and for a
+       point of the path outside the box.
+
+    A failed engine solve raises, as `_maximize_over_lmi` does, for the
+    first failing target in the given order among those that reach it:
+    DualSideEmpty when no y >= 0 makes S(y) PSD.
     """
+    check_positive_finite(y_cap, "y_cap")
+    if not len(targets):
+        return []
+    Q0, Qs = inst.objective, inst.constraint_stack
+    k, ell, maximize = (np.array(v) for v in zip(*targets))
+    f0, f = Q0[k, ell], Qs[:, k, ell].T
+    c = np.where(maximize[:, None], f, -f)  # the coefficients maximized
+    out = [None] * len(targets)
+
+    def answer(t, y, attained):
+        out[t] = (float(f0[t] + f[t] @ y), attained, y)
+
+    corner = np.where(c >= 0, y_cap, 0.0)
+    _, off = _stacked(np.linalg.cholesky, _slack(Q0, Qs, corner))
+    for t in np.flatnonzero(~off):
+        answer(t, corner[t], not (c[t] > 0).any())
+
+    rest = [t for t in range(len(targets)) if out[t] is None]
+    found = [(t, path) for t, path in zip(rest, _dual_paths(inst, -c[rest], tol))
+             if path is not None] if rest else []
+    engine = [t for t, (_, y, _, _) in found if not y.max() < 0.999 * y_cap]
+    found = [(t, X, y) for t, (X, y, _, _) in found if t not in engine]
+    if found:
+        ts, Xs, ys = (np.array(v) for v in zip(*found))
+        gaps = _weak_duality_gaps(inst, -c[ts], Xs, ys)
+        for t, y, gap in zip(ts, ys, gaps):
+            if gap <= 2.0 * tol * (1.0 + abs(c[t] @ y)):
+                answer(t, y, True)
+
+    for t in rest:
+        if out[t] is None and t not in engine:
+            point, _ = _polished_path(QcqpInstance(Q0, inst.constraint_matrices, -c[t]), tol)
+            if point is not None and point[1].max() < 0.999 * y_cap:
+                answer(t, point[1], True)
+            else:
+                engine.append(t)
+    if engine:
+        engine.sort()
+        for t, res in zip(engine, _engine_targets(inst, [targets[t] for t in engine], y_cap, tol)):
+            out[t] = res
+    return out
+
+
+def _weak_duality_gaps(inst: QcqpInstance, b: np.ndarray, X: np.ndarray,
+                       y: np.ndarray) -> np.ndarray:
+    """b_t.y_t + <Q0, X_t> for each row t, inf where X_t fails its check.
+
+    The check: X_t is PSD up to the rounding of eigvalsh (its least
+    eigenvalue is at least -_EIGVALSH_MARGIN n ||X_t||_inf), and
+    <Qp, X_t> <= b_tp for every p.  Then for every y in
+    F = {y >= 0, S(y) PSD}, 0 <= <S(y), X_t> <= <Q0, X_t> + b_t.y, so
+    -<Q0, X_t> is a lower bound on b_t.y over F, and the gap says how far
+    the value of y_t can be from the optimum.  One eigvalsh per row."""
+    lam, bad = _stacked(np.linalg.eigvalsh, X)
+    margin = _EIGVALSH_MARGIN * inst.n * np.abs(X).sum(axis=2).max(axis=1)
+    X = X.reshape(len(X), -1)
+    feasible = (X @ inst.constraint_stack.reshape(inst.m, -1).T <= b).all(axis=1)
+    checked = ~bad & (lam[:, 0] >= -margin) & feasible
+    return np.where(checked, np.vecdot(b, y) + X @ inst.objective.ravel(), np.inf)
+
+
+def _engine_targets(
+    inst: QcqpInstance,
+    targets: list[tuple[int, int, bool]],
+    y_cap: float = 1e6,
+    tol: float = DEFAULT_TOL,
+) -> list[tuple[float, bool, np.ndarray]]:
+    """The engine tier of `optimize_linear_functionals_over_dual_cone`:
+    every target as one batched engine run (two if a member fails); see
+    `_maximize_over_lmi`.  The problems share F0 = Q0 and Fp = Qp; only
+    b = -f (minimum) or b = +f (maximum), f_p = (Qp)_{k,ell}, differs.
+    attained means max y < 0.999 y_cap."""
     m = inst.m
     Qs = inst.constraint_matrices
     b = np.array([[Q[k, ell] if maximize else -Q[k, ell] for Q in Qs]

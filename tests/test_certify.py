@@ -1,6 +1,9 @@
 """Tests for the exactness certification rules and the combined pipeline."""
 
 import importlib
+import importlib.util
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -506,7 +509,7 @@ def test_cheap_assumption_bound_is_below_t_star():
         n, m = int(rng.integers(2, 7)), int(rng.integers(2, 5))
         mats = _mixed_constraints(rng, n, m)
         inst = QcqpInstance(objective=np.eye(n), constraint_matrices=mats, rhs=np.ones(m))
-        check = certify_module._check_assumption(inst, 1e-6, 1e-8)
+        check = certify_module._check_assumption(inst, 1e-6)
         assert check.holds
         t_star, _ = certify_module.max_min_eigen_combination(inst, y_cap=1e6, tol=1e-8)
         assert check.t_star <= t_star * (1.0 + 1e-9)
@@ -663,6 +666,59 @@ def test_solver_breakdown_is_a_note_not_a_traceback():
         "failed (NumericalLimit): scaling breakdown (lost cone interior)"
     ) in report.notes
     assert report.per_edge == {}
+
+
+@pytest.fixture(scope="module")
+def edge_system_draws(tmp_path_factory):
+    """The eight instances of one seed-0 round of the benchmark's
+    edge-systems workload (perfbench/workloads.py), loaded from their files."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("edge_system_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    folder = tmp_path_factory.mktemp("edge-systems")
+    draws = []
+    for draw in workloads.generate("edge-systems", 0):
+        (folder / "draw.json").write_text(json.dumps(draw.doc))
+        draws.append(load_instance(folder / "draw.json"))
+    return draws
+
+
+def test_tight_solver_tol_keeps_the_edge_verdicts(edge_system_draws, cycle4):
+    """The edge systems decide the same way at solver_tol 1e-8, 1e-10 and
+    1e-12: five of the eight seed-0 edge-systems draws and cycle4 certify
+    at each, by the same rules, and the rest fall back as at 1e-8: the box
+    corner and the dual path meet each of these tolerances."""
+    instances = [cycle4, *edge_system_draws]
+    verdicts = {
+        tol: [(r.verdict, r.applied_rule)
+              for r in (certify(inst, solver_tol=tol) for inst in instances)]
+        for tol in (1e-8, 1e-10, 1e-12)
+    }
+    assert verdicts[1e-10] == verdicts[1e-12] == verdicts[1e-8]
+    certified = [v for v, _ in verdicts[1e-8]].count(Verdict.CERTIFIED_EXACT)
+    assert certified == 6
+
+
+def test_assumption_sdp_runs_at_the_default_tol(monkeypatch, cycle4):
+    """cycle4's assumption needs its SDP.  The SDP only proposes y_bar, which
+    the eigenvalue bound proves, so it runs at DEFAULT_TOL whatever the
+    solver_tol of the edge systems, and cycle4 certifies at solver_tol
+    1e-12 with the t_star of the default tolerance."""
+    tols = []
+    real = certify_module.max_min_eigen_combination
+
+    def spy(inst, y_cap, tol):
+        tols.append(tol)
+        return real(inst, y_cap=y_cap, tol=tol)
+
+    monkeypatch.setattr(certify_module, "max_min_eigen_combination", spy)
+    tight = certify(cycle4, solver_tol=1e-12)
+    default = certify(cycle4)
+    assert tols == [sdp_module.DEFAULT_TOL] * 2
+    assert tight.verdict is default.verdict is Verdict.CERTIFIED_EXACT
+    assert tight.applied_rule == default.applied_rule == "connected-bipartite-edge-systems"
+    assert tight.assumption_check.t_star == default.assumption_check.t_star
 
 
 def test_tightening_tol_is_conservative(cycle4):

@@ -18,7 +18,7 @@ from biparsdp import (
     sdp,
     solve,
 )
-from biparsdp.graph import build_graph
+from biparsdp.graph import build_graph, is_forest
 from biparsdp.relaxation import numerical_rank, solve_relaxation
 from biparsdp.transform import build_connecting_perturbation
 from biparsdp.sdp import (
@@ -215,7 +215,7 @@ def test_affine_dual_half_matches_engine_directions(monkeypatch, cycle4):
     def relaxation():
         solve_standard_form(c, A, -cycle4.rhs, l=cycle4.m, d=cycle4.n)
 
-    for run in (relaxation, lambda: minimize_linear_functional_over_dual_cone(cycle4, 0, 1)):
+    for run in (relaxation, lambda: sdp._engine_targets(cycle4, [(0, 1, False)])):
         checked = [p for p in _engine_predictors(monkeypatch, run) if p["mu"][0] >= 1e-4]
         assert len(checked) >= 4
         for p in checked:
@@ -895,14 +895,13 @@ def _batch_and_lone(monkeypatch, inst, targets, **kwargs):
     run's, then the recovery run's, if there was one; the lone solutions in
     the same order, so that a lone recovery lines up with its batch member."""
     runs = _engine_runs(monkeypatch)
-    batch = _outcome(lambda: optimize_linear_functionals_over_dual_cone(inst, targets, **kwargs))
+    batch = _outcome(lambda: sdp._engine_targets(inst, targets, **kwargs))
     batch_sols = [sol for run in runs for sol in run]
     assert len(runs) in (1, 2)
     lone, lone_runs = [], []
     for k, ell, mx in targets:
         runs.clear()
-        lone.append(_outcome(lambda: minimize_linear_functional_over_dual_cone(
-            inst, k, ell, maximize=mx, **kwargs)))
+        lone.append(_outcome(lambda: sdp._engine_targets(inst, [(k, ell, mx)], **kwargs)[0]))
         assert [len(run) for run in runs] in ([1], [1, 1])
         lone_runs.append([sols[0] for sols in runs])
     lone_sols = [sols[r] for r in (0, 1) for sols in lone_runs if len(sols) > r]
@@ -989,7 +988,7 @@ def test_edge_batches_need_no_recovery_run(monkeypatch, small, cycle4):
     runs = _engine_runs(monkeypatch)
     for inst in _seeded_instances(small, cycle4):
         runs.clear()
-        optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst))
+        sdp._engine_targets(inst, _all_targets(inst))
         assert len(runs) == 1
 
 
@@ -1028,7 +1027,7 @@ def test_failed_members_get_one_recovery_run(monkeypatch, small):
     inst = build_connecting_perturbation(_blkdiag_double(small), 5e-4).instance
     targets = _all_targets(inst)
     runs = _engine_runs(monkeypatch)
-    optimize_linear_functionals_over_dual_cone(inst, targets)
+    sdp._engine_targets(inst, targets)
     first, recovery = runs
     broken = [t for t, sol in zip(targets, first) if sol.status is not SolverStatus.OPTIMAL]
     assert broken == [(0, 1, False), (2, 3, False)]
@@ -1049,10 +1048,13 @@ def test_failed_members_get_one_recovery_run(monkeypatch, small):
 @pytest.mark.parametrize("eps", [0.1, 0.05])
 def test_connecting_perturbation_certifies_from_one_engine_run(monkeypatch, small, eps):
     """The eps = 0.1 and 0.05 connecting perturbations of two copies of
-    small.json certify by the forest edge systems from one engine run: no
-    edge SDP loses the cone interior, so none needs the recovery run and
-    certify needs no fallback.  An independent relaxation solve has rank 1."""
+    small.json certify by the forest edge systems from one engine run when
+    the engine tier answers every edge target: no edge SDP loses the cone
+    interior, so none needs the recovery run and certify needs no
+    fallback.  An independent relaxation solve has rank 1."""
     inst = build_connecting_perturbation(_blkdiag_double(small), eps).instance
+    monkeypatch.setattr(certify_module, "optimize_linear_functionals_over_dual_cone",
+                        sdp._engine_targets)
     runs = _engine_runs(monkeypatch)
     report = certify(inst)
     monkeypatch.undo()
@@ -1062,6 +1064,133 @@ def test_connecting_perturbation_certifies_from_one_engine_run(monkeypatch, smal
     assert all(sol.status is SolverStatus.OPTIMAL for sol in runs[0])
     res = solve_relaxation(inst)
     assert res.status is SolverStatus.OPTIMAL and res.numeric_rank <= 1
+
+
+def _corner(inst, k, ell, maximize, y_cap=1e6):
+    """A target's box corner: y_p = y_cap where the maximized coefficient
+    c_p (f_p for a maximum, -f_p for a minimum) is >= 0, else 0."""
+    f = inst.constraint_stack[:, k, ell]
+    return np.where((f if maximize else -f) >= 0, y_cap, 0.0)
+
+
+def _on_cone(inst, y) -> bool:
+    """S(y) is positive definite: it has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(dual_slack(inst, y))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def test_box_corner_matches_the_engine(small):
+    """Where S(y) is positive definite at a target's box corner, the corner
+    maximizes c.y over the box and so is the boxed optimum.  On small.json
+    and the seeded forests every such target is answered there, with the
+    engine's attained flag and its value to 1e-7 relative (the engine meets
+    tol on values near y_cap = 1e6 only to about that), and every forest
+    maximum, which runs to the box, is such a target."""
+    rng = np.random.default_rng(11)
+    corners = 0
+    for inst in [small] + [_random_family_instance(rng, "forest") for _ in range(5)]:
+        targets = _all_targets(inst)
+        got = optimize_linear_functionals_over_dual_cone(inst, targets)
+        ref = sdp._engine_targets(inst, targets)
+        for target, (value, attained, y), (value1, attained1, _) in zip(targets, got, ref):
+            corner = _corner(inst, *target)
+            if not _on_cone(inst, corner):
+                assert not target[2]
+                continue
+            corners += 1
+            assert np.array_equal(y, corner) and attained == attained1
+            assert abs(value - value1) <= 1e-7 * max(1.0, abs(value1))
+    assert corners >= 10
+
+
+def test_dual_path_targets_match_the_engine(small, cycle4):
+    """Every target off its corner with an attained optimum is answered by
+    the stacked dual path, and it gets the engine's attained flag, its value
+    to 1e-8 relative and its decision at MU_POSITIVITY_TOL: the seeded
+    forests and bipartite graphs, cycle4 and bipartite_breakdown_n16."""
+    tol = certify_module.MU_POSITIVITY_TOL
+    instances = _seeded_instances(small, cycle4)
+    instances.append(load_instance(DATA_DIR / "bipartite_breakdown_n16.json"))
+    on_path = 0
+    for inst in instances:
+        targets = _all_targets(inst)
+        got = optimize_linear_functionals_over_dual_cone(inst, targets)
+        ref = sdp._engine_targets(inst, targets)
+        for target, (value, attained, y), (value1, attained1, _) in zip(targets, got, ref):
+            assert attained == attained1
+            if not attained or np.array_equal(y, _corner(inst, *target)):
+                continue
+            on_path += 1
+            assert abs(value - value1) <= 1e-8 * max(1.0, abs(value1))
+            sign = -1.0 if target[2] else 1.0
+            assert (sign * value > tol) == (sign * value1 > tol)
+    assert on_path >= 40
+
+
+def test_weak_duality_check_rejects_perturbed_evidence():
+    """The check of a path's primal point: with Q0 = -I, Q1 = I and b = 1,
+    X = I/2 is PSD with <Q1, X> = b, so -<Q0, X> = 1 bounds b.y over F
+    from below and y = 1 has gap 0.  A negative eigenvalue beyond the
+    rounding margin, or <Q1, X> above b, makes the gap inf; a negative
+    eigenvalue within the margin does not."""
+    inst = QcqpInstance(-np.eye(2), (np.eye(2),), np.array([1.0]))
+    X = np.array([np.diag([0.5, 0.5]), np.diag([1.0 + 1e-6, -1e-6]),
+                  np.diag([1.0, -1e-17]), np.diag([0.5, 0.5 + 1e-12])])
+    gaps = sdp._weak_duality_gaps(inst, np.ones((4, 1)), X, np.ones((4, 1)))
+    assert gaps.tolist() == [0.0, np.inf, 0.0, np.inf]
+
+
+def test_rejected_tiers_fall_through(monkeypatch, cycle4):
+    """cycle4's edge minima have no corner on F (S(y) there is not positive
+    definite), so all four go to the stacked dual path.  With their
+    evidence rejected they go on to solve's first tier, one polished path
+    each, and with that failing too, to the engine; every tier gives the
+    same answers to 1e-8 relative."""
+    targets = [(k, ell, False) for k, ell in sorted(build_graph(cycle4).edges)]
+    assert not any(_on_cone(cycle4, _corner(cycle4, *t)) for t in targets)
+    ref = sdp._engine_targets(cycle4, targets)
+    stacked, polished = [], []
+    real_paths, real_polished = sdp._dual_paths, sdp._polished_path
+
+    def paths(inst, bs, gap_tol):
+        stacked.append(len(bs))
+        return real_paths(inst, bs, gap_tol)
+
+    def counted(inst, tol):
+        polished.append(inst.rhs)
+        return real_polished(inst, tol)
+
+    monkeypatch.setattr(sdp, "_dual_paths", paths)
+    monkeypatch.setattr(sdp, "_polished_path", counted)
+    by_path = optimize_linear_functionals_over_dual_cone(cycle4, targets)
+    assert (stacked, polished) == ([4], [])
+    monkeypatch.setattr(sdp, "_weak_duality_gaps", lambda inst, b, X, y: np.full(len(b), np.inf))
+    by_polish = optimize_linear_functionals_over_dual_cone(cycle4, targets)
+    assert len(polished) == 4
+    monkeypatch.setattr(sdp, "_polished_path", lambda inst, tol: (None, 0))
+    runs = _engine_runs(monkeypatch)
+    by_engine = optimize_linear_functionals_over_dual_cone(cycle4, targets)
+    assert [len(run) for run in runs] == [4]
+    for got in (by_path, by_polish, by_engine):
+        for (value, attained, _), (value1, attained1, _) in zip(got, ref):
+            assert attained and attained1 and abs(value - value1) <= 1e-8 * abs(value1)
+
+
+def test_seeded_edge_targets_need_no_engine(monkeypatch, small, cycle4):
+    """At the default tolerance the corner and the stacked path answer every
+    edge target that certify asks of the seeded instances (each minimum,
+    and each maximum on forests): none reaches the engine."""
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an edge target reached the engine")
+
+    monkeypatch.setattr(sdp, "_solve_batch", no_engine)
+    for inst in _seeded_instances(small, cycle4):
+        sides = (False, True) if is_forest(build_graph(inst)) else (False,)
+        targets = [(k, ell, mx) for k, ell in sorted(build_graph(inst).edges) for mx in sides]
+        assert len(optimize_linear_functionals_over_dual_cone(inst, targets)) == len(targets)
 
 
 def test_edge_functional_reference_values(cycle4):

@@ -96,8 +96,9 @@ def solve_relaxation(
     primal = float(inst.objective.ravel() @ X.ravel())
     rank, x_star, gap = 0, None, None
     if optimal:
-        # one eigendecomposition decides the rank, at the caller's rank_tol, and x*
-        lam, V = np.linalg.eigh(X)
+        # one eigendecomposition decides the rank, at the caller's rank_tol, and
+        # x*: the one that accepted the dual path's point, when it did
+        lam, V = np.linalg.eigh(X) if sol.X_eigh is None else sol.X_eigh
         rank = _rank(lam, rank_tol)
         if rank <= 1:
             x_star = _leading_factor(lam, V) if rank else np.zeros(inst.n)

@@ -30,12 +30,12 @@ relaxation of a QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p}, is
 its primal side with F0 = Q0, Fp = Qp, b = -rhs and no box.  Its dual has
 only m unknowns, so `solve` first follows the dual's central path in y
 alone (`_dual_paths`, a stack of one: damped Newton steps on a log
-barrier, one n x n Cholesky factor and an m x m solve per step) to a gap
-of sqrt(tol), and hands the point to a Newton polish of the KKT system,
-solved by elimination in the eigenbasis of S(y) so that only the near-null
-block of S(y) stays as explicit unknowns: O(m n^3) per step.  The polished
-point is the answer when it passes the engine's own stopping test at tol,
-read at the nearest point of the cones.  Otherwise, or when the path
+barrier, each an n x n Cholesky factor, its inverse, an m x m solve and
+an eigvalsh) to a gap of sqrt(tol), then polishes the point by Newton
+steps on the KKT system, solved in the eigenbasis of S(y) with only its
+near-null block as explicit unknowns: O(m n^3) per step.  The last polish
+iterate that passes the engine's own stopping test at tol, read at the
+nearest point of the cones, is the answer.  Otherwise, or when the path
 cannot start or finish, the engine runs once to tol, and an Optimal result
 is polished; every infeasibility certificate of a relaxation comes from the
 engine.
@@ -610,7 +610,7 @@ def _slack(Q0: np.ndarray, Qs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return S
 
 
-def _kkt_residuals(inst: QcqpInstance, X, y) -> tuple[float, float, float]:
+def _kkt_residuals(inst: QcqpInstance, X, y, eig=None) -> tuple[float, float, float]:
     """(pres, dres, relgap) of a relaxation point (X, y): the engine's
     stopping measures, read at the nearest point of the cones.
 
@@ -626,7 +626,7 @@ def _kkt_residuals(inst: QcqpInstance, X, y) -> tuple[float, float, float]:
     So X not PSD, S(y) not PSD and y not >= 0 count against the point, and
     a point with all three <= tol passes the engine's own test at tol.
     """
-    lam, V = np.linalg.eigh(X)
+    lam, V = np.linalg.eigh(X) if eig is None else eig
     Xp = X - (V * np.minimum(lam, 0.0)) @ V.T
     A = inst.constraint_stack.reshape(inst.m, -1)
     b = inst.rhs
@@ -654,9 +654,15 @@ _POLISH_STEPS = 6
 
 
 def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
+    """The last point of `_kkt_iterates`, and the steps that led there."""
+    points = _kkt_iterates(inst, X, y, s, steps)
+    return (*points[-1], len(points) - 1)
+
+
+def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     """Newton steps on the optimality system at mu = 0, taken one at a time
-    while they lower its residual: (X, y, s) at the lowest residual, and the
-    number of steps that led there.
+    while they lower its residual: the points (X, y, s) from the start on,
+    each at a lower residual than the one before.
 
     `solve` starts it from the dual path's point at a gap of sqrt(tol), or
     from the engine's result at tol.  Newton steps on
@@ -687,7 +693,7 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     m, A = inst.m, inst.constraint_stack
     A_norms = np.linalg.norm(A.reshape(m, -1), axis=1)
     C_norm = np.linalg.norm(inst.objective)
-    best = None
+    points, last = [], np.inf
     for taken in range(steps + 1):
         sig, U = np.linalg.eigh(dual_slack(inst, y))
         Xt = U.T @ X @ U
@@ -697,10 +703,11 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
         rp = inst.rhs - At_flat @ Xt.ravel() - s
         ys = y * s
         residual = np.sqrt(rp @ rp + ys @ ys + np.sum(Rt * Rt))
-        if best is not None and not residual < best[0]:
+        if points and not residual < last:
             break
-        fell_far = best is None or residual < 0.5 * best[0]
-        best = (residual, X, y, s, taken)
+        fell_far = not points or residual < 0.5 * last
+        points.append((X, y, s))
+        last = residual
         if taken == steps or not fell_far:
             break
 
@@ -738,8 +745,7 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
         X = X + 0.5 * (dX + dX.T)
         y = y + dy
         s = s + step[kv + m :]
-    _, X, y, s, taken = best
-    return X, y, s, taken
+    return points
 
 
 # The dual path's Newton steps at most before it leaves the solve to the
@@ -785,19 +791,23 @@ def _ray_minimum(slope, lam: np.ndarray):
 
         phi(alpha) = alpha slope - sum_i log(1 + alpha lam_i),
 
-    by safeguarded Newton steps until phi's Newton decrement is below 0.25;
-    for a stack of rays (slope_t, lam_t), one alpha per ray.  phi is
-    convex, and its domain ends at hi, where 1 + alpha lam_i first reaches
-    0.  On a Newton direction of the dual path, the Newton step of phi from
-    0 is the full step alpha = 1, so the search starts there, or at hi / 2
-    if that is nearer.  inf when phi falls without bound: no lam_i < 0 and
-    slope <= 0.  The derivatives of the rays still searched are one stacked
-    evaluation; the safeguard's scalar updates run per ray, in floats."""
+    for a stack of rays (slope_t, lam_t), one alpha per ray, stopping once
+    phi's Newton decrement is below 0.25.  phi is convex, and its domain
+    ends at the pole p where 1 + alpha lam_i first reaches 0.  On a Newton
+    direction of the dual path, phi's Newton step from 0 is alpha = 1, so
+    the search starts there, or at p / 2 if nearer.  The minimum mostly
+    lies near p, where Newton steps overshoot, so each step goes to the
+    zero of the model phi'(a) ~ c / (p - a) + d fitted to phi' and phi''
+    (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978; Newton's step when
+    p = inf), or bisects the bracket (lo, hi) when that zero lies outside.
+    inf when phi falls without bound: no lam_i < 0 and slope <= 0.  The
+    rays still searched are one stacked evaluation; the scalar updates run
+    per ray, in floats."""
     if lam.ndim == 1:
         return _ray_minimum(np.array([slope]), lam[None])[0]
     # -1 / lam_i is least at the least lam_i, and rounding keeps that order
-    hi = [-1.0 / low if low < 0 else np.inf for low in lam.min(axis=1).tolist()]
-    lo, slope = [0.0] * len(lam), slope.tolist()
+    pole = [-1.0 / low if low < 0 else np.inf for low in lam.min(axis=1).tolist()]
+    hi, lo, slope = list(pole), [0.0] * len(lam), slope.tolist()
     alpha = [np.inf if h == np.inf and s <= 0 else min(1.0, 0.5 * h)
              for h, s in zip(hi, slope)]
     rows = [t for t, a in enumerate(alpha) if a < np.inf]  # the rays still searched
@@ -818,8 +828,11 @@ def _ray_minimum(slope, lam: np.ndarray):
                 lo[t] = alpha[t]
             else:
                 hi[t] = alpha[t]
-            # (a flat ray, d2 = 0, gives the infinite step that numpy would)
-            step = alpha[t] - (d1 / d2 if d2 else math.copysign(math.inf, d1))
+            # the model's zero, none below p when den <= 0 (so on a flat ray)
+            dl = pole[t] - alpha[t]
+            den = d2 * dl - d1
+            step = alpha[t] - (d1 / d2 if dl == math.inf else d1 * dl / den) \
+                if den > 0 else math.nan
             alpha[t] = at[j, 0] = step if lo[t] < step < hi[t] else 0.5 * (lo[t] + hi[t])
             searched.append(t)
             kept.append(j)
@@ -847,15 +860,16 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float) -> list:
 
     whose gradient g_p = b_p - mu (<S^-1, Qp> + 1/y_p) and Hessian
     H_pq = mu (<S^-1 Qp, Qq S^-1> + delta_pq / y_p^2) come from
-    B_p = L^-1 Qp L^-T, L the Cholesky factor of S(y): one n x n factor and
-    an m x m solve per step (the dual-scaling idea of Benson, Ye & Zhang,
-    SIAM J. Optim. 10, 2000).  An opposite pair (`_opposite_pairs`, in every
-    row) is one free multiplier w with no log term, as in the standard SDP
-    dual of an equality: along (y_p, y_q) += t (1, 1) the barrier falls
-    without bound.  Along the Newton direction dy the barrier is a function
-    of the step alone, through the eigenvalues of sum_p dy_p B_p and dy / y,
-    so each step goes to its minimum on the ray.  Once the Newton decrement
-    is below 1, mu shrinks tenfold.  The path starts at the first
+    B_p = L^-1 Qp L^-T, L the Cholesky factor of S(y): one n x n factor,
+    its inverse and an m x m solve per step (the dual-scaling idea of
+    Benson, Ye & Zhang, SIAM J. Optim. 10, 2000).  An opposite pair
+    (`_opposite_pairs`, in every row) is one free multiplier w with no log
+    term, as in the standard SDP dual of an equality: along
+    (y_p, y_q) += t (1, 1) the barrier falls without bound.  Along the
+    Newton direction dy the barrier is a function of the step alone,
+    through the eigenvalues of sum_p dy_p B_p and dy / y, so each step goes
+    to its minimum on the ray.  Once the Newton decrement is below 1, mu
+    shrinks tenfold.  The path starts at the first
     y = 2^k (1, ..., 1) with S(y) positive definite, k = 0, ..., 39, then
     -1, ..., -39 (then with w = 4^k, as homogenized constraints with large
     linear terms need), taken as centred: mu starts a tenth of the value
@@ -1025,30 +1039,35 @@ class RelaxationSolve(NamedTuple):
     polish_steps: int  # Newton steps that the polish kept
     status_from: str  # "dual-path" or "full-run": the test that set the status
     dual_path_steps: int  # Newton steps of the dual path; 0 when it gave no point
+    X_eigh: tuple | None = None  # eigh(X), when the dual path answered
 
 
 def _polished_path(inst: QcqpInstance, tol: float):
     """The dual path's answer to the relaxation of `inst` at tol, which sets
     both feasibility and gap targets: the path's point at a gap of sqrt(tol)
-    (`_dual_path`) is polished (`_kkt_refine`), each pair's multipliers are
-    folded once more (`_fold`; the polish leaves both nonzero), and the point
-    is accepted when it passes the engine's own stopping test at tol
-    (`_kkt_residuals`).  ((X, y, polish steps) or None, path steps)."""
+    (`_dual_path`) is polished (`_kkt_iterates`), each pair's multipliers are
+    folded once more (`_fold`; the polish leaves both nonzero), and the last
+    iterate that passes the engine's own stopping test at tol
+    (`_kkt_residuals`) is accepted: at the rounding floor, a last step can
+    lower the polish's residual and fail that test.  ((X, y, polish steps,
+    eigh(X)) or None, path steps)."""
     path = _dual_path(inst, np.sqrt(tol))
     if path is None:
         return None, 0
     *start, path_steps = path
-    X, y, _, steps = _kkt_refine(inst, *start)
-    y = _fold(y, _opposite_pairs(inst))
-    if max(_kkt_residuals(inst, X, y)) <= tol:
-        return (X, y, steps), path_steps
+    points, pairs = _kkt_iterates(inst, *start), _opposite_pairs(inst)
+    for steps in reversed(range(len(points))):
+        X, y, _ = points[steps]
+        y, eig = _fold(y, pairs), np.linalg.eigh(X)
+        if max(_kkt_residuals(inst, X, y, eig)) <= tol:
+            return (X, y, steps, eig), path_steps
     return None, path_steps
 
 
 def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     """The relaxation of `inst` solved to tol, which sets both feasibility
-    and gap targets, as a `RelaxationSolve`.  "dual-path": the polished
-    point of the dual path, when it passes the engine's own stopping test
+    and gap targets, as a `RelaxationSolve`.  "dual-path": a polished
+    point of the dual path that passes the engine's own stopping test
     at tol (`_polished_path`).  "full-run": otherwise the engine solves the
     LMI form with F0 = Q0, Fp = Qp and b = -rhs (`_lmi_form`; y is its v, X
     the PSD block of its u) in one run to tol, which holds every
@@ -1060,8 +1079,9 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     check_solver_tol(tol)
     point, path_steps = _polished_path(inst, tol)
     if point is not None:
-        X, y, steps = point
-        return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path", path_steps)
+        X, y, steps, eig = point
+        return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path", path_steps,
+                               eig)
     n, m = inst.n, inst.m
     c, A = _lmi_form(inst.objective, inst.constraint_stack)
     res = solve_standard_form(c, A, -inst.rhs, l=m, d=n, feas_tol=tol, gap_tol=tol)

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -7,6 +9,21 @@ from biparsdp import load_instance
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def workload_draws(workload, seed, folder):
+    """The instances of one round of the benchmark workload (generated by
+    perfbench/workloads.py), each written to a file in `folder` and loaded
+    from it."""
+    path = INSTANCE_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    draws = []
+    for draw in workloads.generate(workload, seed):
+        (folder / "draw.json").write_text(json.dumps(draw.doc))
+        draws.append(load_instance(folder / "draw.json"))
+    return draws
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,6 @@
 """Tests for the exactness certification rules and the combined pipeline."""
 
 import importlib
-import importlib.util
-import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -20,7 +17,7 @@ from biparsdp import (
     minimize_linear_functional_over_dual_cone,
 )
 
-from conftest import CYCLE4_MU, DATA_DIR, vertex_signs_hold
+from conftest import CYCLE4_MU, DATA_DIR, vertex_signs_hold, workload_draws
 
 certify_module = importlib.import_module("biparsdp.certify")
 graph_module = importlib.import_module("biparsdp.graph")
@@ -672,16 +669,7 @@ def test_solver_breakdown_is_a_note_not_a_traceback():
 def edge_system_draws(tmp_path_factory):
     """The eight instances of one seed-0 round of the benchmark's
     edge-systems workload (perfbench/workloads.py), loaded from their files."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("edge_system_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    folder = tmp_path_factory.mktemp("edge-systems")
-    draws = []
-    for draw in workloads.generate("edge-systems", 0):
-        (folder / "draw.json").write_text(json.dumps(draw.doc))
-        draws.append(load_instance(folder / "draw.json"))
-    return draws
+    return workload_draws("edge-systems", 0, tmp_path_factory.mktemp("edge-systems"))
 
 
 def test_tight_solver_tol_keeps_the_edge_verdicts(edge_system_draws, cycle4):

@@ -36,7 +36,7 @@ from biparsdp.sdp import (
     svec,
 )
 
-from conftest import CYCLE4_MU, DATA_DIR
+from conftest import CYCLE4_MU, DATA_DIR, INSTANCE_DIR, workload_draws
 from test_acceptance import _metamorphic_instances, _random_family_instance
 from test_certify import _blkdiag_double, certify_module
 
@@ -609,6 +609,68 @@ def test_breakdown_relaxation_solves_at_1e13():
     assert 1 <= tight.polish_steps <= sdp._POLISH_STEPS
 
 
+def test_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
+    """When the stopping test rejects the polish's last iterate, the last
+    earlier one that passes is the answer, with its own step count and the
+    eigh(X) that accepted it; when the last passes, it is the only one
+    tested."""
+    inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
+    trails, tested = [], []
+    real_iterates, real_residuals = sdp._kkt_iterates, sdp._kkt_residuals
+
+    def iterates(*args):
+        trails.append(real_iterates(*args))
+        return trails[-1]
+
+    def residuals(inst, X, y, eig=None):
+        tested.append(X)
+        if reject_last and X is trails[-1][-1][0]:
+            return 1.0, 0.0, 0.0
+        return real_residuals(inst, X, y, eig)
+
+    monkeypatch.setattr(sdp, "_kkt_iterates", iterates)
+    monkeypatch.setattr(sdp, "_kkt_residuals", residuals)
+    reject_last = False
+    res = solve(inst)
+    [trail] = trails
+    assert len(trail) >= 3 and res.polish_steps == len(trail) - 1
+    assert len(tested) == 1 and res.X is tested[0] is trail[-1][0]
+
+    trails.clear()
+    tested.clear()
+    reject_last = True
+    res = solve(inst)
+    [trail] = trails
+    assert res.status is SolverStatus.OPTIMAL and res.status_from == "dual-path"
+    assert res.polish_steps == len(trail) - 2 and len(tested) == 2
+    assert res.X is tested[1] is trail[-2][0]
+    assert np.array_equal(res.X_eigh[0], np.linalg.eigh(res.X)[0])
+    assert max(real_residuals(inst, res.X, res.y)) <= sdp.DEFAULT_TOL
+
+
+@pytest.fixture(scope="module")
+def relaxation_sweep(tmp_path_factory):
+    """49 relaxations: seeds 0-2 of the benchmark's relaxation workload,
+    the bundled instances and the test data, homogenized where linear."""
+    folder = tmp_path_factory.mktemp("relaxation")
+    insts = [inst for seed in range(3) for inst in workload_draws("relaxation", seed, folder)]
+    for path in [*sorted(INSTANCE_DIR.glob("*.json")), *sorted(DATA_DIR.glob("*.json"))]:
+        inst = load_instance(path)
+        insts.append(homogenize(inst) if isinstance(inst, GeneralQcqpInstance) else inst)
+    return insts
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
+def test_relaxation_sweep_ends_by_the_dual_path(relaxation_sweep, tol):
+    """Every relaxation of the sweep ends Optimal by the dual path and its
+    polish, with no engine run, from 1e-8 to 1e-14."""
+    assert len(relaxation_sweep) == 49
+    for inst in relaxation_sweep:
+        res = solve(inst, tol=tol)
+        assert res.status is SolverStatus.OPTIMAL and res.status_from == "dual-path"
+        assert res.ipm_iterations == 0
+
+
 def test_odd_cycle_sweep_solves_at_1e11():
     """Twenty seeded odd-cycle mixed-sign draws, n from 8 to 32, solve at
     1e-11 to their 1e-8 answers."""
@@ -853,6 +915,59 @@ def test_ray_minimum_is_near_the_barrier_minimum():
 
         assert phi(alpha) <= phi(grid).min() + 0.04
     assert sdp._ray_minimum(-1.0, np.array([0.5, 2.0])) == np.inf
+
+
+def _seeded_rays(rng):
+    """(slope, lam) rays of six lam_i each: rays whose minimum lies at
+    50 % to 99.9 % of the way to the pole -1 / lam_min, as on the dual
+    path, with lam_min from -1e2 down to -1e-12 (lam_min -> 0-); rays with
+    no lam_i < 0 and a minimum; partly flat rays (some lam_i = 0); flat
+    rays (every lam_i = 0); and unbounded rays (no lam_i < 0, slope <= 0)."""
+    rays = []
+    for _ in range(200):
+        lam = rng.standard_normal(6) * 10.0 ** rng.uniform(-2, 2)
+        kind = rng.integers(5)
+        if kind == 0:
+            lam[0] = -abs(lam[0])
+        elif kind == 1:
+            lam = np.abs(lam)
+            lam[0] = -(10.0 ** rng.uniform(-12, -3))
+        elif kind == 2:
+            lam = np.abs(lam)
+        elif kind == 3:
+            lam[rng.random(6) < 0.5] = 0.0
+        else:
+            rays.append((float(rng.choice([-1.0, 0.0, 1.0])), np.zeros(6)))
+            rays.append((-rng.uniform(0.0, 3.0), np.abs(lam)))
+            continue
+        pole = -1.0 / lam.min() if lam.min() < 0 else 10.0 ** rng.uniform(0, 3)
+        at = rng.uniform(0.5, 0.999) * pole  # the minimum, where phi' = 0
+        rays.append((float(np.sum(lam / (1.0 + at * lam))), lam))
+    return rays
+
+
+def test_ray_minimum_properties_near_the_pole():
+    """On seeded rays (`_seeded_rays`) the search returns inf exactly when
+    no lam_i < 0 and slope <= 0.  On a ray with a minimum inside its domain
+    the step lies in (0, pole) and meets the stop test |phi'| <= sqrt(phi'')
+    / 4.  On a flat ray with slope > 0 the minimum is the end alpha = 0, and
+    the step lies in (0, 1).  A stacked call returns the per-ray calls' steps
+    bit for bit."""
+    rays = _seeded_rays(np.random.default_rng(11))
+    got = [sdp._ray_minimum(slope, lam) for slope, lam in rays]
+    stacked = sdp._ray_minimum(np.array([s for s, _ in rays]), np.array([lam for _, lam in rays]))
+    assert stacked.tolist() == got
+    for (slope, lam), alpha in zip(rays, got):
+        assert (alpha == np.inf) == (lam.min() >= 0 and slope <= 0)
+        if alpha == np.inf:
+            continue
+        pole = -1.0 / lam.min() if lam.min() < 0 else np.inf
+        assert 0 < alpha < pole
+        if not lam.any():
+            assert slope > 0 and alpha < 1
+            continue
+        r = lam / (1.0 + alpha * lam)
+        assert abs(slope - r.sum()) <= 0.25 * np.sqrt(r @ r) * (1 + 1e-12)
 
 
 def test_tol_validation():

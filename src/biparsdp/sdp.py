@@ -32,8 +32,12 @@ only m unknowns, so `solve` first follows the dual's central path in y
 alone (`_dual_paths`, a stack of one: damped Newton steps on a log
 barrier, each an n x n Cholesky factor, its inverse, an m x m solve and
 an eigvalsh) to a gap of sqrt(tol), then polishes the point by Newton
-steps on the KKT system, solved in the eigenbasis of S(y) with only its
-near-null block as explicit unknowns: O(m n^3) per step.  The last polish
+steps on the KKT system.  When S(y) has a near-null block of one there, the
+steps run on X = x x^T (`_rank_one_iterates`): n + 2m unknowns and one
+square solve per step, O(m n^2 + (n + 2m)^3).  Otherwise, or when that
+route gives no passing point, they run in the eigenbasis of S(y) with only
+its near-null block as explicit unknowns (`_kkt_iterates`): an eigh, 2m
+rotations and a least-squares solve, O(m n^3) per step.  The last polish
 iterate that passes the engine's own stopping test at tol, read at the
 nearest point of the cones, is the answer.  Otherwise, or when the path
 cannot start or finish, the engine runs once to tol, and an Optimal result
@@ -648,6 +652,15 @@ _EIGVALSH_MARGIN = 10 * np.finfo(float).eps
 # as explicit unknowns; every other entry of the step is eliminated.
 _NULL_BLOCK_REL = 1e-3
 
+
+def _null_block(inst: QcqpInstance, sig: np.ndarray, y: np.ndarray) -> int:
+    """The size of the near-null block of S(y), from its ascending
+    eigenvalues sig (`_NULL_BLOCK_REL`)."""
+    A_norms = np.linalg.norm(inst.constraint_stack.reshape(inst.m, -1), axis=1)
+    return int(np.sum(sig <= _NULL_BLOCK_REL * (np.linalg.norm(inst.objective)
+                                                 + np.abs(y) @ A_norms)))
+
+
 # Newton steps that the polish takes at most; it stops sooner, at the first
 # step that does not halve the residual of the optimality system.
 _POLISH_STEPS = 6
@@ -659,13 +672,15 @@ def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     return (*points[-1], len(points) - 1)
 
 
-def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
+def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS, eig=None):
     """Newton steps on the optimality system at mu = 0, taken one at a time
     while they lower its residual: the points (X, y, s) from the start on,
-    each at a lower residual than the one before.
+    each at a lower residual than the one before.  eig, when given, is
+    eigh(S(y)) at the start.
 
-    `solve` starts it from the dual path's point at a gap of sqrt(tol), or
-    from the engine's result at tol.  Newton steps on
+    `solve` starts it from the dual path's point at a gap of sqrt(tol) when
+    the rank-one route (`_rank_one_iterates`) does not answer, or from the
+    engine's result at tol.  Newton steps on
 
         <A_p, X> + s_p = b_p,   y_p s_p = 0,   sym(X S(y)) = O
 
@@ -691,11 +706,10 @@ def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     is the full Jacobian in rotated coordinates.
     """
     m, A = inst.m, inst.constraint_stack
-    A_norms = np.linalg.norm(A.reshape(m, -1), axis=1)
-    C_norm = np.linalg.norm(inst.objective)
     points, last = [], np.inf
     for taken in range(steps + 1):
-        sig, U = np.linalg.eigh(dual_slack(inst, y))
+        sig, U = eig or np.linalg.eigh(dual_slack(inst, y))
+        eig = None
         Xt = U.T @ X @ U
         At = U.T @ A @ U
         At_flat = At.reshape(m, -1)
@@ -714,7 +728,7 @@ def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
         Gt = Xt @ At
         Gt = Gt + Gt.transpose(0, 2, 1)
         # sig ascends, so the near-null block is the leading k indices
-        k = int(np.sum(sig <= _NULL_BLOCK_REL * (C_norm + np.abs(y) @ A_norms)))
+        k = _null_block(inst, sig, y)
         D = sig[:, None] + sig[None, :]
         W = np.zeros_like(D)
         W[k:, :] = 1.0 / D[k:, :]
@@ -745,6 +759,76 @@ def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
         X = X + 0.5 * (dX + dX.T)
         y = y + dy
         s = s + step[kv + m :]
+    return points
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _rank_one_iterates(inst: QcqpInstance, x, y, s, pairs, steps: int = _POLISH_STEPS):
+    """`_kkt_iterates` on X = x x^T: the points (x x^T, y) from the start
+    on, each at a lower residual than the one before, y in the instance's
+    order with each pair's free multiplier on its first constraint (0 on
+    its second, for `_fold`).
+
+    With X = x x^T the optimality system reads
+
+        S(y) x = 0,   x^T Qp x + s_p = b_p,   y_p s_p = 0,
+
+    n + 2m unknowns, and its Newton step is one square solve of
+
+        [[S(y), (Qx)^T, 0], [2 Qx, 0, I], [0, diag s, diag y]],
+
+    Qx the rows Qp x: O(m n^2 + (n + 2m)^3) per step, with no eigh.  At a
+    rank-one optimum with null S(y) = span x the Jacobian is nonsingular
+    and the steps converge quadratically, as those of `_kkt_iterates` do;
+    a KKT point with y >= 0 and S(y) PSD is globally optimal (Jeyakumar,
+    Rubinov & Wu, Math. Program. 110, 2007), which the caller's test
+    checks.  An opposite pair (`_opposite_pairs`) is one equality
+    <Qp, X> = b_p with a free multiplier w = y_p - y_q and no slack, as in
+    `_dual_paths`.  The steps stop as those of `_kkt_iterates` do, and at a
+    singular Jacobian.
+    """
+    paired = [i for pair in pairs for i in pair]
+    r = inst.m - len(paired)  # the slacks: r constraints, then each pair's w
+    keep = [p for p in range(inst.m) if p not in paired] + [p for p, _ in pairs]
+    Q0, Qs, b = inst.objective, inst.constraint_stack, inst.rhs
+    y = y.copy()
+    for p, q in pairs:
+        y[p] -= y[q]
+    if pairs:
+        Qs, b, y = Qs[keep], b[keep], y[keep]
+    s = s[keep[:r]]
+    n, m = len(Q0), len(keep)
+    points, last = [], np.inf
+    for taken in range(steps + 1):
+        S = _slack(Q0, Qs, y)
+        Qx = Qs @ x
+        rd, rp, ys = -(S @ x), b - Qx @ x, y[:r] * s
+        rp[:r] -= s
+        residual = np.sqrt(rd @ rd + rp @ rp + ys @ ys)
+        if points and not residual < last:
+            break
+        fell_far = not points or residual < 0.5 * last
+        y_inst = np.zeros(inst.m)
+        y_inst[keep] = y
+        points.append((np.outer(x, x), y_inst))
+        last = residual
+        if taken == steps or not fell_far:
+            break
+
+        M = np.zeros((n + m + r, n + m + r))
+        M[:n, :n] = S
+        M[:n, n : n + m] = Qx.T
+        M[n : n + m, :n] = 2.0 * Qx
+        M[n : n + r, n + m :] = np.eye(r)
+        M[n + m :, n : n + r] = np.diag(s)
+        M[n + m :, n + m :] = np.diag(y[:r])
+        try:
+            step = np.linalg.solve(M, np.concatenate([rd, rp, -ys]))
+        except np.linalg.LinAlgError:
+            break
+        x = x + step[:n]
+        y = y + step[n : n + m]
+        s = s + step[n + m :]
     return points
 
 
@@ -1044,31 +1128,54 @@ class RelaxationSolve(NamedTuple):
 
 def _polished_path(inst: QcqpInstance, tol: float):
     """The dual path's answer to the relaxation of `inst` at tol, which sets
-    both feasibility and gap targets: the path's point at a gap of sqrt(tol)
-    (`_dual_path`) is polished (`_kkt_iterates`), each pair's multipliers are
-    folded once more (`_fold`; the polish leaves both nonzero), and the last
-    iterate that passes the engine's own stopping test at tol
-    (`_kkt_residuals`) is accepted: at the rounding floor, a last step can
-    lower the polish's residual and fail that test.  ((X, y, polish steps,
-    eigh(X)) or None, path steps)."""
+    both feasibility and gap targets.  The path's point at a gap of
+    sqrt(tol) (`_dual_path`) is polished, each pair's multipliers are folded
+    once more (`_fold`; the eigenbasis polish leaves both nonzero, the
+    rank-one one carries w alone), and the last iterate that passes the
+    engine's own stopping test at tol (`_kkt_residuals`) is accepted
+    (`_accepted`): at the rounding floor, a last step can lower the
+    polish's residual and fail that test.
+
+    One eigh of S(y) at the path's point picks the polish.  A near-null
+    block of one (`_null_block`) means X has rank one, and the rank-one
+    route (`_rank_one_iterates`) starts from x = u sqrt(u^T X u), u the
+    null eigenvector: a square (n + 2m) solve per step.  A larger or empty
+    block, or a rank-one route with no passing iterate, goes to the
+    eigenbasis polish (`_kkt_iterates`), which reuses that eigh: an eigh,
+    2m rotations and a least-squares solve per step.  ((X, y, polish
+    steps, eigh(X)) or None, path steps)."""
     path = _dual_path(inst, np.sqrt(tol))
     if path is None:
         return None, 0
-    *start, path_steps = path
-    points, pairs = _kkt_iterates(inst, *start), _opposite_pairs(inst)
+    X, y, s, path_steps = path
+    pairs, eig = _opposite_pairs(inst), np.linalg.eigh(dual_slack(inst, y))
+    if _null_block(inst, eig[0], y) == 1:
+        u = eig[1][:, 0]
+        x = u * np.sqrt(max(u @ X @ u, 0.0))
+        point = _accepted(inst, _rank_one_iterates(inst, x, y, s, pairs), pairs, tol)
+        if point is not None:
+            return point, path_steps
+    return _accepted(inst, _kkt_iterates(inst, X, y, s, eig=eig), pairs, tol), path_steps
+
+
+def _accepted(inst: QcqpInstance, points: list, pairs, tol: float):
+    """The last polish point (X, y, ...) that passes the engine's own
+    stopping test at tol (`_kkt_residuals`) once each pair's multipliers are
+    folded (`_fold`), as (X, y, polish steps, eigh(X)); None when none does."""
     for steps in reversed(range(len(points))):
-        X, y, _ = points[steps]
+        X, y, *_ = points[steps]
         y, eig = _fold(y, pairs), np.linalg.eigh(X)
         if max(_kkt_residuals(inst, X, y, eig)) <= tol:
-            return (X, y, steps, eig), path_steps
-    return None, path_steps
+            return X, y, steps, eig
+    return None
 
 
 def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     """The relaxation of `inst` solved to tol, which sets both feasibility
     and gap targets, as a `RelaxationSolve`.  "dual-path": a polished
     point of the dual path that passes the engine's own stopping test
-    at tol (`_polished_path`).  "full-run": otherwise the engine solves the
+    at tol (`_polished_path`: Newton steps on X = x x^T when S(y) has a
+    near-null block of one, else in the eigenbasis of S(y)).  "full-run": otherwise the engine solves the
     LMI form with F0 = Q0, Fp = Qp and b = -rhs (`_lmi_form`; y is its v, X
     the PSD block of its u) in one run to tol, which holds every
     certificate to tol, and an Optimal result is polished.

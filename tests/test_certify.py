@@ -648,16 +648,30 @@ def test_solver_tol_out_of_range_rejected(monkeypatch, cycle4, solver_tol):
             rule(cycle4, solver_tol=solver_tol)
 
 
-def test_solver_breakdown_is_a_note_not_a_traceback():
+def test_solver_breakdown_is_a_note_not_a_traceback(monkeypatch):
     """Edge SDPs asked for a gap below what their iterates resolve break
     down (u/z overflows, then the eigenvalue solver fails): certify ends
     them with NumericalLimit, notes the failure, with no warning, and falls
     back to the relaxation.  Its Newton polish meets 1e-15, so the verdict
-    is the one of the default tolerance, not a certificate."""
+    is the one of the default tolerance, not a certificate.  The dual path
+    answers these edge targets at 1e-15, so its two tiers are taken away
+    from the edge systems (not from the relaxation): every target that the
+    box corner leaves reaches the engine."""
     inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
+    default = certify(inst).verdict
+    edge_systems = certify_module.optimize_linear_functionals_over_dual_cone
+
+    def engine_tiers_only(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp_module, "_dual_paths", lambda inst, bs, gap_tol: [None] * len(bs))
+            patch.setattr(sdp_module, "_polished_path", lambda inst, tol: (None, 0))
+            return edge_systems(*args, **kwargs)
+
+    monkeypatch.setattr(certify_module, "optimize_linear_functionals_over_dual_cone",
+                        engine_tiers_only)
     report = certify(inst, solver_tol=1e-15)
     assert report.verdict is Verdict.NUMERICALLY_EXACT_ONLY
-    assert report.verdict is certify(inst).verdict
+    assert report.verdict is default
     assert (
         "bipartite-edge-systems: edge-system solver failure: edge-system solve "
         "failed (NumericalLimit): scaling breakdown (lost cone interior)"

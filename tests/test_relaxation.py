@@ -86,6 +86,39 @@ def test_rank_tol_decides_extraction():
     assert certify(tri, rank_tol=1e-3).verdict is Verdict.NUMERICALLY_EXACT_ONLY
 
 
+def test_degenerate_triangles_take_the_eigenbasis_polish(monkeypatch):
+    """The +1 triangle and its rescaling by diag(1, 100, 100) leave S(y) a
+    near-null block of size 2 at the dual path's point, so the eigenbasis
+    polish answers them, not the rank-one route, and their verdicts are
+    those of test_rank_tol_decides_extraction and
+    test_pipeline_fallback_higher_rank."""
+    sdp = importlib.import_module("biparsdp.sdp")
+    polished = []
+    real = sdp._kkt_iterates
+
+    def eigenbasis(*args, **kwargs):
+        polished.append(args[0])
+        return real(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank-one polish ran")
+
+    monkeypatch.setattr(sdp, "_kkt_iterates", eigenbasis)
+    monkeypatch.setattr(sdp, "_rank_one_iterates", refuse)
+    d = np.array([1.0, 100.0, 100.0])
+    for scale in (np.ones(3), d):
+        tri = QcqpInstance(
+            objective=(np.ones((3, 3)) - np.eye(3)) * np.outer(scale, scale),
+            constraint_matrices=(np.diag(scale ** 2),),
+            rhs=np.ones(1),
+        )
+        assert certify(tri).verdict is Verdict.INEXACT_OBSERVED
+        assert certify(tri, rank_tol=1e-3).verdict is (
+            Verdict.NUMERICALLY_EXACT_ONLY if scale is d else Verdict.INEXACT_OBSERVED
+        )
+        assert polished[-1] is tri and polished[-2] is tri
+
+
 def test_rank_tol_out_of_range_rejected(monkeypatch):
     """At rank_tol >= 1 no eigenvalue clears the threshold, so certify called
     the +1 triangle's rank-2 optimum rank 0 and solve_relaxation returned

@@ -368,16 +368,23 @@ def test_trace_bound_active():
     assert abs(np.trace(res.X_star) - 3.0) < 1e-7
 
 
-def test_scalar_family_against_closed_form():
-    """min c*x11 s.t. x11 <= u, x11 >= 0 equals min(0, c*u)."""
+def test_scalar_family_against_closed_form(monkeypatch):
+    """min c*x11 s.t. x11 <= u, x11 >= 0 equals min(0, c*u).  n = 1 takes
+    both polish routes: c < 0 leaves S(y*) = 0, a near-null block of one,
+    for the rank-one route; c > 0 leaves X* = O and S(y*) = c, no near-null
+    block, for the eigenbasis route."""
+    calls = _polish_routes(monkeypatch)
     rng = np.random.default_rng(42)
     for _ in range(20):
         c = float(rng.uniform(-2, 2))
         u = float(rng.uniform(0.5, 4))
         inst = QcqpInstance(np.array([[c]]), (np.array([[1.0]]),), np.array([u]))
+        before = dict(calls)
         res = solve_relaxation(inst)
         assert res.status is SolverStatus.OPTIMAL
         assert abs(res.primal_value - min(0.0, c * u)) < 1e-6 * (1 + abs(c * u))
+        route = "_rank_one_iterates" if c < 0 else "_kkt_iterates"
+        assert res.status_from == "dual-path" and calls == {**before, route: before[route] + 1}
 
 
 def test_primal_infeasible_detected():
@@ -609,17 +616,18 @@ def test_breakdown_relaxation_solves_at_1e13():
     assert 1 <= tight.polish_steps <= sdp._POLISH_STEPS
 
 
-def test_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
-    """When the stopping test rejects the polish's last iterate, the last
-    earlier one that passes is the answer, with its own step count and the
-    eigh(X) that accepted it; when the last passes, it is the only one
-    tested."""
+def _falls_back_to_an_earlier_passing_iterate(monkeypatch, route):
+    """On the breakdown instance's relaxation, the polish `route` (the name
+    of its iterates function) answers: when the stopping test rejects its
+    last iterate, the last earlier one that passes is the answer, with its
+    own step count and the eigh(X) that accepted it; when the last passes,
+    it is the only one tested."""
     inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
     trails, tested = [], []
-    real_iterates, real_residuals = sdp._kkt_iterates, sdp._kkt_residuals
+    real_iterates, real_residuals = getattr(sdp, route), sdp._kkt_residuals
 
-    def iterates(*args):
-        trails.append(real_iterates(*args))
+    def iterates(*args, **kwargs):
+        trails.append(real_iterates(*args, **kwargs))
         return trails[-1]
 
     def residuals(inst, X, y, eig=None):
@@ -628,7 +636,7 @@ def test_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
             return 1.0, 0.0, 0.0
         return real_residuals(inst, X, y, eig)
 
-    monkeypatch.setattr(sdp, "_kkt_iterates", iterates)
+    monkeypatch.setattr(sdp, route, iterates)
     monkeypatch.setattr(sdp, "_kkt_residuals", residuals)
     reject_last = False
     res = solve(inst)
@@ -646,6 +654,60 @@ def test_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
     assert res.X is tested[1] is trail[-2][0]
     assert np.array_equal(res.X_eigh[0], np.linalg.eigh(res.X)[0])
     assert max(real_residuals(inst, res.X, res.y)) <= sdp.DEFAULT_TOL
+
+
+def test_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
+    """The eigenbasis polish (`_kkt_iterates`), with the rank-one route
+    giving no point, accepts its last passing iterate."""
+    monkeypatch.setattr(sdp, "_rank_one_iterates", lambda *args, **kwargs: [])
+    _falls_back_to_an_earlier_passing_iterate(monkeypatch, "_kkt_iterates")
+
+
+def test_rank_one_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
+    """The rank-one polish (`_rank_one_iterates`) accepts its last passing
+    iterate, and the eigenbasis polish is not run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the eigenbasis polish ran")
+
+    monkeypatch.setattr(sdp, "_kkt_iterates", refuse)
+    _falls_back_to_an_earlier_passing_iterate(monkeypatch, "_rank_one_iterates")
+
+
+def _polish_routes(monkeypatch):
+    """Counts of the calls of each polish route from now on."""
+    calls = {"_rank_one_iterates": 0, "_kkt_iterates": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(sdp, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, name, counted)
+    return calls
+
+
+def test_homogenized_pair_takes_the_rank_one_polish(monkeypatch):
+    """small_linear, homogenized, has the opposite pair x0^2 = 1: the
+    rank-one route answers it with the pair's one free multiplier, from
+    1e-8 to 1e-14, and the eigenbasis polish never runs."""
+    inst = homogenize(load_instance(DATA_DIR / "small_linear.json"))
+    assert sdp._opposite_pairs(inst) == [(1, 2)]
+    calls = _polish_routes(monkeypatch)
+    for tol in (1e-8, 1e-10, 1e-12, 1e-14):
+        res = solve(inst, tol=tol)
+        assert res.status is SolverStatus.OPTIMAL and res.status_from == "dual-path"
+        assert min(res.y[1:]) == 0.0  # folded: one of the pair is exactly 0
+    assert calls == {"_rank_one_iterates": 4, "_kkt_iterates": 0}
+
+
+def test_seed0_relaxations_take_the_rank_one_polish(monkeypatch, tmp_path):
+    """Of the 15 relaxations of a seed-0 round of the benchmark's
+    relaxation workload, at most one (13-odd-mixed-n40, whose near-null
+    block has size 2) reaches the eigenbasis polish."""
+    insts = workload_draws("relaxation", 0, tmp_path)
+    calls = _polish_routes(monkeypatch)
+    for inst in insts:
+        assert solve(inst).status_from == "dual-path"
+    assert len(insts) == 15 and calls["_kkt_iterates"] <= 1
 
 
 @pytest.fixture(scope="module")
@@ -669,6 +731,34 @@ def test_relaxation_sweep_ends_by_the_dual_path(relaxation_sweep, tol):
         res = solve(inst, tol=tol)
         assert res.status is SolverStatus.OPTIMAL and res.status_from == "dual-path"
         assert res.ipm_iterations == 0
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
+def test_polish_routes_agree_on_the_sweep(relaxation_sweep, tol):
+    """From the same point of the dual path, the rank-one and the eigenbasis
+    polish agree where the near-null block of S(y) has size 1 (all but two
+    of the sweep): both pass the stopping test at tol, or neither does, and
+    X*, y* and the value agree to 1e-12."""
+    compared = 0
+    for inst in relaxation_sweep:
+        X, y, s, _ = sdp._dual_path(inst, np.sqrt(tol))
+        pairs, eig = sdp._opposite_pairs(inst), np.linalg.eigh(dual_slack(inst, y))
+        if sdp._null_block(inst, eig[0], y) != 1:
+            continue
+        u = eig[1][:, 0]
+        x = u * np.sqrt(u @ X @ u)
+        one = sdp._accepted(inst, sdp._rank_one_iterates(inst, x, y, s, pairs), pairs, tol)
+        eb = sdp._accepted(inst, sdp._kkt_iterates(inst, X, y, s, eig=eig), pairs, tol)
+        compared += 1
+        assert (one is None) == (eb is None)
+        if one is None:
+            continue
+        (X1, y1, *_), (X2, y2, *_) = one, eb
+        assert np.max(np.abs(X1 - X2)) <= 1e-12 * np.max(np.abs(X2))
+        assert np.max(np.abs(y1 - y2)) <= 1e-12 * max(1.0, np.max(np.abs(y2)))
+        v1, v2 = np.vdot(inst.objective, X1), np.vdot(inst.objective, X2)
+        assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v2))
+    assert compared >= 45
 
 
 def test_odd_cycle_sweep_solves_at_1e11():

@@ -7,21 +7,19 @@ The engine solves the standard-form conic pair
 
 over K = (nonnegative orthant) x (PSD cone of one matrix block), using the
 homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step.  The loop runs a batch of problems that share c,
-A and K and differ only in b; a lone solve is a batch of one.  Each
-iteration factors the PSD iterates once, in the NT scaling (one stacked
-Cholesky factor of X, eigh and inverse of the scaling matrix); step lengths
-are taken in the NT-scaled space, and the Schur complements come from one
-batched congruence of A's stacked rows.  Each Schur complement is solved
-twice per iteration: the tau column and the predictor as one two-column
-right-hand side, then the corrector.  The predictor needs no dual
-direction: its Newton solution satisfies dU^ + dZ^ = -Lambda in the scaled
-space, so its dual half, both of its step bounds (one eigvalsh per member)
-and its du.dz come from du alone.  The corrector forms dz and takes its
-step bounds from one eigvalsh per side.  Inside the loop the PSD block of
-every cone vector is kept as a d x d matrix; u and z are packed by svec
-once, on return.  Everything is dense: the target problems have matrix
-dimension well below a hundred.
+predictor-corrector step; each run solves one problem.  Each iteration
+factors the PSD iterates once, in the NT scaling (a Cholesky factor of X,
+eigh and inverse of the scaling matrix); step lengths are taken in the
+NT-scaled space, and the Schur complement comes from one congruence of A's
+stacked rows.  It is solved twice per iteration: the tau column and the
+predictor as one two-column right-hand side, then the corrector.  The
+predictor needs no dual direction: its Newton solution satisfies
+dU^ + dZ^ = -Lambda in the scaled space, so its dual half, both of its
+step bounds (one eigvalsh) and its du.dz come from du alone.  The
+corrector forms dz and takes its step bounds from one eigvalsh per side.
+Inside the loop the PSD block of every cone vector is kept as a d x d
+matrix; u and z are packed by svec once, on return.  Everything is dense:
+the target problems have matrix dimension well below a hundred.
 
 On top of the engine sits one problem form, max b.y over {y >= 0,
 F0 + sum_p y_p Fp PSD}, optionally boxed by y <= y_cap; `_lmi_form` builds
@@ -51,8 +49,8 @@ answers each edge target from the box corner when S(y) is positive
 definite there, else from one stacked dual path for all the targets of an
 instance, whose points are accepted on checked evidence (a PSD primal
 point feasible for the target's relaxation, which bounds the optimum by
-weak duality), else from `solve`'s first tier; the boxed engine batch takes
-what is left (the members that fail once more as a second batch), and so
+weak duality), else from `solve`'s first tier; boxed engine runs, one per
+target (a second for a target whose run fails), take what is left, and so
 does the positive-definiteness check, min sum_p y_p s.t.
 sum_p y_p Qp >= I.
 """
@@ -171,20 +169,23 @@ def _pack(w: np.ndarray, l: int, d: int) -> np.ndarray:
     return np.concatenate([w[:l], svec(w[l:].reshape(d, d))])
 
 
-def _mv(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x_i @ M (or x_i @ M_i) for each row x_i, one product per row, so the
-    arithmetic of a row does not depend on the rows batched with it."""
-    return (x[:, None, :] @ M)[:, 0]
+# At tight tolerances the engine's iterates sit on their rounding floor,
+# where an Optimal or NumericalLimit ending follows the last bit of each
+# product.  So the engine rounds by fixed kernels: a vector times a matrix
+# as a one-row matrix product (`_vm`), dots and norms by add.reduce, not by
+# the BLAS dot of np.dot and np.linalg.norm (`_dot`, `_norm`), and scalar
+# powers by the ufunc loop, which can be vectorized.
+
+def _vm(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    return (x[None] @ M)[0]
 
 
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products; a 1-D y is dotted with every row of x."""
-    return np.add.reduce(x * y, axis=-1)
+def _dot(x: np.ndarray, y: np.ndarray):
+    return np.add.reduce(x * y)
 
 
-def _diag(x: np.ndarray) -> np.ndarray:
-    """Stack of diagonal matrices from the rows of x."""
-    return x[:, :, None] * np.eye(x.shape[-1])
+def _norm(x: np.ndarray):
+    return np.sqrt(_dot(x, x))
 
 
 def _ratio(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -216,7 +217,7 @@ def _stacked(fn, S: np.ndarray):
 
 
 class _NTScaling:
-    """Nesterov-Todd scaling of a stack of iterates (u, z) of K = R+^l x PSD(d).
+    """Nesterov-Todd scaling of an iterate (u, z) of K = R+^l x PSD(d).
 
     This is the one factorization of the PSD iterates per interior-point
     iteration.  With X = Lx Lx^T and Lx^T Z Lx = U diag(s) U^T, the matrix
@@ -229,9 +230,8 @@ class _NTScaling:
     `scale` and `max_step` for a general direction (du, dz), `affine` for
     the predictor, whose dual half follows from du by the scaled
     complementarity identity.
-    Members whose iterate has no scaling (X or Z off the cone interior, or
-    u/z out of floating-point range) are flagged in `bad` and carry the
-    identity scaling, so that the rest of the stack goes on.
+    An iterate with no scaling (X or Z off the cone interior, or u/z out of
+    floating-point range) raises np.linalg.LinAlgError.
     """
 
     def __init__(self, u: np.ndarray, z: np.ndarray, l: int, d: int):
@@ -240,30 +240,19 @@ class _NTScaling:
         zl, Z = _split(z, l, d)
         self.dl = np.sqrt(ul / zl)
         self.laml = np.sqrt(ul * zl)
-        Lx, bad = _stacked(np.linalg.cholesky, X)
-        (s_eig, U), failed = _stacked(np.linalg.eigh, _T(Lx) @ Z @ Lx)
-        bad |= failed | (s_eig[:, 0] <= 0) | ~np.isfinite(self.dl + self.laml).all(axis=1)
-        s_eig[bad] = 1.0
-        G = Lx @ U * s_eig[:, None, :] ** -0.25
-        Gi, failed = _stacked(np.linalg.inv, G)
-        bad |= failed
-        if bad.any():
-            G[bad] = Gi[bad] = np.eye(d)
-            self.dl[bad] = self.laml[bad] = 1.0
-        self.bad = bad
+        Lx = np.linalg.cholesky(X)
+        s_eig, U = np.linalg.eigh(Lx.T @ Z @ Lx)
+        if s_eig[0] <= 0 or not np.isfinite(self.dl + self.laml).all():
+            raise np.linalg.LinAlgError("no Nesterov-Todd scaling")
+        self.G = Lx @ U * s_eig ** -0.25
+        self.Gi = np.linalg.inv(self.G)
         self.lams = np.sqrt(s_eig)
-        self.G, self.Gi = G, Gi
-        self.W = G @ _T(G)
+        self.W = self.G @ self.G.T
 
     def apply_w2(self, wl: np.ndarray, Ws: np.ndarray) -> np.ndarray:
-        """u-space congruence (d^2 * wl, W Ws W) of each member, flattened.
-
-        Ws is one matrix, a stack aligned with the members, or (1, k, d, d)
-        for k rows shared by every member (output (B, k, l + d*d)); wl is
-        the matching orthant part."""
-        ext = (slice(None),) + (None,) * (Ws.ndim - 3)
-        W = self.W[ext]
-        return _flat_product(self.dl[ext] ** 2 * wl, W @ Ws, W)
+        """u-space congruence (d^2 * wl, W Ws W), flattened; Ws is one
+        matrix or a stack (k, d, d) of rows, wl the matching orthant part."""
+        return _flat_product(self.dl ** 2 * wl, self.W @ Ws, self.W)
 
     def scale(self, du: np.ndarray, dz: np.ndarray) -> tuple:
         """Scaled images of a direction: du / d, d * dz, G^-1 dX G^-T, G^T dZ G."""
@@ -272,13 +261,13 @@ class _NTScaling:
         return (
             dul / self.dl,
             self.dl * dzl,
-            self.Gi @ dX @ _T(self.Gi),
-            _T(self.G) @ dZ @ self.G,
+            self.Gi @ dX @ self.Gi.T,
+            self.G.T @ dZ @ self.G,
         )
 
-    def max_step(self, scaled: tuple) -> np.ndarray:
-        """Largest alpha per member keeping (u, z) + alpha * (du, dz) in the
-        cone interior.
+    def max_step(self, scaled: tuple) -> float:
+        """Largest alpha keeping (u, z) + alpha * (du, dz) in the cone
+        interior.
 
         In the scaled space the iterate is lam on the orthant and Lambda on
         the PSD block, so Lambda + alpha * D stays PSD up to
@@ -287,11 +276,11 @@ class _NTScaling:
         qu, qz, dUh, dZh = scaled
         r = self.lams ** -0.5
         S = np.empty((2,) + dUh.shape)
-        np.multiply(dUh, r[:, :, None], out=S[0])
-        np.multiply(dZh, r[:, :, None], out=S[1])
-        S *= r[:, None, :]
-        lam, _ = _stacked(np.linalg.eigvalsh, S.reshape(-1, self.d, self.d))
-        return self._bound(qu, qz, *lam[:, 0].reshape(2, -1))
+        np.multiply(dUh, r[:, None], out=S[0])
+        np.multiply(dZh, r[:, None], out=S[1])
+        S *= r[None, :]
+        lam, _ = _stacked(np.linalg.eigvalsh, S)
+        return self._bound(qu, qz, *lam[:, 0])
 
     def affine(self, du: np.ndarray) -> tuple:
         """Scaled pair, largest step and du.dz of an affine-scaling direction,
@@ -303,28 +292,26 @@ class _NTScaling:
         is qz = -lam - qu, dZ^ = -Lambda - dU^, and with
         T = Lambda^-1/2 dU^ Lambda^-1/2 the PSD step bounds are
         -1 / lambda_min(T) (primal) and 1 / (1 + lambda_max(T)) (dual):
-        one eigvalsh per member gives both.  In the same space
+        one eigvalsh gives both.  In the same space
         du.dz = qu.qz + <dU^, dZ^>.
         """
         dul, dX = _split(du, self.l, self.d)
         qu = dul / self.dl
         qz = -self.laml - qu
-        dUh = self.Gi @ dX @ _T(self.Gi)
-        dZh = -_diag(self.lams) - dUh
+        dUh = self.Gi @ dX @ self.Gi.T
+        dZh = -(self.lams[:, None] * np.eye(self.d)) - dUh
         r = self.lams ** -0.5
-        lam, _ = _stacked(np.linalg.eigvalsh, dUh * r[:, :, None] * r[:, None, :])
-        step = self._bound(qu, qz, lam[:, 0], -1.0 - lam[:, -1])
-        B = len(du)
-        dudz = _rowdot(qu, qz) + _rowdot(dUh.reshape(B, -1), dZh.reshape(B, -1))
-        return (qu, qz, dUh, dZh), step, dudz
+        (lam,), _ = _stacked(np.linalg.eigvalsh, (dUh * r[:, None] * r[None, :])[None])
+        step = self._bound(qu, qz, lam[0], -1.0 - lam[-1])
+        return (qu, qz, dUh, dZh), step, _dot(qu, qz) + _dot(dUh.ravel(), dZh.ravel())
 
-    def _bound(self, qu, qz, tu, tz) -> np.ndarray:
-        """Largest alpha per member with lam + alpha * q >= 0 for q = qu, qz
-        and 1 + alpha * t >= 0 for t = tu, tz, the smallest eigenvalues of
-        the two PSD directions with Lambda^-1/2 taken off both sides."""
-        w = np.concatenate([self.laml, self.laml, np.ones((len(tu), 2))], axis=1)
-        dw = np.concatenate([qu, qz, tu[:, None], tz[:, None]], axis=1)
-        return _ratio(w, dw).min(axis=1)
+    def _bound(self, qu, qz, tu, tz) -> float:
+        """Largest alpha with lam + alpha * q >= 0 for q = qu, qz and
+        1 + alpha * t >= 0 for t = tu, tz, the smallest eigenvalues of the
+        two PSD directions with Lambda^-1/2 taken off both sides."""
+        w = np.concatenate([self.laml, self.laml, np.ones(2)])
+        dw = np.concatenate([qu, qz, [tu, tz]])
+        return _ratio(w, dw).min()
 
     def unscale_comp(self, rl: np.ndarray, Rs: np.ndarray) -> np.ndarray:
         """Map a scaled-space complementarity residual to a u-space direction.
@@ -332,10 +319,11 @@ class _NTScaling:
         Solves lam o q = r for q in scaled space, then pulls back through the
         scaling (orthant: d * q; PSD: G q G^T).
         """
-        denom = 0.5 * (self.lams[:, :, None] + self.lams[:, None, :])
-        return _flat_product(self.dl * (rl / self.laml), self.G @ (Rs / denom), _T(self.G))
+        denom = 0.5 * (self.lams[:, None] + self.lams[None, :])
+        return _flat_product(self.dl * (rl / self.laml), self.G @ (Rs / denom), self.G.T)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve_standard_form(
     c: np.ndarray,
     A: np.ndarray,
@@ -349,125 +337,86 @@ def solve_standard_form(
     """Homogeneous self-dual interior-point solve of the (P)/(D) pair.
 
     Stops at the first tau-scaled iterate that meets the feasibility and
-    gap targets.  The cone needs its PSD block: d >= 1.
-    """
-    b = np.asarray(b, dtype=float)
-    return _solve_batch(c, A, b[None], l, d, feas_tol, gap_tol, max_iter)[0]
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _solve_batch(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    l: int,
-    d: int,
-    feas_tol: float = DEFAULT_TOL,
-    gap_tol: float = DEFAULT_TOL,
-    max_iter: int = 100,
-) -> list[ConicSolution]:
-    """`solve_standard_form` for the problems (c, A, b[i]), run as one batch.
-
-    The problems share c, A and the cone and differ only in the rows of b.
-    Each carries its own iterate, step lengths, sigma and stopping tests,
-    and leaves the batch when it stops; each row's arithmetic is the same
-    as in a lone solve.  A non-finite or unfactorable iterate ends its own
-    problem with NUMERICAL_LIMIT and a message.  Inside the loop the PSD
-    block of every cone vector is a d x d matrix, so inner products are
-    plain dot products; u and z are packed once, on return.
+    gap targets.  A non-finite or unfactorable iterate ends the run with
+    NUMERICAL_LIMIT and a message.  Inside the loop the PSD block of every
+    cone vector is a d x d matrix, so inner products are plain dot
+    products; u and z are packed once, on return.  The cone needs its PSD
+    block: d >= 1.
     """
     if d < 1:
         raise ValueError("the cone needs a PSD block: d must be >= 1")
-    nb, m = b.shape
+    b = np.asarray(b, dtype=float)
+    m = len(b)
     nu = l + d  # barrier parameter
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float).reshape(m, l + d * (d + 1) // 2)
     c = _flat(c[:l], smat(c[l:], d))
     A = _flat(A[:, :l], smat(A[:, l:], d))
     c_norm = np.linalg.norm(c)
-    b_den = 1.0 + np.linalg.norm(b, axis=1)
+    b_den = 1.0 + _norm(b)
 
     e = _flat(np.ones(l), np.eye(d))  # the identity of the cone
-    u, v, z = np.tile(e, (nb, 1)), np.zeros((nb, m)), np.tile(e, (nb, 1))
-    tau, kappa = np.ones(nb), np.ones(nb)
-    idx = np.arange(nb)  # the problem that each row of the batch solves
-    done = np.zeros(nb, dtype=bool)
-    out: list[ConicSolution] = [None] * nb
+    u, v, z = e, np.zeros(m), e
+    tau = kappa = 1.0
 
-    def finish(stop, status, message, u_by=None, vz_by=None):
-        """End the running members in `stop` at this iteration's starting
-        iterate, scaled by tau (or by u_by, vz_by for a certificate)."""
-        if not stop.any():
-            return
-        for i in np.flatnonzero(stop & ~done):
-            su = tau[i] if u_by is None else u_by[i]
-            svz = tau[i] if vz_by is None else vz_by[i]
-            out[idx[i]] = ConicSolution(
-                status, _pack(u[i] / su, l, d), v[i] / svz, _pack(z[i] / svz, l, d),
-                float(pobj[i]), float(dobj[i]), float(pres[i]), float(dres[i]),
-                float(relgap[i]), it, message,
-            )
-            done[i] = True
+    def end(status, message="", su=None, svz=None):
+        """The run's result at this iteration's starting iterate, scaled by
+        tau (or by su, svz for a certificate)."""
+        su = tau if su is None else su
+        svz = tau if svz is None else svz
+        return ConicSolution(
+            status, _pack(u / su, l, d), v / svz, _pack(z / svz, l, d), float(pobj),
+            float(dobj), float(pres), float(dres), float(relgap), it, message,
+        )
 
     for it in range(1, max_iter + 1):
-        Au = _mv(u, A.T)
-        cu, bv = _rowdot(u, c), _rowdot(b, v)
-        hx = _mv(v, A) + z - tau[:, None] * c
-        hy = Au - tau[:, None] * b
+        Au = _vm(u, A.T)
+        cu, bv = _dot(u, c), _dot(b, v)
+        hx = _vm(v, A) + z - tau * c
+        hy = Au - tau * b
         htau = -cu + bv - kappa
-        mu = (_rowdot(u, z) + tau * kappa) / (nu + 1)
+        mu = (_dot(u, z) + tau * kappa) / (nu + 1)
 
         # convergence checks on the tau-scaled iterate
         pobj, dobj = cu / tau, bv / tau
-        pres = np.sqrt(_rowdot(hy, hy)) / tau / b_den
-        dres = np.sqrt(_rowdot(hx, hx)) / tau / (1.0 + c_norm)
+        pres = np.sqrt(_dot(hy, hy)) / tau / b_den
+        dres = np.sqrt(_dot(hx, hx)) / tau / (1.0 + c_norm)
         relgap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
-        finish((pres <= feas_tol) & (dres <= feas_tol) & (relgap <= gap_tol),
-               SolverStatus.OPTIMAL, "")
+        if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
+            return end(SolverStatus.OPTIMAL)
 
         # infeasibility certificates from the homogeneous model
-        tiny_tau = tau <= 1e-6 * np.maximum(1.0, kappa)
-        if tiny_tau.any():
-            certres = np.linalg.norm(hx + tau[:, None] * c, axis=1) / bv  # |A^T v + z| / b.v
-            finish(tiny_tau & (bv > 0) & (certres <= feas_tol), SolverStatus.PRIMAL_INFEASIBLE,
-                   "Farkas certificate: A^T v + z = 0, z in K, b.v = 1", vz_by=bv)
-            finish(tiny_tau & (cu < 0) & (np.linalg.norm(Au, axis=1) / -cu <= feas_tol),
-                   SolverStatus.DUAL_INFEASIBLE,
-                   "improving ray: A u = 0, u in K, c.u = -1", u_by=-cu)
-        finish(~np.isfinite(mu + pres + dres), SolverStatus.NUMERICAL_LIMIT,
-               "non-finite iterate")
-        if done.any():
-            keep = ~done
-            (u, z, v, b, b_den, tau, kappa, idx, done, pobj, dobj, pres, dres, relgap,
-             hx, hy, htau, mu) = (
-                a[keep] for a in (u, z, v, b, b_den, tau, kappa, idx, done, pobj, dobj,
-                                  pres, dres, relgap, hx, hy, htau, mu)
-            )
-        if not len(idx):
-            break
+        if tau <= 1e-6 * np.maximum(1.0, kappa):
+            if bv > 0 and _norm(hx + tau * c) / bv <= feas_tol:  # |A^T v + z| / b.v
+                return end(SolverStatus.PRIMAL_INFEASIBLE,
+                           "Farkas certificate: A^T v + z = 0, z in K, b.v = 1", svz=bv)
+            if cu < 0 and _norm(Au) / -cu <= feas_tol:
+                return end(SolverStatus.DUAL_INFEASIBLE,
+                           "improving ray: A u = 0, u in K, c.u = -1", su=-cu)
+        if not np.isfinite(mu + pres + dres):
+            return end(SolverStatus.NUMERICAL_LIMIT, "non-finite iterate")
 
-        nt = _NTScaling(u, z, l, d)
-        finish(nt.bad, SolverStatus.NUMERICAL_LIMIT, "scaling breakdown (lost cone interior)")
-        singular, alpha, stepped = _mehrotra_step(
-            nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu
-        )
-        finish(singular, SolverStatus.NUMERICAL_LIMIT, "singular Schur complement")
-        finish(alpha <= 1e-10, SolverStatus.NUMERICAL_LIMIT,
-               "step size collapsed before reaching tolerances")
+        try:
+            nt = _NTScaling(u, z, l, d)
+        except np.linalg.LinAlgError:
+            return end(SolverStatus.NUMERICAL_LIMIT, "scaling breakdown (lost cone interior)")
+        try:
+            alpha, stepped = _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu)
+        except np.linalg.LinAlgError:
+            return end(SolverStatus.NUMERICAL_LIMIT, "singular Schur complement")
+        if alpha <= 1e-10:
+            return end(SolverStatus.NUMERICAL_LIMIT,
+                       "step size collapsed before reaching tolerances")
         if it == max_iter:
-            finish(~done, SolverStatus.NUMERICAL_LIMIT,
-                   f"no convergence within {max_iter} iterations")
-            break
+            return end(SolverStatus.NUMERICAL_LIMIT,
+                       f"no convergence within {max_iter} iterations")
         u, v, z, tau, kappa = stepped
-    return out
 
 
 def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
-    """One Mehrotra predictor-corrector step of each member of a batch.
-
-    Returns the members whose Schur complement is singular (their step is
-    meaningless), the step lengths alpha, and the stepped iterate (u, v, z,
-    tau, kappa).
+    """One Mehrotra predictor-corrector step: the step length alpha and the
+    stepped iterate (u, v, z, tau, kappa).  Raises np.linalg.LinAlgError
+    when the Schur complement is singular.
 
     A Newton solve has du = H + F(rc hx + A^T dv - dtau c) and
     dz = -rc hx - A^T dv + dtau c, so du + F(dz) = H, the complementarity
@@ -478,7 +427,7 @@ def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
     stacked with the tau column's; the corrector's is the second solve of
     M, and the corrector forms (dv, dz) for its step.  Directions and
     temporaries die here, and the predictor's as soon as the corrector has
-    its terms: at a few dozen members the live (B, l + d*d) arrays, not the
+    its terms: on a large PSD block the live (l + d*d) vectors, not the
     flops, set the solver's peak memory.
     """
     l, d = nt.l, nt.d
@@ -487,94 +436,80 @@ def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
     cl, Cs = _split(c, l, d)
     Al, As = _split(A, l, d)
 
-    FA = nt.apply_w2(Al[None], As[None])  # rows F(A_p) of each member
+    FA = nt.apply_w2(Al, As)  # the rows F(A_p)
     M = FA @ A.T
-    M = 0.5 * (M + _T(M))
-    M += (1e-14 / max(m, 1) * np.trace(M, axis1=1, axis2=2))[:, None, None] * np.eye(m)
-    _, singular = _stacked(np.linalg.cholesky, M)
-    if singular.any():
-        M[singular] = np.eye(m)
+    M = 0.5 * (M + M.T)
+    M += 1e-14 / max(m, 1) * np.trace(M) * np.eye(m)
+    np.linalg.cholesky(M)  # raises when M is singular
 
     # F(c) and F(hx) do not depend on the Newton right-hand side
     Fc = nt.apply_w2(cl, Cs)
     Fhx = nt.apply_w2(*_split(hx, l, d))
-    AFhx = _mv(Fhx, A.T)
+    AFhx = _vm(Fhx, A.T)
 
     def schur_rhs(rs, du):
         """Schur right-hand side of a Newton solve whose du holds the
         complementarity term H; rs scales the linear residuals."""
-        rc = rs[:, None]
-        return -rc * hy - _mv(du, A.T) - rc * AFhx
+        return -rs * hy - _vm(du, A.T) - rs * AFhx
 
     def complete(rs, du, v1, dctau):
         """Grow du in place from H into the Newton direction of the Schur
         solution v1; returns (dtau, dkappa)."""
-        du += rs[:, None] * Fhx
-        du += _mv(v1, FA)
-        num = -rs * htau + _rowdot(du, c) - _rowdot(b, v1) + dctau / tau
+        du += rs * Fhx
+        du += _vm(v1, FA)
+        num = -rs * htau + _dot(du, c) - _dot(b, v1) + dctau / tau
         dtau = num / den
-        du += dtau[:, None] * K2
+        du += dtau * K2
         # the congruences round asymmetrically; X must stay symmetric,
         # since its factorizations read one triangle only
         dX = _split(du, l, d)[1]
-        dX[...] = 0.5 * (dX + _T(dX))
+        dX[...] = 0.5 * (dX + dX.T)
         return dtau, (dctau - kappa * dtau) / tau
-
-    tk = np.stack([tau, kappa], axis=1)
 
     def tk_bound(dtau, dkappa):
         """Largest step keeping (tau, kappa) positive."""
-        return _ratio(tk, np.stack([dtau, dkappa], 1)).min(1)
+        return _ratio(np.array([tau, kappa]), np.array([dtau, dkappa])).min()
 
     # predictor (affine scaling) direction: its u-space half only, solved
     # together with the tau column
-    ones = np.ones_like(tau)
-    du_a = nt.unscale_comp(-nt.laml ** 2, -_diag(nt.lams ** 2))
-    v2, v1 = _solve(M, _mv(Fc, A.T) + b, schur_rhs(ones, du_a))
-    K2 = _mv(v2, FA) - Fc
-    den = -_rowdot(K2, c) + _rowdot(b, v2) + kappa / tau
+    du_a = nt.unscale_comp(-nt.laml ** 2, -((nt.lams ** 2)[:, None] * np.eye(d)))
+    v2, v1 = np.linalg.solve(M, np.stack([_vm(Fc, A.T) + b, schur_rhs(1.0, du_a)], axis=1)).T
+    K2 = _vm(v2, FA) - Fc
+    den = -_dot(K2, c) + _dot(b, v2) + kappa / tau
     del Fc
-    dtau_a, dkap_a = complete(ones, du_a, v1, -tau * kappa)
+    dtau_a, dkap_a = complete(1.0, du_a, v1, -tau * kappa)
     sc_a, step_a, dudz = nt.affine(du_a)
     del du_a
     aa = np.minimum(1.0, np.minimum(step_a, tk_bound(dtau_a, dkap_a)))  # predictor step length
     # (u + a du).(z + a dz) = uz (1 - a) + a^2 du.dz, since u.dz + du.z = -u.z
-    uz = _rowdot(u, z)
+    uz = _dot(u, z)
     tk_aff = (tau + aa * dtau_a) * (kappa + aa * dkap_a)
     mu_aff = (uz * (1.0 - aa) + aa * aa * dudz + tk_aff) / (nu + 1)
-    sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 0.0, 1.0)
+    # np.power: a float64's ** calls C's pow, which can round otherwise
+    sigma = np.clip(np.power(np.maximum(mu_aff, 0.0) / mu, 3), 0.0, 1.0)
 
     # Mehrotra corrector from the predictor's scaled pair
     qu_a, qz_a, dUh, dZh = sc_a
     smu = sigma * mu
-    dcl = smu[:, None] - nt.laml ** 2 - qu_a * qz_a
-    dcs = _diag(smu[:, None] - nt.lams ** 2) - 0.5 * (dUh @ dZh + dZh @ dUh)
+    dcl = smu - nt.laml ** 2 - qu_a * qz_a
+    dcs = (smu - nt.lams ** 2)[:, None] * np.eye(d) - 0.5 * (dUh @ dZh + dZh @ dUh)
     dctau = smu - tau * kappa - dtau_a * dkap_a
     del sc_a, dUh, dZh
 
     rs = 1.0 - sigma
     du = nt.unscale_comp(dcl, dcs)
-    (v1,) = _solve(M, schur_rhs(rs, du))
+    v1 = np.linalg.solve(M, schur_rhs(rs, du)[:, None])[:, 0]
     dtau, dkappa = complete(rs, du, v1, dctau)
     del dcs, FA, K2, Fhx
-    dv = v1 + dtau[:, None] * v2
-    dz = -rs[:, None] * hx
-    dz -= _mv(dv, A)
-    dz += dtau[:, None] * c
+    dv = v1 + dtau * v2
+    dz = -rs * hx
+    dz -= _vm(dv, A)
+    dz += dtau * c
 
     step = np.minimum(nt.max_step(nt.scale(du, dz)), tk_bound(dtau, dkappa))
     alpha = np.minimum(1.0, 0.99 * step)
-    a = alpha[:, None]
-    return singular, alpha, (
-        u + a * du, v + a * dv, z + a * dz, tau + alpha * dtau, kappa + alpha * dkappa
-    )
-
-
-def _solve(M: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
-    """Solutions x of M x = r, one (B, m) row of the result for each
-    right-hand side r (B, m), from one stacked solve: each M is factored
-    once."""
-    return np.linalg.solve(M, np.stack(rhs, axis=2)).transpose(2, 0, 1)
+    return alpha, (u + alpha * du, v + alpha * dv, z + alpha * dz, tau + alpha * dtau,
+                   kappa + alpha * dkappa)
 
 
 # ---------------------------------------------------------------------------
@@ -1251,8 +1186,8 @@ def optimize_linear_functionals_over_dual_cone(
        -c.y must lie within 2 tol (1 + |c.y|) of that bound.
     3. `solve`'s first tier on the target's relaxation (`_polished_path`)
        for a target the path did not finish or whose evidence failed.
-    4. The boxed engine batch (`_engine_targets`) for the rest, and for a
-       point of the path outside the box.
+    4. Boxed engine runs (`_engine_targets`) for the rest, and for a point
+       of the path outside the box.
 
     A failed engine solve raises, as `_maximize_over_lmi` does, for the
     first failing target in the given order among those that reach it:
@@ -1325,23 +1260,18 @@ def _engine_targets(
     y_cap: float = 1e6,
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[float, bool, np.ndarray]]:
-    """The engine tier of `optimize_linear_functionals_over_dual_cone`:
-    every target as one batched engine run (two if a member fails); see
-    `_maximize_over_lmi`.  The problems share F0 = Q0 and Fp = Qp; only
-    b = -f (minimum) or b = +f (maximum), f_p = (Qp)_{k,ell}, differs.
-    attained means max y < 0.999 y_cap."""
-    m = inst.m
-    Qs = inst.constraint_matrices
-    b = np.array([[Q[k, ell] if maximize else -Q[k, ell] for Q in Qs]
-                  for k, ell, maximize in targets]).reshape(len(targets), m)
+    """The engine tier of `optimize_linear_functionals_over_dual_cone`: one
+    engine run per target (two if the first fails); see `_maximize_over_lmi`.
+    The problems share F0 = Q0 and Fp = Qp; only b = -f (minimum) or b = +f
+    (maximum), f_p = (Qp)_{k,ell}, differs.  attained means
+    max y < 0.999 y_cap."""
+    Q0, Qs = inst.objective, inst.constraint_matrices
     out = []
-    for (k, ell, maximize), (by, y) in zip(
-        targets, _maximize_over_lmi(inst.objective, Qs, b, y_cap, tol, "edge-system", "S(y)")
-    ):
-        f0 = inst.objective[k, ell]
-        value = f0 + by if maximize else f0 - by
-        attained = bool(np.max(y, initial=0.0) < 0.999 * y_cap)
-        out.append((float(value), attained, y))
+    for k, ell, maximize in targets:
+        b = np.array([Q[k, ell] if maximize else -Q[k, ell] for Q in Qs])
+        by, y = _maximize_over_lmi(Q0, Qs, b, y_cap, tol, "edge-system", "S(y)")
+        value = Q0[k, ell] + by if maximize else Q0[k, ell] - by
+        out.append((float(value), bool(np.max(y, initial=0.0) < 0.999 * y_cap), y))
     return out
 
 
@@ -1358,16 +1288,15 @@ def max_min_eigen_combination(
     lies inside the box.  Raises DualSideEmpty when no y in the box makes
     sum_p y_p Qp >= I, which implies t_star <= 1/y_cap.
     """
-    b = -np.ones((1, inst.m))
-    ((_, y),) = _maximize_over_lmi(-np.eye(inst.n), inst.constraint_matrices, b, y_cap,
-                                   tol, "eigen-combination", "sum_p y_p Qp - I")
+    _, y = _maximize_over_lmi(-np.eye(inst.n), inst.constraint_matrices, -np.ones(inst.m),
+                              y_cap, tol, "eigen-combination", "sum_p y_p Qp - I")
     y = np.clip(y, 0.0, None)
     return float(1.0 / np.sum(y)), y
 
 
-def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> list[tuple[float, np.ndarray]]:
-    """(b_i.y*, y*) of max b_i.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD}
-    for each row b_i of b, as one batched engine run (two if a member fails).
+def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> tuple[float, np.ndarray]:
+    """(b.y*, y*) of max b.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD},
+    from one engine run (two if the first fails).
 
     As in every SDP here, y is the engine's dual variable v (`_lmi_form`),
     with the slacks y, the box slack and F0 + sum_p y_p Fp.  The box
@@ -1375,32 +1304,23 @@ def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> list[tuple[float, np
     y_cap - y would cost y_cap, which pins the embedding's tau near
     1/y_cap, and the tau-scaled iterate then loses digits.  No single price
     suits every problem, though: on a flat optimal face unit pricing can
-    stall.  So the members that end neither Optimal nor DualInfeasible (the
-    same set of y at either price) get one recovery run, as one batch, with
-    the slack y_cap - y; a member fails only if both runs fail, with the
-    status and message of the second.  Raises, for the first failing row,
-    DualSideEmpty when the set of y is empty and RuntimeError (naming
-    `what`) for any other failure; `lmi` names F0 + sum_p y_p Fp in the
-    DualSideEmpty message.
+    stall.  So a run that ends neither Optimal nor DualInfeasible (the same
+    set of y at either price) is followed by one recovery run with the
+    slack y_cap - y, whose status and message decide.  Raises DualSideEmpty
+    when the set of y is empty and RuntimeError (naming `what`) for any
+    other failure; `lmi` names F0 + sum_p y_p Fp in the DualSideEmpty
+    message.
     """
     check_positive_finite(y_cap, "y_cap")
     n, m = F0.shape[0], len(Fs)
-
-    def run(price: float, rows: list[int]) -> list[ConicSolution]:
+    for price in (1.0, y_cap):
         c, A = _lmi_form(F0, Fs, price, y_cap)
-        return _solve_batch(c, A, b[rows], l=2 * m, d=n, feas_tol=tol, gap_tol=tol,
-                            max_iter=200)
-
-    sols = run(1.0, list(range(len(b))))
-    final = (SolverStatus.OPTIMAL, SolverStatus.DUAL_INFEASIBLE)
-    failed = [i for i, res in enumerate(sols) if res.status not in final]
-    if failed:
-        for i, res in zip(failed, run(y_cap, failed)):
-            sols[i] = res
-
-    for res in sols:
-        if res.status is SolverStatus.DUAL_INFEASIBLE:
-            raise DualSideEmpty(f"no y >= 0 with {lmi} PSD")
-        if res.status is not SolverStatus.OPTIMAL:
-            raise RuntimeError(f"{what} solve failed ({res.status.value}): {res.message}")
-    return [(res.dobj, res.v) for res in sols]
+        res = solve_standard_form(c, A, b, l=2 * m, d=n, feas_tol=tol, gap_tol=tol,
+                                  max_iter=200)
+        if res.status in (SolverStatus.OPTIMAL, SolverStatus.DUAL_INFEASIBLE):
+            break
+    if res.status is SolverStatus.DUAL_INFEASIBLE:
+        raise DualSideEmpty(f"no y >= 0 with {lmi} PSD")
+    if res.status is not SolverStatus.OPTIMAL:
+        raise RuntimeError(f"{what} solve failed ({res.status.value}): {res.message}")
+    return res.dobj, res.v

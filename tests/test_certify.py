@@ -334,7 +334,7 @@ def test_sign_corollaries_solve_no_sdp(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("an SDP was solved")
 
-    monkeypatch.setattr(sdp_module, "_solve_batch", no_solve)
+    monkeypatch.setattr(sdp_module, "solve_standard_form", no_solve)
     for inst in (_triangle_instance((-1.0, -2.0, -0.5)), _nonnegative_cycle4()):
         assert certify(inst).verdict is Verdict.CERTIFIED_EXACT
 
@@ -642,7 +642,7 @@ def test_solver_tol_out_of_range_rejected(monkeypatch, cycle4, solver_tol):
     def no_solve(*args, **kwargs):
         raise AssertionError("an SDP was solved")
 
-    monkeypatch.setattr(sdp_module, "_solve_batch", no_solve)
+    monkeypatch.setattr(sdp_module, "solve_standard_form", no_solve)
     for rule in (certify, certify_bipartite, certify_forest):
         with pytest.raises(ValueError, match="solver_tol must lie in"):
             rule(cycle4, solver_tol=solver_tol)

@@ -133,7 +133,7 @@ def test_rank_tol_out_of_range_rejected(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("an SDP was solved")
 
-    monkeypatch.setattr(importlib.import_module("biparsdp.sdp"), "_solve_batch", no_solve)
+    monkeypatch.setattr(importlib.import_module("biparsdp.sdp"), "solve_standard_form", no_solve)
     for rank_tol in (2.0, 1.0, 0.0, -1e-6, float("nan")):
         for call in (
             lambda: certify(tri, rank_tol=rank_tol),

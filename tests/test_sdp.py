@@ -27,7 +27,6 @@ from biparsdp.sdp import (
     _kkt_residuals,
     _NTScaling,
     _pack,
-    _solve_batch,
     _stacked,
     dual_slack,
     optimize_linear_functionals_over_dual_cone,
@@ -104,22 +103,21 @@ def _unpacked(w, l, d):
     return _flat(w[..., :l], smat(w[..., l:], d))
 
 
-def _stack(points, l, d):
-    """(u, z, du, dz) stacks of the engine's layout from packed points."""
-    return [_unpacked(np.array([p[k] for p in points]), l, d) for k in range(4)]
+def _points(point, rng, l, d):
+    """Ten packed points drawn by point(rng, l, d), each with its scaling
+    (which must exist) and its cone vectors in the engine's layout."""
+    for packed in [point(rng, l, d) for _ in range(10)]:
+        u, z, du, dz = (_unpacked(w, l, d) for w in packed)
+        yield packed, _NTScaling(u, z, l, d), du, dz
 
 
 def test_scaled_step_matches_cholesky_step():
     """The step length read off in the NT-scaled space equals the one from
-    separate Cholesky factors of X and Z, for every member of a stack."""
+    separate Cholesky factors of X and Z, at every point."""
     rng = np.random.default_rng(3)
     for l, d in [(0, 1), (2, 3), (3, 6), (1, 10)]:
-        points = [_interior_point(rng, l, d) for _ in range(10)]
-        u, z, du, dz = _stack(points, l, d)
-        nt = _NTScaling(u, z, l, d)
-        assert not nt.bad.any()
-        got = nt.max_step(nt.scale(du, dz))
-        for g, (ui, zi, dui, dzi) in zip(got, points):
+        for (ui, zi, dui, dzi), nt, du, dz in _points(_interior_point, rng, l, d):
+            g = nt.max_step(nt.scale(du, dz))
             ref = min(_cholesky_step(ui, dui, l, d), _cholesky_step(zi, dzi, l, d))
             assert g == ref if np.isinf(ref) else abs(g - ref) <= 1e-10 * ref
 
@@ -178,22 +176,22 @@ def _dense_affine_direction(p):
     nt = p["nt"]
     l, d = nt.l, nt.d
     N, m = l + d * (d + 1) // 2, len(p["A"])
-    c, hx, u = (_pack(w, l, d) for w in (p["c"], p["hx"][0], p["u"][0]))
+    c, hx, u = (_pack(w, l, d) for w in (p["c"], p["hx"], p["u"]))
     A = np.array([_pack(row, l, d) for row in p["A"]])
-    b, tau, kappa = p["b"][0], p["tau"][0], p["kappa"][0]
-    W = nt.W[0]
-    F = np.array([np.concatenate([nt.dl[0] ** 2 * e[:l], svec(W @ smat(e[l:], d) @ W)])
+    b, tau, kappa = p["b"], p["tau"], p["kappa"]
+    W = nt.W
+    F = np.array([np.concatenate([nt.dl ** 2 * e[:l], svec(W @ smat(e[l:], d) @ W)])
                   for e in np.eye(N)]).T
     du, dv, dz, t, k = np.cumsum([0, N, m, N, 1])
     K = np.zeros((2 * N + m + 2,) * 2)
     r = np.zeros(len(K))
     K[:m, du:dv], K[:m, t] = A, -b
-    r[:m] = -p["hy"][0]
+    r[:m] = -p["hy"]
     rows = slice(m, m + N)
     K[rows, dv:dz], K[rows, dz:t], K[rows, t] = A.T, np.eye(N), -c
     r[rows] = -hx
     K[m + N, du:dv], K[m + N, dv:dz], K[m + N, k] = -c, b, -1.0
-    r[m + N] = -p["htau"][0]
+    r[m + N] = -p["htau"]
     rows = slice(m + N + 1, m + 2 * N + 1)
     K[rows, du:dv], K[rows, dz:t] = np.eye(N), F
     r[rows] = -u
@@ -216,31 +214,27 @@ def test_affine_dual_half_matches_engine_directions(monkeypatch, cycle4):
         solve_standard_form(c, A, -cycle4.rhs, l=cycle4.m, d=cycle4.n)
 
     for run in (relaxation, lambda: sdp._engine_targets(cycle4, [(0, 1, False)])):
-        checked = [p for p in _engine_predictors(monkeypatch, run) if p["mu"][0] >= 1e-4]
+        checked = [p for p in _engine_predictors(monkeypatch, run) if p["mu"] >= 1e-4]
         assert len(checked) >= 4
         for p in checked:
             nt = p["nt"]
             du, dz = _dense_affine_direction(p)
             assert np.max(np.abs(p["du"] - du)) <= 1e-8 * np.max(np.abs(du))
             (_, qz, _, dZh), _, _ = nt.affine(p["du"])
-            _, qz_ref, _, dZh_ref = nt.scale(du[None], dz[None])
-            lam = np.linalg.norm(np.concatenate([nt.laml[0], nt.lams[0]]))
+            _, qz_ref, _, dZh_ref = nt.scale(du, dz)
+            lam = np.linalg.norm(np.concatenate([nt.laml, nt.lams]))
             assert np.max(np.abs(qz - qz_ref), initial=0.0) <= 1e-10 * lam
             assert np.max(np.abs(dZh - dZh_ref)) <= 1e-10 * lam
 
 
 def test_affine_step_matches_cholesky_step():
     """The predictor's step bound, one eigvalsh of Lambda^-1/2 dU^ Lambda^-1/2
-    per member for both sides, equals the step from separate Cholesky
-    factors of X and Z on directions that solve the affine complementarity."""
+    for both sides, equals the step from separate Cholesky factors of X and
+    Z on directions that solve the affine complementarity."""
     rng = np.random.default_rng(7)
     for l, d in [(0, 1), (2, 3), (3, 6), (1, 10)]:
-        points = [_affine_point(rng, l, d) for _ in range(10)]
-        u, z, du, _ = _stack(points, l, d)
-        nt = _NTScaling(u, z, l, d)
-        assert not nt.bad.any()
-        _, got, _ = nt.affine(du)
-        for g, (ui, zi, dui, dzi) in zip(got, points):
+        for (ui, zi, dui, dzi), nt, du, _ in _points(_affine_point, rng, l, d):
+            _, g, _ = nt.affine(du)
             ref = min(_cholesky_step(ui, dui, l, d), _cholesky_step(zi, dzi, l, d))
             assert g == ref if np.isinf(ref) else abs(g - ref) <= 1e-10 * ref
 
@@ -250,10 +244,8 @@ def test_affine_gap_matches_u_space_polynomial():
     direction, with du.dz = qu.qz + <dU^, dZ^> taken in the scaled space."""
     rng = np.random.default_rng(8)
     for l, d in [(0, 1), (2, 3), (3, 6), (1, 10)]:
-        points = [_affine_point(rng, l, d) for _ in range(10)]
-        u, z, du, _ = _stack(points, l, d)
-        _, _, dudz = _NTScaling(u, z, l, d).affine(du)
-        for g, (ui, zi, dui, dzi) in zip(dudz, points):
+        for (ui, zi, dui, dzi), nt, du, _ in _points(_affine_point, rng, l, d):
+            _, _, g = nt.affine(du)
             size = ui @ zi + np.linalg.norm(dui) * np.linalg.norm(dzi)
             for a in (0.25, 0.5, 1.0, 2.0):
                 ref = (ui + a * dui) @ (zi + a * dzi)
@@ -261,23 +253,23 @@ def test_affine_gap_matches_u_space_polynomial():
 
 
 def test_stacked_schur_matches_per_row_assembly():
-    """One batched W A_p W over the stacked rows gives, for every member,
-    the Schur complement of the row-by-row congruence."""
+    """One W A_p W over A's stacked rows gives, at every point, the Schur
+    complement of the row-by-row congruence."""
     rng = np.random.default_rng(4)
     for l, d, m in [(0, 3, 2), (2, 4, 3), (3, 8, 5)]:
-        u, z, _, _ = _stack([_interior_point(rng, l, d) for _ in range(3)], l, d)
+        points = [_interior_point(rng, l, d) for _ in range(3)]
         A = rng.standard_normal((m, l + d * (d + 1) // 2))
         Af = _unpacked(A, l, d)
-        nt = _NTScaling(u, z, l, d)
-        M = nt.apply_w2(Af[None, :, :l], Af[None, :, l:].reshape(1, m, d, d)) @ Af.T
-        for i in range(len(u)):
-            W = nt.W[i]
+        for u, z, _, _ in points:
+            nt = _NTScaling(_unpacked(u, l, d), _unpacked(z, l, d), l, d)
+            M = nt.apply_w2(Af[:, :l], Af[:, l:].reshape(m, d, d)) @ Af.T
+            W = nt.W
             FA_ref = np.array([
-                np.concatenate([nt.dl[i] ** 2 * row[:l], svec(W @ smat(row[l:], d) @ W)])
+                np.concatenate([nt.dl ** 2 * row[:l], svec(W @ smat(row[l:], d) @ W)])
                 for row in A
             ])
             M_ref = A @ FA_ref.T
-            assert np.max(np.abs(M[i] - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
+            assert np.max(np.abs(M - M_ref)) <= 1e-12 * np.max(np.abs(M_ref))
 
 
 def test_stacked_factorization_isolates_failures():
@@ -313,28 +305,28 @@ def test_one_factorization_per_iteration(monkeypatch):
     """Each iteration that takes a step factors X once (Cholesky, eigh,
     inverse of G), factors the Schur complement once and solves with it
     twice (the tau column with the predictor, then the corrector), and finds
-    its step lengths from one eigvalsh per member for the predictor and two
-    for the corrector: one stacked call each, whatever the number of
-    problems in the batch."""
+    its step lengths from one eigvalsh for the predictor and two for the
+    corrector, the latter as one stacked call."""
     n, m = 4, 3
     rng = np.random.default_rng(5)
     G = rng.standard_normal((n, n))
     c = np.concatenate([np.zeros(m), svec(G + G.T)])
     A = np.hstack([np.eye(m), np.array([svec(np.eye(n) * (p + 1)) for p in range(m)])])
     names = ("cholesky", "eigh", "inv", "solve", "eigvalsh")
-    for b in (np.ones((1, m)), rng.uniform(0.5, 3.0, size=(6, m))):
+    iterations = set()
+    for b in (np.ones(m), *rng.uniform(0.5, 3.0, size=(6, m))):
         calls = _counted_linalg(monkeypatch, names)
-        sols = _solve_batch(c, A, b, l=m, d=n)
+        sol = solve_standard_form(c, A, b, l=m, d=n)
         monkeypatch.undo()
-        assert all(s.status is SolverStatus.OPTIMAL for s in sols)
-        steps = max(s.iterations for s in sols) - 1  # the last only checks convergence
-        member_steps = sum(s.iterations - 1 for s in sols)
+        assert sol.status is SolverStatus.OPTIMAL
+        steps = sol.iterations - 1  # the last only checks convergence
         assert {name: len(calls[name]) for name in names} == {
             "cholesky": 2 * steps, "eigh": steps, "inv": steps, "solve": 2 * steps,
             "eigvalsh": 2 * steps,
         }
-        assert sum(calls["eigvalsh"]) == 3 * member_steps
-    assert len({s.iterations for s in sols}) > 1  # members left the batch at different iterations
+        assert sum(calls["eigvalsh"]) == 3 * steps
+        iterations.add(sol.iterations)
+    assert len(iterations) > 1  # the counts hold at several run lengths
 
 
 def test_standard_form_needs_psd_block():
@@ -1069,16 +1061,15 @@ def test_tol_validation():
 
 
 def _engine_runs(monkeypatch):
-    """The solutions of every engine run from now on, one list per run."""
+    """The solution of every engine run from now on, one per run."""
     runs = []
-    real = sdp._solve_batch
+    real = sdp.solve_standard_form
 
     def spy(*args, **kwargs):
-        sols = real(*args, **kwargs)
-        runs.append(list(sols))  # a copy: the caller may overwrite members
-        return sols
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
 
-    monkeypatch.setattr(sdp, "_solve_batch", spy)
+    monkeypatch.setattr(sdp, "solve_standard_form", spy)
     return runs
 
 
@@ -1094,40 +1085,16 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _batch_and_lone(monkeypatch, inst, targets, **kwargs):
-    """Engine solutions and results of the targets solved as one batch and
-    one at a time.  The engine solutions are listed run by run: the first
-    run's, then the recovery run's, if there was one; the lone solutions in
-    the same order, so that a lone recovery lines up with its batch member."""
+def _runs_per_target(monkeypatch, inst, targets, **kwargs):
+    """The outcome and the engine runs of each target solved alone."""
     runs = _engine_runs(monkeypatch)
-    batch = _outcome(lambda: sdp._engine_targets(inst, targets, **kwargs))
-    batch_sols = [sol for run in runs for sol in run]
-    assert len(runs) in (1, 2)
-    lone, lone_runs = [], []
-    for k, ell, mx in targets:
+    out = []
+    for target in targets:
         runs.clear()
-        lone.append(_outcome(lambda: sdp._engine_targets(inst, [(k, ell, mx)], **kwargs)[0]))
-        assert [len(run) for run in runs] in ([1], [1, 1])
-        lone_runs.append([sols[0] for sols in runs])
-    lone_sols = [sols[r] for r in (0, 1) for sols in lone_runs if len(sols) > r]
+        out.append((_outcome(lambda: sdp._engine_targets(inst, [target], **kwargs)[0]),
+                    list(runs)))
     monkeypatch.undo()
-    return batch, batch_sols, lone, lone_sols
-
-
-def _close(x, y) -> bool:
-    """Equal to 1e-9 relative to the largest finite entry of y; a member that
-    ended on a non-finite iterate must be non-finite in the same places."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(y[np.isfinite(y)]), initial=0.0)))
-    return bool(np.allclose(x, y, rtol=0.0, atol=1e-9 * scale, equal_nan=True))
-
-
-def _assert_same_solutions(batch_sols, lone_sols):
-    assert len(batch_sols) == len(lone_sols)
-    for sb, sl in zip(batch_sols, lone_sols):
-        assert (sb.status, sb.iterations, sb.message) == (sl.status, sl.iterations, sl.message)
-        for field in ("pobj", "dobj", "u", "v", "z"):
-            assert _close(getattr(sb, field), getattr(sl, field)), field
+    return out
 
 
 def _seeded_instances(small, cycle4):
@@ -1138,63 +1105,17 @@ def _seeded_instances(small, cycle4):
     ]
 
 
-def test_batched_edge_solves_match_lone_solves(monkeypatch, small, cycle4):
-    """Every edge minimum and maximum of an instance, solved as one batch,
-    gives the values, attained flags and iteration counts of solving each
-    alone: bundled instances and seeded forests and bipartite graphs."""
-    iteration_spread = False
-    for inst in _seeded_instances(small, cycle4):
-        targets = _all_targets(inst)
-        batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, inst, targets)
-        _assert_same_solutions(batch_sols, lone_sols)
-        assert all(sol.status is SolverStatus.OPTIMAL for sol in batch_sols)
-        for (value, attained, y), (value1, attained1, y1) in zip(batch, lone):
-            assert attained == attained1
-            assert _close(value, value1) and _close(y, y1)
-        iteration_spread |= len({sol.iterations for sol in batch_sols}) > 1
-    assert iteration_spread  # members left their batches at different iterations
-    assert optimize_linear_functionals_over_dual_cone(small, []) == []
-
-
-def test_batched_solve_with_a_boxed_member_matches_lone_solves(monkeypatch, small):
-    """A batch in which one member hits the y <= y_cap box and one does not."""
-    targets = [(0, 1, False), (0, 1, True)]
-    batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, small, targets, y_cap=1e3)
-    _assert_same_solutions(batch_sols, lone_sols)
-    assert [attained for _, attained, _ in batch] == [True, False]
-    assert [attained for _, attained, _ in lone] == [True, False]
-
-
-def test_batched_solve_with_a_breakdown_matches_lone_solves(monkeypatch):
-    """At a tolerance below what the iterates can resolve, some members end
-    with NumericalLimit and the rest of the batch runs on: in the first run
-    and in the recovery run, every member gets the status, message and
-    iteration count of its lone solve, and the batch raises for the first
-    failing target, as a loop over the targets would."""
-    inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
-    targets = _all_targets(inst)
-    batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, inst, targets, tol=1e-14)
-    _assert_same_solutions(batch_sols, lone_sols)
-    statuses = {sol.status for sol in batch_sols}
-    assert statuses == {SolverStatus.OPTIMAL, SolverStatus.NUMERICAL_LIMIT}
-    assert {"scaling breakdown (lost cone interior)", "non-finite iterate"} <= {
-        sol.message for sol in batch_sols
-    }
-    first_failure = next(res for res in lone if not isinstance(res[0], float))
-    assert batch == first_failure
-    assert batch[0] is RuntimeError and "scaling breakdown" in batch[1]
-
-
 def test_edge_batches_need_no_recovery_run(monkeypatch, small, cycle4):
     """At the default tolerance every edge SDP of the seeded families ends
-    Optimal with the box slack priced at 1, so each batch is one engine run.
-    A recovery run that became routine would double the cost of the edge
-    systems and change no answer."""
+    Optimal with the box slack priced at 1, so each target is one engine
+    run.  A recovery run that became routine would double the cost of the
+    edge systems and change no answer."""
     runs = _engine_runs(monkeypatch)
     for inst in _seeded_instances(small, cycle4):
         runs.clear()
-        sdp._engine_targets(inst, _all_targets(inst))
-        assert len(runs) == 1
+        targets = _all_targets(inst)
+        sdp._engine_targets(inst, targets)
+        assert len(runs) == len(targets)
 
 
 def test_diagonally_dominant_constraints_need_no_assumption_sdp(monkeypatch, small, cycle4):
@@ -1227,27 +1148,40 @@ def test_failed_members_get_one_recovery_run(monkeypatch, small):
     """On the eps = 5e-4 connecting perturbation of two copies of small.json,
     the forest minima of edges (1, 2) and (3, 4) drift along a flat optimal
     face with the box slack priced at 1 and lose the cone interior.  They,
-    and only they, are solved once more with the slack priced at y_cap; the
-    batch's results are then those of the lone solves, bit for bit."""
+    and only they, are solved once more with the slack priced at y_cap, and
+    the recovery runs end Optimal; a call with every target gives the
+    one-target calls' results, bit for bit.  At a tolerance below what the
+    iterates can resolve (bipartite_breakdown_n16 at 1e-14) some targets
+    fail both runs, and a call with every target raises for the first
+    failing one, as a loop over the targets would."""
     inst = build_connecting_perturbation(_blkdiag_double(small), 5e-4).instance
     targets = _all_targets(inst)
-    runs = _engine_runs(monkeypatch)
-    sdp._engine_targets(inst, targets)
-    first, recovery = runs
-    broken = [t for t, sol in zip(targets, first) if sol.status is not SolverStatus.OPTIMAL]
+    alone = _runs_per_target(monkeypatch, inst, targets)
+    broken = [t for t, (_, runs) in zip(targets, alone)
+              if runs[0].status is not SolverStatus.OPTIMAL]
     assert broken == [(0, 1, False), (2, 3, False)]
-    assert {sol.message for sol in first if sol.status is not SolverStatus.OPTIMAL} == {
+    assert {runs[0].message for _, runs in alone
+            if runs[0].status is not SolverStatus.OPTIMAL} == {
         "scaling breakdown (lost cone interior)"
     }
-    assert len(recovery) == len(broken)
-    assert all(sol.status is SolverStatus.OPTIMAL for sol in recovery)
-    monkeypatch.undo()
-
-    batch, batch_sols, lone, lone_sols = _batch_and_lone(monkeypatch, inst, targets)
-    _assert_same_solutions(batch_sols, lone_sols)
-    for (value, attained, y), (value1, attained1, y1) in zip(batch, lone):
+    assert [len(runs) for _, runs in alone] == [1 + (t in broken) for t in targets]
+    assert all(runs[-1].status is SolverStatus.OPTIMAL for _, runs in alone)
+    for (value, attained, y), ((value1, attained1, y1), _) in zip(
+            sdp._engine_targets(inst, targets), alone):
         assert (value, attained) == (value1, attained1)
         assert np.array_equal(y, y1)
+
+    inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
+    targets = _all_targets(inst)
+    alone = _runs_per_target(monkeypatch, inst, targets, tol=1e-14)
+    sols = [sol for _, runs in alone for sol in runs]
+    assert {sol.status for sol in sols} == {SolverStatus.OPTIMAL, SolverStatus.NUMERICAL_LIMIT}
+    assert {"scaling breakdown (lost cone interior)", "non-finite iterate"} <= {
+        sol.message for sol in sols
+    }
+    together = _outcome(lambda: sdp._engine_targets(inst, targets, tol=1e-14))
+    assert together == next(res for res, _ in alone if not isinstance(res[0], float))
+    assert together[0] is RuntimeError and "scaling breakdown" in together[1]
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05])
@@ -1255,18 +1189,25 @@ def test_connecting_perturbation_certifies_from_one_engine_run(monkeypatch, smal
     """The eps = 0.1 and 0.05 connecting perturbations of two copies of
     small.json certify by the forest edge systems from one engine run when
     the engine tier answers every edge target: no edge SDP loses the cone
-    interior, so none needs the recovery run and certify needs no
-    fallback.  An independent relaxation solve has rank 1."""
+    interior, so each target is one engine run, none needs the recovery
+    run and certify needs no fallback.  An independent relaxation solve has
+    rank 1."""
     inst = build_connecting_perturbation(_blkdiag_double(small), eps).instance
+    asked = []
+
+    def engine_tier(inst, targets, **kwargs):
+        asked.extend(targets)
+        return sdp._engine_targets(inst, targets, **kwargs)
+
     monkeypatch.setattr(certify_module, "optimize_linear_functionals_over_dual_cone",
-                        sdp._engine_targets)
+                        engine_tier)
     runs = _engine_runs(monkeypatch)
     report = certify(inst)
     monkeypatch.undo()
     assert report.verdict is Verdict.CERTIFIED_EXACT
     assert report.applied_rule == "forest-edge-systems"
-    assert len(runs) == 1
-    assert all(sol.status is SolverStatus.OPTIMAL for sol in runs[0])
+    assert len(runs) == len(asked) > 0
+    assert all(sol.status is SolverStatus.OPTIMAL for sol in runs)
     res = solve_relaxation(inst)
     assert res.status is SolverStatus.OPTIMAL and res.numeric_rank <= 1
 
@@ -1378,7 +1319,7 @@ def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     monkeypatch.setattr(sdp, "_polished_path", lambda inst, tol: (None, 0))
     runs = _engine_runs(monkeypatch)
     by_engine = optimize_linear_functionals_over_dual_cone(cycle4, targets)
-    assert [len(run) for run in runs] == [4]
+    assert len(runs) == 4
     for got in (by_path, by_polish, by_engine):
         for (value, attained, _), (value1, attained1, _) in zip(got, ref):
             assert attained and attained1 and abs(value - value1) <= 1e-8 * abs(value1)
@@ -1391,11 +1332,12 @@ def test_seeded_edge_targets_need_no_engine(monkeypatch, small, cycle4):
     def no_engine(*args, **kwargs):
         raise AssertionError("an edge target reached the engine")
 
-    monkeypatch.setattr(sdp, "_solve_batch", no_engine)
+    monkeypatch.setattr(sdp, "solve_standard_form", no_engine)
     for inst in _seeded_instances(small, cycle4):
         sides = (False, True) if is_forest(build_graph(inst)) else (False,)
         targets = [(k, ell, mx) for k, ell in sorted(build_graph(inst).edges) for mx in sides]
         assert len(optimize_linear_functionals_over_dual_cone(inst, targets)) == len(targets)
+    assert optimize_linear_functionals_over_dual_cone(small, []) == []
 
 
 def test_edge_functional_reference_values(cycle4):
@@ -1421,12 +1363,15 @@ def test_edge_functional_small_closed_form(small):
 
 
 def test_edge_functional_maximize(small):
-    """The maximum of S(y)_{01} is unbounded and hits the box."""
+    """The maximum of S(y)_{01} is unbounded and hits the box, and the
+    engine tier says so too, while the minimum is attained."""
     mu_max, attained, _ = minimize_linear_functional_over_dual_cone(
         small, 0, 1, maximize=True, y_cap=1e3
     )
     assert not attained
     assert mu_max > 1e3
+    engine = sdp._engine_targets(small, [(0, 1, False), (0, 1, True)], y_cap=1e3)
+    assert [attained for _, attained, _ in engine] == [True, False]
 
 
 def test_edge_functional_box_monotone(small):
@@ -1451,7 +1396,7 @@ def test_dual_side_empty_raises(monkeypatch):
     runs = _engine_runs(monkeypatch)
     with pytest.raises(DualSideEmpty):
         minimize_linear_functional_over_dual_cone(inst, 0, 1)
-    assert [[sol.status for sol in run] for run in runs] == [[SolverStatus.DUAL_INFEASIBLE]]
+    assert [sol.status for sol in runs] == [SolverStatus.DUAL_INFEASIBLE]
 
 
 def test_max_min_eigen_identity():

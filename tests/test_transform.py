@@ -301,3 +301,25 @@ def test_scale_parameters_must_be_positive_and_finite(small, value):
     for name, call in calls:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             call()
+
+
+def test_recovery_run_decides_the_sweep(small, monkeypatch):
+    """Along the connecting sweep of two copies of small.json, some edge
+    SDPs stall with the box slack priced at 1 and are solved once more
+    with it priced at y_cap.  Those recovery runs decide the verdicts:
+    without them eps = 1e-3 certifies at neither tolerance below."""
+    sdp = importlib.import_module("biparsdp.sdp")
+    prices = []
+    real = sdp._lmi_form
+
+    def recording(F0, Fs, price=None, y_cap=None):
+        prices.append(price)
+        return real(F0, Fs, price, y_cap)
+
+    monkeypatch.setattr(sdp, "_lmi_form", recording)
+    inst = _blkdiag_double(small)
+    sweep = epsilon_sweep_validation(inst, [1e-2, 1e-3], tol=1e-9)
+    assert [verdict for _, verdict, _ in sweep] == ["CertifiedExact"] * 2
+    sweep = epsilon_sweep_validation(inst, [1e-2, 1e-3], tol=1e-10)
+    assert sweep[1][1] == "CertifiedExact"
+    assert any(price not in (None, 1.0) for price in prices)

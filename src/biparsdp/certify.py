@@ -59,11 +59,11 @@ from .graph import (
 from .model import QcqpInstance, check_homogeneous
 from .relaxation import DEFAULT_RANK_TOL, check_rank_tol, solve_relaxation
 from .sdp import (
-    _EIGVALSH_MARGIN,
     DEFAULT_TOL,
     DualSideEmpty,
     check_positive_finite,
     check_solver_tol,
+    eigvalsh_margin,
     max_min_eigen_combination,
     optimize_linear_functionals_over_dual_cone,
 )
@@ -152,10 +152,9 @@ def _check_assumption(inst: QcqpInstance, tol: float) -> AssumptionCheck:
     # rounding in forming S = sum_p y_p Qp (sum y_p = 1) and in eigvalsh(S)
     # moves lambda_min(S) by a small multiple of (n + m) eps
     # ||sum_p y_p |Qp| ||_inf, a norm that bounds ||S||_2
-    scale = _EIGVALSH_MARGIN * (inst.n + inst.m)
     try:
         for S, magnitude in _candidates(inst, tol):
-            bound = np.linalg.eigvalsh(S)[0] - scale * magnitude.sum(axis=1).max()
+            bound = np.linalg.eigvalsh(S)[0] - eigvalsh_margin(inst.n + inst.m, magnitude)
             if bound > tol:
                 return AssumptionCheck(float(bound))
     except DualSideEmpty:

@@ -49,10 +49,10 @@ answers each edge target from the box corner when S(y) is positive
 definite there, else from one stacked dual path for all the targets of an
 instance, whose points are accepted on checked evidence (a PSD primal
 point feasible for the target's relaxation, which bounds the optimum by
-weak duality), else from `solve`'s first tier; boxed engine runs, one per
-target (a second for a target whose run fails), take what is left, and so
-does the positive-definiteness check, min sum_p y_p s.t.
-sum_p y_p Qp >= I.
+weak duality), else from `solve`'s first tier, else from a boxed engine
+run (`_maximize_over_lmi`, two if the first fails), all in that one
+function; one more such run is the positive-definiteness check,
+min sum_p y_p s.t. sum_p y_p Qp >= I (`max_min_eigen_combination`).
 """
 
 from __future__ import annotations
@@ -579,8 +579,15 @@ def _kkt_residuals(inst: QcqpInstance, X, y, eig=None) -> tuple[float, float, fl
 
 # eigvalsh moves the eigenvalues of a matrix M by a small multiple of
 # n eps ||M||; ten times that, with ||M||_inf bounding ||M||_2, is the
-# rounding margin of a PSD test.
+# rounding margin of a PSD test (`eigvalsh_margin`).
 _EIGVALSH_MARGIN = 10 * np.finfo(float).eps
+
+
+def eigvalsh_margin(terms: int, magnitude: np.ndarray):
+    """`_EIGVALSH_MARGIN` times `terms` (n, plus the terms summed into M)
+    times the largest row sum of `magnitude` >= |M|, for M or each of a stack."""
+    return _EIGVALSH_MARGIN * terms * magnitude.sum(axis=-1).max(axis=-1)
+
 
 # Eigenvalues of S(y) up to this fraction of the size of its terms,
 # ||C|| + sum_p |y_p| ||A_p||, mark the near-null block that the polish keeps
@@ -599,12 +606,6 @@ def _null_block(inst: QcqpInstance, sig: np.ndarray, y: np.ndarray) -> int:
 # Newton steps that the polish takes at most; it stops sooner, at the first
 # step that does not halve the residual of the optimality system.
 _POLISH_STEPS = 6
-
-
-def _kkt_refine(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
-    """The last point of `_kkt_iterates`, and the steps that led there."""
-    points = _kkt_iterates(inst, X, y, s, steps)
-    return (*points[-1], len(points) - 1)
 
 
 def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS, eig=None):
@@ -1029,12 +1030,6 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float) -> list:
     return out
 
 
-def _dual_path(inst: QcqpInstance, gap_tol: float):
-    """`_dual_paths` for the relaxation itself, b = rhs: a stack of one.
-    (X, y, s, steps), or None when the path gives no point."""
-    return _dual_paths(inst, inst.rhs[None], gap_tol)[0]
-
-
 def check_positive_finite(value: float, name: str) -> None:
     """Raise ValueError unless 0 < value < inf: NaN passes a `<= 0` guard,
     and inf makes data non-finite or a box test vacuous."""
@@ -1064,11 +1059,11 @@ class RelaxationSolve(NamedTuple):
 def _polished_path(inst: QcqpInstance, tol: float):
     """The dual path's answer to the relaxation of `inst` at tol, which sets
     both feasibility and gap targets.  The path's point at a gap of
-    sqrt(tol) (`_dual_path`) is polished, each pair's multipliers are folded
-    once more (`_fold`; the eigenbasis polish leaves both nonzero, the
-    rank-one one carries w alone), and the last iterate that passes the
-    engine's own stopping test at tol (`_kkt_residuals`) is accepted
-    (`_accepted`): at the rounding floor, a last step can lower the
+    sqrt(tol) (`_dual_paths`, a stack of one) is polished, each pair's
+    multipliers are folded once more (`_fold`; the eigenbasis polish leaves
+    both nonzero, the rank-one one carries w alone), and the last iterate
+    that passes the engine's own stopping test at tol (`_kkt_residuals`) is
+    accepted (`_accepted`): at the rounding floor, a last step can lower the
     polish's residual and fail that test.
 
     One eigh of S(y) at the path's point picks the polish.  A near-null
@@ -1079,7 +1074,7 @@ def _polished_path(inst: QcqpInstance, tol: float):
     eigenbasis polish (`_kkt_iterates`), which reuses that eigh: an eigh,
     2m rotations and a least-squares solve per step.  ((X, y, polish
     steps, eigh(X)) or None, path steps)."""
-    path = _dual_path(inst, np.sqrt(tol))
+    path = _dual_paths(inst, inst.rhs[None], np.sqrt(tol))[0]
     if path is None:
         return None, 0
     X, y, s, path_steps = path
@@ -1110,10 +1105,11 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     and gap targets, as a `RelaxationSolve`.  "dual-path": a polished
     point of the dual path that passes the engine's own stopping test
     at tol (`_polished_path`: Newton steps on X = x x^T when S(y) has a
-    near-null block of one, else in the eigenbasis of S(y)).  "full-run": otherwise the engine solves the
-    LMI form with F0 = Q0, Fp = Qp and b = -rhs (`_lmi_form`; y is its v, X
-    the PSD block of its u) in one run to tol, which holds every
-    certificate to tol, and an Optimal result is polished.
+    near-null block of one, else in the eigenbasis of S(y)).  "full-run":
+    otherwise the engine solves the LMI form with F0 = Q0, Fp = Qp and
+    b = -rhs (`_lmi_form`; y is its v, X the PSD block of its u) in one run
+    to tol, which holds every certificate to tol, and an Optimal result is
+    polished: the last point of `_kkt_iterates`, with its step count.
 
     An instance with linear terms is refused with InstanceError.
     """
@@ -1130,7 +1126,8 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     X, y, s = smat(res.u[m:], n), res.v, res.u[:m]
     steps = 0
     if res.status is SolverStatus.OPTIMAL:
-        X, y, _, steps = _kkt_refine(inst, X, y, s)
+        points = _kkt_iterates(inst, X, y, s)
+        (X, y, _), steps = points[-1], len(points) - 1
     return RelaxationSolve(res.status, X, y, res.message, res.iterations, steps, "full-run",
                            path_steps)
 
@@ -1186,13 +1183,17 @@ def optimize_linear_functionals_over_dual_cone(
        -c.y must lie within 2 tol (1 + |c.y|) of that bound.
     3. `solve`'s first tier on the target's relaxation (`_polished_path`)
        for a target the path did not finish or whose evidence failed.
-    4. Boxed engine runs (`_engine_targets`) for the rest, and for a point
-       of the path outside the box.
+    4. Boxed engine runs (`_maximize_over_lmi`), one per target left and
+       per path point outside the box, in the given order; attained means
+       max y < 0.999 y_cap.
 
-    A failed engine solve raises, as `_maximize_over_lmi` does, for the
-    first failing target in the given order among those that reach it:
-    DualSideEmpty when no y >= 0 makes S(y) PSD.
+    A failed engine run raises, as `_maximize_over_lmi` does, for the first
+    failing target in the given order among those that reach it:
+    DualSideEmpty when no y >= 0 makes S(y) PSD.  Linear terms raise
+    InstanceError; tol outside (0, 1e-4] or y_cap outside (0, inf), ValueError.
     """
+    check_homogeneous(inst, "pass")
+    check_solver_tol(tol)
     check_positive_finite(y_cap, "y_cap")
     if not len(targets):
         return []
@@ -1229,10 +1230,9 @@ def optimize_linear_functionals_over_dual_cone(
                 answer(t, point[1], True)
             else:
                 engine.append(t)
-    if engine:
-        engine.sort()
-        for t, res in zip(engine, _engine_targets(inst, [targets[t] for t in engine], y_cap, tol)):
-            out[t] = res
+    for t in sorted(engine):
+        _, y = _maximize_over_lmi(Q0, Qs, c[t], y_cap, tol, "edge-system", "S(y)")
+        answer(t, y, bool(y.max() < 0.999 * y_cap))
     return out
 
 
@@ -1241,38 +1241,17 @@ def _weak_duality_gaps(inst: QcqpInstance, b: np.ndarray, X: np.ndarray,
     """b_t.y_t + <Q0, X_t> for each row t, inf where X_t fails its check.
 
     The check: X_t is PSD up to the rounding of eigvalsh (its least
-    eigenvalue is at least -_EIGVALSH_MARGIN n ||X_t||_inf), and
+    eigenvalue is at least -`eigvalsh_margin`(n, |X_t|)), and
     <Qp, X_t> <= b_tp for every p.  Then for every y in
     F = {y >= 0, S(y) PSD}, 0 <= <S(y), X_t> <= <Q0, X_t> + b_t.y, so
     -<Q0, X_t> is a lower bound on b_t.y over F, and the gap says how far
     the value of y_t can be from the optimum.  One eigvalsh per row."""
     lam, bad = _stacked(np.linalg.eigvalsh, X)
-    margin = _EIGVALSH_MARGIN * inst.n * np.abs(X).sum(axis=2).max(axis=1)
+    margin = eigvalsh_margin(inst.n, np.abs(X))
     X = X.reshape(len(X), -1)
     feasible = (X @ inst.constraint_stack.reshape(inst.m, -1).T <= b).all(axis=1)
     checked = ~bad & (lam[:, 0] >= -margin) & feasible
     return np.where(checked, np.vecdot(b, y) + X @ inst.objective.ravel(), np.inf)
-
-
-def _engine_targets(
-    inst: QcqpInstance,
-    targets: list[tuple[int, int, bool]],
-    y_cap: float = 1e6,
-    tol: float = DEFAULT_TOL,
-) -> list[tuple[float, bool, np.ndarray]]:
-    """The engine tier of `optimize_linear_functionals_over_dual_cone`: one
-    engine run per target (two if the first fails); see `_maximize_over_lmi`.
-    The problems share F0 = Q0 and Fp = Qp; only b = -f (minimum) or b = +f
-    (maximum), f_p = (Qp)_{k,ell}, differs.  attained means
-    max y < 0.999 y_cap."""
-    Q0, Qs = inst.objective, inst.constraint_matrices
-    out = []
-    for k, ell, maximize in targets:
-        b = np.array([Q[k, ell] if maximize else -Q[k, ell] for Q in Qs])
-        by, y = _maximize_over_lmi(Q0, Qs, b, y_cap, tol, "edge-system", "S(y)")
-        value = Q0[k, ell] + by if maximize else Q0[k, ell] - by
-        out.append((float(value), bool(np.max(y, initial=0.0) < 0.999 * y_cap), y))
-    return out
 
 
 def max_min_eigen_combination(
@@ -1286,8 +1265,12 @@ def max_min_eigen_combination(
     y_bar is itself the certificate sum_p y_bar_p Qp >= I.  t_star is the
     exact maximum whenever it exceeds 1/y_cap: the unboxed minimizer then
     lies inside the box.  Raises DualSideEmpty when no y in the box makes
-    sum_p y_p Qp >= I, which implies t_star <= 1/y_cap.
+    sum_p y_p Qp >= I, which implies t_star <= 1/y_cap.  Linear terms raise
+    InstanceError; tol outside (0, 1e-4] or y_cap outside (0, inf), ValueError.
     """
+    check_homogeneous(inst, "pass")
+    check_solver_tol(tol)
+    check_positive_finite(y_cap, "y_cap")
     _, y = _maximize_over_lmi(-np.eye(inst.n), inst.constraint_matrices, -np.ones(inst.m),
                               y_cap, tol, "eigen-combination", "sum_p y_p Qp - I")
     y = np.clip(y, 0.0, None)
@@ -1309,9 +1292,8 @@ def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> tuple[float, np.ndar
     slack y_cap - y, whose status and message decide.  Raises DualSideEmpty
     when the set of y is empty and RuntimeError (naming `what`) for any
     other failure; `lmi` names F0 + sum_p y_p Fp in the DualSideEmpty
-    message.
+    message.  Its callers check y_cap and tol.
     """
-    check_positive_finite(y_cap, "y_cap")
     n, m = F0.shape[0], len(Fs)
     for price in (1.0, y_cap):
         c, A = _lmi_form(F0, Fs, price, y_cap)

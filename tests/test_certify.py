@@ -434,7 +434,7 @@ def test_assumption_margin_defers_to_the_sdp(monkeypatch):
     not count it as a proof, the one SDP solve proposes Q1 again, and the
     same bound leaves the assumption unverified."""
     tol, delta = 1e-6, 1e-9
-    assert tol * delta < 3 * certify_module._EIGVALSH_MARGIN  # n + m = 3, ||Q1|| = 1
+    assert tol * delta < 3 * sdp_module._EIGVALSH_MARGIN  # n + m = 3, ||Q1|| = 1
     inst = QcqpInstance(
         objective=np.array([[0.0, 1.0], [1.0, 0.0]]),
         constraint_matrices=(np.diag([1.0, tol * (1.0 + delta)]),),

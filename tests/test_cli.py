@@ -13,7 +13,7 @@ from biparsdp import (
     load_instance,
     save_instance,
 )
-from biparsdp.cli import main
+from biparsdp.cli import _json_default, main
 from biparsdp.graph import build_graph
 from biparsdp.transform import build_full_graph_perturbation
 
@@ -434,3 +434,14 @@ def test_transform_full_laplacian_cli(capsys, cycle4_path):
     doc = json.loads(out)
     assert doc["mapping"]["mode"] == "full-laplacian"
     assert doc["instance"]["n"] == 4
+
+
+def test_json_default_reads_numpy_scalars():
+    """The report serializer turns numpy arrays and scalars into Python
+    values, and refuses any other object with TypeError."""
+    values = [_json_default(v) for v in (np.float64(0.5), np.float32(0.25), np.int64(3))]
+    assert values == [0.5, 0.25, 3]
+    assert [type(v) for v in values] == [float, float, int]
+    assert _json_default(np.arange(2)) == [0, 1]
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _json_default(object())

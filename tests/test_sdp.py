@@ -6,6 +6,7 @@ import pytest
 from biparsdp import (
     DualSideEmpty,
     GeneralQcqpInstance,
+    InstanceError,
     QcqpInstance,
     SolverStatus,
     Verdict,
@@ -23,7 +24,7 @@ from biparsdp.relaxation import numerical_rank, solve_relaxation
 from biparsdp.transform import build_connecting_perturbation
 from biparsdp.sdp import (
     _flat,
-    _kkt_refine,
+    _kkt_iterates,
     _kkt_residuals,
     _NTScaling,
     _pack,
@@ -213,7 +214,7 @@ def test_affine_dual_half_matches_engine_directions(monkeypatch, cycle4):
     def relaxation():
         solve_standard_form(c, A, -cycle4.rhs, l=cycle4.m, d=cycle4.n)
 
-    for run in (relaxation, lambda: sdp._engine_targets(cycle4, [(0, 1, False)])):
+    for run in (relaxation, lambda: _engine_tier(cycle4, [(0, 1, False)])):
         checked = [p for p in _engine_predictors(monkeypatch, run) if p["mu"] >= 1e-4]
         assert len(checked) >= 4
         for p in checked:
@@ -342,6 +343,15 @@ def test_iteration_limit_ends_numerical_limit(cycle4):
     assert res.status is SolverStatus.NUMERICAL_LIMIT
     assert res.message == "no convergence within 1 iterations"
     assert res.iterations == 1
+
+
+def test_zero_constraint_matrix_is_a_singular_schur_complement():
+    """With A = 0 the Schur complement is 0: the run ends NumericalLimit
+    at its first iteration, with a message, and raises nothing."""
+    res = solve_standard_form(np.array([1.0, 1.0, 0.0, 1.0]), np.zeros((1, 4)),
+                              np.array([1.0]), l=1, d=2)
+    assert res.status is SolverStatus.NUMERICAL_LIMIT
+    assert res.message == "singular Schur complement" and res.iterations == 1
 
 
 def test_trivial_minimum_zero():
@@ -515,7 +525,8 @@ def test_polish_step_matches_dense_jacobian(monkeypatch, n, rank, active, inacti
             return lstsq(M, rhs, rcond=rcond)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        X1, y1, s1, taken = _kkt_refine(inst, X0, y0, s0, steps=1)
+        points = _kkt_iterates(inst, X0, y0, s0, steps=1)
+        (X1, y1, s1), taken = points[-1], len(points) - 1
         monkeypatch.undo()
         kv = rank * (rank + 1) // 2 + 2 * inst.m
         assert sizes == [(kv, kv)] and taken == 1
@@ -526,7 +537,7 @@ def test_polish_step_matches_dense_jacobian(monkeypatch, n, rank, active, inacti
         assert np.max(np.abs(s1 - sd)) < 1e-9
 
         # further steps converge to the planted optimum
-        X4, y4, s4, _ = _kkt_refine(inst, X1, y1, s1, steps=3)
+        X4, y4, s4 = _kkt_iterates(inst, X1, y1, s1, steps=3)[-1]
         assert np.linalg.norm(X4 @ dual_slack(inst, y4)) < 1e-10
         assert np.max(np.abs(X4 - X)) < 1e-8
         assert np.max(np.abs(y4 - y)) < 1e-8
@@ -592,7 +603,7 @@ def _agrees_with(tight, ref):
 
 def _no_dual_path(monkeypatch):
     """Send every relaxation solve from now on straight to the engine."""
-    monkeypatch.setattr(sdp, "_dual_path", lambda inst, gap_tol: None)
+    monkeypatch.setattr(sdp, "_polished_path", lambda inst, tol: (None, 0))
 
 
 def test_breakdown_relaxation_solves_at_1e13():
@@ -665,6 +676,15 @@ def test_rank_one_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
     _falls_back_to_an_earlier_passing_iterate(monkeypatch, "_rank_one_iterates")
 
 
+def test_rank_one_polish_stops_at_a_singular_jacobian(cycle4):
+    """At x = y = s = 0 the rank-one Jacobian has zero rows (diag s,
+    diag y): the steps stop there with the start as their one point."""
+    points = sdp._rank_one_iterates(cycle4, np.zeros(4), np.zeros(2), np.zeros(2), [])
+    assert len(points) == 1
+    X, y = points[0]
+    assert not X.any() and not y.any()
+
+
 def _polish_routes(monkeypatch):
     """Counts of the calls of each polish route from now on."""
     calls = {"_rank_one_iterates": 0, "_kkt_iterates": 0}
@@ -733,7 +753,7 @@ def test_polish_routes_agree_on_the_sweep(relaxation_sweep, tol):
     X*, y* and the value agree to 1e-12."""
     compared = 0
     for inst in relaxation_sweep:
-        X, y, s, _ = sdp._dual_path(inst, np.sqrt(tol))
+        X, y, s, _ = sdp._dual_paths(inst, inst.rhs[None], np.sqrt(tol))[0]
         pairs, eig = sdp._opposite_pairs(inst), np.linalg.eigh(dual_slack(inst, y))
         if sdp._null_block(inst, eig[0], y) != 1:
             continue
@@ -937,7 +957,7 @@ def test_engine_takes_what_the_dual_path_cannot(monkeypatch, tol):
         (QcqpInstance(np.eye(2), (np.eye(2),), np.array([-1.0])), SolverStatus.PRIMAL_INFEASIBLE),
     ]
     for inst, _ in cases:
-        assert sdp._dual_path(inst, np.sqrt(tol)) is None
+        assert sdp._dual_paths(inst, inst.rhs[None], np.sqrt(tol))[0] is None
     got = [solve_relaxation(inst, tol=tol) for inst, _ in cases]
     _no_dual_path(monkeypatch)
     for res, (inst, status) in zip(got, cases):
@@ -961,7 +981,7 @@ def test_dual_path_solves_odd_cycle_draws():
             assert res.status_from == "dual-path" and res.ipm_iterations == 0
             total += res.dual_path_steps
 
-            X, y, s, steps = sdp._dual_path(inst, 1e-4)
+            X, y, s, steps = sdp._dual_paths(inst, inst.rhs[None], 1e-4)[0]
             assert steps == res.dual_path_steps
             lhs = inst.constraint_stack.reshape(inst.m, -1) @ X.ravel() + s
             assert np.max(np.abs(lhs - inst.rhs)) <= 1e-12 * np.abs(X).sum()
@@ -971,6 +991,31 @@ def test_dual_path_solves_odd_cycle_draws():
             gap = np.sum(inst.objective * X) + inst.rhs @ y
             assert -1e-9 <= gap <= 2e-4 * (1.0 + abs(inst.rhs @ y))
     assert total <= 200
+
+
+def test_dual_paths_drop_a_failed_row(monkeypatch, cycle4):
+    """A row whose ray search fails (here forced: the third search returns
+    inf for row 1 of three) leaves the stack with None, and the rows that
+    go on end as they would without it: row 0 as the relaxation's own
+    stack of one, row 2 as in the unforced stack, bit for bit."""
+    bs = np.array([cycle4.rhs, 2.0 * cycle4.rhs, 3.0 * cycle4.rhs])
+    unforced = sdp._dual_paths(cycle4, bs, 1e-8)
+    alone = sdp._dual_paths(cycle4, cycle4.rhs[None], 1e-8)[0]
+    real, rows = sdp._ray_minimum, []
+
+    def failing(slope, lam):
+        rows.append(len(lam))
+        alpha = real(slope, lam)
+        if len(rows) == 3:
+            alpha[1] = np.inf
+        return alpha
+
+    monkeypatch.setattr(sdp, "_ray_minimum", failing)
+    got = sdp._dual_paths(cycle4, bs, 1e-8)
+    assert rows[2] == 3 and got[1] is None
+    for row, ref in ((got[0], alone), (got[2], unforced[2])):
+        assert row[3] == ref[3]
+        assert all(np.array_equal(a, b) for a, b in zip(row[:3], ref[:3]))
 
 
 def test_ray_minimum_is_near_the_barrier_minimum():
@@ -1060,6 +1105,31 @@ def test_tol_validation():
         solve(inst, tol=1e-3)
 
 
+def test_lmi_functions_refuse_linear_terms(small):
+    """The exported LMI functions read only the quadratic data, so an
+    instance with linear terms is refused, as solve and certify refuse it."""
+    inst = load_instance(DATA_DIR / "small_linear.json")
+    assert isinstance(inst, GeneralQcqpInstance)
+    for call in (lambda: minimize_linear_functional_over_dual_cone(inst, 0, 1),
+                 lambda: optimize_linear_functionals_over_dual_cone(inst, []),
+                 lambda: max_min_eigen_combination(inst)):
+        with pytest.raises(InstanceError, match="homogenize"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+                                 {"tol": 1e-3}, {"y_cap": 0.0}, {"y_cap": float("nan")},
+                                 {"y_cap": np.inf}])
+def test_lmi_functions_validate_tol_and_y_cap(small, bad):
+    """A tol outside (0, 1e-4], or a y_cap that is not positive and finite,
+    raises ValueError before any solve, with no warning."""
+    for call in (lambda: minimize_linear_functional_over_dual_cone(small, 0, 1, **bad),
+                 lambda: optimize_linear_functionals_over_dual_cone(small, [], **bad),
+                 lambda: max_min_eigen_combination(small, **bad)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def _engine_runs(monkeypatch):
     """The solution of every engine run from now on, one per run."""
     runs = []
@@ -1071,6 +1141,19 @@ def _engine_runs(monkeypatch):
 
     monkeypatch.setattr(sdp, "solve_standard_form", spy)
     return runs
+
+
+def _engine_tier(inst, targets, y_cap=1e6, tol=sdp.DEFAULT_TOL):
+    """The engine tier's answer to each target, the reference for the
+    other tiers: one `sdp._maximize_over_lmi` run (two if the first fails)
+    per target, read as (S(y)_kl, max y < 0.999 y_cap, y)."""
+    out = []
+    for k, ell, maximize in targets:
+        f = inst.constraint_stack[:, k, ell]
+        _, y = sdp._maximize_over_lmi(inst.objective, inst.constraint_stack,
+                                      f if maximize else -f, y_cap, tol, "edge-system", "S(y)")
+        out.append((float(inst.objective[k, ell] + f @ y), bool(y.max() < 0.999 * y_cap), y))
+    return out
 
 
 def _all_targets(inst):
@@ -1091,7 +1174,7 @@ def _runs_per_target(monkeypatch, inst, targets, **kwargs):
     out = []
     for target in targets:
         runs.clear()
-        out.append((_outcome(lambda: sdp._engine_targets(inst, [target], **kwargs)[0]),
+        out.append((_outcome(lambda: _engine_tier(inst, [target], **kwargs)[0]),
                     list(runs)))
     monkeypatch.undo()
     return out
@@ -1114,7 +1197,7 @@ def test_edge_batches_need_no_recovery_run(monkeypatch, small, cycle4):
     for inst in _seeded_instances(small, cycle4):
         runs.clear()
         targets = _all_targets(inst)
-        sdp._engine_targets(inst, targets)
+        _engine_tier(inst, targets)
         assert len(runs) == len(targets)
 
 
@@ -1167,7 +1250,7 @@ def test_failed_members_get_one_recovery_run(monkeypatch, small):
     assert [len(runs) for _, runs in alone] == [1 + (t in broken) for t in targets]
     assert all(runs[-1].status is SolverStatus.OPTIMAL for _, runs in alone)
     for (value, attained, y), ((value1, attained1, y1), _) in zip(
-            sdp._engine_targets(inst, targets), alone):
+            _engine_tier(inst, targets), alone):
         assert (value, attained) == (value1, attained1)
         assert np.array_equal(y, y1)
 
@@ -1179,7 +1262,7 @@ def test_failed_members_get_one_recovery_run(monkeypatch, small):
     assert {"scaling breakdown (lost cone interior)", "non-finite iterate"} <= {
         sol.message for sol in sols
     }
-    together = _outcome(lambda: sdp._engine_targets(inst, targets, tol=1e-14))
+    together = _outcome(lambda: _engine_tier(inst, targets, tol=1e-14))
     assert together == next(res for res, _ in alone if not isinstance(res[0], float))
     assert together[0] is RuntimeError and "scaling breakdown" in together[1]
 
@@ -1197,7 +1280,7 @@ def test_connecting_perturbation_certifies_from_one_engine_run(monkeypatch, smal
 
     def engine_tier(inst, targets, **kwargs):
         asked.extend(targets)
-        return sdp._engine_targets(inst, targets, **kwargs)
+        return _engine_tier(inst, targets, **kwargs)
 
     monkeypatch.setattr(certify_module, "optimize_linear_functionals_over_dual_cone",
                         engine_tier)
@@ -1240,7 +1323,7 @@ def test_box_corner_matches_the_engine(small):
     for inst in [small] + [_random_family_instance(rng, "forest") for _ in range(5)]:
         targets = _all_targets(inst)
         got = optimize_linear_functionals_over_dual_cone(inst, targets)
-        ref = sdp._engine_targets(inst, targets)
+        ref = _engine_tier(inst, targets)
         for target, (value, attained, y), (value1, attained1, _) in zip(targets, got, ref):
             corner = _corner(inst, *target)
             if not _on_cone(inst, corner):
@@ -1264,7 +1347,7 @@ def test_dual_path_targets_match_the_engine(small, cycle4):
     for inst in instances:
         targets = _all_targets(inst)
         got = optimize_linear_functionals_over_dual_cone(inst, targets)
-        ref = sdp._engine_targets(inst, targets)
+        ref = _engine_tier(inst, targets)
         for target, (value, attained, y), (value1, attained1, _) in zip(targets, got, ref):
             assert attained == attained1
             if not attained or np.array_equal(y, _corner(inst, *target)):
@@ -1297,7 +1380,7 @@ def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     same answers to 1e-8 relative."""
     targets = [(k, ell, False) for k, ell in sorted(build_graph(cycle4).edges)]
     assert not any(_on_cone(cycle4, _corner(cycle4, *t)) for t in targets)
-    ref = sdp._engine_targets(cycle4, targets)
+    ref = _engine_tier(cycle4, targets)
     stacked, polished = [], []
     real_paths, real_polished = sdp._dual_paths, sdp._polished_path
 
@@ -1323,6 +1406,31 @@ def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     for got in (by_path, by_polish, by_engine):
         for (value, attained, _), (value1, attained1, _) in zip(got, ref):
             assert attained and attained1 and abs(value - value1) <= 1e-8 * abs(value1)
+
+
+def test_engine_tier_is_one_run_per_target(monkeypatch, small):
+    """With the path and the polished path giving no point, every target
+    off its corner reaches the engine tier, which answers it as a lone
+    `sdp._maximize_over_lmi` run does: the same y and attained flag bit for
+    bit, and the value S(y)_kl at that y.  On the eps = 5e-4 connecting
+    perturbation of two copies of small.json two of them need the
+    recovery run."""
+    inst = build_connecting_perturbation(_blkdiag_double(small), 5e-4).instance
+    targets = _all_targets(inst)
+    monkeypatch.setattr(sdp, "_dual_paths", lambda inst, bs, gap_tol: [None] * len(bs))
+    monkeypatch.setattr(sdp, "_polished_path", lambda inst, tol: (None, 0))
+    runs = _engine_runs(monkeypatch)
+    got = optimize_linear_functionals_over_dual_cone(inst, targets)
+    asked = [t for t in targets if not _on_cone(inst, _corner(inst, *t))]
+    assert len(runs) == len(asked) + 2
+    monkeypatch.undo()
+    ref = dict(zip(asked, _engine_tier(inst, asked)))
+    for (k, ell, maximize), (value, attained, y) in zip(targets, got):
+        if (k, ell, maximize) in ref:
+            value1, attained1, y1 = ref[k, ell, maximize]
+            assert attained == attained1 and np.array_equal(y, y1)
+            assert abs(value - value1) <= 1e-15 * abs(value1)
+            assert abs(value - dual_slack(inst, y)[k, ell]) <= 1e-12 * abs(value)
 
 
 def test_seeded_edge_targets_need_no_engine(monkeypatch, small, cycle4):
@@ -1370,7 +1478,7 @@ def test_edge_functional_maximize(small):
     )
     assert not attained
     assert mu_max > 1e3
-    engine = sdp._engine_targets(small, [(0, 1, False), (0, 1, True)], y_cap=1e3)
+    engine = _engine_tier(small, [(0, 1, False), (0, 1, True)], y_cap=1e3)
     assert [attained for _, attained, _ in engine] == [True, False]
 
 

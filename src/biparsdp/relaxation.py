@@ -39,7 +39,7 @@ class RelaxationResult:
     ipm_iterations: int  # engine iterations; 0 when the dual path answered
     polish_steps: int  # Newton steps of the KKT polish kept in X*, y*
     status_from: str  # "dual-path" (the path's polished point) or "full-run" (the engine's)
-    dual_path_steps: int  # Newton steps of the dual path; 0 when it gave no point
+    dual_path_steps: int  # dual-path steps to the polished point; 0 when it gave no point
     message: str = ""
 
 

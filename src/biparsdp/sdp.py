@@ -29,29 +29,31 @@ its primal side with F0 = Q0, Fp = Qp, b = -rhs and no box.  Its dual has
 only m unknowns, so `solve` first follows the dual's central path in y
 alone (`_dual_paths`, a stack of one: damped Newton steps on a log
 barrier, each an n x n Cholesky factor, its inverse, an m x m solve and
-an eigvalsh) to a gap of sqrt(tol), then polishes the point by Newton
-steps on the KKT system.  When S(y) has a near-null block of one there, the
-steps run on X = x x^T (`_rank_one_iterates`): n + 2m unknowns and one
-square solve per step, O(m n^2 + (n + 2m)^3).  Otherwise, or when that
-route gives no passing point, they run in the eigenbasis of S(y) with only
-its near-null block as explicit unknowns (`_kkt_iterates`): an eigh, 2m
-rotations and a least-squares solve, O(m n^3) per step.  The last polish
-iterate that passes the engine's own stopping test at tol, read at the
-nearest point of the cones, is the answer.  Otherwise, or when the path
-cannot start or finish, the engine runs once to tol, and an Optimal result
-is polished; every infeasibility certificate of a relaxation comes from the
-engine.
+an eigvalsh).  At a gap of `_FINISH_GAP` = 1e-2 the path hands its point
+to a finish: when S(y) has a near-null block of one, Newton steps on
+X = x x^T (`_rank_one_iterates`: n + 2m unknowns and one square solve per
+step, O(m n^2 + (n + 2m)^3)), whose last iterate that passes the engine's
+own stopping test at tol is the answer.  Otherwise the path goes on to a
+gap of sqrt(tol), and its point there is polished by the same rank-one
+steps, then, when they give no passing point, in the eigenbasis of S(y)
+with only its near-null block as explicit unknowns (`_kkt_iterates`): an
+eigh, 2m rotations and a least-squares solve, O(m n^3) per step.  When no
+polish point passes, or the path cannot start or finish, the engine runs
+once to tol, and an Optimal result is polished; every infeasibility
+certificate of a relaxation comes from the engine.
 
 The per-edge systems optimize one entry S(y)_{kl} of S(y) = Q0 +
 sum_p y_p Qp over the same set of y, boxed; each is the dual of a
 relaxation with rhs +-(Qp)_{kl}.  `optimize_linear_functionals_over_dual_cone`
 answers each edge target from the box corner when S(y) is positive
 definite there, else from one stacked dual path for all the targets of an
-instance, whose points are accepted on checked evidence (a PSD primal
-point feasible for the target's relaxation, which bounds the optimum by
-weak duality), else from `solve`'s first tier, else from a boxed engine
-run (`_maximize_over_lmi`, two if the first fails), all in that one
-function; one more such run is the positive-definiteness check,
+instance, whose rows meet the same rank-one finish at a gap of 1e-2 and
+otherwise run to tol, and whose points are accepted on checked evidence (a
+PSD primal point feasible for the target's relaxation, which bounds the
+optimum by weak duality, and for a finished row also y and S(y) inside
+the cones to tol), else from `solve`'s first tier, else from a boxed
+engine run (`_maximize_over_lmi`, two if the first fails), all in that
+one function; one more such run is the positive-definiteness check,
 min sum_p y_p s.t. sum_p y_p Qp >= I (`max_min_eigen_combination`).
 """
 
@@ -559,7 +561,7 @@ def _kkt_residuals(inst: QcqpInstance, X, y, eig=None) -> tuple[float, float, fl
     elementwise split, and
 
         pres   = ||(<Qp, X+> - b_p)+|| / (1 + ||b||)
-        dres   = ||(y-, S(y)-)||_F / (1 + ||Q0||_F)
+        dres   = ||(y-, S(y)-)||_F / (1 + ||Q0||_F)   (`_dual_residuals`)
         relgap = |<Q0, X+> + b.y| / (1 + max(|<Q0, X+>|, |b.y|)).
 
     So X not PSD, S(y) not PSD and y not >= 0 count against the point, and
@@ -570,17 +572,23 @@ def _kkt_residuals(inst: QcqpInstance, X, y, eig=None) -> tuple[float, float, fl
     A = inst.constraint_stack.reshape(inst.m, -1)
     b = inst.rhs
     pres = np.linalg.norm(np.maximum(A @ Xp.ravel() - b, 0.0)) / (1.0 + np.linalg.norm(b))
-    neg = np.minimum(np.concatenate([np.linalg.eigvalsh(dual_slack(inst, y)), y]), 0.0)
-    dres = np.linalg.norm(neg) / (1.0 + np.linalg.norm(inst.objective))
     pobj, dobj = float(inst.objective.ravel() @ Xp.ravel()), -float(b @ y)
     relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-    return float(pres), float(dres), relgap
+    return float(pres), float(_dual_residuals(inst, y)), relgap
+
+
+def _dual_residuals(inst: QcqpInstance, y: np.ndarray):
+    """The dres of `_kkt_residuals`, ||(y-, S(y)-)||_F / (1 + ||Q0||_F), for
+    y or for each row of a stack of y."""
+    neg = np.minimum(np.concatenate([np.linalg.eigvalsh(dual_slack(inst, y)), y], axis=-1), 0.0)
+    return np.sqrt(np.vecdot(neg, neg)) / (1.0 + np.linalg.norm(inst.objective))
 
 
 # eigvalsh moves the eigenvalues of a matrix M by a small multiple of
 # n eps ||M||; ten times that, with ||M||_inf bounding ||M||_2, is the
 # rounding margin of a PSD test (`eigvalsh_margin`).
-_EIGVALSH_MARGIN = 10 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_EIGVALSH_MARGIN = 10 * _EPS
 
 
 def eigvalsh_margin(terms: int, magnitude: np.ndarray):
@@ -595,12 +603,12 @@ def eigvalsh_margin(terms: int, magnitude: np.ndarray):
 _NULL_BLOCK_REL = 1e-3
 
 
-def _null_block(inst: QcqpInstance, sig: np.ndarray, y: np.ndarray) -> int:
+def _null_block(inst: QcqpInstance, sig: np.ndarray, y: np.ndarray):
     """The size of the near-null block of S(y), from its ascending
-    eigenvalues sig (`_NULL_BLOCK_REL`)."""
+    eigenvalues sig (`_NULL_BLOCK_REL`); one size per row for a stack."""
     A_norms = np.linalg.norm(inst.constraint_stack.reshape(inst.m, -1), axis=1)
-    return int(np.sum(sig <= _NULL_BLOCK_REL * (np.linalg.norm(inst.objective)
-                                                 + np.abs(y) @ A_norms)))
+    scale = np.linalg.norm(inst.objective) + np.vecdot(np.abs(y), A_norms)
+    return np.sum(sig <= _NULL_BLOCK_REL * scale[..., None], axis=-1)
 
 
 # Newton steps that the polish takes at most; it stops sooner, at the first
@@ -699,11 +707,14 @@ def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS, eig=N
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _rank_one_iterates(inst: QcqpInstance, x, y, s, pairs, steps: int = _POLISH_STEPS):
-    """`_kkt_iterates` on X = x x^T: the points (x x^T, y) from the start
-    on, each at a lower residual than the one before, y in the instance's
-    order with each pair's free multiplier on its first constraint (0 on
-    its second, for `_fold`).
+def _rank_one_iterates(inst: QcqpInstance, bs: np.ndarray, x: np.ndarray, y: np.ndarray,
+                       s: np.ndarray, pairs, steps: int = _POLISH_STEPS) -> list:
+    """`_kkt_iterates` on X = x x^T, for each row t of a stack: Newton steps
+    on the relaxation of `inst` with rhs bs[t], from (x[t], y[t], s[t]) in
+    the instance's order.  For each row, the points (x, y) of X = x x^T from
+    the start on, each at a lower residual than the one before, y in the
+    instance's order with each pair's free multiplier on its first
+    constraint (0 on its second, for `_fold`).
 
     With X = x x^T the optimality system reads
 
@@ -718,54 +729,98 @@ def _rank_one_iterates(inst: QcqpInstance, x, y, s, pairs, steps: int = _POLISH_
     and the steps converge quadratically, as those of `_kkt_iterates` do;
     a KKT point with y >= 0 and S(y) PSD is globally optimal (Jeyakumar,
     Rubinov & Wu, Math. Program. 110, 2007), which the caller's test
-    checks.  An opposite pair (`_opposite_pairs`) is one equality
-    <Qp, X> = b_p with a free multiplier w = y_p - y_q and no slack, as in
-    `_dual_paths`.  The steps stop as those of `_kkt_iterates` do, and at a
-    singular Jacobian.
+    checks.  An opposite pair (`_opposite_pairs`, in every row of bs) is one
+    equality <Qp, X> = b_p with a free multiplier w = y_p - y_q and no
+    slack, as in `_dual_paths`.  A row stops as `_kkt_iterates` does, and
+    at a singular Jacobian (`_solve_each`); the rows still stepping run as
+    one stack, and each row's arithmetic is that of a stack of one.
     """
     paired = [i for pair in pairs for i in pair]
     r = inst.m - len(paired)  # the slacks: r constraints, then each pair's w
     keep = [p for p in range(inst.m) if p not in paired] + [p for p, _ in pairs]
-    Q0, Qs, b = inst.objective, inst.constraint_stack, inst.rhs
+    Q0, Qs = inst.objective, inst.constraint_stack[keep]
     y = y.copy()
     for p, q in pairs:
-        y[p] -= y[q]
-    if pairs:
-        Qs, b, y = Qs[keep], b[keep], y[keep]
-    s = s[keep[:r]]
-    n, m = len(Q0), len(keep)
-    points, last = [], np.inf
+        y[:, p] -= y[:, q]
+    n, m, b = len(Q0), len(keep), bs[:, keep]
+    z = np.concatenate([x, y[:, keep], s[:, keep[:r]]], axis=1)  # each row's (x, y, s)
+    diag = np.arange(r)
+    points = [[] for _ in bs]
+    idx, last = list(range(len(bs))), [np.inf] * len(bs)  # per row of the stack
     for taken in range(steps + 1):
+        x, y, s = z[:, :n], z[:, n : n + m], z[:, n + m :]
         S = _slack(Q0, Qs, y)
-        Qx = Qs @ x
-        rd, rp, ys = -(S @ x), b - Qx @ x, y[:r] * s
-        rp[:r] -= s
-        residual = np.sqrt(rd @ rd + rp @ rp + ys @ ys)
-        if points and not residual < last:
+        Qx = (Qs @ x[:, None, :, None])[..., 0]
+        rhs = np.concatenate([-(S @ x[..., None])[..., 0], b - np.vecdot(Qx, x[:, None]),
+                              -y[:, :r] * s], axis=1)
+        rhs[:, n : n + r] -= s
+        residual = np.sqrt(np.vecdot(rhs, rhs))
+        y_inst = np.zeros((len(idx), inst.m))
+        y_inst[:, keep] = y
+        rows = []  # the rows that step on
+        for j, (t, res) in enumerate(zip(idx, residual.tolist())):
+            if points[t] and not res < last[j]:
+                continue
+            fell_far = not points[t] or res < 0.5 * last[j]
+            points[t].append((x[j], y_inst[j]))
+            last[j] = res
+            if taken < steps and fell_far:
+                rows.append(j)
+        if not rows:
             break
-        fell_far = not points or residual < 0.5 * last
-        y_inst = np.zeros(inst.m)
-        y_inst[keep] = y
-        points.append((np.outer(x, x), y_inst))
-        last = residual
-        if taken == steps or not fell_far:
-            break
-
-        M = np.zeros((n + m + r, n + m + r))
-        M[:n, :n] = S
-        M[:n, n : n + m] = Qx.T
-        M[n : n + m, :n] = 2.0 * Qx
-        M[n : n + r, n + m :] = np.eye(r)
-        M[n + m :, n : n + r] = np.diag(s)
-        M[n + m :, n + m :] = np.diag(y[:r])
-        try:
-            step = np.linalg.solve(M, np.concatenate([rd, rp, -ys]))
-        except np.linalg.LinAlgError:
-            break
-        x = x + step[:n]
-        y = y + step[n : n + m]
-        s = s + step[n + m :]
+        if len(rows) < len(idx):
+            z, b, S, Qx, rhs = (v[rows] for v in (z, b, S, Qx, rhs))
+            idx, last = [idx[j] for j in rows], [last[j] for j in rows]
+        M = np.zeros((len(idx), n + m + r, n + m + r))
+        M[:, :n, :n] = S
+        M[:, :n, n : n + m] = _T(Qx)
+        M[:, n : n + m, :n] = 2.0 * Qx
+        M[:, n + diag, n + m + diag] = 1.0
+        M[:, n + m + diag, n + diag] = z[:, n + m :]
+        M[:, n + m + diag, n + m + diag] = z[:, n : n + r]
+        step, singular = _solve_each(M, rhs)
+        z = z + step
+        if singular.any():
+            rows = np.flatnonzero(~singular)
+            z, b = z[rows], b[rows]
+            idx, last = [idx[j] for j in rows], [last[j] for j in rows]
+            if not len(rows):
+                break
     return points
+
+
+def _outer_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh(x x^T) in closed form: the eigenvalues 0, ..., 0, x.x, ascending,
+    with the last eigenvector x / ||x|| and the others the remaining columns
+    of the Householder reflection H = I - w w^T / (1 + |u_n|), w = u + sign(u_n)
+    e_n, u = x / ||x||, which maps e_n to -sign(u_n) u."""
+    n = len(x)
+    lam, V = np.zeros(n), np.eye(n)
+    lam[-1] = x @ x
+    if lam[-1] > 0:
+        u = x / np.sqrt(lam[-1])
+        w = u.copy()
+        w[-1] += 1.0 if u[-1] >= 0 else -1.0
+        V -= np.outer(w, w / (1.0 + abs(u[-1])))
+        V[:, -1] = u
+    return lam, V
+
+
+def _rank_one_route(inst: QcqpInstance, bs: np.ndarray, X, y, s, pairs) -> tuple[list, tuple]:
+    """The rank-one route from points (X, y, s) of the dual path, one per row
+    of bs: eigh(S(y)) of each row, and `_rank_one_iterates`' points for each
+    row whose near-null block has size one (`_null_block`), from
+    x = u sqrt(u^T X u), u the null eigenvector; None for the other rows."""
+    sig, U = np.linalg.eigh(_slack(inst.objective, inst.constraint_stack, y))
+    one = np.flatnonzero(_null_block(inst, sig, y) == 1)
+    routed = [None] * len(bs)
+    if len(one):
+        u = U[one, :, 0]
+        uXu = np.vecdot(u, (X[one] @ u[..., None])[..., 0])
+        x = u * np.sqrt(np.maximum(uXu, 0.0))[:, None]
+        for t, points in zip(one, _rank_one_iterates(inst, bs[one], x, y[one], s[one], pairs)):
+            routed[t] = points
+    return routed, (sig, U)
 
 
 # The dual path's Newton steps at most before it leaves the solve to the
@@ -774,6 +829,13 @@ def _rank_one_iterates(inst: QcqpInstance, x, y, s, pairs, steps: int = _POLISH_
 _PATH_STEPS = 60
 _START_DOUBLINGS = 40
 _CENTRING_STEPS = 10
+
+# The gap mu (n + r) <= _FINISH_GAP (1 + |b.y|) at which a row of the dual
+# path first meets its caller's finish (`_dual_paths`).  Newton's basin does
+# not depend on the caller's tol, and every tol <= 1e-4 ends the path at a
+# gap of sqrt(tol) or tol, at or below this one: a row meets the finish
+# before it ends.
+_FINISH_GAP = 1e-2
 
 
 def _opposite_pairs(inst: QcqpInstance, b: np.ndarray | None = None) -> list[tuple[int, int]]:
@@ -863,15 +925,26 @@ def _ray_minimum(slope, lam: np.ndarray):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float) -> list:
+def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None) -> list:
     """For each row b of bs, (X, y, s, steps): a point near the optimum of
     the relaxation of `inst` with rhs b, with a duality gap of about
     gap_tol * (1 + |b.y|), from the central path of its dual in y alone, and
     the Newton steps taken; None when the path cannot start or does not get
-    there.  The rows share F = {y >= 0, S(y) PSD}, so they run as one stack
-    (stacked Cholesky factors, inverses and Hessians, one mu per row), and a
-    row leaves the stack when it ends or fails; each row's arithmetic is
-    that of a stack of one.
+    there, or when `finish` settled the row.  The rows share
+    F = {y >= 0, S(y) PSD}, so they run as one stack (stacked Cholesky
+    factors, inverses and Hessians, one mu per row), and a row leaves the
+    stack when it ends, fails or is settled; each row's arithmetic is that
+    of a stack of one.
+
+    `finish`, when given, meets each row once, at its first centred iterate
+    with mu (n + r) <= `_FINISH_GAP` (1 + |b.y|): finish(rows, points,
+    pairs) gets the rows of bs met at one step, their points (X, y, s,
+    steps) as a row's end would give them, and the opposite pairs, and
+    says for each row whether it settled it (the caller keeps the answer).
+    A row it does not settle resumes from its own state, so it ends as it
+    would without a finish.  Newton's basin does not depend on gap_tol, so
+    the finish gap is fixed, and it lies at or above gap_tol for every
+    caller's tol.
 
     The dual, max -b.y over F, has only m unknowns.  Damped Newton steps
     minimize the barrier
@@ -936,8 +1009,17 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float) -> list:
             break
     else:
         return out
-    # per row of the stack: the row of bs it follows, and its steps at this mu
-    idx, damped = list(range(len(bs))), [0] * len(bs)
+
+    def point(t):
+        """Row t's primal point, y and s in the instance's order, and steps."""
+        X = mu[t] * (Li[t].T @ (np.eye(n) - (dy[t] @ B[t]).reshape(n, n)) @ Li[t])
+        ys = np.zeros((2, inst.m))  # y and s in the instance's order
+        ys[:, keep] = y[t], np.where(np.arange(m) < r, mu[t] * (1.0 - dy[t] / y[t]) / y[t], 0.0)
+        return X, _fold(ys[0], pairs), ys[1], steps
+
+    # per row of the stack: the row of bs it follows, its steps at this mu,
+    # and whether it has yet to meet the finish
+    idx, damped, fresh = list(range(len(bs))), [0] * len(bs), [finish is not None] * len(bs)
     y, L = y.repeat(len(bs), axis=0), L.repeat(len(bs), axis=0)
     for steps in range(_PATH_STEPS):
         Li = np.linalg.inv(L)
@@ -968,7 +1050,7 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float) -> list:
             ng = mu_col * a - b  # -g, as rounding is symmetric
             dy, singular = _solve_each(H, ng / mu_col)
             by = None  # b.y, once a row needs it
-            shrink = []
+            centred, handed = [], []
             for t, bad, dec in zip(range(len(y)), singular.tolist(),
                                    (np.vecdot(ng, dy) / mu).tolist()):
                 if t in gone:
@@ -981,15 +1063,22 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float) -> list:
                     continue
                 if by is None:
                     by = np.vecdot(b, y).tolist()
+                if fresh[t] and mu[t] * (n + r) <= _FINISH_GAP * (1.0 + abs(by[t])):
+                    fresh[t] = False
+                    handed.append(t)
+                else:
+                    centred.append(t)
+            if handed:
+                settled = finish([idx[t] for t in handed], [point(t) for t in handed], pairs)
+                gone.update(t for t, done in zip(handed, settled) if done)
+                centred += [t for t, done in zip(handed, settled) if not done]
+            shrink = []
+            for t in centred:
                 if mu[t] * (n + r) > gap_tol * (1.0 + abs(by[t])):
                     shrink.append(t)
-                    continue
-                X = mu[t] * (Li[t].T @ (np.eye(n) - (dy[t] @ B[t]).reshape(n, n)) @ Li[t])
-                ys = np.zeros((2, inst.m))  # y and s in the instance's order
-                ys[:, keep] = y[t], np.where(
-                    np.arange(m) < r, mu[t] * (1.0 - dy[t] / y[t]) / y[t], 0.0)
-                out[idx[t]] = X, _fold(ys[0], pairs), ys[1], steps
-                gone.add(t)
+                else:
+                    out[idx[t]] = point(t)
+                    gone.add(t)
             if not shrink:
                 break
             mu[shrink] *= 0.1
@@ -1000,7 +1089,7 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float) -> list:
             if not rows:
                 break
             y, L, b, mu, dy, B = (v[rows] for v in (y, L, b, mu, dy, B))
-            idx, damped = [idx[t] for t in rows], [damped[t] for t in rows]
+            idx, damped, fresh = ([v[t] for t in rows] for v in (idx, damped, fresh))
         lam, off = _stacked(np.linalg.eigvalsh, np.vecmat(dy, B).reshape(-1, n, n))
         lam = np.concatenate([lam, (dy / y)[:, :r]], axis=1)
         alpha = _ray_minimum(np.vecdot(b, dy) / mu, lam)
@@ -1025,7 +1114,7 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float) -> list:
             if not rows:
                 break
             y, L, b, mu = (v[rows] for v in (y, L, b, mu))
-            idx, damped = [idx[t] for t in rows], [damped[t] for t in rows]
+            idx, damped, fresh = ([v[t] for t in rows] for v in (idx, damped, fresh))
         damped = [k + 1 for k in damped]
     return out
 
@@ -1050,51 +1139,71 @@ class RelaxationSolve(NamedTuple):
     y: np.ndarray
     message: str
     ipm_iterations: int  # engine iterations; 0 when the dual path answered
-    polish_steps: int  # Newton steps that the polish kept
+    polish_steps: int  # Newton steps of the polish that answered (the finish's, or at sqrt(tol))
     status_from: str  # "dual-path" or "full-run": the test that set the status
-    dual_path_steps: int  # Newton steps of the dual path; 0 when it gave no point
+    dual_path_steps: int  # dual-path steps to the polished point; 0 when it gave no point
     X_eigh: tuple | None = None  # eigh(X), when the dual path answered
 
 
 def _polished_path(inst: QcqpInstance, tol: float):
     """The dual path's answer to the relaxation of `inst` at tol, which sets
-    both feasibility and gap targets.  The path's point at a gap of
-    sqrt(tol) (`_dual_paths`, a stack of one) is polished, each pair's
+    both feasibility and gap targets: ((X, y, polish steps, eigh(X)) or
+    None, path steps).  Every candidate is a polished point whose pairs'
     multipliers are folded once more (`_fold`; the eigenbasis polish leaves
     both nonzero, the rank-one one carries w alone), and the last iterate
-    that passes the engine's own stopping test at tol (`_kkt_residuals`) is
-    accepted (`_accepted`): at the rounding floor, a last step can lower the
-    polish's residual and fail that test.
+    of a polish that passes the engine's own stopping test at tol
+    (`_kkt_residuals`) is accepted (`_accepted`): at the rounding floor, a
+    last step can lower the polish's residual and fail that test.
 
-    One eigh of S(y) at the path's point picks the polish.  A near-null
-    block of one (`_null_block`) means X has rank one, and the rank-one
-    route (`_rank_one_iterates`) starts from x = u sqrt(u^T X u), u the
-    null eigenvector: a square (n + 2m) solve per step.  A larger or empty
-    block, or a rank-one route with no passing iterate, goes to the
-    eigenbasis polish (`_kkt_iterates`), which reuses that eigh: an eigh,
-    2m rotations and a least-squares solve per step.  ((X, y, polish
-    steps, eigh(X)) or None, path steps)."""
-    path = _dual_paths(inst, inst.rhs[None], np.sqrt(tol))[0]
+    The path (`_dual_paths`, a stack of one) first meets its finish at a
+    gap of `_FINISH_GAP`: the rank-one route (`_rank_one_route`: when S(y)
+    has a near-null block of one, Newton steps on X = x x^T, a square
+    (n + 2m) solve each).  When that gives no passing point, the path goes
+    on to a gap of sqrt(tol), and its point there takes the rank-one route,
+    then, when that gives no passing point either, the eigenbasis polish
+    (`_kkt_iterates`), which reuses the route's eigh of S(y): an eigh, 2m
+    rotations and a least-squares solve per step.  The path steps count to
+    the point that was polished."""
+    pairs, finished = _opposite_pairs(inst), []
+
+    def rank_one(point):
+        X, y, s, _ = point
+        routed, eig = _rank_one_route(inst, inst.rhs[None], X[None], y[None], s[None], pairs)
+        return routed[0] and _accepted(inst, routed[0], pairs, tol, rank_one=True), eig
+
+    def finish(rows, points, pairs):
+        accepted, _ = rank_one(points[0])
+        if accepted:
+            finished.append((accepted, points[0][3]))
+        return [bool(accepted)]
+
+    path = _dual_paths(inst, inst.rhs[None], np.sqrt(tol), finish)[0]
+    if finished:
+        return finished[0]
     if path is None:
         return None, 0
+    accepted, (sig, U) = rank_one(path)
+    if accepted:
+        return accepted, path[3]
     X, y, s, path_steps = path
-    pairs, eig = _opposite_pairs(inst), np.linalg.eigh(dual_slack(inst, y))
-    if _null_block(inst, eig[0], y) == 1:
-        u = eig[1][:, 0]
-        x = u * np.sqrt(max(u @ X @ u, 0.0))
-        point = _accepted(inst, _rank_one_iterates(inst, x, y, s, pairs), pairs, tol)
-        if point is not None:
-            return point, path_steps
-    return _accepted(inst, _kkt_iterates(inst, X, y, s, eig=eig), pairs, tol), path_steps
+    return _accepted(inst, _kkt_iterates(inst, X, y, s, eig=(sig[0], U[0])), pairs, tol), path_steps
 
 
-def _accepted(inst: QcqpInstance, points: list, pairs, tol: float):
-    """The last polish point (X, y, ...) that passes the engine's own
-    stopping test at tol (`_kkt_residuals`) once each pair's multipliers are
-    folded (`_fold`), as (X, y, polish steps, eigh(X)); None when none does."""
+def _accepted(inst: QcqpInstance, points: list, pairs, tol: float, rank_one: bool = False):
+    """The last polish point that passes the engine's own stopping test at
+    tol (`_kkt_residuals`) once each pair's multipliers are folded
+    (`_fold`), as (X, y, polish steps, eigh(X)); None when none does.  The
+    points are `_kkt_iterates`' (X, y, s), each given a numerical eigh, or
+    with rank_one the rank-one route's (x, y), whose X = x x^T has its eigh
+    in closed form (`_outer_eigh`)."""
     for steps in reversed(range(len(points))):
-        X, y, *_ = points[steps]
-        y, eig = _fold(y, pairs), np.linalg.eigh(X)
+        if rank_one:
+            x, y = points[steps]
+            X, eig = np.outer(x, x), _outer_eigh(x)
+        else:
+            X, y, _ = points[steps]
+            eig = np.linalg.eigh(X)
+        y = _fold(y, pairs)
         if max(_kkt_residuals(inst, X, y, eig)) <= tol:
             return X, y, steps, eig
     return None
@@ -1104,8 +1213,10 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     """The relaxation of `inst` solved to tol, which sets both feasibility
     and gap targets, as a `RelaxationSolve`.  "dual-path": a polished
     point of the dual path that passes the engine's own stopping test
-    at tol (`_polished_path`: Newton steps on X = x x^T when S(y) has a
-    near-null block of one, else in the eigenbasis of S(y)).  "full-run":
+    at tol (`_polished_path`: Newton steps on X = x x^T from the path's
+    point at a gap of 1e-2 when S(y) has a near-null block of one there;
+    else from its point at sqrt(tol), on X = x x^T, then in the eigenbasis
+    of S(y)), with the path steps to the polished point.  "full-run":
     otherwise the engine solves the LMI form with F0 = Q0, Fp = Qp and
     b = -rhs (`_lmi_form`; y is its v, X the PSD block of its u) in one run
     to tol, which holds every certificate to tol, and an Optimal result is
@@ -1175,10 +1286,16 @@ def optimize_linear_functionals_over_dual_cone(
     1. The box corner y_p = y_cap where c_p >= 0, else 0, maximizes c.y
        over the box; when S(y) is positive definite there (one Cholesky
        factor), it is optimal, and attained exactly when no c_p > 0.
-    2. One stacked dual path for the other targets (`_dual_paths`, each to
-       a gap of tol (1 + |c.y|)).  Its point is accepted when its y lies
-       inside the box, max y < 0.999 y_cap, and its primal point X is
-       checked evidence (`_weak_duality_gaps`): X PSD up to rounding with
+    2. One stacked dual path for the other targets (`_dual_paths`).  At a
+       gap of 1e-2 each row meets the finish: the rank-one route
+       (`_rank_one_route`) from the path's point.  Its last x x^T, scaled
+       by one scalar into <Qp, X> <= -c_p (`_scale_into`), and its y
+       answer when they pass the checks below and also the dual half of
+       `_kkt_residuals` at tol (y and S(y) in their cones).  A row the
+       finish does not settle goes on to a gap of tol (1 + |c.y|), where
+       its point answers when it passes the same checks: its y lies inside
+       the box, max y < 0.999 y_cap, and its primal point X is checked
+       evidence (`_weak_duality_gaps`): X PSD up to rounding with
        <Qp, X> <= -c_p makes -<Q0, X> a lower bound on -c.y over F, and
        -c.y must lie within 2 tol (1 + |c.y|) of that bound.
     3. `solve`'s first tier on the target's relaxation (`_polished_path`)
@@ -1211,8 +1328,31 @@ def optimize_linear_functionals_over_dual_cone(
     for t in np.flatnonzero(~off):
         answer(t, corner[t], not (c[t] > 0).any())
 
+    def finish(rows, points, pairs):
+        """Settle the rows of `rest` that the rank-one route answers on checked
+        evidence (see tier 2); the others resume their paths."""
+        ts = [rest[j] for j in rows]
+        X, y, s, _ = (np.array(v) for v in zip(*points))
+        routed, _ = _rank_one_route(inst, -c[ts], X, y, s, pairs)
+        ended = [j for j, points in enumerate(routed) if points]
+        settled = [False] * len(rows)
+        if ended:
+            # the last point of each row: X = x x^T, scaled to meet every constraint
+            b = -c[[ts[j] for j in ended]]
+            X = np.array([np.outer(x, x) for x, _ in (routed[j][-1] for j in ended)])
+            y = np.array([_fold(routed[j][-1][1], pairs) for j in ended])
+            X *= _scale_into(inst, b, X)[:, None, None]
+            checks = zip(ended, y, _weak_duality_gaps(inst, b, X, y), _dual_residuals(inst, y))
+            for j, y_t, gap, dres in checks:
+                t = ts[j]
+                if gap <= 2.0 * tol * (1.0 + abs(c[t] @ y_t)) and y_t.max() < 0.999 * y_cap \
+                        and dres <= tol:
+                    answer(t, y_t, True)
+                    settled[j] = True
+        return settled
+
     rest = [t for t in range(len(targets)) if out[t] is None]
-    found = [(t, path) for t, path in zip(rest, _dual_paths(inst, -c[rest], tol))
+    found = [(t, path) for t, path in zip(rest, _dual_paths(inst, -c[rest], tol, finish))
              if path is not None] if rest else []
     engine = [t for t, (_, y, _, _) in found if not y.max() < 0.999 * y_cap]
     found = [(t, X, y) for t, (X, y, _, _) in found if t not in engine]
@@ -1234,6 +1374,30 @@ def optimize_linear_functionals_over_dual_cone(
         _, y = _maximize_over_lmi(Q0, Qs, c[t], y_cap, tol, "edge-system", "S(y)")
         answer(t, y, bool(y.max() < 0.999 * y_cap))
     return out
+
+
+def _scale_into(inst: QcqpInstance, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """For each row t, a scalar near 1 that puts <Qp, X_t> <= b_tp for every
+    p once X_t is scaled by it, in the products as `_weak_duality_gaps`
+    computes them: a rank-one X = x x^T from Newton steps meets an active
+    constraint only to rounding, on either side.  Each of up to three
+    rounds rescales a row that still breaks a constraint by the factor that
+    its computed products ask for, one rounding inside; a row that no such
+    factor fixes (two active constraints broken on opposite sides) keeps
+    its scalar and fails the check."""
+    A, X = inst.constraint_stack.reshape(inst.m, -1), X.reshape(len(X), -1)
+    scale = np.ones(len(X))
+    for _ in range(3):
+        q = (X * scale[:, None]) @ A.T
+        broken = (q > b).any(axis=1)
+        if not broken.any():
+            break
+        ratio = b / np.where(q == 0, 1.0, q)
+        low = np.where(q < 0, ratio, -np.inf).max(axis=1) * (1.0 + _EPS)
+        high = np.where(q > 0, ratio, np.inf).min(axis=1) * (1.0 - _EPS)
+        fixable = broken & (low <= high) & (high > 0)
+        scale = np.where(fixable, scale * np.clip(1.0, low, high), scale)
+    return scale
 
 
 def _weak_duality_gaps(inst: QcqpInstance, b: np.ndarray, X: np.ndarray,

@@ -88,23 +88,28 @@ def test_rank_tol_decides_extraction():
 
 def test_degenerate_triangles_take_the_eigenbasis_polish(monkeypatch):
     """The +1 triangle and its rescaling by diag(1, 100, 100) leave S(y) a
-    near-null block of size 2 at the dual path's point, so the eigenbasis
-    polish answers them, not the rank-one route, and their verdicts are
-    those of test_rank_tol_decides_extraction and
-    test_pipeline_fallback_higher_rank."""
+    near-null block of size 2 at the dual path's sqrt(tol) point, so the
+    eigenbasis polish answers them, not the rank-one route, and their
+    verdicts are those of test_rank_tol_decides_extraction and
+    test_pipeline_fallback_higher_rank.  At the finish's gap of 1e-2 the
+    rescaled triangle's block still has size one: the rank-one route runs
+    there, and none of its points passes the stopping test."""
     sdp = importlib.import_module("biparsdp.sdp")
     polished = []
-    real = sdp._kkt_iterates
+    real, real_accepted = sdp._kkt_iterates, sdp._accepted
 
     def eigenbasis(*args, **kwargs):
         polished.append(args[0])
         return real(*args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the rank-one polish ran")
+    def accepted(inst, points, pairs, tol, rank_one=False):
+        point = real_accepted(inst, points, pairs, tol, rank_one)
+        if rank_one and point is not None:
+            raise AssertionError("the rank-one polish answered")
+        return point
 
     monkeypatch.setattr(sdp, "_kkt_iterates", eigenbasis)
-    monkeypatch.setattr(sdp, "_rank_one_iterates", refuse)
+    monkeypatch.setattr(sdp, "_accepted", accepted)
     d = np.array([1.0, 100.0, 100.0])
     for scale in (np.ones(3), d):
         tri = QcqpInstance(

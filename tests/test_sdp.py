@@ -20,7 +20,8 @@ from biparsdp import (
     solve,
 )
 from biparsdp.graph import build_graph, is_forest
-from biparsdp.relaxation import numerical_rank, solve_relaxation
+from biparsdp import relaxation as relaxation_module
+from biparsdp.relaxation import DEFAULT_RANK_TOL, numerical_rank, solve_relaxation
 from biparsdp.transform import build_connecting_perturbation
 from biparsdp.sdp import (
     _flat,
@@ -624,18 +625,24 @@ def _falls_back_to_an_earlier_passing_iterate(monkeypatch, route):
     of its iterates function) answers: when the stopping test rejects its
     last iterate, the last earlier one that passes is the answer, with its
     own step count and the eigh(X) that accepted it; when the last passes,
-    it is the only one tested."""
+    it is the only one tested.  The rank-one route's points are (x, y) of
+    X = x x^T, and it is run once, by the dual path's finish."""
     inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
     trails, tested = [], []
     real_iterates, real_residuals = getattr(sdp, route), sdp._kkt_residuals
+    rank_one = route == "_rank_one_iterates"
 
     def iterates(*args, **kwargs):
-        trails.append(real_iterates(*args, **kwargs))
-        return trails[-1]
+        points = real_iterates(*args, **kwargs)
+        trails.append(points[0] if rank_one else points)
+        return points
+
+    def matrix(point):
+        return np.outer(point[0], point[0]) if rank_one else point[0]
 
     def residuals(inst, X, y, eig=None):
-        tested.append(X)
-        if reject_last and X is trails[-1][-1][0]:
+        tested.append((X, eig))
+        if reject_last and np.array_equal(X, matrix(trails[-1][-1])):
             return 1.0, 0.0, 0.0
         return real_residuals(inst, X, y, eig)
 
@@ -645,7 +652,8 @@ def _falls_back_to_an_earlier_passing_iterate(monkeypatch, route):
     res = solve(inst)
     [trail] = trails
     assert len(trail) >= 3 and res.polish_steps == len(trail) - 1
-    assert len(tested) == 1 and res.X is tested[0] is trail[-1][0]
+    assert len(tested) == 1 and res.X is tested[0][0]
+    assert np.array_equal(res.X, matrix(trail[-1]))
 
     trails.clear()
     tested.clear()
@@ -654,15 +662,17 @@ def _falls_back_to_an_earlier_passing_iterate(monkeypatch, route):
     [trail] = trails
     assert res.status is SolverStatus.OPTIMAL and res.status_from == "dual-path"
     assert res.polish_steps == len(trail) - 2 and len(tested) == 2
-    assert res.X is tested[1] is trail[-2][0]
-    assert np.array_equal(res.X_eigh[0], np.linalg.eigh(res.X)[0])
+    assert res.X is tested[1][0] and res.X_eigh is tested[1][1]
+    assert np.array_equal(res.X, matrix(trail[-2]))
+    expected = sdp._outer_eigh(trail[-2][0]) if rank_one else np.linalg.eigh(res.X)
+    assert all(np.array_equal(a, b) for a, b in zip(res.X_eigh, expected))
     assert max(real_residuals(inst, res.X, res.y)) <= sdp.DEFAULT_TOL
 
 
 def test_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
     """The eigenbasis polish (`_kkt_iterates`), with the rank-one route
-    giving no point, accepts its last passing iterate."""
-    monkeypatch.setattr(sdp, "_rank_one_iterates", lambda *args, **kwargs: [])
+    giving no point for any row, accepts its last passing iterate."""
+    monkeypatch.setattr(sdp, "_rank_one_iterates", lambda inst, bs, *args: [[] for _ in bs])
     _falls_back_to_an_earlier_passing_iterate(monkeypatch, "_kkt_iterates")
 
 
@@ -679,10 +689,11 @@ def test_rank_one_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
 def test_rank_one_polish_stops_at_a_singular_jacobian(cycle4):
     """At x = y = s = 0 the rank-one Jacobian has zero rows (diag s,
     diag y): the steps stop there with the start as their one point."""
-    points = sdp._rank_one_iterates(cycle4, np.zeros(4), np.zeros(2), np.zeros(2), [])
+    [points] = sdp._rank_one_iterates(cycle4, cycle4.rhs[None], np.zeros((1, 4)),
+                                      np.zeros((1, 2)), np.zeros((1, 2)), [])
     assert len(points) == 1
-    X, y = points[0]
-    assert not X.any() and not y.any()
+    x, y = points[0]
+    assert not x.any() and not y.any()
 
 
 def _polish_routes(monkeypatch):
@@ -754,13 +765,13 @@ def test_polish_routes_agree_on_the_sweep(relaxation_sweep, tol):
     compared = 0
     for inst in relaxation_sweep:
         X, y, s, _ = sdp._dual_paths(inst, inst.rhs[None], np.sqrt(tol))[0]
-        pairs, eig = sdp._opposite_pairs(inst), np.linalg.eigh(dual_slack(inst, y))
-        if sdp._null_block(inst, eig[0], y) != 1:
+        pairs = sdp._opposite_pairs(inst)
+        [routed], (sig, U) = sdp._rank_one_route(inst, inst.rhs[None], X[None], y[None],
+                                                 s[None], pairs)
+        if routed is None:
             continue
-        u = eig[1][:, 0]
-        x = u * np.sqrt(u @ X @ u)
-        one = sdp._accepted(inst, sdp._rank_one_iterates(inst, x, y, s, pairs), pairs, tol)
-        eb = sdp._accepted(inst, sdp._kkt_iterates(inst, X, y, s, eig=eig), pairs, tol)
+        one = sdp._accepted(inst, routed, pairs, tol, rank_one=True)
+        eb = sdp._accepted(inst, sdp._kkt_iterates(inst, X, y, s, eig=(sig[0], U[0])), pairs, tol)
         compared += 1
         assert (one is None) == (eb is None)
         if one is None:
@@ -771,6 +782,31 @@ def test_polish_routes_agree_on_the_sweep(relaxation_sweep, tol):
         v1, v2 = np.vdot(inst.objective, X1), np.vdot(inst.objective, X2)
         assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v2))
     assert compared >= 45
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-14])
+def test_closed_form_eigh_matches_numerical(relaxation_sweep, tol):
+    """`solve_relaxation` reads rank and x* off the accepted point's eigh,
+    which for a rank-one X = x x^T is the closed form (`_outer_eigh`): on
+    the sweep, the rank and x* that a numerical eigh of X* gives are the
+    same, x* to rounding, and the closed form's eigenpairs are those of X*."""
+    closed = 0
+    for inst in relaxation_sweep:
+        res = solve_relaxation(inst, tol=tol)
+        lam, V = np.linalg.eigh(res.X_star)
+        assert res.numeric_rank == relaxation_module._rank(lam, DEFAULT_RANK_TOL)
+        if res.x_star is not None:
+            x = relaxation_module._leading_factor(lam, V)
+            assert np.max(np.abs(res.x_star - x)) <= 1e-14 * np.max(np.abs(x))
+        eig = solve(inst, tol=tol).X_eigh
+        if not np.all(eig[0][:-1] == 0.0):
+            continue
+        closed += 1
+        X = res.X_star
+        assert np.max(np.abs(eig[0] - lam)) <= 1e-14 * lam[-1]
+        assert np.max(np.abs(X @ eig[1] - eig[1] * eig[0])) <= 1e-14 * lam[-1]
+        assert np.max(np.abs(eig[1].T @ eig[1] - np.eye(inst.n))) <= 1e-14
+    assert closed >= 45
 
 
 def test_odd_cycle_sweep_solves_at_1e11():
@@ -969,10 +1005,12 @@ def test_engine_takes_what_the_dual_path_cannot(monkeypatch, tol):
 
 def test_dual_path_solves_odd_cycle_draws():
     """Three odd-cycle mixed-sign draws at each n = 16, 24, ..., 48 all end
-    by the dual path with no engine run, in at most 200 Newton steps in
-    all.  The path's own point, before the polish, is feasible on both
-    sides (<Qp, X> + s_p = b_p to rounding, X PSD, s > 0, y > 0, S(y)
-    positive definite) with a gap of at most twice its target."""
+    by the dual path with no engine run, in at most 130 Newton steps in
+    all: each is settled by the finish, at the point where a path to a gap
+    of `_FINISH_GAP` ends.  The path's own point at 1e-4, before any
+    polish, is feasible on both sides (<Qp, X> + s_p = b_p to rounding, X
+    PSD, s > 0, y > 0, S(y) positive definite) with a gap of at most twice
+    its target."""
     total = 0
     for n in range(16, 49, 8):
         for seed in range(3):
@@ -980,9 +1018,11 @@ def test_dual_path_solves_odd_cycle_draws():
             res = solve_relaxation(inst)
             assert res.status_from == "dual-path" and res.ipm_iterations == 0
             total += res.dual_path_steps
+            *_, handed = sdp._dual_paths(inst, inst.rhs[None], sdp._FINISH_GAP)[0]
+            assert handed == res.dual_path_steps
 
             X, y, s, steps = sdp._dual_paths(inst, inst.rhs[None], 1e-4)[0]
-            assert steps == res.dual_path_steps
+            assert steps > res.dual_path_steps
             lhs = inst.constraint_stack.reshape(inst.m, -1) @ X.ravel() + s
             assert np.max(np.abs(lhs - inst.rhs)) <= 1e-12 * np.abs(X).sum()
             assert np.linalg.eigvalsh(X)[0] >= -1e-12 * np.linalg.norm(X)
@@ -990,7 +1030,7 @@ def test_dual_path_solves_odd_cycle_draws():
             np.linalg.cholesky(dual_slack(inst, y))
             gap = np.sum(inst.objective * X) + inst.rhs @ y
             assert -1e-9 <= gap <= 2e-4 * (1.0 + abs(inst.rhs @ y))
-    assert total <= 200
+    assert total <= 130
 
 
 def test_dual_paths_drop_a_failed_row(monkeypatch, cycle4):
@@ -1384,9 +1424,9 @@ def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     stacked, polished = [], []
     real_paths, real_polished = sdp._dual_paths, sdp._polished_path
 
-    def paths(inst, bs, gap_tol):
+    def paths(inst, bs, gap_tol, finish=None):
         stacked.append(len(bs))
-        return real_paths(inst, bs, gap_tol)
+        return real_paths(inst, bs, gap_tol, finish)
 
     def counted(inst, tol):
         polished.append(inst.rhs)
@@ -1408,6 +1448,202 @@ def test_rejected_tiers_fall_through(monkeypatch, cycle4):
             assert attained and attained1 and abs(value - value1) <= 1e-8 * abs(value1)
 
 
+def _finish_spy(monkeypatch):
+    """The rows that each edge-tier finish settles from now on, one list per
+    stacked dual path (indices into its rows)."""
+    settled = []
+    real = sdp._dual_paths
+
+    def paths(inst, bs, gap_tol, finish=None):
+        if finish is None:
+            return real(inst, bs, gap_tol)
+        settled.append([])
+
+        def counted(rows, points, pairs, _done=settled[-1]):
+            done = finish(rows, points, pairs)
+            _done.extend(row for row, ok in zip(rows, done) if ok)
+            return done
+
+        return real(inst, bs, gap_tol, counted)
+
+    monkeypatch.setattr(sdp, "_dual_paths", paths)
+    return settled
+
+
+def _without_finish(monkeypatch, inst, targets):
+    """The edge tier's answers with the finish taken away, as its stacked
+    dual paths ran before it existed."""
+    with monkeypatch.context() as patch:
+        real = sdp._dual_paths
+        patch.setattr(sdp, "_dual_paths", lambda inst, bs, gap_tol, finish=None:
+                      real(inst, bs, gap_tol))
+        return optimize_linear_functionals_over_dual_cone(inst, targets)
+
+
+def _same_answers(got, ref):
+    for (value, attained, y), (value1, attained1, y1) in zip(got, ref, strict=True):
+        assert value == value1 and attained == attained1 and np.array_equal(y, y1)
+
+
+def test_finish_stacks_match_stacks_of_one(monkeypatch, small, cycle4):
+    """The finish keeps `_dual_paths`' invariant: a stack of k targets gets
+    the k answers of k stacks of one, bit for bit, on the seeded forests
+    and bipartite graphs, cycle4 and bipartite_breakdown_n16, and the
+    finish settles most of the rows of both."""
+    instances = _seeded_instances(small, cycle4)
+    instances.append(load_instance(DATA_DIR / "bipartite_breakdown_n16.json"))
+    settled = _finish_spy(monkeypatch)
+    stacked = alone = rows = 0
+    for inst in instances:
+        targets = _all_targets(inst)
+        settled.clear()
+        got = optimize_linear_functionals_over_dual_cone(inst, targets)
+        stacked += sum(map(len, settled))
+        rows += len(targets) - sum(_on_cone(inst, _corner(inst, *t)) for t in targets)
+        settled.clear()
+        _same_answers(got, [optimize_linear_functionals_over_dual_cone(inst, [t])[0]
+                            for t in targets])
+        alone += sum(map(len, settled))
+    assert stacked == alone >= 0.8 * rows > 0
+
+
+def _passes_finish(inst, b, x, y, tol=sdp.DEFAULT_TOL):
+    """(weak-duality gap less its limit, dres) of a finished point, and
+    whether the edge tier's finish accepts it (box aside): x x^T, scaled
+    into the constraints, as the evidence."""
+    X = np.outer(x, x)
+    X *= sdp._scale_into(inst, b[None], X[None])[0]
+    excess = sdp._weak_duality_gaps(inst, b[None], X[None], y[None])[0] - 2 * tol * (1 + abs(b @ y))
+    dres = sdp._dual_residuals(inst, y)
+    return excess, dres, excess <= 0 and dres <= tol
+
+
+def test_finish_scales_a_rounding_excess_back(monkeypatch, small, cycle4):
+    """With the last rank-one x of each row grown by 1e-14, x x^T exceeds an
+    active constraint (y_p > 0), and the weak-duality check refuses it as
+    it is; scaled by one scalar into <Qp, X> <= b_p, it passes: on cycle4
+    and the seeded instances, every row that the finish settles unperturbed
+    it settles again, with the unperturbed answer, bit for bit."""
+    real, grown = sdp._rank_one_iterates, []
+
+    def grow(inst, bs, *args):
+        points = real(inst, bs, *args)
+        for b, row in zip(bs, points):
+            x, y = row[-1]
+            row[-1] = x * (1.0 + 1e-14), y
+            grown.append((inst, b, *row[-1]))
+        return points
+
+    settled, compared = _finish_spy(monkeypatch), 0
+    for inst in _seeded_instances(small, cycle4):
+        targets = _all_targets(inst)
+        rest = [t for t in targets if not _on_cone(inst, _corner(inst, *t))]
+        settled.clear()
+        ref = dict(zip(targets, optimize_linear_functionals_over_dual_cone(inst, targets)))
+        ref_settled = settled[0]  # the stacked path; later ones are solve's
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "_rank_one_iterates", grow)
+            settled.clear()
+            got = dict(zip(targets, optimize_linear_functionals_over_dual_cone(inst, targets)))
+        assert set(ref_settled) <= set(settled[0])
+        ends = [rest[j] for j in ref_settled]
+        _same_answers([got[t] for t in ends], [ref[t] for t in ends])
+        compared += len(ends)
+    assert compared >= 30
+    excess = 0
+    for inst, b, x, y in grown:
+        X = np.outer(x, x)
+        above = inst.constraint_stack.reshape(inst.m, -1) @ X.ravel() > b
+        if not _passes_finish(inst, b, x, y)[2] or not above[y > 0].any():
+            continue
+        excess += 1
+        assert sdp._weak_duality_gaps(inst, b[None], X[None], y[None])[0] == np.inf
+    assert excess >= 30
+
+
+@pytest.mark.parametrize("side", ["y", "S(y)"])
+def test_finish_rejects_a_y_outside_the_dual_test(monkeypatch, cycle4, side):
+    """A finished y with a y_p below 0, or with lambda_min(S(y)) below 0,
+    beyond the dual half of `_kkt_residuals` at tol, is refused, though its
+    weak-duality gap and box pass: each row resumes its own path and ends
+    as the path alone ends it, bit for bit (cycle4's edge minima)."""
+    tol = sdp.DEFAULT_TOL
+    targets = [(k, ell, False) for k, ell in sorted(build_graph(cycle4).edges)]
+    ref = _without_finish(monkeypatch, cycle4, targets)
+    real, refused = sdp._rank_one_iterates, []
+
+    def perturb(inst, bs, *args):
+        points = real(inst, bs, *args)
+        for b, row in zip(bs, points):
+            x, y = row[-1]
+            if not _passes_finish(inst, b, x, y)[2]:
+                continue
+            y = y.copy()
+            # lower the multiplier whose Qp grows x^T Qp x most: x^T S(y) x < 0
+            p = int(np.argmax(np.vecdot(x, inst.constraint_stack @ x)))
+            if side == "y":
+                y[1 - p] = -1e-6
+            else:
+                y[p] -= 1e-6 * y[p]
+            row[-1] = x, y
+            refused.append(_passes_finish(inst, b, x, y))
+        return points
+
+    monkeypatch.setattr(sdp, "_rank_one_iterates", perturb)
+    settled = _finish_spy(monkeypatch)
+    _same_answers(optimize_linear_functionals_over_dual_cone(cycle4, targets), ref)
+    assert settled == [[]] and len(refused) >= 2
+    assert all(excess <= 0 and dres > tol for excess, dres, _ in refused)
+
+
+def test_forced_finish_failure_ends_as_the_path(monkeypatch, small, cycle4):
+    """With every near-null block forced to size 2, the finish settles no
+    row: each resumes its own path and ends with the value, the y and the
+    path steps of the path alone, bit for bit."""
+    instances = _seeded_instances(small, cycle4)
+    refs = [_without_finish(monkeypatch, inst, _all_targets(inst)) for inst in instances]
+    monkeypatch.setattr(sdp, "_null_block", lambda inst, sig, y: np.full(sig.shape[:-1], 2))
+    real, compared = sdp._dual_paths, []
+
+    def paths(inst, bs, gap_tol, finish=None):
+        handed = []
+
+        def counted(rows, points, pairs):
+            done = finish(rows, points, pairs)
+            handed.extend(zip(rows, done))
+            return done
+
+        got = real(inst, bs, gap_tol, counted)
+        for row, alone in zip(got, real(inst, bs, gap_tol), strict=True):
+            assert (row is None) == (alone is None)
+            if row is not None:
+                assert row[3] == alone[3]
+                assert all(np.array_equal(a, b) for a, b in zip(row[:3], alone[:3]))
+        assert not any(done for _, done in handed)
+        compared.append(len(handed))
+        return got
+
+    monkeypatch.setattr(sdp, "_dual_paths", paths)
+    for inst, ref in zip(instances, refs):
+        _same_answers(optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst)), ref)
+    assert sum(compared) >= 40
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
+def test_homogenized_pair_settles_by_the_finish(tol):
+    """small_linear, homogenized, has the opposite pair x0^2 = 1.  Its
+    relaxation is settled by the finish with the pair's one free
+    multiplier: at the point where a path to a gap of `_FINISH_GAP` ends,
+    with the multipliers folded to one exactly 0."""
+    inst = homogenize(load_instance(DATA_DIR / "small_linear.json"))
+    assert sdp._opposite_pairs(inst) == [(1, 2)]
+    res = solve(inst, tol=tol)
+    assert res.status is SolverStatus.OPTIMAL and res.status_from == "dual-path"
+    assert res.dual_path_steps == sdp._dual_paths(inst, inst.rhs[None], sdp._FINISH_GAP)[0][3]
+    assert sdp._dual_paths(inst, inst.rhs[None], np.sqrt(tol))[0][3] > res.dual_path_steps
+    assert min(res.y[1:]) == 0.0 and max(_kkt_residuals(inst, res.X, res.y)) <= tol
+
+
 def test_engine_tier_is_one_run_per_target(monkeypatch, small):
     """With the path and the polished path giving no point, every target
     off its corner reaches the engine tier, which answers it as a lone
@@ -1417,7 +1653,8 @@ def test_engine_tier_is_one_run_per_target(monkeypatch, small):
     recovery run."""
     inst = build_connecting_perturbation(_blkdiag_double(small), 5e-4).instance
     targets = _all_targets(inst)
-    monkeypatch.setattr(sdp, "_dual_paths", lambda inst, bs, gap_tol: [None] * len(bs))
+    monkeypatch.setattr(sdp, "_dual_paths",
+                        lambda inst, bs, gap_tol, finish=None: [None] * len(bs))
     monkeypatch.setattr(sdp, "_polished_path", lambda inst, tol: (None, 0))
     runs = _engine_runs(monkeypatch)
     got = optimize_linear_functionals_over_dual_cone(inst, targets)

@@ -1,199 +1,43 @@
-"""Dense primal-dual interior-point solver for small SDPs.
+"""The relaxation and the per-edge systems, solved in y-space.
 
-The engine solves the standard-form conic pair
+The relaxation of a QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p},
+has a dual, max -b.y over {y >= 0, S(y) = Q0 + sum_p y_p Qp PSD}, with only
+m unknowns, so `solve` first follows the dual's central path in y alone
+(`_dual_paths`, a stack of one: damped Newton steps on a log barrier, each
+an n x n Cholesky factor, its inverse, an m x m solve and an eigvalsh).  At
+a gap of `_FINISH_GAP` = 1e-2 the path hands its point to a finish: when
+S(y) has a near-null block of one, Newton steps on X = x x^T
+(`_rank_one_iterates`, one square (n + 2m) solve each), whose last iterate
+that passes the engine's own stopping test at tol is the answer.
+Otherwise the path goes on to a gap of sqrt(tol), and its point there is
+polished in the eigenbasis of S(y) with only its near-null block as
+explicit unknowns (`_kkt_iterates`, O(m n^3) per step).  When no polish
+point passes, or the path cannot start or finish, the conic engine runs
+once to tol (`_engine._relaxation_run`), and an Optimal result is polished;
+every infeasibility certificate of a relaxation comes from the engine.
 
-    (P)  min c.u   s.t.  A u = b,  u in K,
-    (D)  max b.v   s.t.  A^T v + z = c,  z in K,
-
-over K = (nonnegative orthant) x (PSD cone of one matrix block), using the
-homogeneous self-dual embedding with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step; each run solves one problem.  Each iteration
-factors the PSD iterates once, in the NT scaling (a Cholesky factor of X,
-eigh and inverse of the scaling matrix); step lengths are taken in the
-NT-scaled space, and the Schur complement comes from one congruence of A's
-stacked rows.  It is solved twice per iteration: the tau column and the
-predictor as one two-column right-hand side, then the corrector.  The
-predictor needs no dual direction: its Newton solution satisfies
-dU^ + dZ^ = -Lambda in the scaled space, so its dual half, both of its
-step bounds (one eigvalsh) and its du.dz come from du alone.  The
-corrector forms dz and takes its step bounds from one eigvalsh per side.
-Inside the loop the PSD block of every cone vector is kept as a d x d
-matrix; u and z are packed by svec once, on return.  Everything is dense:
-the target problems have matrix dimension well below a hundred.
-
-On top of the engine sits one problem form, max b.y over {y >= 0,
-F0 + sum_p y_p Fp PSD}, optionally boxed by y <= y_cap; `_lmi_form` builds
-its engine data, and y is the engine's dual variable v in every SDP.  The
-relaxation of a QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p}, is
-its primal side with F0 = Q0, Fp = Qp, b = -rhs and no box.  Its dual has
-only m unknowns, so `solve` first follows the dual's central path in y
-alone (`_dual_paths`, a stack of one: damped Newton steps on a log
-barrier, each an n x n Cholesky factor, its inverse, an m x m solve and
-an eigvalsh).  At a gap of `_FINISH_GAP` = 1e-2 the path hands its point
-to a finish: when S(y) has a near-null block of one, Newton steps on
-X = x x^T (`_rank_one_iterates`: n + 2m unknowns and one square solve per
-step, O(m n^2 + (n + 2m)^3)), whose last iterate that passes the engine's
-own stopping test at tol is the answer.  Otherwise the path goes on to a
-gap of sqrt(tol), and its point there is polished by the same rank-one
-steps, then, when they give no passing point, in the eigenbasis of S(y)
-with only its near-null block as explicit unknowns (`_kkt_iterates`): an
-eigh, 2m rotations and a least-squares solve, O(m n^3) per step.  When no
-polish point passes, or the path cannot start or finish, the engine runs
-once to tol, and an Optimal result is polished; every infeasibility
-certificate of a relaxation comes from the engine.
-
-The per-edge systems optimize one entry S(y)_{kl} of S(y) = Q0 +
-sum_p y_p Qp over the same set of y, boxed; each is the dual of a
-relaxation with rhs +-(Qp)_{kl}.  `optimize_linear_functionals_over_dual_cone`
-answers each edge target from the box corner when S(y) is positive
-definite there, else from one stacked dual path for all the targets of an
-instance, whose rows meet the same rank-one finish at a gap of 1e-2 and
-otherwise run to tol, and whose points are accepted on checked evidence (a
-PSD primal point feasible for the target's relaxation, which bounds the
-optimum by weak duality, and for a finished row also y and S(y) inside
-the cones to tol), else from `solve`'s first tier, else from a boxed
-engine run (`_maximize_over_lmi`, two if the first fails), all in that
-one function; one more such run is the positive-definiteness check,
-min sum_p y_p s.t. sum_p y_p Qp >= I (`max_min_eigen_combination`).
+The per-edge systems optimize one entry S(y)_{kl} over the same set of y,
+boxed; each is the dual of a relaxation with rhs +-(Qp)_{kl}.
+`optimize_linear_functionals_over_dual_cone` answers each target by the
+first of four tiers: the box corner, one stacked dual path per instance
+(the same finish, then one evidence test for every point), `solve`'s
+first tier, and a boxed engine run (`_engine._maximize_over_lmi`), which
+also serves the positive-definiteness check (`max_min_eigen_combination`).
+No cone vector is built here; `solve_standard_form`, `svec` and `smat`
+stay importable from this module.
 """
 
 from __future__ import annotations
 
-import enum
-import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._engine import DEFAULT_TOL, DualSideEmpty, SolverStatus, _maximize_over_lmi, _relaxation_run
+from ._engine import _triu, smat, solve_standard_form, svec  # solve_standard_form: re-exported
 from .model import QcqpInstance, check_homogeneous
-
-DEFAULT_TOL = 1e-8
-
-
-class SolverStatus(enum.Enum):
-    OPTIMAL = "Optimal"
-    PRIMAL_INFEASIBLE = "PrimalInfeasible"
-    DUAL_INFEASIBLE = "DualInfeasible"  # primal unbounded
-    NUMERICAL_LIMIT = "NumericalLimit"
-
-
-class DualSideEmpty(RuntimeError):
-    """No y in the box 0 <= y <= y_cap satisfies an LMI-form problem: no
-    S(y) PSD (the per-edge systems are undefined), or no sum_p y_p Qp >= I
-    (the assumption check finds no combination)."""
-
-
-# ---------------------------------------------------------------------------
-# symmetric vectorization
-
-_SQRT2 = np.sqrt(2.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _triu(d: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Read-only upper-triangle indices of a d x d matrix and their off-diagonal mask."""
-    iu = np.triu_indices(d)
-    off = iu[0] != iu[1]
-    for a in (*iu, off):
-        a.setflags(write=False)
-    return iu, off
-
-
-def svec(X: np.ndarray) -> np.ndarray:
-    """Pack the upper triangle with off-diagonals scaled by sqrt(2).
-
-    Preserves inner products: svec(X).svec(Y) == <X, Y>.  A stack of
-    matrices (..., d, d) packs matrix by matrix.
-    """
-    iu, off = _triu(X.shape[-1])
-    v = X[(..., *iu)]
-    v[..., off] *= _SQRT2
-    return v
-
-
-def smat(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of svec; a stack of packed rows (..., d(d+1)/2) unpacks row by row."""
-    iu, off = _triu(d)
-    w = v.copy()
-    w[..., off] /= _SQRT2
-    X = np.zeros(v.shape[:-1] + (d, d))
-    X[(..., *iu)] = w
-    X[(..., iu[1], iu[0])] = w
-    return X
-
-
-# ---------------------------------------------------------------------------
-# standard-form engine
-
-@dataclass
-class ConicSolution:
-    status: SolverStatus
-    u: np.ndarray
-    v: np.ndarray
-    z: np.ndarray
-    pobj: float
-    dobj: float
-    pres: float
-    dres: float
-    relgap: float
-    iterations: int
-    message: str = ""
-
-
-def _T(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2)
-
-
-def _split(w: np.ndarray, l: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthant part and PSD matrix of cone vectors (..., l + d*d), as views."""
-    return w[..., :l], w[..., l:].reshape(w.shape[:-1] + (d, d))
-
-
-def _flat(wl: np.ndarray, Ws: np.ndarray) -> np.ndarray:
-    """Cone vectors (..., l + d*d) from orthant parts and PSD matrices."""
-    return np.concatenate([wl, Ws.reshape(Ws.shape[:-2] + (-1,))], axis=-1)
-
-
-def _flat_product(wl: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """_flat(wl, P @ Q), with the product written straight into the result."""
-    l, d = wl.shape[-1], P.shape[-1]
-    out = np.empty(P.shape[:-2] + (l + d * d,))
-    out[..., :l] = wl
-    np.matmul(P, Q, out=_split(out, l, d)[1])
-    return out
-
-
-def _pack(w: np.ndarray, l: int, d: int) -> np.ndarray:
-    """One cone vector with its PSD block packed by svec."""
-    return np.concatenate([w[:l], svec(w[l:].reshape(d, d))])
-
-
-# At tight tolerances the engine's iterates sit on their rounding floor,
-# where an Optimal or NumericalLimit ending follows the last bit of each
-# product.  So the engine rounds by fixed kernels: a vector times a matrix
-# as a one-row matrix product (`_vm`), dots and norms by add.reduce, not by
-# the BLAS dot of np.dot and np.linalg.norm (`_dot`, `_norm`), and scalar
-# powers by the ufunc loop, which can be vectorized.
-
-def _vm(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return (x[None] @ M)[0]
-
-
-def _dot(x: np.ndarray, y: np.ndarray):
-    return np.add.reduce(x * y)
-
-
-def _norm(x: np.ndarray):
-    return np.sqrt(_dot(x, x))
-
-
-def _ratio(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Largest alpha with w + alpha*dw >= 0 for w > 0, elementwise (inf
-    where dw >= 0)."""
-    return np.divide(-w, dw, out=np.full(np.broadcast(w, dw).shape, np.inf), where=dw < 0)
 
 
 def _fails(fn, a: np.ndarray) -> bool:
@@ -216,320 +60,6 @@ def _stacked(fn, S: np.ndarray):
     except np.linalg.LinAlgError:
         bad = np.array([_fails(fn, a) for a in S])
         return fn(np.where(bad[:, None, None], np.eye(S.shape[-1]), S)), bad
-
-
-class _NTScaling:
-    """Nesterov-Todd scaling of an iterate (u, z) of K = R+^l x PSD(d).
-
-    This is the one factorization of the PSD iterates per interior-point
-    iteration.  With X = Lx Lx^T and Lx^T Z Lx = U diag(s) U^T, the matrix
-    G = Lx U diag(s)^(-1/4) maps both sides of the pair to one point,
-
-        G^-1 X G^-T = G^T Z G = Lambda = diag(lams),
-
-    and W = G G^T satisfies W Z W = X.  Directions are carried into the
-    scaled space by the same maps, and step lengths are read off there:
-    `scale` and `max_step` for a general direction (du, dz), `affine` for
-    the predictor, whose dual half follows from du by the scaled
-    complementarity identity.
-    An iterate with no scaling (X or Z off the cone interior, or u/z out of
-    floating-point range) raises np.linalg.LinAlgError.
-    """
-
-    def __init__(self, u: np.ndarray, z: np.ndarray, l: int, d: int):
-        self.l, self.d = l, d
-        ul, X = _split(u, l, d)
-        zl, Z = _split(z, l, d)
-        self.dl = np.sqrt(ul / zl)
-        self.laml = np.sqrt(ul * zl)
-        Lx = np.linalg.cholesky(X)
-        s_eig, U = np.linalg.eigh(Lx.T @ Z @ Lx)
-        if s_eig[0] <= 0 or not np.isfinite(self.dl + self.laml).all():
-            raise np.linalg.LinAlgError("no Nesterov-Todd scaling")
-        self.G = Lx @ U * s_eig ** -0.25
-        self.Gi = np.linalg.inv(self.G)
-        self.lams = np.sqrt(s_eig)
-        self.W = self.G @ self.G.T
-
-    def apply_w2(self, wl: np.ndarray, Ws: np.ndarray) -> np.ndarray:
-        """u-space congruence (d^2 * wl, W Ws W), flattened; Ws is one
-        matrix or a stack (k, d, d) of rows, wl the matching orthant part."""
-        return _flat_product(self.dl ** 2 * wl, self.W @ Ws, self.W)
-
-    def scale(self, du: np.ndarray, dz: np.ndarray) -> tuple:
-        """Scaled images of a direction: du / d, d * dz, G^-1 dX G^-T, G^T dZ G."""
-        dul, dX = _split(du, self.l, self.d)
-        dzl, dZ = _split(dz, self.l, self.d)
-        return (
-            dul / self.dl,
-            self.dl * dzl,
-            self.Gi @ dX @ self.Gi.T,
-            self.G.T @ dZ @ self.G,
-        )
-
-    def max_step(self, scaled: tuple) -> float:
-        """Largest alpha keeping (u, z) + alpha * (du, dz) in the cone
-        interior.
-
-        In the scaled space the iterate is lam on the orthant and Lambda on
-        the PSD block, so Lambda + alpha * D stays PSD up to
-        alpha = -1 / lambda_min(Lambda^-1/2 D Lambda^-1/2).
-        """
-        qu, qz, dUh, dZh = scaled
-        r = self.lams ** -0.5
-        S = np.empty((2,) + dUh.shape)
-        np.multiply(dUh, r[:, None], out=S[0])
-        np.multiply(dZh, r[:, None], out=S[1])
-        S *= r[None, :]
-        lam, _ = _stacked(np.linalg.eigvalsh, S)
-        return self._bound(qu, qz, *lam[:, 0])
-
-    def affine(self, du: np.ndarray) -> tuple:
-        """Scaled pair, largest step and du.dz of an affine-scaling direction,
-        from its primal half du alone.
-
-        The affine direction solves the linearized complementarity with the
-        right-hand side -lam o lam, which reads qu + qz = -lam on the
-        orthant and dU^ + dZ^ = -Lambda on the PSD block.  So the dual half
-        is qz = -lam - qu, dZ^ = -Lambda - dU^, and with
-        T = Lambda^-1/2 dU^ Lambda^-1/2 the PSD step bounds are
-        -1 / lambda_min(T) (primal) and 1 / (1 + lambda_max(T)) (dual):
-        one eigvalsh gives both.  In the same space
-        du.dz = qu.qz + <dU^, dZ^>.
-        """
-        dul, dX = _split(du, self.l, self.d)
-        qu = dul / self.dl
-        qz = -self.laml - qu
-        dUh = self.Gi @ dX @ self.Gi.T
-        dZh = -(self.lams[:, None] * np.eye(self.d)) - dUh
-        r = self.lams ** -0.5
-        (lam,), _ = _stacked(np.linalg.eigvalsh, (dUh * r[:, None] * r[None, :])[None])
-        step = self._bound(qu, qz, lam[0], -1.0 - lam[-1])
-        return (qu, qz, dUh, dZh), step, _dot(qu, qz) + _dot(dUh.ravel(), dZh.ravel())
-
-    def _bound(self, qu, qz, tu, tz) -> float:
-        """Largest alpha with lam + alpha * q >= 0 for q = qu, qz and
-        1 + alpha * t >= 0 for t = tu, tz, the smallest eigenvalues of the
-        two PSD directions with Lambda^-1/2 taken off both sides."""
-        w = np.concatenate([self.laml, self.laml, np.ones(2)])
-        dw = np.concatenate([qu, qz, [tu, tz]])
-        return _ratio(w, dw).min()
-
-    def unscale_comp(self, rl: np.ndarray, Rs: np.ndarray) -> np.ndarray:
-        """Map a scaled-space complementarity residual to a u-space direction.
-
-        Solves lam o q = r for q in scaled space, then pulls back through the
-        scaling (orthant: d * q; PSD: G q G^T).
-        """
-        denom = 0.5 * (self.lams[:, None] + self.lams[None, :])
-        return _flat_product(self.dl * (rl / self.laml), self.G @ (Rs / denom), self.G.T)
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def solve_standard_form(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    l: int,
-    d: int,
-    feas_tol: float = DEFAULT_TOL,
-    gap_tol: float = DEFAULT_TOL,
-    max_iter: int = 100,
-) -> ConicSolution:
-    """Homogeneous self-dual interior-point solve of the (P)/(D) pair.
-
-    Stops at the first tau-scaled iterate that meets the feasibility and
-    gap targets.  A non-finite or unfactorable iterate ends the run with
-    NUMERICAL_LIMIT and a message.  Inside the loop the PSD block of every
-    cone vector is a d x d matrix, so inner products are plain dot
-    products; u and z are packed once, on return.  The cone needs its PSD
-    block: d >= 1.
-    """
-    if d < 1:
-        raise ValueError("the cone needs a PSD block: d must be >= 1")
-    b = np.asarray(b, dtype=float)
-    m = len(b)
-    nu = l + d  # barrier parameter
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float).reshape(m, l + d * (d + 1) // 2)
-    c = _flat(c[:l], smat(c[l:], d))
-    A = _flat(A[:, :l], smat(A[:, l:], d))
-    c_norm = np.linalg.norm(c)
-    b_den = 1.0 + _norm(b)
-
-    e = _flat(np.ones(l), np.eye(d))  # the identity of the cone
-    u, v, z = e, np.zeros(m), e
-    tau = kappa = 1.0
-
-    def end(status, message="", su=None, svz=None):
-        """The run's result at this iteration's starting iterate, scaled by
-        tau (or by su, svz for a certificate)."""
-        su = tau if su is None else su
-        svz = tau if svz is None else svz
-        return ConicSolution(
-            status, _pack(u / su, l, d), v / svz, _pack(z / svz, l, d), float(pobj),
-            float(dobj), float(pres), float(dres), float(relgap), it, message,
-        )
-
-    for it in range(1, max_iter + 1):
-        Au = _vm(u, A.T)
-        cu, bv = _dot(u, c), _dot(b, v)
-        hx = _vm(v, A) + z - tau * c
-        hy = Au - tau * b
-        htau = -cu + bv - kappa
-        mu = (_dot(u, z) + tau * kappa) / (nu + 1)
-
-        # convergence checks on the tau-scaled iterate
-        pobj, dobj = cu / tau, bv / tau
-        pres = np.sqrt(_dot(hy, hy)) / tau / b_den
-        dres = np.sqrt(_dot(hx, hx)) / tau / (1.0 + c_norm)
-        relgap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
-        if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
-            return end(SolverStatus.OPTIMAL)
-
-        # infeasibility certificates from the homogeneous model
-        if tau <= 1e-6 * np.maximum(1.0, kappa):
-            if bv > 0 and _norm(hx + tau * c) / bv <= feas_tol:  # |A^T v + z| / b.v
-                return end(SolverStatus.PRIMAL_INFEASIBLE,
-                           "Farkas certificate: A^T v + z = 0, z in K, b.v = 1", svz=bv)
-            if cu < 0 and _norm(Au) / -cu <= feas_tol:
-                return end(SolverStatus.DUAL_INFEASIBLE,
-                           "improving ray: A u = 0, u in K, c.u = -1", su=-cu)
-        if not np.isfinite(mu + pres + dres):
-            return end(SolverStatus.NUMERICAL_LIMIT, "non-finite iterate")
-
-        try:
-            nt = _NTScaling(u, z, l, d)
-        except np.linalg.LinAlgError:
-            return end(SolverStatus.NUMERICAL_LIMIT, "scaling breakdown (lost cone interior)")
-        try:
-            alpha, stepped = _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu)
-        except np.linalg.LinAlgError:
-            return end(SolverStatus.NUMERICAL_LIMIT, "singular Schur complement")
-        if alpha <= 1e-10:
-            return end(SolverStatus.NUMERICAL_LIMIT,
-                       "step size collapsed before reaching tolerances")
-        if it == max_iter:
-            return end(SolverStatus.NUMERICAL_LIMIT,
-                       f"no convergence within {max_iter} iterations")
-        u, v, z, tau, kappa = stepped
-
-
-def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
-    """One Mehrotra predictor-corrector step: the step length alpha and the
-    stepped iterate (u, v, z, tau, kappa).  Raises np.linalg.LinAlgError
-    when the Schur complement is singular.
-
-    A Newton solve has du = H + F(rc hx + A^T dv - dtau c) and
-    dz = -rc hx - A^T dv + dtau c, so du + F(dz) = H, the complementarity
-    term: in the scaled space dU^ + dZ^ = Rs / denom (qu + qz = rl / lam).
-    For the predictor that is -Lambda (-lam), so the predictor stops at du,
-    dtau and dkappa; `_NTScaling.affine` reads off its dual half, its step
-    bound and du.dz, and mu_aff needs no dv or dz.  Its Schur solve is
-    stacked with the tau column's; the corrector's is the second solve of
-    M, and the corrector forms (dv, dz) for its step.  Directions and
-    temporaries die here, and the predictor's as soon as the corrector has
-    its terms: on a large PSD block the live (l + d*d) vectors, not the
-    flops, set the solver's peak memory.
-    """
-    l, d = nt.l, nt.d
-    m = len(A)
-    nu = l + d  # barrier parameter
-    cl, Cs = _split(c, l, d)
-    Al, As = _split(A, l, d)
-
-    FA = nt.apply_w2(Al, As)  # the rows F(A_p)
-    M = FA @ A.T
-    M = 0.5 * (M + M.T)
-    M += 1e-14 / max(m, 1) * np.trace(M) * np.eye(m)
-    np.linalg.cholesky(M)  # raises when M is singular
-
-    # F(c) and F(hx) do not depend on the Newton right-hand side
-    Fc = nt.apply_w2(cl, Cs)
-    Fhx = nt.apply_w2(*_split(hx, l, d))
-    AFhx = _vm(Fhx, A.T)
-
-    def schur_rhs(rs, du):
-        """Schur right-hand side of a Newton solve whose du holds the
-        complementarity term H; rs scales the linear residuals."""
-        return -rs * hy - _vm(du, A.T) - rs * AFhx
-
-    def complete(rs, du, v1, dctau):
-        """Grow du in place from H into the Newton direction of the Schur
-        solution v1; returns (dtau, dkappa)."""
-        du += rs * Fhx
-        du += _vm(v1, FA)
-        num = -rs * htau + _dot(du, c) - _dot(b, v1) + dctau / tau
-        dtau = num / den
-        du += dtau * K2
-        # the congruences round asymmetrically; X must stay symmetric,
-        # since its factorizations read one triangle only
-        dX = _split(du, l, d)[1]
-        dX[...] = 0.5 * (dX + dX.T)
-        return dtau, (dctau - kappa * dtau) / tau
-
-    def tk_bound(dtau, dkappa):
-        """Largest step keeping (tau, kappa) positive."""
-        return _ratio(np.array([tau, kappa]), np.array([dtau, dkappa])).min()
-
-    # predictor (affine scaling) direction: its u-space half only, solved
-    # together with the tau column
-    du_a = nt.unscale_comp(-nt.laml ** 2, -((nt.lams ** 2)[:, None] * np.eye(d)))
-    v2, v1 = np.linalg.solve(M, np.stack([_vm(Fc, A.T) + b, schur_rhs(1.0, du_a)], axis=1)).T
-    K2 = _vm(v2, FA) - Fc
-    den = -_dot(K2, c) + _dot(b, v2) + kappa / tau
-    del Fc
-    dtau_a, dkap_a = complete(1.0, du_a, v1, -tau * kappa)
-    sc_a, step_a, dudz = nt.affine(du_a)
-    del du_a
-    aa = np.minimum(1.0, np.minimum(step_a, tk_bound(dtau_a, dkap_a)))  # predictor step length
-    # (u + a du).(z + a dz) = uz (1 - a) + a^2 du.dz, since u.dz + du.z = -u.z
-    uz = _dot(u, z)
-    tk_aff = (tau + aa * dtau_a) * (kappa + aa * dkap_a)
-    mu_aff = (uz * (1.0 - aa) + aa * aa * dudz + tk_aff) / (nu + 1)
-    # np.power: a float64's ** calls C's pow, which can round otherwise
-    sigma = np.clip(np.power(np.maximum(mu_aff, 0.0) / mu, 3), 0.0, 1.0)
-
-    # Mehrotra corrector from the predictor's scaled pair
-    qu_a, qz_a, dUh, dZh = sc_a
-    smu = sigma * mu
-    dcl = smu - nt.laml ** 2 - qu_a * qz_a
-    dcs = (smu - nt.lams ** 2)[:, None] * np.eye(d) - 0.5 * (dUh @ dZh + dZh @ dUh)
-    dctau = smu - tau * kappa - dtau_a * dkap_a
-    del sc_a, dUh, dZh
-
-    rs = 1.0 - sigma
-    du = nt.unscale_comp(dcl, dcs)
-    v1 = np.linalg.solve(M, schur_rhs(rs, du)[:, None])[:, 0]
-    dtau, dkappa = complete(rs, du, v1, dctau)
-    del dcs, FA, K2, Fhx
-    dv = v1 + dtau * v2
-    dz = -rs * hx
-    dz -= _vm(dv, A)
-    dz += dtau * c
-
-    step = np.minimum(nt.max_step(nt.scale(du, dz)), tk_bound(dtau, dkappa))
-    alpha = np.minimum(1.0, 0.99 * step)
-    return alpha, (u + alpha * du, v + alpha * dv, z + alpha * dz, tau + alpha * dtau,
-                   kappa + alpha * dkappa)
-
-
-# ---------------------------------------------------------------------------
-# the LMI form, max b.y  s.t.  y >= 0,  F0 + sum_p y_p Fp PSD (maybe boxed),
-# and the relaxation, its primal side: min <Q0, X>  s.t.  <Qp, X> <= b_p,  X PSD
-
-def _lmi_form(F0, Fs, price: float | None = None, y_cap: float | None = None):
-    """Engine data (c, A) of max b.y over {y >= 0, F0 + sum_p y_p Fp PSD}
-    for any b, y being the engine's v: z = c - A^T v holds the slacks y,
-    then (given a price) the box slacks price * (1 - y/y_cap), then the
-    PSD block F0 + sum_p y_p Fp."""
-    m = len(Fs)
-    c = [np.zeros(m), svec(F0)]
-    A = [np.diag(np.full(m, -1.0)), -svec(np.asarray(Fs))]
-    if price is not None:
-        c.insert(1, np.full(m, price))
-        A.insert(1, np.diag(np.full(m, price / y_cap)))
-    return np.concatenate(c), np.concatenate(A, axis=1)
 
 
 def dual_slack(inst: QcqpInstance, y: np.ndarray) -> np.ndarray:
@@ -616,15 +146,14 @@ def _null_block(inst: QcqpInstance, sig: np.ndarray, y: np.ndarray):
 _POLISH_STEPS = 6
 
 
-def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS, eig=None):
+def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     """Newton steps on the optimality system at mu = 0, taken one at a time
     while they lower its residual: the points (X, y, s) from the start on,
-    each at a lower residual than the one before.  eig, when given, is
-    eigh(S(y)) at the start.
+    each at a lower residual than the one before.
 
     `solve` starts it from the dual path's point at a gap of sqrt(tol) when
-    the rank-one route (`_rank_one_iterates`) does not answer, or from the
-    engine's result at tol.  Newton steps on
+    the finish (`_rank_one_iterates`) does not answer, or from the engine's
+    result at tol.  Newton steps on
 
         <A_p, X> + s_p = b_p,   y_p s_p = 0,   sym(X S(y)) = O
 
@@ -652,8 +181,7 @@ def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS, eig=N
     m, A = inst.m, inst.constraint_stack
     points, last = [], np.inf
     for taken in range(steps + 1):
-        sig, U = eig or np.linalg.eigh(dual_slack(inst, y))
-        eig = None
+        sig, U = np.linalg.eigh(dual_slack(inst, y))
         Xt = U.T @ X @ U
         At = U.T @ A @ U
         At_flat = At.reshape(m, -1)
@@ -708,7 +236,7 @@ def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS, eig=N
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _rank_one_iterates(inst: QcqpInstance, bs: np.ndarray, x: np.ndarray, y: np.ndarray,
-                       s: np.ndarray, pairs, steps: int = _POLISH_STEPS) -> list:
+                       s: np.ndarray, pairs) -> list:
     """`_kkt_iterates` on X = x x^T, for each row t of a stack: Newton steps
     on the relaxation of `inst` with rhs bs[t], from (x[t], y[t], s[t]) in
     the instance's order.  For each row, the points (x, y) of X = x x^T from
@@ -747,7 +275,7 @@ def _rank_one_iterates(inst: QcqpInstance, bs: np.ndarray, x: np.ndarray, y: np.
     diag = np.arange(r)
     points = [[] for _ in bs]
     idx, last = list(range(len(bs))), [np.inf] * len(bs)  # per row of the stack
-    for taken in range(steps + 1):
+    for taken in range(_POLISH_STEPS + 1):
         x, y, s = z[:, :n], z[:, n : n + m], z[:, n + m :]
         S = _slack(Q0, Qs, y)
         Qx = (Qs @ x[:, None, :, None])[..., 0]
@@ -764,7 +292,7 @@ def _rank_one_iterates(inst: QcqpInstance, bs: np.ndarray, x: np.ndarray, y: np.
             fell_far = not points[t] or res < 0.5 * last[j]
             points[t].append((x[j], y_inst[j]))
             last[j] = res
-            if taken < steps and fell_far:
+            if taken < _POLISH_STEPS and fell_far:
                 rows.append(j)
         if not rows:
             break
@@ -773,7 +301,7 @@ def _rank_one_iterates(inst: QcqpInstance, bs: np.ndarray, x: np.ndarray, y: np.
             idx, last = [idx[j] for j in rows], [last[j] for j in rows]
         M = np.zeros((len(idx), n + m + r, n + m + r))
         M[:, :n, :n] = S
-        M[:, :n, n : n + m] = _T(Qx)
+        M[:, :n, n : n + m] = Qx.mT
         M[:, n : n + m, :n] = 2.0 * Qx
         M[:, n + diag, n + m + diag] = 1.0
         M[:, n + m + diag, n + diag] = z[:, n + m :]
@@ -806,10 +334,10 @@ def _outer_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, V
 
 
-def _rank_one_route(inst: QcqpInstance, bs: np.ndarray, X, y, s, pairs) -> tuple[list, tuple]:
+def _rank_one_route(inst: QcqpInstance, bs: np.ndarray, X, y, s, pairs) -> list:
     """The rank-one route from points (X, y, s) of the dual path, one per row
-    of bs: eigh(S(y)) of each row, and `_rank_one_iterates`' points for each
-    row whose near-null block has size one (`_null_block`), from
+    of bs: `_rank_one_iterates`' points for each row whose near-null block of
+    S(y) has size one (`_null_block`, from one stacked eigh), from
     x = u sqrt(u^T X u), u the null eigenvector; None for the other rows."""
     sig, U = np.linalg.eigh(_slack(inst.objective, inst.constraint_stack, y))
     one = np.flatnonzero(_null_block(inst, sig, y) == 1)
@@ -820,7 +348,7 @@ def _rank_one_route(inst: QcqpInstance, bs: np.ndarray, X, y, s, pairs) -> tuple
         x = u * np.sqrt(np.maximum(uXu, 0.0))[:, None]
         for t, points in zip(one, _rank_one_iterates(inst, bs[one], x, y[one], s[one], pairs)):
             routed[t] = points
-    return routed, (sig, U)
+    return routed
 
 
 # The dual path's Newton steps at most before it leaves the solve to the
@@ -868,7 +396,7 @@ def _solve_each(M: np.ndarray, rhs: np.ndarray):
     return x[..., 0], singular
 
 
-def _ray_minimum(slope, lam: np.ndarray):
+def _ray_minimum(slope: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """A step alpha near the minimum over alpha >= 0 of the barrier on a ray,
 
         phi(alpha) = alpha slope - sum_i log(1 + alpha lam_i),
@@ -885,8 +413,6 @@ def _ray_minimum(slope, lam: np.ndarray):
     inf when phi falls without bound: no lam_i < 0 and slope <= 0.  The
     rays still searched are one stacked evaluation; the scalar updates run
     per ray, in floats."""
-    if lam.ndim == 1:
-        return _ray_minimum(np.array([slope]), lam[None])[0]
     # -1 / lam_i is least at the least lam_i, and rounding keeps that order
     pole = [-1.0 / low if low < 0 else np.inf for low in lam.min(axis=1).tolist()]
     hi, lo, slope = list(pole), [0.0] * len(lam), slope.tolist()
@@ -1023,12 +549,12 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None)
     y, L = y.repeat(len(bs), axis=0), L.repeat(len(bs), axis=0)
     for steps in range(_PATH_STEPS):
         Li = np.linalg.inv(L)
-        B = (Li[:, None] @ Qs @ _T(Li)[:, None]).reshape(len(y), m, -1)
+        B = (Li[:, None] @ Qs @ Li.mT[:, None]).reshape(len(y), m, -1)
         inv, inv2 = 1.0 / y, y ** -2.0
         if r < m:
             inv[:, r:] = inv2[:, r:] = 0.0  # a free multiplier has no log term
         a = B[:, :, :: n + 1].sum(axis=2) + inv  # <S^-1, Qp> + 1/y_p
-        H = B @ _T(B)  # the Hessian over mu
+        H = B @ B.mT  # the Hessian over mu
         H.reshape(len(y), -1)[:, :: m + 1] += inv2
         if not steps:  # one reduction below the mu that best centres the start
             mu = 0.1 * np.vecdot(b, a) / np.vecdot(a, a)
@@ -1155,26 +681,19 @@ def _polished_path(inst: QcqpInstance, tol: float):
     (`_kkt_residuals`) is accepted (`_accepted`): at the rounding floor, a
     last step can lower the polish's residual and fail that test.
 
-    The path (`_dual_paths`, a stack of one) first meets its finish at a
-    gap of `_FINISH_GAP`: the rank-one route (`_rank_one_route`: when S(y)
-    has a near-null block of one, Newton steps on X = x x^T, a square
-    (n + 2m) solve each).  When that gives no passing point, the path goes
-    on to a gap of sqrt(tol), and its point there takes the rank-one route,
-    then, when that gives no passing point either, the eigenbasis polish
-    (`_kkt_iterates`), which reuses the route's eigh of S(y): an eigh, 2m
-    rotations and a least-squares solve per step.  The path steps count to
-    the point that was polished."""
+    The path (`_dual_paths`, a stack of one) first meets its finish, the
+    rank-one route (`_rank_one_route`), at a gap of `_FINISH_GAP`.  When
+    that gives no passing point, the path goes on to a gap of sqrt(tol),
+    and its point there takes the eigenbasis polish (`_kkt_iterates`).
+    The path steps count to the point that was polished."""
     pairs, finished = _opposite_pairs(inst), []
 
-    def rank_one(point):
-        X, y, s, _ = point
-        routed, eig = _rank_one_route(inst, inst.rhs[None], X[None], y[None], s[None], pairs)
-        return routed[0] and _accepted(inst, routed[0], pairs, tol, rank_one=True), eig
-
     def finish(rows, points, pairs):
-        accepted, _ = rank_one(points[0])
+        X, y, s, path_steps = points[0]
+        [routed] = _rank_one_route(inst, inst.rhs[None], X[None], y[None], s[None], pairs)
+        accepted = routed and _accepted(inst, routed, pairs, tol, rank_one=True)
         if accepted:
-            finished.append((accepted, points[0][3]))
+            finished.append((accepted, path_steps))
         return [bool(accepted)]
 
     path = _dual_paths(inst, inst.rhs[None], np.sqrt(tol), finish)[0]
@@ -1182,11 +701,8 @@ def _polished_path(inst: QcqpInstance, tol: float):
         return finished[0]
     if path is None:
         return None, 0
-    accepted, (sig, U) = rank_one(path)
-    if accepted:
-        return accepted, path[3]
     X, y, s, path_steps = path
-    return _accepted(inst, _kkt_iterates(inst, X, y, s, eig=(sig[0], U[0])), pairs, tol), path_steps
+    return _accepted(inst, _kkt_iterates(inst, X, y, s), pairs, tol), path_steps
 
 
 def _accepted(inst: QcqpInstance, points: list, pairs, tol: float, rank_one: bool = False):
@@ -1214,13 +730,12 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     and gap targets, as a `RelaxationSolve`.  "dual-path": a polished
     point of the dual path that passes the engine's own stopping test
     at tol (`_polished_path`: Newton steps on X = x x^T from the path's
-    point at a gap of 1e-2 when S(y) has a near-null block of one there;
-    else from its point at sqrt(tol), on X = x x^T, then in the eigenbasis
-    of S(y)), with the path steps to the polished point.  "full-run":
-    otherwise the engine solves the LMI form with F0 = Q0, Fp = Qp and
-    b = -rhs (`_lmi_form`; y is its v, X the PSD block of its u) in one run
-    to tol, which holds every certificate to tol, and an Optimal result is
-    polished: the last point of `_kkt_iterates`, with its step count.
+    point at a gap of 1e-2 when S(y) has a near-null block of one there,
+    else in the eigenbasis of S(y) from its point at sqrt(tol)), with the
+    path steps to the polished point.  "full-run": otherwise one engine
+    run to tol (`_relaxation_run`), which holds every certificate to tol,
+    and an Optimal result is polished: the last point of `_kkt_iterates`,
+    with its step count.
 
     An instance with linear terms is refused with InstanceError.
     """
@@ -1231,16 +746,13 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
         X, y, steps, eig = point
         return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path", path_steps,
                                eig)
-    n, m = inst.n, inst.m
-    c, A = _lmi_form(inst.objective, inst.constraint_stack)
-    res = solve_standard_form(c, A, -inst.rhs, l=m, d=n, feas_tol=tol, gap_tol=tol)
-    X, y, s = smat(res.u[m:], n), res.v, res.u[:m]
+    status, X, y, s, message, iterations = _relaxation_run(inst.objective, inst.constraint_stack,
+                                                           inst.rhs, tol)
     steps = 0
-    if res.status is SolverStatus.OPTIMAL:
+    if status is SolverStatus.OPTIMAL:
         points = _kkt_iterates(inst, X, y, s)
         (X, y, _), steps = points[-1], len(points) - 1
-    return RelaxationSolve(res.status, X, y, res.message, res.iterations, steps, "full-run",
-                           path_steps)
+    return RelaxationSolve(status, X, y, message, iterations, steps, "full-run", path_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1287,22 +799,22 @@ def optimize_linear_functionals_over_dual_cone(
        over the box; when S(y) is positive definite there (one Cholesky
        factor), it is optimal, and attained exactly when no c_p > 0.
     2. One stacked dual path for the other targets (`_dual_paths`).  At a
-       gap of 1e-2 each row meets the finish: the rank-one route
-       (`_rank_one_route`) from the path's point.  Its last x x^T, scaled
-       by one scalar into <Qp, X> <= -c_p (`_scale_into`), and its y
-       answer when they pass the checks below and also the dual half of
-       `_kkt_residuals` at tol (y and S(y) in their cones).  A row the
-       finish does not settle goes on to a gap of tol (1 + |c.y|), where
-       its point answers when it passes the same checks: its y lies inside
-       the box, max y < 0.999 y_cap, and its primal point X is checked
-       evidence (`_weak_duality_gaps`): X PSD up to rounding with
-       <Qp, X> <= -c_p makes -<Q0, X> a lower bound on -c.y over F, and
-       -c.y must lie within 2 tol (1 + |c.y|) of that bound.
+       gap of 1e-2 each row meets the finish, the rank-one route
+       (`_rank_one_route`) from the path's point, whose last x x^T and y
+       answer when they pass the evidence test below; a row the finish
+       does not settle goes on to a gap of tol (1 + |c.y|), where its
+       point (X, y) takes the same test (`answer_checked`).  X, scaled by
+       one scalar into <Qp, X> <= -c_p (`_scale_into`: a rank-one X meets
+       an active constraint only to rounding), must be checked evidence
+       (`_weak_duality_gaps`): X PSD up to rounding with <Qp, X> <= -c_p
+       makes -<Q0, X> a lower bound on -c.y over F, and -c.y must lie
+       within 2 tol (1 + |c.y|) of that bound.  y must lie inside the box,
+       max y < 0.999 y_cap, and pass the dual half of `_kkt_residuals` at
+       tol (y and S(y) in their cones).
     3. `solve`'s first tier on the target's relaxation (`_polished_path`)
-       for a target the path did not finish or whose evidence failed.
-    4. Boxed engine runs (`_maximize_over_lmi`), one per target left and
-       per path point outside the box, in the given order; attained means
-       max y < 0.999 y_cap.
+       for a target whose path gave no point or failed the test.
+    4. A boxed engine run (`_maximize_over_lmi`) for each target left, in
+       the given order; attained means max y < 0.999 y_cap.
 
     A failed engine run raises, as `_maximize_over_lmi` does, for the first
     failing target in the given order among those that reach it:
@@ -1328,51 +840,46 @@ def optimize_linear_functionals_over_dual_cone(
     for t in np.flatnonzero(~off):
         answer(t, corner[t], not (c[t] > 0).any())
 
+    def answer_checked(ts, X, y):
+        """Answer the targets ts whose points (X, y) pass tier 2's evidence test."""
+        b = -c[ts]
+        X = X * _scale_into(inst, b, X)[:, None, None]
+        checks = zip(ts, y, _weak_duality_gaps(inst, b, X, y), _dual_residuals(inst, y))
+        passed = [gap <= 2.0 * tol * (1.0 + abs(c[t] @ y_t)) and y_t.max() < 0.999 * y_cap
+                  and dres <= tol for t, y_t, gap, dres in checks]
+        for t, y_t in itertools.compress(zip(ts, y), passed):
+            answer(t, y_t, True)
+        return passed
+
     def finish(rows, points, pairs):
-        """Settle the rows of `rest` that the rank-one route answers on checked
-        evidence (see tier 2); the others resume their paths."""
+        """Settle the rows whose rank-one route passes the evidence test."""
         ts = [rest[j] for j in rows]
         X, y, s, _ = (np.array(v) for v in zip(*points))
-        routed, _ = _rank_one_route(inst, -c[ts], X, y, s, pairs)
+        routed = _rank_one_route(inst, -c[ts], X, y, s, pairs)
         ended = [j for j, points in enumerate(routed) if points]
         settled = [False] * len(rows)
         if ended:
-            # the last point of each row: X = x x^T, scaled to meet every constraint
-            b = -c[[ts[j] for j in ended]]
-            X = np.array([np.outer(x, x) for x, _ in (routed[j][-1] for j in ended)])
-            y = np.array([_fold(routed[j][-1][1], pairs) for j in ended])
-            X *= _scale_into(inst, b, X)[:, None, None]
-            checks = zip(ended, y, _weak_duality_gaps(inst, b, X, y), _dual_residuals(inst, y))
-            for j, y_t, gap, dres in checks:
-                t = ts[j]
-                if gap <= 2.0 * tol * (1.0 + abs(c[t] @ y_t)) and y_t.max() < 0.999 * y_cap \
-                        and dres <= tol:
-                    answer(t, y_t, True)
-                    settled[j] = True
+            last = [routed[j][-1] for j in ended]  # each row's last point (x, y): X = x x^T
+            X = np.array([np.outer(x, x) for x, _ in last])
+            y = np.array([_fold(y_t, pairs) for _, y_t in last])
+            for j, passed in zip(ended, answer_checked([ts[j] for j in ended], X, y)):
+                settled[j] = passed
         return settled
 
     rest = [t for t in range(len(targets)) if out[t] is None]
-    found = [(t, path) for t, path in zip(rest, _dual_paths(inst, -c[rest], tol, finish))
-             if path is not None] if rest else []
-    engine = [t for t, (_, y, _, _) in found if not y.max() < 0.999 * y_cap]
-    found = [(t, X, y) for t, (X, y, _, _) in found if t not in engine]
+    paths = _dual_paths(inst, -c[rest], tol, finish) if rest else []
+    found = [(t, path[0], path[1]) for t, path in zip(rest, paths) if path is not None]
     if found:
-        ts, Xs, ys = (np.array(v) for v in zip(*found))
-        gaps = _weak_duality_gaps(inst, -c[ts], Xs, ys)
-        for t, y, gap in zip(ts, ys, gaps):
-            if gap <= 2.0 * tol * (1.0 + abs(c[t] @ y)):
-                answer(t, y, True)
+        answer_checked(*(np.array(v) for v in zip(*found)))
 
     for t in rest:
-        if out[t] is None and t not in engine:
+        if out[t] is None:
             point, _ = _polished_path(QcqpInstance(Q0, inst.constraint_matrices, -c[t]), tol)
             if point is not None and point[1].max() < 0.999 * y_cap:
                 answer(t, point[1], True)
             else:
-                engine.append(t)
-    for t in sorted(engine):
-        _, y = _maximize_over_lmi(Q0, Qs, c[t], y_cap, tol, "edge-system", "S(y)")
-        answer(t, y, bool(y.max() < 0.999 * y_cap))
+                _, y = _maximize_over_lmi(Q0, Qs, c[t], y_cap, tol, "edge-system", "S(y)")
+                answer(t, y, bool(y.max() < 0.999 * y_cap))
     return out
 
 
@@ -1439,34 +946,3 @@ def max_min_eigen_combination(
                               y_cap, tol, "eigen-combination", "sum_p y_p Qp - I")
     y = np.clip(y, 0.0, None)
     return float(1.0 / np.sum(y)), y
-
-
-def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> tuple[float, np.ndarray]:
-    """(b.y*, y*) of max b.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD},
-    from one engine run (two if the first fails).
-
-    As in every SDP here, y is the engine's dual variable v (`_lmi_form`),
-    with the slacks y, the box slack and F0 + sum_p y_p Fp.  The box
-    y <= y_cap has the slack 1 - y/y_cap, which costs 1 in c.  The slack
-    y_cap - y would cost y_cap, which pins the embedding's tau near
-    1/y_cap, and the tau-scaled iterate then loses digits.  No single price
-    suits every problem, though: on a flat optimal face unit pricing can
-    stall.  So a run that ends neither Optimal nor DualInfeasible (the same
-    set of y at either price) is followed by one recovery run with the
-    slack y_cap - y, whose status and message decide.  Raises DualSideEmpty
-    when the set of y is empty and RuntimeError (naming `what`) for any
-    other failure; `lmi` names F0 + sum_p y_p Fp in the DualSideEmpty
-    message.  Its callers check y_cap and tol.
-    """
-    n, m = F0.shape[0], len(Fs)
-    for price in (1.0, y_cap):
-        c, A = _lmi_form(F0, Fs, price, y_cap)
-        res = solve_standard_form(c, A, b, l=2 * m, d=n, feas_tol=tol, gap_tol=tol,
-                                  max_iter=200)
-        if res.status in (SolverStatus.OPTIMAL, SolverStatus.DUAL_INFEASIBLE):
-            break
-    if res.status is SolverStatus.DUAL_INFEASIBLE:
-        raise DualSideEmpty(f"no y >= 0 with {lmi} PSD")
-    if res.status is not SolverStatus.OPTIMAL:
-        raise RuntimeError(f"{what} solve failed ({res.status.value}): {res.message}")
-    return res.dobj, res.v

@@ -11,19 +11,36 @@ INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
 
+def benchmark_module(name):
+    """perfbench/<name>.py, loaded from its file: perfbench is not a package."""
+    path = INSTANCE_DIR.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def workload_draws(workload, seed, folder):
     """The instances of one round of the benchmark workload (generated by
     perfbench/workloads.py), each written to a file in `folder` and loaded
     from it."""
-    path = INSTANCE_DIR.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_module("workloads")
     draws = []
     for draw in workloads.generate(workload, seed):
         (folder / "draw.json").write_text(json.dumps(draw.doc))
         draws.append(load_instance(folder / "draw.json"))
     return draws
+
+
+def forbid_engine(monkeypatch, message="an SDP was solved"):
+    """Fail the test with `message` at any engine run from now on.  The
+    patch is on the module whose functions make the runs (`_engine`), so
+    that no run slips past it."""
+    def no_engine(*args, **kwargs):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(importlib.import_module("biparsdp._engine"), "solve_standard_form",
+                        no_engine)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from biparsdp import (
     minimize_linear_functional_over_dual_cone,
 )
 
-from conftest import CYCLE4_MU, DATA_DIR, vertex_signs_hold, workload_draws
+from conftest import CYCLE4_MU, DATA_DIR, forbid_engine, vertex_signs_hold, workload_draws
 
 certify_module = importlib.import_module("biparsdp.certify")
 graph_module = importlib.import_module("biparsdp.graph")
@@ -331,10 +331,7 @@ def test_sign_corollaries_need_no_assumption():
 
 def test_sign_corollaries_solve_no_sdp(monkeypatch):
     """certify settles an instance that rule 1 certifies without an SDP."""
-    def no_solve(*args, **kwargs):
-        raise AssertionError("an SDP was solved")
-
-    monkeypatch.setattr(sdp_module, "solve_standard_form", no_solve)
+    forbid_engine(monkeypatch)
     for inst in (_triangle_instance((-1.0, -2.0, -0.5)), _nonnegative_cycle4()):
         assert certify(inst).verdict is Verdict.CERTIFIED_EXACT
 
@@ -639,10 +636,7 @@ def test_solver_tol_out_of_range_rejected(monkeypatch, cycle4, solver_tol):
     """A solver_tol outside (0, 1e-4] is refused by every entry point before
     any solve: 0 would run every SDP to the iteration limit, 0.5 would count
     SDPs stopped at a 50 % gap as solved."""
-    def no_solve(*args, **kwargs):
-        raise AssertionError("an SDP was solved")
-
-    monkeypatch.setattr(sdp_module, "solve_standard_form", no_solve)
+    forbid_engine(monkeypatch)
     for rule in (certify, certify_bipartite, certify_forest):
         with pytest.raises(ValueError, match="solver_tol must lie in"):
             rule(cycle4, solver_tol=solver_tol)

@@ -230,6 +230,16 @@ def test_solve_failure_reports_no_rank(capsys):
     assert err.startswith("status: NumericalLimit, value ") and "rank" not in err
 
 
+def test_solve_reports_an_engine_certificate(capsys):
+    """trace X <= -1 has no PSD solution: the dual path gives no point, and
+    the engine's run certifies PrimalInfeasible, which exits 1."""
+    code, out, err = _run(capsys, ["solve", str(DATA_DIR / "trace_infeasible.json")])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "PrimalInfeasible" and doc["status_from"] == "full-run"
+    assert doc["ipm_iterations"] > 0 and doc["rank"] is None
+
+
 _RANGE_ERRORS = {
     "--mu-tol": "tol must be positive and finite",
     "--y-cap": "y_cap must be positive and finite",

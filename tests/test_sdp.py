@@ -19,16 +19,15 @@ from biparsdp import (
     sdp,
     solve,
 )
+from biparsdp import _engine
+from biparsdp._engine import _flat, _NTScaling, _pack
 from biparsdp.graph import build_graph, is_forest
 from biparsdp import relaxation as relaxation_module
 from biparsdp.relaxation import DEFAULT_RANK_TOL, numerical_rank, solve_relaxation
 from biparsdp.transform import build_connecting_perturbation
 from biparsdp.sdp import (
-    _flat,
     _kkt_iterates,
     _kkt_residuals,
-    _NTScaling,
-    _pack,
     _stacked,
     dual_slack,
     optimize_linear_functionals_over_dual_cone,
@@ -37,7 +36,14 @@ from biparsdp.sdp import (
     svec,
 )
 
-from conftest import CYCLE4_MU, DATA_DIR, INSTANCE_DIR, workload_draws
+from conftest import (
+    CYCLE4_MU,
+    DATA_DIR,
+    INSTANCE_DIR,
+    benchmark_module,
+    forbid_engine,
+    workload_draws,
+)
 from test_acceptance import _metamorphic_instances, _random_family_instance
 from test_certify import _blkdiag_double, certify_module
 
@@ -149,7 +155,7 @@ def _engine_predictors(monkeypatch, run):
     """Every predictor of the engine runs made by run(): the problem's c, A
     and b, the iterate, its scaling and the engine's affine du."""
     seen = []
-    real_step, real_affine = sdp._mehrotra_step, _NTScaling.affine
+    real_step, real_affine = _engine._mehrotra_step, _NTScaling.affine
 
     def step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
         seen.append(dict(nt=nt, c=c, A=A, b=b, u=u.copy(), tau=tau, kappa=kappa,
@@ -160,7 +166,7 @@ def _engine_predictors(monkeypatch, run):
         seen[-1]["du"] = du.copy()
         return real_affine(self, du)
 
-    monkeypatch.setattr(sdp, "_mehrotra_step", step)
+    monkeypatch.setattr(_engine, "_mehrotra_step", step)
     monkeypatch.setattr(_NTScaling, "affine", affine)
     run()
     monkeypatch.undo()
@@ -210,7 +216,7 @@ def test_affine_dual_half_matches_engine_directions(monkeypatch, cycle4):
     dZ^ = -Lambda - dU^, is the scaled image of the dz of the Newton system,
     to 1e-10 of ||Lambda||.  The check runs while mu >= 1e-4, where the
     dense reference solve is accurate; it also confirms the engine's du."""
-    c, A = sdp._lmi_form(cycle4.objective, cycle4.constraint_matrices)
+    c, A = _engine._lmi_form(cycle4.objective, cycle4.constraint_matrices)
 
     def relaxation():
         solve_standard_form(c, A, -cycle4.rhs, l=cycle4.m, d=cycle4.n)
@@ -339,7 +345,7 @@ def test_standard_form_needs_psd_block():
 def test_iteration_limit_ends_numerical_limit(cycle4):
     """A run that meets no target within max_iter iterations ends
     NumericalLimit at its last iterate, saying so."""
-    c, A = sdp._lmi_form(cycle4.objective, cycle4.constraint_matrices)
+    c, A = _engine._lmi_form(cycle4.objective, cycle4.constraint_matrices)
     res = solve_standard_form(c, A, -cycle4.rhs, l=cycle4.m, d=cycle4.n, max_iter=1)
     assert res.status is SolverStatus.NUMERICAL_LIMIT
     assert res.message == "no convergence within 1 iterations"
@@ -372,12 +378,16 @@ def test_trace_bound_active():
 
 
 def test_scalar_family_against_closed_form(monkeypatch):
-    """min c*x11 s.t. x11 <= u, x11 >= 0 equals min(0, c*u).  n = 1 takes
-    both polish routes: c < 0 leaves S(y*) = 0, a near-null block of one,
-    for the rank-one route; c > 0 leaves X* = O and S(y*) = c, no near-null
-    block, for the eigenbasis route."""
+    """min c*x11 s.t. x11 <= u, x11 >= 0 equals min(0, c*u).  Each solve
+    makes one polish call, and n = 1 takes both routes.  c > 0 leaves
+    X* = O and S(y*) = c, no near-null block, for the eigenbasis polish at
+    sqrt(tol).  c < 0 leaves S(y*) = 0, a near-null block of one: the
+    finish's rank-one route answers when the block shows at its gap of
+    1e-2, and the eigenbasis polish at sqrt(tol) otherwise.  The path
+    steps are those to the point that route polished."""
     calls = _polish_routes(monkeypatch)
     rng = np.random.default_rng(42)
+    routes = set()
     for _ in range(20):
         c = float(rng.uniform(-2, 2))
         u = float(rng.uniform(0.5, 4))
@@ -386,8 +396,14 @@ def test_scalar_family_against_closed_form(monkeypatch):
         res = solve_relaxation(inst)
         assert res.status is SolverStatus.OPTIMAL
         assert abs(res.primal_value - min(0.0, c * u)) < 1e-6 * (1 + abs(c * u))
-        route = "_rank_one_iterates" if c < 0 else "_kkt_iterates"
+        rank_one = calls["_rank_one_iterates"] > before["_rank_one_iterates"]
+        route = "_rank_one_iterates" if rank_one else "_kkt_iterates"
         assert res.status_from == "dual-path" and calls == {**before, route: before[route] + 1}
+        gap = sdp._FINISH_GAP if rank_one else np.sqrt(sdp.DEFAULT_TOL)
+        assert res.dual_path_steps == sdp._dual_paths(inst, inst.rhs[None], gap)[0][3]
+        routes.add((c < 0, route))
+    assert routes == {(False, "_kkt_iterates"), (True, "_rank_one_iterates"),
+                      (True, "_kkt_iterates")}
 
 
 def test_primal_infeasible_detected():
@@ -736,10 +752,12 @@ def test_seed0_relaxations_take_the_rank_one_polish(monkeypatch, tmp_path):
 @pytest.fixture(scope="module")
 def relaxation_sweep(tmp_path_factory):
     """49 relaxations: seeds 0-2 of the benchmark's relaxation workload,
-    the bundled instances and the test data, homogenized where linear."""
+    the bundled instances and the solvable test data, homogenized where
+    linear."""
     folder = tmp_path_factory.mktemp("relaxation")
     insts = [inst for seed in range(3) for inst in workload_draws("relaxation", seed, folder)]
-    for path in [*sorted(INSTANCE_DIR.glob("*.json")), *sorted(DATA_DIR.glob("*.json"))]:
+    data = [path for path in sorted(DATA_DIR.glob("*.json")) if path.stem != "trace_infeasible"]
+    for path in [*sorted(INSTANCE_DIR.glob("*.json")), *data]:
         inst = load_instance(path)
         insts.append(homogenize(inst) if isinstance(inst, GeneralQcqpInstance) else inst)
     return insts
@@ -766,12 +784,11 @@ def test_polish_routes_agree_on_the_sweep(relaxation_sweep, tol):
     for inst in relaxation_sweep:
         X, y, s, _ = sdp._dual_paths(inst, inst.rhs[None], np.sqrt(tol))[0]
         pairs = sdp._opposite_pairs(inst)
-        [routed], (sig, U) = sdp._rank_one_route(inst, inst.rhs[None], X[None], y[None],
-                                                 s[None], pairs)
+        [routed] = sdp._rank_one_route(inst, inst.rhs[None], X[None], y[None], s[None], pairs)
         if routed is None:
             continue
         one = sdp._accepted(inst, routed, pairs, tol, rank_one=True)
-        eb = sdp._accepted(inst, sdp._kkt_iterates(inst, X, y, s, eig=(sig[0], U[0])), pairs, tol)
+        eb = sdp._accepted(inst, sdp._kkt_iterates(inst, X, y, s), pairs, tol)
         compared += 1
         assert (one is None) == (eb is None)
         if one is None:
@@ -822,14 +839,14 @@ def _standard_form_runs(monkeypatch):
     """The (keyword arguments, solution) of every `solve_standard_form` call
     from now on, and the unwrapped function."""
     runs = []
-    real = sdp.solve_standard_form
+    real = _engine.solve_standard_form
 
     def spy(*args, **kwargs):
         sol = real(*args, **kwargs)
         runs.append((args, kwargs, sol))
         return sol
 
-    monkeypatch.setattr(sdp, "solve_standard_form", spy)
+    monkeypatch.setattr(_engine, "solve_standard_form", spy)
     return runs, real
 
 
@@ -841,7 +858,7 @@ def test_engine_is_sign_equivariant(small, cycle4):
     insts = [small, cycle4, load_instance(DATA_DIR / "bipartite_breakdown_n16.json"),
              _odd_cycle_mixed_sign_instance(np.random.default_rng(4), 20)]
     for inst in insts:
-        c, A = sdp._lmi_form(inst.objective, inst.constraint_matrices)
+        c, A = _engine._lmi_form(inst.objective, inst.constraint_matrices)
         lmi = solve_standard_form(c, A, -inst.rhs, l=inst.m, d=inst.n)
         flipped = solve_standard_form(c, -A, inst.rhs, l=inst.m, d=inst.n)
         for field in ("status", "pobj", "dobj", "pres", "dres", "relgap", "iterations"):
@@ -1069,7 +1086,7 @@ def test_ray_minimum_is_near_the_barrier_minimum():
     for _ in range(40):
         lam = rng.standard_normal(int(rng.integers(2, 8))) * 10.0 ** rng.uniform(-2, 2)
         slope = lam.sum() - rng.uniform(1.0, 5.0) * np.linalg.norm(lam)
-        alpha = sdp._ray_minimum(slope, lam)
+        [alpha] = sdp._ray_minimum(np.array([slope]), lam[None])
         if np.all(lam >= 0) and slope <= 0:
             assert alpha == np.inf
             continue
@@ -1081,7 +1098,7 @@ def test_ray_minimum_is_near_the_barrier_minimum():
             return a * slope - np.log1p(np.multiply.outer(a, lam)).sum(axis=-1)
 
         assert phi(alpha) <= phi(grid).min() + 0.04
-    assert sdp._ray_minimum(-1.0, np.array([0.5, 2.0])) == np.inf
+    assert sdp._ray_minimum(np.array([-1.0]), np.array([[0.5, 2.0]])).tolist() == [np.inf]
 
 
 def _seeded_rays(rng):
@@ -1121,7 +1138,7 @@ def test_ray_minimum_properties_near_the_pole():
     the step lies in (0, 1).  A stacked call returns the per-ray calls' steps
     bit for bit."""
     rays = _seeded_rays(np.random.default_rng(11))
-    got = [sdp._ray_minimum(slope, lam) for slope, lam in rays]
+    got = [sdp._ray_minimum(np.array([slope]), lam[None])[0] for slope, lam in rays]
     stacked = sdp._ray_minimum(np.array([s for s, _ in rays]), np.array([lam for _, lam in rays]))
     assert stacked.tolist() == got
     for (slope, lam), alpha in zip(rays, got):
@@ -1173,13 +1190,13 @@ def test_lmi_functions_validate_tol_and_y_cap(small, bad):
 def _engine_runs(monkeypatch):
     """The solution of every engine run from now on, one per run."""
     runs = []
-    real = sdp.solve_standard_form
+    real = _engine.solve_standard_form
 
     def spy(*args, **kwargs):
         runs.append(real(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(sdp, "solve_standard_form", spy)
+    monkeypatch.setattr(_engine, "solve_standard_form", spy)
     return runs
 
 
@@ -1674,15 +1691,57 @@ def test_seeded_edge_targets_need_no_engine(monkeypatch, small, cycle4):
     """At the default tolerance the corner and the stacked path answer every
     edge target that certify asks of the seeded instances (each minimum,
     and each maximum on forests): none reaches the engine."""
-    def no_engine(*args, **kwargs):
-        raise AssertionError("an edge target reached the engine")
-
-    monkeypatch.setattr(sdp, "solve_standard_form", no_engine)
+    forbid_engine(monkeypatch, "an edge target reached the engine")
     for inst in _seeded_instances(small, cycle4):
         sides = (False, True) if is_forest(build_graph(inst)) else (False,)
         targets = [(k, ell, mx) for k, ell in sorted(build_graph(inst).edges) for mx in sides]
         assert len(optimize_linear_functionals_over_dual_cone(inst, targets)) == len(targets)
     assert optimize_linear_functionals_over_dual_cone(small, []) == []
+
+
+def _engine_solves(cycle4):
+    """Two solves that must reach the engine: a PrimalInfeasible relaxation
+    (trace X <= -1; every infeasibility certificate comes from the engine)
+    and the assumption SDP of cycle4."""
+    infeasible = QcqpInstance(np.eye(2), (np.eye(2),), np.array([-1.0]))
+    return [lambda: solve(infeasible), lambda: max_min_eigen_combination(cycle4)]
+
+
+def test_engine_guards_trip_on_engine_solves(monkeypatch, cycle4):
+    """The guard that forbids engine runs and the spies that count them
+    patch the module that makes the runs, so none is vacuous: each trips on
+    every solve of `_engine_solves`."""
+    for call in _engine_solves(cycle4):
+        with monkeypatch.context() as patch:
+            forbid_engine(patch, "an engine run")
+            with pytest.raises(AssertionError, match="an engine run"):
+                call()
+        for spy in (_engine_runs, lambda patch: _standard_form_runs(patch)[0]):
+            with monkeypatch.context() as patch:
+                runs = spy(patch)
+                call()
+                assert runs
+
+
+def test_tracer_records_engine_runs(cycle4):
+    """perfbench/tracing.py, loaded from its file, wraps the engine in every
+    biparsdp module that holds it, so it records an sdp.ipm span, with its
+    iterations, for each run of `_engine_solves`: the gates that require
+    sdp.ipm.calls == 0 and sdp.ipm.iterations == 0 count every run."""
+    tracing = benchmark_module("tracing")
+    real = _engine.solve_standard_form
+    for op, call in enumerate(_engine_solves(cycle4)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.begin_op(op)
+            call()
+        finally:
+            tracer.uninstall()
+        ipm = [info for name, *_, info in tracer.spans if name == "sdp.ipm"]
+        assert ipm and all(info["iterations"] > 0 for info in ipm)
+        assert tracing.ipm_iterations_by_op(tracer.spans)[op] > 0
+    assert sdp.solve_standard_form is _engine.solve_standard_form is real  # unwrapped again
 
 
 def test_edge_functional_reference_values(cycle4):

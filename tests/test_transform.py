@@ -308,15 +308,15 @@ def test_recovery_run_decides_the_sweep(small, monkeypatch):
     SDPs stall with the box slack priced at 1 and are solved once more
     with it priced at y_cap.  Those recovery runs decide the verdicts:
     without them eps = 1e-3 certifies at neither tolerance below."""
-    sdp = importlib.import_module("biparsdp.sdp")
+    engine = importlib.import_module("biparsdp._engine")
     prices = []
-    real = sdp._lmi_form
+    real = engine._lmi_form
 
     def recording(F0, Fs, price=None, y_cap=None):
         prices.append(price)
         return real(F0, Fs, price, y_cap)
 
-    monkeypatch.setattr(sdp, "_lmi_form", recording)
+    monkeypatch.setattr(engine, "_lmi_form", recording)
     inst = _blkdiag_double(small)
     sweep = epsilon_sweep_validation(inst, [1e-2, 1e-3], tol=1e-9)
     assert [verdict for _, verdict, _ in sweep] == ["CertifiedExact"] * 2

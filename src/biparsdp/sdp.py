@@ -4,27 +4,29 @@ The relaxation of a QcqpInstance, min <Q0, X> over {X PSD, <Qp, X> <= b_p},
 has a dual, max -b.y over {y >= 0, S(y) = Q0 + sum_p y_p Qp PSD}, with only
 m unknowns, so `solve` first follows the dual's central path in y alone
 (`_dual_paths`, a stack of one: damped Newton steps on a log barrier, each
-an n x n Cholesky factor, its inverse, an m x m solve and an eigvalsh).  At
-a gap of `_FINISH_GAP` = 1e-2 the path hands its point to a finish: when
-S(y) has a near-null block of one, Newton steps on X = x x^T
+an n x n Cholesky factor, its inverse, an m x m solve and an eigvalsh).  It
+stops at a gap of `_FINISH_GAP` = 1e-2, where its point takes a finish:
+when S(y) has a near-null block of one, Newton steps on X = x x^T
 (`_rank_one_iterates`, one square (n + 2m) solve each), whose last iterate
 that passes the engine's own stopping test at tol is the answer.
-Otherwise the path goes on to a gap of sqrt(tol), and its point there is
-polished in the eigenbasis of S(y) with only its near-null block as
-explicit unknowns (`_kkt_iterates`, O(m n^3) per step).  When no polish
-point passes, or the path cannot start or finish, the conic engine runs
-once to tol (`_engine._relaxation_run`), and an Optimal result is polished;
-every infeasibility certificate of a relaxation comes from the engine.
+Otherwise the path resumes from where it stopped to a gap of sqrt(tol),
+and its point there is polished in the eigenbasis of S(y) with only its
+near-null block as explicit unknowns (`_kkt_iterates`, O(m n^3) per
+step).  When no polish point passes, or the path cannot start or finish,
+the conic engine runs once to tol (`_engine._relaxation_run`), and an
+Optimal result is polished; every infeasibility certificate of a
+relaxation comes from the engine.
 
 The per-edge systems optimize one entry S(y)_{kl} over the same set of y,
 boxed; each is the dual of a relaxation with rhs +-(Qp)_{kl}.
 `optimize_linear_functionals_over_dual_cone` answers each target by the
 first of four tiers: the box corner, one stacked dual path per instance
-(the same finish, then one evidence test for every point), `solve`'s
-first tier, and a boxed engine run (`_engine._maximize_over_lmi`), which
-also serves the positive-definiteness check (`max_min_eigen_combination`).
-No cone vector is built here; `solve_standard_form`, `svec` and `smat`
-stay importable from this module.
+(stopped at 1e-2 for the same finish, run once over the stack, and
+resumed for the rows it leaves; one evidence test for every point),
+`solve`'s first tier, and a boxed engine run (`_engine._maximize_over_lmi`),
+which also serves the positive-definiteness check
+(`max_min_eigen_combination`).  No cone vector is built here;
+`solve_standard_form`, `svec` and `smat` stay importable from this module.
 """
 
 from __future__ import annotations
@@ -334,11 +336,14 @@ def _outer_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, V
 
 
-def _rank_one_route(inst: QcqpInstance, bs: np.ndarray, X, y, s, pairs) -> list:
-    """The rank-one route from points (X, y, s) of the dual path, one per row
-    of bs: `_rank_one_iterates`' points for each row whose near-null block of
-    S(y) has size one (`_null_block`, from one stacked eigh), from
-    x = u sqrt(u^T X u), u the null eigenvector; None for the other rows."""
+def _rank_one_route(inst: QcqpInstance, bs: np.ndarray, ends: list) -> list:
+    """The rank-one route from the points (X, y, s) of the dual path's ends
+    (`_PathEnd`, of one stack), one per row of bs: `_rank_one_iterates`'
+    points for each row whose near-null block of S(y) has size one
+    (`_null_block`, from one stacked eigh), from x = u sqrt(u^T X u), u the
+    null eigenvector; None for the other rows."""
+    X, y, s = (np.array(v) for v in zip(*(end[:3] for end in ends)))
+    pairs = ends[0].pairs
     sig, U = np.linalg.eigh(_slack(inst.objective, inst.constraint_stack, y))
     one = np.flatnonzero(_null_block(inst, sig, y) == 1)
     routed = [None] * len(bs)
@@ -358,11 +363,11 @@ _PATH_STEPS = 60
 _START_DOUBLINGS = 40
 _CENTRING_STEPS = 10
 
-# The gap mu (n + r) <= _FINISH_GAP (1 + |b.y|) at which a row of the dual
-# path first meets its caller's finish (`_dual_paths`).  Newton's basin does
-# not depend on the caller's tol, and every tol <= 1e-4 ends the path at a
-# gap of sqrt(tol) or tol, at or below this one: a row meets the finish
-# before it ends.
+# The gap mu (n + r) <= _FINISH_GAP (1 + |b.y|) at which each caller stops
+# every row of its dual path for its finish, then resumes the rows it
+# leaves (`_dual_paths`).  Newton's basin does not depend on the caller's
+# tol, and every tol <= 1e-4 ends the path at a gap of sqrt(tol) or tol, at
+# or below this one: a row meets the finish before it ends.
 _FINISH_GAP = 1e-2
 
 
@@ -450,27 +455,39 @@ def _ray_minimum(slope: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.array(alpha)
 
 
+class _PathEnd(NamedTuple):
+    """A row's end on the dual path (`_dual_paths`): the primal point X, y
+    and s in the instance's order, and the Newton steps since the path's
+    start; then what resumes the row from there: its stack's opposite
+    pairs, its y in the path's order (each pair's w last), and mu."""
+    X: np.ndarray
+    y: np.ndarray
+    s: np.ndarray
+    steps: int
+    pairs: list
+    y_path: np.ndarray
+    mu: float
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None) -> list:
-    """For each row b of bs, (X, y, s, steps): a point near the optimum of
-    the relaxation of `inst` with rhs b, with a duality gap of about
+def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, start=None) -> list:
+    """For each row b of bs, a `_PathEnd`: a point near the optimum of the
+    relaxation of `inst` with rhs b, with a duality gap of about
     gap_tol * (1 + |b.y|), from the central path of its dual in y alone, and
     the Newton steps taken; None when the path cannot start or does not get
-    there, or when `finish` settled the row.  The rows share
-    F = {y >= 0, S(y) PSD}, so they run as one stack (stacked Cholesky
-    factors, inverses and Hessians, one mu per row), and a row leaves the
-    stack when it ends, fails or is settled; each row's arithmetic is that
-    of a stack of one.
+    there.  The rows share F = {y >= 0, S(y) PSD}, so they run as one stack
+    (stacked Cholesky factors, inverses and Hessians, one mu per row), and
+    a row leaves the stack when it ends or fails; each row's arithmetic is
+    that of a stack of one.
 
-    `finish`, when given, meets each row once, at its first centred iterate
-    with mu (n + r) <= `_FINISH_GAP` (1 + |b.y|): finish(rows, points,
-    pairs) gets the rows of bs met at one step, their points (X, y, s,
-    steps) as a row's end would give them, and the opposite pairs, and
-    says for each row whether it settled it (the caller keeps the answer).
-    A row it does not settle resumes from its own state, so it ends as it
-    would without a finish.  Newton's basin does not depend on gap_tol, so
-    the finish gap is fixed, and it lies at or above gap_tol for every
-    caller's tol.
+    `start`, when given, holds one end per row of bs, all from one stack's
+    path to a larger gap, and each row resumes from it: it recomputes its
+    centred step at its y and mu, and goes on as a path to gap_tol that
+    passed that point goes on, so it ends as that path ends, bit for bit,
+    with its steps counted from its first start and `_PATH_STEPS` spent
+    over both legs.  Its stack's opposite pairs come with it.  Callers
+    stop every row at `_FINISH_GAP`, hand the ends to their finish in one
+    call, and resume only the rows it leaves.
 
     The dual, max -b.y over F, has only m unknowns.  Damped Newton steps
     minimize the barrier
@@ -502,14 +519,14 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None)
     X = mu S^-1 (S - sum_p dy_p Qp) S^-1, s_p = mu (1 - dy_p / y_p) / y_p
     (s_p = s_q = 0 for a pair, whose w `_fold` maps back), which satisfies
     <Qp, X> + s_p = b_p exactly and is PSD with a decrement below 1; on the
-    path its gap is mu (n + r), r the number of log terms.  A row ends there
-    once mu (n + r) <= gap_tol * (1 + |b.y|).  It gets None when there is
-    no start, b.y falls without bound along a ray, an iterate is not finite,
-    its Hessian is singular, a step collapses or `_PATH_STEPS` steps do not
-    suffice.
+    path its gap is mu (n + r), r the number of log terms.  A row ends at
+    its first such point with mu (n + r) <= gap_tol * (1 + |b.y|).  It gets
+    None when there is no start, b.y falls without bound along a ray, an
+    iterate is not finite, its Hessian is singular, a step collapses or
+    `_PATH_STEPS` steps do not suffice.
     """
     out = [None] * len(bs)
-    pairs = _opposite_pairs(inst, bs)
+    pairs = _opposite_pairs(inst, bs) if start is None else start[0].pairs
     paired = [i for pair in pairs for i in pair]
     r = inst.m - len(paired)  # the unknowns: r multipliers with a log term, then each w
     keep = [p for p in range(inst.m) if p not in paired] + [p for p, _ in pairs]
@@ -526,28 +543,33 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None)
         L, off = _stacked(np.linalg.cholesky, _slack(Q0, Qs, y))
         return L, off | ~((y > low) & (y < np.inf)).all(axis=1)
 
-    ks = (*range(_START_DOUBLINGS), *range(-1, -_START_DOUBLINGS, -1))
-    for j, k in itertools.product(range(2 if pairs else 1), ks):
-        y = np.full((1, m), 2.0 ** k)
-        y[:, r:] *= 2.0 ** (j * k)
-        L, off = factor(y)
-        if not off[0]:
-            break
+    if start is None:
+        ks = (*range(_START_DOUBLINGS), *range(-1, -_START_DOUBLINGS, -1))
+        for j, k in itertools.product(range(2 if pairs else 1), ks):
+            y = np.full((1, m), 2.0 ** k)
+            y[:, r:] *= 2.0 ** (j * k)
+            L, off = factor(y)
+            if not off[0]:
+                break
+        else:
+            return out
+        y, L, taken = y.repeat(len(bs), axis=0), L.repeat(len(bs), axis=0), [0] * len(bs)
     else:
-        return out
+        y = np.array([end.y_path for end in start])
+        mu, taken = np.array([end.mu for end in start]), [end.steps for end in start]
+        L, _ = factor(y)
 
     def point(t):
-        """Row t's primal point, y and s in the instance's order, and steps."""
+        """Row t's end."""
         X = mu[t] * (Li[t].T @ (np.eye(n) - (dy[t] @ B[t]).reshape(n, n)) @ Li[t])
         ys = np.zeros((2, inst.m))  # y and s in the instance's order
         ys[:, keep] = y[t], np.where(np.arange(m) < r, mu[t] * (1.0 - dy[t] / y[t]) / y[t], 0.0)
-        return X, _fold(ys[0], pairs), ys[1], steps
+        return _PathEnd(X, _fold(ys[0], pairs), ys[1], taken[t], pairs, y[t].copy(), float(mu[t]))
 
-    # per row of the stack: the row of bs it follows, its steps at this mu,
-    # and whether it has yet to meet the finish
-    idx, damped, fresh = list(range(len(bs))), [0] * len(bs), [finish is not None] * len(bs)
-    y, L = y.repeat(len(bs), axis=0), L.repeat(len(bs), axis=0)
-    for steps in range(_PATH_STEPS):
+    # per row of the stack (with `taken`, its steps since its first start):
+    # the row of bs it follows and its steps at this mu
+    idx, damped = list(range(len(bs))), [0] * len(bs)
+    for it in itertools.count():
         Li = np.linalg.inv(L)
         B = (Li[:, None] @ Qs @ Li.mT[:, None]).reshape(len(y), m, -1)
         inv, inv2 = 1.0 / y, y ** -2.0
@@ -556,11 +578,12 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None)
         a = B[:, :, :: n + 1].sum(axis=2) + inv  # <S^-1, Qp> + 1/y_p
         H = B @ B.mT  # the Hessian over mu
         H.reshape(len(y), -1)[:, :: m + 1] += inv2
-        if not steps:  # one reduction below the mu that best centres the start
+        if not it and start is None:  # one reduction below the mu that best centres the start
             mu = 0.1 * np.vecdot(b, a) / np.vecdot(a, a)
         gone = set()  # rows that end or fail at this step
+        # a resumed row keeps the mu at which it stopped centred
         recentre = [t for t, (u, k) in enumerate(zip(mu.tolist(), damped))
-                    if not u > 1e-12 or k == _CENTRING_STEPS]
+                    if not u > 1e-12 or k == _CENTRING_STEPS] if it or start is None else []
         if recentre:
             # mu is too small for y: take the mu that best centres y, or ten
             # times mu when that is not positive (the decrement then falls
@@ -576,7 +599,7 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None)
             ng = mu_col * a - b  # -g, as rounding is symmetric
             dy, singular = _solve_each(H, ng / mu_col)
             by = None  # b.y, once a row needs it
-            centred, handed = [], []
+            shrink = []
             for t, bad, dec in zip(range(len(y)), singular.tolist(),
                                    (np.vecdot(ng, dy) / mu).tolist()):
                 if t in gone:
@@ -584,27 +607,14 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None)
                 dec = math.sqrt(max(dec, 0.0))  # the Newton decrement
                 if bad or not dec < np.inf:
                     gone.add(t)
-                    continue
-                if dec >= 1.0:
-                    continue
-                if by is None:
-                    by = np.vecdot(b, y).tolist()
-                if fresh[t] and mu[t] * (n + r) <= _FINISH_GAP * (1.0 + abs(by[t])):
-                    fresh[t] = False
-                    handed.append(t)
-                else:
-                    centred.append(t)
-            if handed:
-                settled = finish([idx[t] for t in handed], [point(t) for t in handed], pairs)
-                gone.update(t for t, done in zip(handed, settled) if done)
-                centred += [t for t, done in zip(handed, settled) if not done]
-            shrink = []
-            for t in centred:
-                if mu[t] * (n + r) > gap_tol * (1.0 + abs(by[t])):
-                    shrink.append(t)
-                else:
-                    out[idx[t]] = point(t)
-                    gone.add(t)
+                elif dec < 1.0:
+                    if by is None:
+                        by = np.vecdot(b, y).tolist()
+                    if mu[t] * (n + r) > gap_tol * (1.0 + abs(by[t])):
+                        shrink.append(t)
+                    else:
+                        out[idx[t]] = point(t)
+                        gone.add(t)
             if not shrink:
                 break
             mu[shrink] *= 0.1
@@ -615,7 +625,7 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None)
             if not rows:
                 break
             y, L, b, mu, dy, B = (v[rows] for v in (y, L, b, mu, dy, B))
-            idx, damped, fresh = ([v[t] for t in rows] for v in (idx, damped, fresh))
+            idx, damped, taken = ([v[t] for t in rows] for v in (idx, damped, taken))
         lam, off = _stacked(np.linalg.eigvalsh, np.vecmat(dy, B).reshape(-1, n, n))
         lam = np.concatenate([lam, (dy / y)[:, :r]], axis=1)
         alpha = _ray_minimum(np.vecdot(b, dy) / mu, lam)
@@ -635,13 +645,14 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, finish=None)
                 L[retry], off = factor(y_new[retry])
                 retry = [t for t, bad in zip(retry, off.tolist()) if bad]
         y = y_new
-        if not all(ok):
-            rows = [t for t in range(len(y)) if ok[t]]
+        damped, taken = [k + 1 for k in damped], [k + 1 for k in taken]
+        # a collapsed step, or the `_PATH_STEPS`-th, ends a row with None
+        rows = [t for t in range(len(y)) if ok[t] and taken[t] < _PATH_STEPS]
+        if len(rows) < len(y):
             if not rows:
                 break
             y, L, b, mu = (v[rows] for v in (y, L, b, mu))
-            idx, damped, fresh = ([v[t] for t in rows] for v in (idx, damped, fresh))
-        damped = [k + 1 for k in damped]
+            idx, damped, taken = ([v[t] for t in rows] for v in (idx, damped, taken))
     return out
 
 
@@ -681,28 +692,23 @@ def _polished_path(inst: QcqpInstance, tol: float):
     (`_kkt_residuals`) is accepted (`_accepted`): at the rounding floor, a
     last step can lower the polish's residual and fail that test.
 
-    The path (`_dual_paths`, a stack of one) first meets its finish, the
-    rank-one route (`_rank_one_route`), at a gap of `_FINISH_GAP`.  When
-    that gives no passing point, the path goes on to a gap of sqrt(tol),
-    and its point there takes the eigenbasis polish (`_kkt_iterates`).
-    The path steps count to the point that was polished."""
-    pairs, finished = _opposite_pairs(inst), []
-
-    def finish(rows, points, pairs):
-        X, y, s, path_steps = points[0]
-        [routed] = _rank_one_route(inst, inst.rhs[None], X[None], y[None], s[None], pairs)
-        accepted = routed and _accepted(inst, routed, pairs, tol, rank_one=True)
+    The path (`_dual_paths`, a stack of one) first stops at a gap of
+    `_FINISH_GAP`, and its point there takes the rank-one route
+    (`_rank_one_route`).  When that gives no passing point, the path
+    resumes to a gap of sqrt(tol), and its point there takes the
+    eigenbasis polish (`_kkt_iterates`).  The path steps count to the
+    point that was polished."""
+    b = inst.rhs[None]
+    [end] = _dual_paths(inst, b, _FINISH_GAP)
+    if end is not None:
+        [routed] = _rank_one_route(inst, b, [end])
+        accepted = routed and _accepted(inst, routed, end.pairs, tol, rank_one=True)
         if accepted:
-            finished.append((accepted, path_steps))
-        return [bool(accepted)]
-
-    path = _dual_paths(inst, inst.rhs[None], np.sqrt(tol), finish)[0]
-    if finished:
-        return finished[0]
-    if path is None:
+            return accepted, end.steps
+        [end] = _dual_paths(inst, b, np.sqrt(tol), [end])
+    if end is None:
         return None, 0
-    X, y, s, path_steps = path
-    return _accepted(inst, _kkt_iterates(inst, X, y, s), pairs, tol), path_steps
+    return _accepted(inst, _kkt_iterates(inst, end.X, end.y, end.s), end.pairs, tol), end.steps
 
 
 def _accepted(inst: QcqpInstance, points: list, pairs, tol: float, rank_one: bool = False):
@@ -798,12 +804,13 @@ def optimize_linear_functionals_over_dual_cone(
     1. The box corner y_p = y_cap where c_p >= 0, else 0, maximizes c.y
        over the box; when S(y) is positive definite there (one Cholesky
        factor), it is optimal, and attained exactly when no c_p > 0.
-    2. One stacked dual path for the other targets (`_dual_paths`).  At a
-       gap of 1e-2 each row meets the finish, the rank-one route
-       (`_rank_one_route`) from the path's point, whose last x x^T and y
-       answer when they pass the evidence test below; a row the finish
-       does not settle goes on to a gap of tol (1 + |c.y|), where its
-       point (X, y) takes the same test (`answer_checked`).  X, scaled by
+    2. One stacked dual path for the other targets (`_dual_paths`), which
+       stops every row at a gap of 1e-2.  There the finish, the rank-one
+       route (`_rank_one_route`) from the path's points, runs once over
+       the stack, and a row's last x x^T and y answer when they pass the
+       evidence test below.  The rows the finish does not settle resume,
+       as one stack, to a gap of tol (1 + |c.y|), where each point (X, y)
+       takes the same test (`answer_checked`).  X, scaled by
        one scalar into <Qp, X> <= -c_p (`_scale_into`: a rank-one X meets
        an active constraint only to rounding), must be checked evidence
        (`_weak_duality_gaps`): X PSD up to rounding with <Qp, X> <= -c_p
@@ -840,37 +847,36 @@ def optimize_linear_functionals_over_dual_cone(
     for t in np.flatnonzero(~off):
         answer(t, corner[t], not (c[t] > 0).any())
 
-    def answer_checked(ts, X, y):
-        """Answer the targets ts whose points (X, y) pass tier 2's evidence test."""
+    def answer_checked(found):
+        """Answer each target t of found (t, X, y) whose point passes tier 2's
+        evidence test."""
+        if not found:
+            return
+        ts, X, y = (np.array(v) for v in zip(*found))
         b = -c[ts]
         X = X * _scale_into(inst, b, X)[:, None, None]
         checks = zip(ts, y, _weak_duality_gaps(inst, b, X, y), _dual_residuals(inst, y))
-        passed = [gap <= 2.0 * tol * (1.0 + abs(c[t] @ y_t)) and y_t.max() < 0.999 * y_cap
-                  and dres <= tol for t, y_t, gap, dres in checks]
-        for t, y_t in itertools.compress(zip(ts, y), passed):
-            answer(t, y_t, True)
-        return passed
-
-    def finish(rows, points, pairs):
-        """Settle the rows whose rank-one route passes the evidence test."""
-        ts = [rest[j] for j in rows]
-        X, y, s, _ = (np.array(v) for v in zip(*points))
-        routed = _rank_one_route(inst, -c[ts], X, y, s, pairs)
-        ended = [j for j, points in enumerate(routed) if points]
-        settled = [False] * len(rows)
-        if ended:
-            last = [routed[j][-1] for j in ended]  # each row's last point (x, y): X = x x^T
-            X = np.array([np.outer(x, x) for x, _ in last])
-            y = np.array([_fold(y_t, pairs) for _, y_t in last])
-            for j, passed in zip(ended, answer_checked([ts[j] for j in ended], X, y)):
-                settled[j] = passed
-        return settled
+        for t, y_t, gap, dres in checks:
+            if gap <= 2.0 * tol * (1.0 + abs(c[t] @ y_t)) and y_t.max() < 0.999 * y_cap \
+                    and dres <= tol:
+                answer(t, y_t, True)
 
     rest = [t for t in range(len(targets)) if out[t] is None]
-    paths = _dual_paths(inst, -c[rest], tol, finish) if rest else []
-    found = [(t, path[0], path[1]) for t, path in zip(rest, paths) if path is not None]
-    if found:
-        answer_checked(*(np.array(v) for v in zip(*found)))
+    ends = _dual_paths(inst, -c[rest], _FINISH_GAP) if rest else []
+    stopped = [(t, end) for t, end in zip(rest, ends) if end is not None]
+    if stopped:
+        # the finish, once over every stopped row: X = x x^T and y of each
+        # row's last rank-one point (x, y)
+        ts, ends = (list(v) for v in zip(*stopped))
+        last = [(t, end, points[-1]) for t, end, points
+                in zip(ts, ends, _rank_one_route(inst, -c[ts], ends)) if points]
+        answer_checked([(t, np.outer(x, x), _fold(y, end.pairs)) for t, end, (x, y) in last])
+        # the rows it leaves resume, as one stack, to tol
+        left = [(t, end) for t, end in stopped if out[t] is None]
+        if left:
+            ts, ends = (list(v) for v in zip(*left))
+            answer_checked([(t, end.X, end.y) for t, end
+                            in zip(ts, _dual_paths(inst, -c[ts], tol, ends)) if end is not None])
 
     for t in rest:
         if out[t] is None:
@@ -889,17 +895,22 @@ def _scale_into(inst: QcqpInstance, b: np.ndarray, X: np.ndarray) -> np.ndarray:
     computes them: a rank-one X = x x^T from Newton steps meets an active
     constraint only to rounding, on either side.  Each of up to three
     rounds rescales a row that still breaks a constraint by the factor that
-    its computed products ask for, one rounding inside; a row that no such
+    its computed products ask for, one rounding inside.  A row still broken
+    after the first round is broken by the rounding of its products, about
+    eps times the sum of the |terms| of each, which a factor of one rounding
+    cannot outrun, so later rounds aim that far inside.  A row that no such
     factor fixes (two active constraints broken on opposite sides) keeps
     its scalar and fails the check."""
     A, X = inst.constraint_stack.reshape(inst.m, -1), X.reshape(len(X), -1)
-    scale = np.ones(len(X))
-    for _ in range(3):
-        q = (X * scale[:, None]) @ A.T
+    scale, inside = np.ones(len(X)), 0.0
+    for rounds in range(3):
+        q = ((X * scale[:, None])[:, None] @ A.T)[:, 0]
         broken = (q > b).any(axis=1)
         if not broken.any():
             break
-        ratio = b / np.where(q == 0, 1.0, q)
+        if rounds == 1:
+            inside = _EPS * (np.abs(X)[:, None] @ np.abs(A).T)[:, 0]
+        ratio = (b - inside) / np.where(q == 0, 1.0, q)
         low = np.where(q < 0, ratio, -np.inf).max(axis=1) * (1.0 + _EPS)
         high = np.where(q > 0, ratio, np.inf).min(axis=1) * (1.0 - _EPS)
         fixable = broken & (low <= high) & (high > 0)
@@ -916,13 +927,17 @@ def _weak_duality_gaps(inst: QcqpInstance, b: np.ndarray, X: np.ndarray,
     <Qp, X_t> <= b_tp for every p.  Then for every y in
     F = {y >= 0, S(y) PSD}, 0 <= <S(y), X_t> <= <Q0, X_t> + b_t.y, so
     -<Q0, X_t> is a lower bound on b_t.y over F, and the gap says how far
-    the value of y_t can be from the optimum.  One eigvalsh per row."""
+    the value of y_t can be from the optimum.  One eigvalsh per row.
+
+    Every product is formed row by row, as here and in `_scale_into`: one
+    gemm over the stack rounds each row by the stack's size, and a row's
+    verdict would then depend on the rows stacked with it."""
     lam, bad = _stacked(np.linalg.eigvalsh, X)
     margin = eigvalsh_margin(inst.n, np.abs(X))
     X = X.reshape(len(X), -1)
-    feasible = (X @ inst.constraint_stack.reshape(inst.m, -1).T <= b).all(axis=1)
+    feasible = ((X[:, None] @ inst.constraint_stack.reshape(inst.m, -1).T)[:, 0] <= b).all(axis=1)
     checked = ~bad & (lam[:, 0] >= -margin) & feasible
-    return np.where(checked, np.vecdot(b, y) + X @ inst.objective.ravel(), np.inf)
+    return np.where(checked, np.vecdot(b, y) + np.vecdot(X, inst.objective.ravel()), np.inf)
 
 
 def max_min_eigen_combination(

@@ -658,7 +658,7 @@ def test_solver_breakdown_is_a_note_not_a_traceback(monkeypatch):
     def engine_tiers_only(*args, **kwargs):
         with monkeypatch.context() as patch:
             patch.setattr(sdp_module, "_dual_paths",
-                          lambda inst, bs, gap_tol, finish=None: [None] * len(bs))
+                          lambda inst, bs, gap_tol, start=None: [None] * len(bs))
             patch.setattr(sdp_module, "_polished_path", lambda inst, tol: (None, 0))
             return edge_systems(*args, **kwargs)
 

@@ -782,9 +782,10 @@ def test_polish_routes_agree_on_the_sweep(relaxation_sweep, tol):
     X*, y* and the value agree to 1e-12."""
     compared = 0
     for inst in relaxation_sweep:
-        X, y, s, _ = sdp._dual_paths(inst, inst.rhs[None], np.sqrt(tol))[0]
+        end = sdp._dual_paths(inst, inst.rhs[None], np.sqrt(tol))[0]
+        X, y, s = end[:3]
         pairs = sdp._opposite_pairs(inst)
-        [routed] = sdp._rank_one_route(inst, inst.rhs[None], X[None], y[None], s[None], pairs)
+        [routed] = sdp._rank_one_route(inst, inst.rhs[None], [end])
         if routed is None:
             continue
         one = sdp._accepted(inst, routed, pairs, tol, rank_one=True)
@@ -1035,10 +1036,10 @@ def test_dual_path_solves_odd_cycle_draws():
             res = solve_relaxation(inst)
             assert res.status_from == "dual-path" and res.ipm_iterations == 0
             total += res.dual_path_steps
-            *_, handed = sdp._dual_paths(inst, inst.rhs[None], sdp._FINISH_GAP)[0]
-            assert handed == res.dual_path_steps
+            stopped = sdp._dual_paths(inst, inst.rhs[None], sdp._FINISH_GAP)[0].steps
+            assert stopped == res.dual_path_steps
 
-            X, y, s, steps = sdp._dual_paths(inst, inst.rhs[None], 1e-4)[0]
+            X, y, s, steps = sdp._dual_paths(inst, inst.rhs[None], 1e-4)[0][:4]
             assert steps > res.dual_path_steps
             lhs = inst.constraint_stack.reshape(inst.m, -1) @ X.ravel() + s
             assert np.max(np.abs(lhs - inst.rhs)) <= 1e-12 * np.abs(X).sum()
@@ -1431,7 +1432,8 @@ def test_weak_duality_check_rejects_perturbed_evidence():
 
 def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     """cycle4's edge minima have no corner on F (S(y) there is not positive
-    definite), so all four go to the stacked dual path.  With their
+    definite), so all four go to the stacked dual path: one stack stops
+    them at `_FINISH_GAP`, and the rows its finish leaves resume.  With their
     evidence rejected they go on to solve's first tier, one polished path
     each, and with that failing too, to the engine; every tier gives the
     same answers to 1e-8 relative."""
@@ -1441,9 +1443,9 @@ def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     stacked, polished = [], []
     real_paths, real_polished = sdp._dual_paths, sdp._polished_path
 
-    def paths(inst, bs, gap_tol, finish=None):
-        stacked.append(len(bs))
-        return real_paths(inst, bs, gap_tol, finish)
+    def paths(inst, bs, gap_tol, start=None):
+        stacked.append((len(bs), gap_tol, start is None))
+        return real_paths(inst, bs, gap_tol, start)
 
     def counted(inst, tol):
         polished.append(inst.rhs)
@@ -1452,7 +1454,8 @@ def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     monkeypatch.setattr(sdp, "_dual_paths", paths)
     monkeypatch.setattr(sdp, "_polished_path", counted)
     by_path = optimize_linear_functionals_over_dual_cone(cycle4, targets)
-    assert (stacked, polished) == ([4], [])
+    assert stacked[0] == (4, sdp._FINISH_GAP, True) and polished == []
+    assert all(gap_tol == sdp.DEFAULT_TOL and not fresh for _, gap_tol, fresh in stacked[1:])
     monkeypatch.setattr(sdp, "_weak_duality_gaps", lambda inst, b, X, y: np.full(len(b), np.inf))
     by_polish = optimize_linear_functionals_over_dual_cone(cycle4, targets)
     assert len(polished) == 4
@@ -1466,22 +1469,22 @@ def test_rejected_tiers_fall_through(monkeypatch, cycle4):
 
 
 def _finish_spy(monkeypatch):
-    """The rows that each edge-tier finish settles from now on, one list per
-    stacked dual path (indices into its rows)."""
-    settled = []
+    """The rows that each finish settles from now on, one list per stacked
+    dual path stopped at `_FINISH_GAP` (indices into its rows): the rows
+    that got a point there and were not resumed."""
+    settled, stopped = [], {}  # stopped: id of each end -> (end, its stack's list, its row)
     real = sdp._dual_paths
 
-    def paths(inst, bs, gap_tol, finish=None):
-        if finish is None:
-            return real(inst, bs, gap_tol)
-        settled.append([])
-
-        def counted(rows, points, pairs, _done=settled[-1]):
-            done = finish(rows, points, pairs)
-            _done.extend(row for row, ok in zip(rows, done) if ok)
-            return done
-
-        return real(inst, bs, gap_tol, counted)
+    def paths(inst, bs, gap_tol, start=None):
+        ends = real(inst, bs, gap_tol, start)
+        if start is None:
+            settled.append([j for j, end in enumerate(ends) if end is not None])
+            stopped.update((id(end), (end, settled[-1], j))
+                           for j, end in enumerate(ends) if end is not None)
+        for end in start or ():
+            _, rows, j = stopped[id(end)]
+            rows.remove(j)
+        return ends
 
     monkeypatch.setattr(sdp, "_dual_paths", paths)
     return settled
@@ -1489,10 +1492,12 @@ def _finish_spy(monkeypatch):
 
 def _without_finish(monkeypatch, inst, targets):
     """The edge tier's answers with the finish taken away, as its stacked
-    dual paths ran before it existed."""
+    dual paths ran before it existed: the finish settles no row, and each
+    stack that would resume runs from the path's start to its gap instead."""
     with monkeypatch.context() as patch:
         real = sdp._dual_paths
-        patch.setattr(sdp, "_dual_paths", lambda inst, bs, gap_tol, finish=None:
+        patch.setattr(sdp, "_rank_one_route", lambda inst, bs, ends: [None] * len(bs))
+        patch.setattr(sdp, "_dual_paths", lambda inst, bs, gap_tol, start=None:
                       real(inst, bs, gap_tol))
         return optimize_linear_functionals_over_dual_cone(inst, targets)
 
@@ -1615,35 +1620,136 @@ def test_finish_rejects_a_y_outside_the_dual_test(monkeypatch, cycle4, side):
 
 def test_forced_finish_failure_ends_as_the_path(monkeypatch, small, cycle4):
     """With every near-null block forced to size 2, the finish settles no
-    row: each resumes its own path and ends with the value, the y and the
-    path steps of the path alone, bit for bit."""
+    row: every row stopped at `_FINISH_GAP` resumes, and ends with the
+    value, the y and the path steps of its stack's path alone, bit for bit."""
     instances = _seeded_instances(small, cycle4)
     refs = [_without_finish(monkeypatch, inst, _all_targets(inst)) for inst in instances]
     monkeypatch.setattr(sdp, "_null_block", lambda inst, sig, y: np.full(sig.shape[:-1], 2))
-    real, compared = sdp._dual_paths, []
+    real, stops, compared = sdp._dual_paths, [], []
 
-    def paths(inst, bs, gap_tol, finish=None):
-        handed = []
-
-        def counted(rows, points, pairs):
-            done = finish(rows, points, pairs)
-            handed.extend(zip(rows, done))
-            return done
-
-        got = real(inst, bs, gap_tol, counted)
-        for row, alone in zip(got, real(inst, bs, gap_tol), strict=True):
-            assert (row is None) == (alone is None)
+    def paths(inst, bs, gap_tol, start=None):
+        got = real(inst, bs, gap_tol, start)
+        if start is None:
+            stops.append((bs, got))
+            return got
+        [(stop_bs, ends)] = [stop for stop in stops if any(end is start[0] for end in stop[1])]
+        rows = [j for j, end in enumerate(ends) if end is not None]
+        assert [id(end) for end in start] == [id(ends[j]) for j in rows]
+        alone = real(inst, stop_bs, gap_tol)
+        for row, j in zip(got, rows, strict=True):
+            assert (row is None) == (alone[j] is None)
             if row is not None:
-                assert row[3] == alone[3]
-                assert all(np.array_equal(a, b) for a, b in zip(row[:3], alone[:3]))
-        assert not any(done for _, done in handed)
-        compared.append(len(handed))
+                assert row[3] == alone[j][3]
+                assert all(np.array_equal(a, b) for a, b in zip(row[:3], alone[j][:3]))
+        compared.append(len(start))
         return got
 
     monkeypatch.setattr(sdp, "_dual_paths", paths)
     for inst, ref in zip(instances, refs):
         _same_answers(optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst)), ref)
+    assert len(compared) == sum(any(end is not None for end in ends) for _, ends in stops)
     assert sum(compared) >= 40
+
+
+def _target_rhs(inst, targets):
+    """The rhs -c of each target's relaxation, as the edge tier sets it."""
+    return np.array([-f if maximize else f
+                     for f, maximize in ((inst.constraint_stack[:, k, ell], mx)
+                                         for k, ell, mx in targets)])
+
+
+def _same_ends(got, ref):
+    """Path ends that are the same, bit for bit, or both None."""
+    for end, end1 in zip(got, ref, strict=True):
+        assert (end is None) == (end1 is None)
+        if end is not None:
+            assert (end.steps, end.pairs, end.mu) == (end1.steps, end1.pairs, end1.mu)
+            assert all(np.array_equal(getattr(end, f), getattr(end1, f))
+                       for f in ("X", "y", "s", "y_path"))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_resumed_paths_end_as_one_path(small, cycle4, tol):
+    """A path stopped at `_FINISH_GAP` and resumed, every row at once, ends
+    as one path to tol ends, bit for bit, its steps counted from its start:
+    as a stack and as stacks of one, for the edge targets of cycle4 and the
+    seeded instances, and for homogenized small_linear, whose pair the
+    resume keeps.  A row with no point at `_FINISH_GAP` gets none at tol."""
+    linear = homogenize(load_instance(DATA_DIR / "small_linear.json"))
+    cases = [(inst, _target_rhs(inst, _all_targets(inst)))
+             for inst in _seeded_instances(small, cycle4)]
+    cases.append((linear, np.array([[1.0], [2.0], [0.5]]) * linear.rhs))
+    resumed = 0
+    for inst, bs in cases:
+        for rows in [bs, *bs[:, None]]:  # the stack, then stacks of one
+            ends = sdp._dual_paths(inst, rows, sdp._FINISH_GAP)
+            got = [j for j, end in enumerate(ends) if end is not None]
+            ref = sdp._dual_paths(inst, rows, tol)
+            assert all(ref[j] is None for j in range(len(rows)) if j not in got)
+            if got:
+                _same_ends(sdp._dual_paths(inst, rows[got], tol, [ends[j] for j in got]),
+                           [ref[j] for j in got])
+            resumed += len(got)
+    assert resumed >= 80  # 44 rows, each in its stack and alone
+
+
+def test_resumed_subset_keeps_its_stack_pairs(monkeypatch):
+    """A resumed stack takes the opposite pairs of the stack that stopped
+    its rows, which come with each end: `_opposite_pairs` tests every row
+    of a stack, so a subset can gain a pair, and its y would then be read
+    in another order.  With `_opposite_pairs` made to find none, row 1 of
+    homogenized small_linear's stack, resumed alone, still ends with the
+    pair and as the whole stack's path to 1e-8 ends it, bit for bit."""
+    inst = homogenize(load_instance(DATA_DIR / "small_linear.json"))
+    bs = np.array([[1.0], [2.0]]) * inst.rhs
+    ends, ref = sdp._dual_paths(inst, bs, sdp._FINISH_GAP), sdp._dual_paths(inst, bs, 1e-8)
+    assert ends[1].pairs == [(1, 2)] and ends[1].steps < ref[1].steps
+    monkeypatch.setattr(sdp, "_opposite_pairs", lambda inst, b=None: [])
+    _same_ends(sdp._dual_paths(inst, bs[1:], 1e-8, ends[1:]), ref[1:])
+
+
+def test_path_step_budget_spans_both_legs(monkeypatch, cycle4):
+    """`_PATH_STEPS` bounds a row's steps over both legs.  With a budget of
+    the steps that cycle4's path to 1e-8 takes, that path gives no point,
+    and neither does the same row stopped at `_FINISH_GAP` and resumed,
+    though its second leg alone takes fewer steps; one step more, and
+    both end alike."""
+    b = cycle4.rhs[None]
+    [stop], [end] = sdp._dual_paths(cycle4, b, sdp._FINISH_GAP), sdp._dual_paths(cycle4, b, 1e-8)
+    assert 0 < stop.steps < end.steps
+    for budget in (end.steps, end.steps + 1):
+        monkeypatch.setattr(sdp, "_PATH_STEPS", budget)
+        got = sdp._dual_paths(cycle4, b, 1e-8, [stop])
+        _same_ends(got, sdp._dual_paths(cycle4, b, 1e-8))
+        assert (got[0] is None) == (budget == end.steps)
+
+
+def test_evidence_products_do_not_depend_on_the_stack(cycle4):
+    """`_scale_into` and `_weak_duality_gaps` give each row the scale and
+    the gap it gets alone, bit for bit, inside any stack.  The rows: the
+    last rank-one points of cycle4's four edge minima, from the path at
+    `_FINISH_GAP` (where one gemm over the stack rounded a scale that is
+    1.0 in the stack of four to 0.9999999999999993 alone), one grown past
+    its constraints, and one that is not finite."""
+    targets = [(k, ell, False) for k, ell in sorted(build_graph(cycle4).edges)]
+    bs = _target_rhs(cycle4, targets)
+    ends = sdp._dual_paths(cycle4, bs, sdp._FINISH_GAP)
+    last = [points[-1] for points in sdp._rank_one_route(cycle4, bs, ends)]
+    X = [np.outer(x, x) for x, _ in last]
+    X = np.array([*X, 2.0 * X[0], np.full_like(X[0], np.nan)])
+    y = np.array([y for _, y in last] + [last[0][1]] * 2)
+    bs = np.concatenate([bs, bs[:1], bs[:1]])
+
+    def each(rows):
+        scale = sdp._scale_into(cycle4, bs[rows], X[rows])
+        gaps = sdp._weak_duality_gaps(cycle4, bs[rows], X[rows] * scale[:, None, None], y[rows])
+        return scale, gaps
+
+    alone = [each([j]) for j in range(len(X))]
+    assert alone[4][0][0] < 1.0 and alone[5][1][0] == np.inf
+    for rows in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 5, 3]):
+        for j, scale, gap in zip(rows, *each(rows)):
+            assert (scale, gap) == (alone[j][0][0], alone[j][1][0])
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
@@ -1671,7 +1777,7 @@ def test_engine_tier_is_one_run_per_target(monkeypatch, small):
     inst = build_connecting_perturbation(_blkdiag_double(small), 5e-4).instance
     targets = _all_targets(inst)
     monkeypatch.setattr(sdp, "_dual_paths",
-                        lambda inst, bs, gap_tol, finish=None: [None] * len(bs))
+                        lambda inst, bs, gap_tol, start=None: [None] * len(bs))
     monkeypatch.setattr(sdp, "_polished_path", lambda inst, tol: (None, 0))
     runs = _engine_runs(monkeypatch)
     got = optimize_linear_functionals_over_dual_cone(inst, targets)

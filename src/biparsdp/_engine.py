@@ -159,15 +159,6 @@ def _ratio(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return np.divide(-w, dw, out=np.full(np.broadcast(w, dw).shape, np.inf), where=dw < 0)
 
 
-def _eigvalsh(S: np.ndarray) -> np.ndarray:
-    """eigvalsh of S, or the identity's eigenvalues where it fails (on a
-    direction that is not finite, whose step ends the run as non-finite)."""
-    try:
-        return np.linalg.eigvalsh(S)
-    except np.linalg.LinAlgError:
-        return np.ones(S.shape[:-1])
-
-
 class _NTScaling:
     """Nesterov-Todd scaling of an iterate (u, z) of K = R+^l x PSD(d).
 
@@ -231,7 +222,7 @@ class _NTScaling:
         np.multiply(dUh, r[:, None], out=S[0])
         np.multiply(dZh, r[:, None], out=S[1])
         S *= r[None, :]
-        return self._bound(qu, qz, *_eigvalsh(S)[:, 0])
+        return self._bound(qu, qz, *np.linalg.eigvalsh(S)[:, 0])
 
     def affine(self, du: np.ndarray) -> tuple:
         """Scaled pair, largest step and du.dz of an affine-scaling direction,
@@ -252,7 +243,7 @@ class _NTScaling:
         dUh = self.Gi @ dX @ self.Gi.T
         dZh = -(self.lams[:, None] * np.eye(self.d)) - dUh
         r = self.lams ** -0.5
-        lam = _eigvalsh(dUh * r[:, None] * r[None, :])
+        lam = np.linalg.eigvalsh(dUh * r[:, None] * r[None, :])
         step = self._bound(qu, qz, lam[0], -1.0 - lam[-1])
         return (qu, qz, dUh, dZh), step, _dot(qu, qz) + _dot(dUh.ravel(), dZh.ravel())
 
@@ -288,11 +279,11 @@ def solve_standard_form(
     """Homogeneous self-dual interior-point solve of the (P)/(D) pair.
 
     Stops at the first tau-scaled iterate that meets the feasibility and
-    gap targets.  A non-finite or unfactorable iterate ends the run with
-    NUMERICAL_LIMIT and a message.  Inside the loop the PSD block of every
-    cone vector is a d x d matrix, so inner products are plain dot
-    products; u and z are packed once, on return.  The cone needs its PSD
-    block: d >= 1.
+    gap targets.  A non-finite or unfactorable iterate, or a non-finite
+    direction, ends the run with NUMERICAL_LIMIT and a message.  Inside
+    the loop the PSD block of every cone vector is a d x d matrix, so inner
+    products are plain dot products; u and z are packed once, on return.
+    The cone needs its PSD block: d >= 1.
     """
     if d < 1:
         raise ValueError("the cone needs a PSD block: d must be >= 1")
@@ -352,9 +343,12 @@ def solve_standard_form(
         except np.linalg.LinAlgError:
             return end(SolverStatus.NUMERICAL_LIMIT, "scaling breakdown (lost cone interior)")
         try:
-            alpha, stepped = _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu)
+            step = _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu)
         except np.linalg.LinAlgError:
             return end(SolverStatus.NUMERICAL_LIMIT, "singular Schur complement")
+        if step is None:
+            return end(SolverStatus.NUMERICAL_LIMIT, "non-finite direction")
+        alpha, stepped = step
         if alpha <= 1e-10:
             return end(SolverStatus.NUMERICAL_LIMIT,
                        "step size collapsed before reaching tolerances")
@@ -366,8 +360,9 @@ def solve_standard_form(
 
 def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
     """One Mehrotra predictor-corrector step: the step length alpha and the
-    stepped iterate (u, v, z, tau, kappa).  Raises np.linalg.LinAlgError
-    when the Schur complement is singular.
+    stepped iterate (u, v, z, tau, kappa), or None at a direction that is
+    not finite.  Raises np.linalg.LinAlgError when the Schur complement is
+    singular.
 
     A Newton solve has du = H + F(rc hx + A^T dv - dtau c) and
     dz = -rc hx - A^T dv + dtau c, so du + F(dz) = H, the complementarity
@@ -429,6 +424,8 @@ def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
     den = -_dot(K2, c) + _dot(b, v2) + kappa / tau
     del Fc
     dtau_a, dkap_a = complete(1.0, du_a, v1, -tau * kappa)
+    if not np.isfinite(du_a).all():
+        return None
     sc_a, step_a, dudz = nt.affine(du_a)
     del du_a
     aa = np.minimum(1.0, np.minimum(step_a, tk_bound(dtau_a, dkap_a)))  # predictor step length
@@ -457,6 +454,8 @@ def _mehrotra_step(nt, c, A, b, u, v, z, tau, kappa, hx, hy, htau, mu):
     dz -= _vm(dv, A)
     dz += dtau * c
 
+    if not (np.isfinite(du).all() and np.isfinite(dz).all()):
+        return None
     step = np.minimum(nt.max_step(nt.scale(du, dz)), tk_bound(dtau, dkappa))
     alpha = np.minimum(1.0, 0.99 * step)
     return alpha, (u + alpha * du, v + alpha * dv, z + alpha * dz, tau + alpha * dtau,

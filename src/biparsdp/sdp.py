@@ -23,9 +23,9 @@ boxed; each is the dual of a relaxation with rhs +-(Qp)_{kl}.
 first of four tiers: the box corner, one stacked dual path per instance
 (stopped at 1e-2 for the same finish, run once over the stack, and
 resumed for the rows it leaves; one evidence test for every point),
-`solve`'s first tier, and a boxed engine run (`_engine._maximize_over_lmi`),
-which also serves the positive-definiteness check
-(`max_min_eigen_combination`).  No cone vector is built here;
+`solve`'s polish from the same stops (`_polished`), and a boxed engine
+run (`_engine._maximize_over_lmi`), which also serves the positive-definiteness
+check (`max_min_eigen_combination`).  No cone vector is built here;
 `solve_standard_form`, `svec` and `smat` stay importable from this module.
 """
 
@@ -682,33 +682,27 @@ class RelaxationSolve(NamedTuple):
     X_eigh: tuple | None = None  # eigh(X), when the dual path answered
 
 
-def _polished_path(inst: QcqpInstance, tol: float):
-    """The dual path's answer to the relaxation of `inst` at tol, which sets
-    both feasibility and gap targets: ((X, y, polish steps, eigh(X)) or
-    None, path steps).  Every candidate is a polished point whose pairs'
-    multipliers are folded once more (`_fold`; the eigenbasis polish leaves
-    both nonzero, the rank-one one carries w alone), and the last iterate
-    of a polish that passes the engine's own stopping test at tol
-    (`_kkt_residuals`) is accepted (`_accepted`): at the rounding floor, a
-    last step can lower the polish's residual and fail that test.
-
-    The path (`_dual_paths`, a stack of one) first stops at a gap of
-    `_FINISH_GAP`, and its point there takes the rank-one route
-    (`_rank_one_route`).  When that gives no passing point, the path
-    resumes to a gap of sqrt(tol), and its point there takes the
-    eigenbasis polish (`_kkt_iterates`).  The path steps count to the
-    point that was polished."""
-    b = inst.rhs[None]
-    [end] = _dual_paths(inst, b, _FINISH_GAP)
-    if end is not None:
-        [routed] = _rank_one_route(inst, b, [end])
-        accepted = routed and _accepted(inst, routed, end.pairs, tol, rank_one=True)
-        if accepted:
-            return accepted, end.steps
-        [end] = _dual_paths(inst, b, np.sqrt(tol), [end])
-    if end is None:
-        return None, 0
-    return _accepted(inst, _kkt_iterates(inst, end.X, end.y, end.s), end.pairs, tol), end.steps
+def _polished(insts: list, tol: float, ends: list, routed: list) -> list:
+    """The dual path's answer to each relaxation of insts (one objective
+    and constraint set, a rhs each) at tol, which sets both feasibility and
+    gap targets, as ((X, y, polish steps, eigh(X)) or None, path steps)
+    per row, from the row's stop at `_FINISH_GAP` (`_PathEnd`, of one
+    stack) and its rank-one route's points (`_rank_one_route`).  A row
+    takes the last rank-one point that passes the engine's own stopping
+    test at tol (`_accepted`); the rows left resume, as one stack, to a gap
+    of sqrt(tol), where each end takes the eigenbasis polish
+    (`_kkt_iterates`), judged the same way.  The path steps count to the
+    polished point, and are 0 where the resumed path gives none."""
+    out = [(points and _accepted(inst, points, end.pairs, tol, rank_one=True), end.steps)
+           for inst, end, points in zip(insts, ends, routed)]
+    left = [t for t, (point, _) in enumerate(out) if not point]
+    if left:
+        bs = np.array([insts[t].rhs for t in left])
+        for t, end in zip(left, _dual_paths(insts[left[0]], bs, np.sqrt(tol),
+                                            [ends[t] for t in left])):
+            out[t] = (None, 0) if end is None else (_accepted(
+                insts[t], _kkt_iterates(insts[t], end.X, end.y, end.s), end.pairs, tol), end.steps)
+    return out
 
 
 def _accepted(inst: QcqpInstance, points: list, pairs, tol: float, rank_one: bool = False):
@@ -734,20 +728,23 @@ def _accepted(inst: QcqpInstance, points: list, pairs, tol: float, rank_one: boo
 def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     """The relaxation of `inst` solved to tol, which sets both feasibility
     and gap targets, as a `RelaxationSolve`.  "dual-path": a polished
-    point of the dual path that passes the engine's own stopping test
-    at tol (`_polished_path`: Newton steps on X = x x^T from the path's
-    point at a gap of 1e-2 when S(y) has a near-null block of one there,
-    else in the eigenbasis of S(y) from its point at sqrt(tol)), with the
-    path steps to the polished point.  "full-run": otherwise one engine
-    run to tol (`_relaxation_run`), which holds every certificate to tol,
-    and an Optimal result is polished: the last point of `_kkt_iterates`,
-    with its step count.
+    point of the dual path (a stack of one) that passes the engine's own
+    stopping test at tol (`_polished`: Newton steps on X = x x^T from the
+    path's stop at a gap of 1e-2 when S(y) has a near-null block of one
+    there, else in the eigenbasis of S(y) from its point at sqrt(tol)),
+    with the path steps to the polished point.  "full-run": otherwise one
+    engine run to tol (`_relaxation_run`), which holds every certificate to
+    tol, and an Optimal result is polished: the last point of
+    `_kkt_iterates`, with its step count.
 
     An instance with linear terms is refused with InstanceError.
     """
     check_homogeneous(inst, "solve")
     check_solver_tol(tol)
-    point, path_steps = _polished_path(inst, tol)
+    b = inst.rhs[None]
+    [end] = _dual_paths(inst, b, _FINISH_GAP)
+    point, path_steps = (None, 0) if end is None else \
+        _polished([inst], tol, [end], _rank_one_route(inst, b, [end]))[0]
     if point is not None:
         X, y, steps, eig = point
         return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path", path_steps,
@@ -818,8 +815,10 @@ def optimize_linear_functionals_over_dual_cone(
        within 2 tol (1 + |c.y|) of that bound.  y must lie inside the box,
        max y < 0.999 y_cap, and pass the dual half of `_kkt_residuals` at
        tol (y and S(y) in their cones).
-    3. `solve`'s first tier on the target's relaxation (`_polished_path`)
-       for a target whose path gave no point or failed the test.
+    3. `solve`'s polish (`_polished`), once over the stopped rows that
+       tier 2 leaves, from their stops and rank-one points: a row's path
+       starts once.  A row with no stop goes on to tier 4, as a stack of
+       one would fail the same way.
     4. A boxed engine run (`_maximize_over_lmi`) for each target left, in
        the given order; attained means max y < 0.999 y_cap.
 
@@ -863,29 +862,30 @@ def optimize_linear_functionals_over_dual_cone(
 
     rest = [t for t in range(len(targets)) if out[t] is None]
     ends = _dual_paths(inst, -c[rest], _FINISH_GAP) if rest else []
-    stopped = [(t, end) for t, end in zip(rest, ends) if end is not None]
-    if stopped:
+    ends = {t: end for t, end in zip(rest, ends) if end is not None}  # the stopped rows
+    if ends:
         # the finish, once over every stopped row: X = x x^T and y of each
         # row's last rank-one point (x, y)
-        ts, ends = (list(v) for v in zip(*stopped))
-        last = [(t, end, points[-1]) for t, end, points
-                in zip(ts, ends, _rank_one_route(inst, -c[ts], ends)) if points]
-        answer_checked([(t, np.outer(x, x), _fold(y, end.pairs)) for t, end, (x, y) in last])
+        routed = dict(zip(ends, _rank_one_route(inst, -c[list(ends)], list(ends.values()))))
+        answer_checked([(t, np.outer(x, x), _fold(y, ends[t].pairs))
+                        for t, points in routed.items() if points for x, y in points[-1:]])
         # the rows it leaves resume, as one stack, to tol
-        left = [(t, end) for t, end in stopped if out[t] is None]
+        left = [t for t in ends if out[t] is None]
         if left:
-            ts, ends = (list(v) for v in zip(*left))
-            answer_checked([(t, end.X, end.y) for t, end
-                            in zip(ts, _dual_paths(inst, -c[ts], tol, ends)) if end is not None])
+            resumed = _dual_paths(inst, -c[left], tol, [ends[t] for t in left])
+            answer_checked([(t, end.X, end.y) for t, end in zip(left, resumed) if end is not None])
+        # and those still left take solve's polish from their stop at 1e-2
+        left = [t for t in left if out[t] is None]
+        insts = [QcqpInstance(Q0, inst.constraint_matrices, -c[t]) for t in left]
+        for t, (point, _) in zip(left, _polished(insts, tol, [ends[t] for t in left],
+                                                 [routed[t] for t in left])):
+            if point is not None and point[1].max() < 0.999 * y_cap:
+                answer(t, point[1], True)
 
     for t in rest:
         if out[t] is None:
-            point, _ = _polished_path(QcqpInstance(Q0, inst.constraint_matrices, -c[t]), tol)
-            if point is not None and point[1].max() < 0.999 * y_cap:
-                answer(t, point[1], True)
-            else:
-                _, y = _maximize_over_lmi(Q0, Qs, c[t], y_cap, tol, "edge-system", "S(y)")
-                answer(t, y, bool(y.max() < 0.999 * y_cap))
+            _, y = _maximize_over_lmi(Q0, Qs, c[t], y_cap, tol, "edge-system", "S(y)")
+            answer(t, y, bool(y.max() < 0.999 * y_cap))
     return out
 
 

@@ -7,6 +7,7 @@ read as a checklist; the assertions carry the same condition.
 import time
 
 import numpy as np
+import pytest
 
 from biparsdp import (
     QcqpInstance,
@@ -457,23 +458,35 @@ def test_verdicts_invariant_under_diagonal_similarity(small, cycle4):
     )
 
 
-def test_verdicts_invariant_under_positive_scaling(cycle4):
-    """cycle4 with every matrix and rhs times s keeps verdict and applied
-    rule, and its t* scales by s: t* runs from about 4e-5 to 4e4."""
-    base = certify(cycle4)
-    t_base = base.assumption_check.t_star
-    bad = []
-    for s in (1e-3, 1.0, 1e3, 1e6):
-        scaled = certify(QcqpInstance(
-            objective=s * cycle4.objective,
-            constraint_matrices=tuple(s * Q for Q in cycle4.constraint_matrices),
-            rhs=s * cycle4.rhs,
-        ))
-        t_star = scaled.assumption_check.t_star
-        if ((scaled.verdict, scaled.applied_rule) != (base.verdict, base.applied_rule)
-                or t_star is None or abs(t_star / (s * t_base) - 1.0) > 1e-6):
-            bad.append((s, scaled.verdict.value, scaled.applied_rule, t_star))
+# Scales at which a verdict still changes (ROADMAP item 5): t* scales by s,
+# and below s = 1e-4 (cycle4) or 1e-5 (small) it falls under the absolute
+# MU_POSITIVITY_TOL = 1e-6, so the edge systems are not trusted and the
+# verdict is NumericallyExactOnly.
+_SCALE_MISSES = {("cycle4", -6), ("cycle4", -5), ("small", -6)}
+
+
+@pytest.mark.parametrize("name, s", [
+    pytest.param(name, 10.0 ** e, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 5: t* below the absolute MU_POSITIVITY_TOL"
+    ) if (name, e) in _SCALE_MISSES else ())
+    for name in ("cycle4", "small") for e in range(-6, 7)
+])
+def test_verdicts_invariant_under_positive_scaling(request, name, s):
+    """cycle4 and small with every matrix and rhs times s, for every decade
+    s = 1e-6 ... 1e6, keep verdict and applied rule, and their t* scales by
+    s (cycle4's is about 0.037 s)."""
+    inst = request.getfixturevalue(name)
+    base = certify(inst)
+    scaled = certify(QcqpInstance(
+        objective=s * inst.objective,
+        constraint_matrices=tuple(s * Q for Q in inst.constraint_matrices),
+        rhs=s * inst.rhs,
+    ))
+    t_star = scaled.assumption_check.t_star
+    moved = ((scaled.verdict, scaled.applied_rule) != (base.verdict, base.applied_rule)
+             or t_star is None or abs(t_star / (s * base.assumption_check.t_star) - 1.0) > 1e-6)
     _check(
-        f"metamorphic: cycle4 times s in 1e-3..1e6 keeps verdict, rule and t*/s ({bad})",
-        base.verdict is Verdict.CERTIFIED_EXACT and not bad,
+        f"metamorphic: {name} times {s:g} keeps verdict, rule and t*/s "
+        f"({scaled.verdict.value}, {scaled.applied_rule}, {t_star})",
+        base.verdict is Verdict.CERTIFIED_EXACT and not moved,
     )

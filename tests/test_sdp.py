@@ -620,7 +620,8 @@ def _agrees_with(tight, ref):
 
 def _no_dual_path(monkeypatch):
     """Send every relaxation solve from now on straight to the engine."""
-    monkeypatch.setattr(sdp, "_polished_path", lambda inst, tol: (None, 0))
+    monkeypatch.setattr(sdp, "_polished",
+                        lambda insts, tol, ends, routed: [(None, 0)] * len(insts))
 
 
 def test_breakdown_relaxation_solves_at_1e13():
@@ -1294,7 +1295,9 @@ def test_failed_members_get_one_recovery_run(monkeypatch, small):
     one-target calls' results, bit for bit.  At a tolerance below what the
     iterates can resolve (bipartite_breakdown_n16 at 1e-14) some targets
     fail both runs, and a call with every target raises for the first
-    failing one, as a loop over the targets would."""
+    failing one, as a loop over the targets would.  Three recovery runs
+    there meet a direction that is not finite at iteration 162: each ends
+    at that iteration, with the finite iterate it started from."""
     inst = build_connecting_perturbation(_blkdiag_double(small), 5e-4).instance
     targets = _all_targets(inst)
     alone = _runs_per_target(monkeypatch, inst, targets)
@@ -1317,9 +1320,15 @@ def test_failed_members_get_one_recovery_run(monkeypatch, small):
     alone = _runs_per_target(monkeypatch, inst, targets, tol=1e-14)
     sols = [sol for _, runs in alone for sol in runs]
     assert {sol.status for sol in sols} == {SolverStatus.OPTIMAL, SolverStatus.NUMERICAL_LIMIT}
-    assert {"scaling breakdown (lost cone interior)", "non-finite iterate"} <= {
-        sol.message for sol in sols
-    }
+    assert {sol.message for sol in sols} == {
+        "", "scaling breakdown (lost cone interior)", "non-finite direction",
+        "step size collapsed before reaching tolerances"}
+    nan_direction = [(t, runs[-1]) for t, (_, runs) in zip(targets, alone)
+                     if runs[-1].message == "non-finite direction"]
+    assert [t for t, _ in nan_direction] == [(0, 7, True), (5, 10, True), (9, 15, True)]
+    for _, sol in nan_direction:
+        assert sol.iterations == 162
+        assert all(np.isfinite(v).all() for v in (sol.u, sol.v, sol.z))
     together = _outcome(lambda: _engine_tier(inst, targets, tol=1e-14))
     assert together == next(res for res, _ in alone if not isinstance(res[0], float))
     assert together[0] is RuntimeError and "scaling breakdown" in together[1]
@@ -1434,38 +1443,127 @@ def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     """cycle4's edge minima have no corner on F (S(y) there is not positive
     definite), so all four go to the stacked dual path: one stack stops
     them at `_FINISH_GAP`, and the rows its finish leaves resume.  With their
-    evidence rejected they go on to solve's first tier, one polished path
-    each, and with that failing too, to the engine; every tier gives the
-    same answers to 1e-8 relative."""
+    evidence rejected they go on to solve's polish from their stops, four
+    rows in all, and with that failing too, to the engine; every
+    tier gives the same answers to 1e-8 relative."""
     targets = [(k, ell, False) for k, ell in sorted(build_graph(cycle4).edges)]
     assert not any(_on_cone(cycle4, _corner(cycle4, *t)) for t in targets)
     ref = _engine_tier(cycle4, targets)
     stacked, polished = [], []
-    real_paths, real_polished = sdp._dual_paths, sdp._polished_path
+    real_paths, real_polished = sdp._dual_paths, sdp._polished
 
     def paths(inst, bs, gap_tol, start=None):
         stacked.append((len(bs), gap_tol, start is None))
         return real_paths(inst, bs, gap_tol, start)
 
-    def counted(inst, tol):
-        polished.append(inst.rhs)
-        return real_polished(inst, tol)
+    def counted(insts, tol, ends, routed):
+        polished.extend(inst.rhs for inst in insts)
+        return real_polished(insts, tol, ends, routed)
 
     monkeypatch.setattr(sdp, "_dual_paths", paths)
-    monkeypatch.setattr(sdp, "_polished_path", counted)
+    monkeypatch.setattr(sdp, "_polished", counted)
     by_path = optimize_linear_functionals_over_dual_cone(cycle4, targets)
     assert stacked[0] == (4, sdp._FINISH_GAP, True) and polished == []
     assert all(gap_tol == sdp.DEFAULT_TOL and not fresh for _, gap_tol, fresh in stacked[1:])
     monkeypatch.setattr(sdp, "_weak_duality_gaps", lambda inst, b, X, y: np.full(len(b), np.inf))
     by_polish = optimize_linear_functionals_over_dual_cone(cycle4, targets)
     assert len(polished) == 4
-    monkeypatch.setattr(sdp, "_polished_path", lambda inst, tol: (None, 0))
+    monkeypatch.setattr(sdp, "_polished",
+                        lambda insts, tol, ends, routed: [(None, 0)] * len(insts))
     runs = _engine_runs(monkeypatch)
     by_engine = optimize_linear_functionals_over_dual_cone(cycle4, targets)
     assert len(runs) == 4
     for got in (by_path, by_polish, by_engine):
         for (value, attained, _), (value1, attained1, _) in zip(got, ref):
             assert attained and attained1 and abs(value - value1) <= 1e-8 * abs(value1)
+
+
+def _tier_three_cases(small, cycle4, tmp_path):
+    """(instance, tol) pairs with edge targets that tiers 1-2 of
+    `optimize_linear_functionals_over_dual_cone` leave: the eps = 1e-2 and 1e-3
+    connecting perturbations of two copies of small.json, cycle4, and
+    draws of the benchmark's edge-systems rounds (seed 1's draw 3, and at
+    1e-14 seed 0's draw 3 and seed 2's draw 4)."""
+    double = _blkdiag_double(small)
+    draws = [workload_draws("edge-systems", seed, tmp_path) for seed in range(3)]
+    return [(build_connecting_perturbation(double, 1e-2).instance, 1e-8),
+            (build_connecting_perturbation(double, 1e-3).instance, 1e-10),
+            (cycle4, 1e-12), (cycle4, 1e-14), (draws[1][3], 1e-12),
+            (draws[0][3], 1e-14), (draws[2][4], 1e-14)]
+
+
+def test_each_edge_call_solves_each_target_once(monkeypatch, small, cycle4, tmp_path):
+    """An edge call starts one dual path from scratch and runs the rank-one
+    route at most once, though tiers 1-2 leave some of its targets: tier 3
+    polishes the stack's own stops and rank-one points, and a target with
+    no stop goes to the engine."""
+    counts = {"fresh": 0, "route": 0, "tier 3 rows": 0}
+    real_paths, real_route, real_polished = sdp._dual_paths, sdp._rank_one_route, sdp._polished
+
+    def paths(inst, bs, gap_tol, start=None):
+        counts["fresh"] += start is None
+        return real_paths(inst, bs, gap_tol, start)
+
+    def route(*args):
+        counts["route"] += 1
+        return real_route(*args)
+
+    def polished(insts, *args):
+        counts["tier 3 rows"] += len(insts)
+        return real_polished(insts, *args)
+
+    monkeypatch.setattr(sdp, "_dual_paths", paths)
+    monkeypatch.setattr(sdp, "_rank_one_route", route)
+    monkeypatch.setattr(sdp, "_polished", polished)
+    for inst, tol in _tier_three_cases(small, cycle4, tmp_path):
+        counts.update(fresh=0, route=0)
+        optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst), tol=tol)
+        assert counts["fresh"] == 1 and counts["route"] <= 1
+    assert counts["tier 3 rows"] > 0
+
+
+def _polished_alone(inst, tol):
+    """Tier 3's answer as a stack of one on the target's relaxation: a path
+    from its start to `_FINISH_GAP`, its rank-one route, then the resume to
+    sqrt(tol) and the eigenbasis polish."""
+    b = inst.rhs[None]
+    [end] = sdp._dual_paths(inst, b, sdp._FINISH_GAP)
+    if end is not None:
+        [routed] = sdp._rank_one_route(inst, b, [end])
+        accepted = routed and sdp._accepted(inst, routed, end.pairs, tol, rank_one=True)
+        if accepted:
+            return accepted, end.steps
+        [end] = sdp._dual_paths(inst, b, np.sqrt(tol), [end])
+    if end is None:
+        return None, 0
+    points = sdp._kkt_iterates(inst, end.X, end.y, end.s)
+    return sdp._accepted(inst, points, end.pairs, tol), end.steps
+
+
+def test_tier_three_matches_a_stack_of_one(monkeypatch, small, cycle4, tmp_path):
+    """Every tier-3 answer, polished from the stack's own stop and rank-one
+    points, is the one that a fresh stack of one on the target's relaxation
+    gives, bit for bit: point, polish steps, eigh and path steps."""
+    rows = []
+    real = sdp._polished
+
+    def polished(insts, tol, ends, routed):
+        got = real(insts, tol, ends, routed)
+        rows.extend((inst, tol, row) for inst, row in zip(insts, got))
+        return got
+
+    monkeypatch.setattr(sdp, "_polished", polished)
+    for inst, tol in _tier_three_cases(small, cycle4, tmp_path):
+        optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst), tol=tol)
+    assert len(rows) == 6 and {point is None for _, _, (point, _) in rows} == {True, False}
+    for inst, tol, (point, steps) in rows:
+        ref, ref_steps = _polished_alone(inst, tol)
+        assert steps == ref_steps and (point is None) == (ref is None)
+        if point is not None:
+            X, y, polish_steps, (lam, V) = point
+            X1, y1, polish_steps1, (lam1, V1) = ref
+            assert polish_steps == polish_steps1
+            assert all(np.array_equal(a, a1) for a, a1 in ((X, X1), (y, y1), (lam, lam1), (V, V1)))
 
 
 def _finish_spy(monkeypatch):
@@ -1778,7 +1876,8 @@ def test_engine_tier_is_one_run_per_target(monkeypatch, small):
     targets = _all_targets(inst)
     monkeypatch.setattr(sdp, "_dual_paths",
                         lambda inst, bs, gap_tol, start=None: [None] * len(bs))
-    monkeypatch.setattr(sdp, "_polished_path", lambda inst, tol: (None, 0))
+    monkeypatch.setattr(sdp, "_polished",
+                        lambda insts, tol, ends, routed: [(None, 0)] * len(insts))
     runs = _engine_runs(monkeypatch)
     got = optimize_linear_functionals_over_dual_cone(inst, targets)
     asked = [t for t in targets if not _on_cone(inst, _corner(inst, *t))]

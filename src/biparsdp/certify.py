@@ -13,9 +13,9 @@ relaxation of a QCQP must have a rank-1 optimal solution:
   reduce to optimizing S(y)_{kl} over the dual feasible set, the dual of a
   small relaxation: `sdp.optimize_linear_functionals_over_dual_cone`
   answers every edge of an instance at once, from the box corner, one
-  stacked y-space path whose refutations rest on a checked primal point,
-  the relaxation solve's polish from that path's stops, or, for what
-  those leave, the conic engine.
+  stacked y-space path resumed to tol and, for the rows it leaves, to
+  sqrt(tol) and polished there, each of its answers resting on a checked
+  primal point, or, for what those leave, the conic engine.
 
 The paper's sign-split reduction (`transform.sign_split_transform`) is not
 run.  Its doubled graph is bipartite exactly when the cycle condition

@@ -20,12 +20,13 @@ relaxation comes from the engine.
 The per-edge systems optimize one entry S(y)_{kl} over the same set of y,
 boxed; each is the dual of a relaxation with rhs +-(Qp)_{kl}.
 `optimize_linear_functionals_over_dual_cone` answers each target by the
-first of four tiers: the box corner, one stacked dual path per instance
-(stopped at 1e-2 for the same finish, run once over the stack, and
-resumed for the rows it leaves; one evidence test for every point),
-`solve`'s polish from the same stops (`_polished`), and a boxed engine
-run (`_engine._maximize_over_lmi`), which also serves the positive-definiteness
-check (`max_min_eigen_combination`).  No cone vector is built here;
+first of four tiers: the box corner; one stacked dual path per instance,
+stopped at 1e-2 for the same finish, run once over the stack, and resumed
+to tol for the rows it leaves; their resume to sqrt(tol) and the
+eigenbasis polish for the rows still left, every point of both under one
+evidence test; and a boxed engine run (`_engine._maximize_over_lmi`),
+which also serves the positive-definiteness check
+(`max_min_eigen_combination`).  No cone vector is built here;
 `solve_standard_form`, `svec` and `smat` stay importable from this module.
 """
 
@@ -153,9 +154,9 @@ def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     while they lower its residual: the points (X, y, s) from the start on,
     each at a lower residual than the one before.
 
-    `solve` starts it from the dual path's point at a gap of sqrt(tol) when
-    the finish (`_rank_one_iterates`) does not answer, or from the engine's
-    result at tol.  Newton steps on
+    `solve` and tier 3 of the edge systems start it from the dual path's
+    point at a gap of sqrt(tol) when the finish (`_rank_one_iterates`) does
+    not answer, and `solve` from the engine's result at tol.  Newton steps on
 
         <A_p, X> + s_p = b_p,   y_p s_p = 0,   sym(X S(y)) = O
 
@@ -167,7 +168,7 @@ def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
     step until rounding stops it.  So the first step that does not halve it
     ends the refinement, as does the `steps`-th; the last step's point is
     kept only if it lowers the residual.  Cone violations the steps
-    introduce are second order and judged by the caller (`_kkt_residuals`).
+    introduce are second order; the caller judges each point.
 
     Each step is solved in the eigenbasis S = U diag(sigma) U^T, where the
     linearized complementarity equation reads entrywise
@@ -682,36 +683,13 @@ class RelaxationSolve(NamedTuple):
     X_eigh: tuple | None = None  # eigh(X), when the dual path answered
 
 
-def _polished(insts: list, tol: float, ends: list, routed: list) -> list:
-    """The dual path's answer to each relaxation of insts (one objective
-    and constraint set, a rhs each) at tol, which sets both feasibility and
-    gap targets, as ((X, y, polish steps, eigh(X)) or None, path steps)
-    per row, from the row's stop at `_FINISH_GAP` (`_PathEnd`, of one
-    stack) and its rank-one route's points (`_rank_one_route`).  A row
-    takes the last rank-one point that passes the engine's own stopping
-    test at tol (`_accepted`); the rows left resume, as one stack, to a gap
-    of sqrt(tol), where each end takes the eigenbasis polish
-    (`_kkt_iterates`), judged the same way.  The path steps count to the
-    polished point, and are 0 where the resumed path gives none."""
-    out = [(points and _accepted(inst, points, end.pairs, tol, rank_one=True), end.steps)
-           for inst, end, points in zip(insts, ends, routed)]
-    left = [t for t, (point, _) in enumerate(out) if not point]
-    if left:
-        bs = np.array([insts[t].rhs for t in left])
-        for t, end in zip(left, _dual_paths(insts[left[0]], bs, np.sqrt(tol),
-                                            [ends[t] for t in left])):
-            out[t] = (None, 0) if end is None else (_accepted(
-                insts[t], _kkt_iterates(insts[t], end.X, end.y, end.s), end.pairs, tol), end.steps)
-    return out
-
-
 def _accepted(inst: QcqpInstance, points: list, pairs, tol: float, rank_one: bool = False):
-    """The last polish point that passes the engine's own stopping test at
-    tol (`_kkt_residuals`) once each pair's multipliers are folded
-    (`_fold`), as (X, y, polish steps, eigh(X)); None when none does.  The
-    points are `_kkt_iterates`' (X, y, s), each given a numerical eigh, or
-    with rank_one the rank-one route's (x, y), whose X = x x^T has its eigh
-    in closed form (`_outer_eigh`)."""
+    """`solve`'s test of its polish: the last point that passes the
+    engine's own stopping test at tol (`_kkt_residuals`) once each pair's
+    multipliers are folded (`_fold`), as (X, y, polish steps, eigh(X));
+    None when none does.  The points are `_kkt_iterates`' (X, y, s), each
+    given a numerical eigh, or with rank_one the rank-one route's (x, y),
+    whose X = x x^T has its eigh in closed form (`_outer_eigh`)."""
     for steps in reversed(range(len(points))):
         if rank_one:
             x, y = points[steps]
@@ -727,15 +705,15 @@ def _accepted(inst: QcqpInstance, points: list, pairs, tol: float, rank_one: boo
 
 def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     """The relaxation of `inst` solved to tol, which sets both feasibility
-    and gap targets, as a `RelaxationSolve`.  "dual-path": a polished
+    and gap targets, as a `RelaxationSolve`.  "dual-path": the last polish
     point of the dual path (a stack of one) that passes the engine's own
-    stopping test at tol (`_polished`: Newton steps on X = x x^T from the
-    path's stop at a gap of 1e-2 when S(y) has a near-null block of one
-    there, else in the eigenbasis of S(y) from its point at sqrt(tol)),
-    with the path steps to the polished point.  "full-run": otherwise one
-    engine run to tol (`_relaxation_run`), which holds every certificate to
-    tol, and an Optimal result is polished: the last point of
-    `_kkt_iterates`, with its step count.
+    stopping test at tol (`_accepted`): of Newton steps on X = x x^T from
+    the path's stop at a gap of 1e-2 when S(y) has a near-null block of
+    one there, else of the eigenbasis polish from the path resumed to a gap
+    of sqrt(tol), with the path steps to the polished point.  "full-run":
+    otherwise one engine run to tol (`_relaxation_run`), which holds every
+    certificate to tol, and an Optimal result is polished: the last point
+    of `_kkt_iterates`, with its step count.
 
     An instance with linear terms is refused with InstanceError.
     """
@@ -743,8 +721,13 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     check_solver_tol(tol)
     b = inst.rhs[None]
     [end] = _dual_paths(inst, b, _FINISH_GAP)
-    point, path_steps = (None, 0) if end is None else \
-        _polished([inst], tol, [end], _rank_one_route(inst, b, [end]))[0]
+    [routed] = [None] if end is None else _rank_one_route(inst, b, [end])
+    point = None if routed is None else _accepted(inst, routed, end.pairs, tol, rank_one=True)
+    if end is not None and point is None:
+        [end] = _dual_paths(inst, b, np.sqrt(tol), [end])
+        if end is not None:
+            point = _accepted(inst, _kkt_iterates(inst, end.X, end.y, end.s), end.pairs, tol)
+    path_steps = 0 if end is None else end.steps
     if point is not None:
         X, y, steps, eig = point
         return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path", path_steps,
@@ -815,10 +798,11 @@ def optimize_linear_functionals_over_dual_cone(
        within 2 tol (1 + |c.y|) of that bound.  y must lie inside the box,
        max y < 0.999 y_cap, and pass the dual half of `_kkt_residuals` at
        tol (y and S(y) in their cones).
-    3. `solve`'s polish (`_polished`), once over the stopped rows that
-       tier 2 leaves, from their stops and rank-one points: a row's path
-       starts once.  A row with no stop goes on to tier 4, as a stack of
-       one would fail the same way.
+    3. The rows that tier 2 leaves resume, as one stack, from their stops
+       to a gap of sqrt(tol), and each end takes the eigenbasis polish
+       (`_kkt_iterates`): its last point, y folded (`_fold`), that passes
+       the same test answers.  A row with no stop goes on to tier 4, as a
+       path of its own would fail the same way.
     4. A boxed engine run (`_maximize_over_lmi`) for each target left, in
        the given order; attained means max y < 0.999 y_cap.
 
@@ -847,8 +831,8 @@ def optimize_linear_functionals_over_dual_cone(
         answer(t, corner[t], not (c[t] > 0).any())
 
     def answer_checked(found):
-        """Answer each target t of found (t, X, y) whose point passes tier 2's
-        evidence test."""
+        """Answer each target t of found (t, X, y) that is not yet answered
+        by its first point in found that passes the evidence test."""
         if not found:
             return
         ts, X, y = (np.array(v) for v in zip(*found))
@@ -856,8 +840,8 @@ def optimize_linear_functionals_over_dual_cone(
         X = X * _scale_into(inst, b, X)[:, None, None]
         checks = zip(ts, y, _weak_duality_gaps(inst, b, X, y), _dual_residuals(inst, y))
         for t, y_t, gap, dres in checks:
-            if gap <= 2.0 * tol * (1.0 + abs(c[t] @ y_t)) and y_t.max() < 0.999 * y_cap \
-                    and dres <= tol:
+            if out[t] is None and gap <= 2.0 * tol * (1.0 + abs(c[t] @ y_t)) \
+                    and y_t.max() < 0.999 * y_cap and dres <= tol:
                 answer(t, y_t, True)
 
     rest = [t for t in range(len(targets)) if out[t] is None]
@@ -866,21 +850,23 @@ def optimize_linear_functionals_over_dual_cone(
     if ends:
         # the finish, once over every stopped row: X = x x^T and y of each
         # row's last rank-one point (x, y)
-        routed = dict(zip(ends, _rank_one_route(inst, -c[list(ends)], list(ends.values()))))
+        routed = _rank_one_route(inst, -c[list(ends)], list(ends.values()))
         answer_checked([(t, np.outer(x, x), _fold(y, ends[t].pairs))
-                        for t, points in routed.items() if points for x, y in points[-1:]])
+                        for t, points in zip(ends, routed) if points for x, y in points[-1:]])
         # the rows it leaves resume, as one stack, to tol
         left = [t for t in ends if out[t] is None]
         if left:
             resumed = _dual_paths(inst, -c[left], tol, [ends[t] for t in left])
             answer_checked([(t, end.X, end.y) for t, end in zip(left, resumed) if end is not None])
-        # and those still left take solve's polish from their stop at 1e-2
+        # and those still left, as one stack, to sqrt(tol), where each end's
+        # eigenbasis polish offers its points to the same test, the last first
         left = [t for t in left if out[t] is None]
-        insts = [QcqpInstance(Q0, inst.constraint_matrices, -c[t]) for t in left]
-        for t, (point, _) in zip(left, _polished(insts, tol, [ends[t] for t in left],
-                                                 [routed[t] for t in left])):
-            if point is not None and point[1].max() < 0.999 * y_cap:
-                answer(t, point[1], True)
+        if left:
+            resumed = _dual_paths(inst, -c[left], np.sqrt(tol), [ends[t] for t in left])
+            answer_checked([(t, X, _fold(y, end.pairs)) for t, end in zip(left, resumed)
+                            if end is not None for X, y, _ in reversed(_kkt_iterates(
+                                QcqpInstance(Q0, inst.constraint_matrices, -c[t]),
+                                end.X, end.y, end.s))])
 
     for t in rest:
         if out[t] is None:

@@ -659,8 +659,6 @@ def test_solver_breakdown_is_a_note_not_a_traceback(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(sdp_module, "_dual_paths",
                           lambda inst, bs, gap_tol, start=None: [None] * len(bs))
-            patch.setattr(sdp_module, "_polished",
-                          lambda insts, tol, ends, routed: [(None, 0)] * len(insts))
             return edge_systems(*args, **kwargs)
 
     monkeypatch.setattr(certify_module, "optimize_linear_functionals_over_dual_cone",

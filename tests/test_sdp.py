@@ -620,8 +620,8 @@ def _agrees_with(tight, ref):
 
 def _no_dual_path(monkeypatch):
     """Send every relaxation solve from now on straight to the engine."""
-    monkeypatch.setattr(sdp, "_polished",
-                        lambda insts, tol, ends, routed: [(None, 0)] * len(insts))
+    monkeypatch.setattr(sdp, "_dual_paths",
+                        lambda inst, bs, gap_tol, start=None: [None] * len(bs))
 
 
 def test_breakdown_relaxation_solves_at_1e13():
@@ -1442,35 +1442,42 @@ def test_weak_duality_check_rejects_perturbed_evidence():
 def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     """cycle4's edge minima have no corner on F (S(y) there is not positive
     definite), so all four go to the stacked dual path: one stack stops
-    them at `_FINISH_GAP`, and the rows its finish leaves resume.  With their
-    evidence rejected they go on to solve's polish from their stops, four
-    rows in all, and with that failing too, to the engine; every
-    tier gives the same answers to 1e-8 relative."""
+    them at `_FINISH_GAP`, and the rows its finish leaves resume to tol.
+    With tier 2's evidence rejected they go on to tier 3, four rows resumed
+    as one stack to sqrt(tol) and polished there.  It answers three; edge
+    (3, 4) goes on to the engine, as its last polish point breaks its two
+    active constraints, on opposite sides, by rounding that no scalar
+    takes back, and the point before is not PSD to the margin.  With tier
+    3's evidence rejected too, all four go to the engine; every tier gives
+    the same answers to 1e-8 relative."""
     targets = [(k, ell, False) for k, ell in sorted(build_graph(cycle4).edges)]
     assert not any(_on_cone(cycle4, _corner(cycle4, *t)) for t in targets)
     ref = _engine_tier(cycle4, targets)
-    stacked, polished = [], []
-    real_paths, real_polished = sdp._dual_paths, sdp._polished
+    stacked = []
+    real_paths, real_gaps = sdp._dual_paths, sdp._weak_duality_gaps
 
     def paths(inst, bs, gap_tol, start=None):
         stacked.append((len(bs), gap_tol, start is None))
         return real_paths(inst, bs, gap_tol, start)
 
-    def counted(insts, tol, ends, routed):
-        polished.extend(inst.rhs for inst in insts)
-        return real_polished(insts, tol, ends, routed)
+    def tier_three_only(inst, b, X, y):
+        """Tier 2's points rejected: only those offered after the resume
+        to sqrt(tol) are checked."""
+        if stacked[-1][1] == np.sqrt(sdp.DEFAULT_TOL):
+            return real_gaps(inst, b, X, y)
+        return np.full(len(b), np.inf)
 
     monkeypatch.setattr(sdp, "_dual_paths", paths)
-    monkeypatch.setattr(sdp, "_polished", counted)
     by_path = optimize_linear_functionals_over_dual_cone(cycle4, targets)
-    assert stacked[0] == (4, sdp._FINISH_GAP, True) and polished == []
+    assert stacked[0] == (4, sdp._FINISH_GAP, True)
     assert all(gap_tol == sdp.DEFAULT_TOL and not fresh for _, gap_tol, fresh in stacked[1:])
-    monkeypatch.setattr(sdp, "_weak_duality_gaps", lambda inst, b, X, y: np.full(len(b), np.inf))
-    by_polish = optimize_linear_functionals_over_dual_cone(cycle4, targets)
-    assert len(polished) == 4
-    monkeypatch.setattr(sdp, "_polished",
-                        lambda insts, tol, ends, routed: [(None, 0)] * len(insts))
+    monkeypatch.setattr(sdp, "_weak_duality_gaps", tier_three_only)
     runs = _engine_runs(monkeypatch)
+    by_polish = optimize_linear_functionals_over_dual_cone(cycle4, targets)
+    assert stacked[-1] == (4, np.sqrt(sdp.DEFAULT_TOL), False) and len(runs) == 1
+    assert np.array_equal(by_polish[3][2], ref[3][2])
+    runs.clear()
+    monkeypatch.setattr(sdp, "_weak_duality_gaps", lambda inst, b, X, y: np.full(len(b), np.inf))
     by_engine = optimize_linear_functionals_over_dual_cone(cycle4, targets)
     assert len(runs) == 4
     for got in (by_path, by_polish, by_engine):
@@ -1492,29 +1499,92 @@ def _tier_three_cases(small, cycle4, tmp_path):
             (draws[0][3], 1e-14), (draws[2][4], 1e-14)]
 
 
+def _tier_three_calls(monkeypatch, cases, run_engine=True):
+    """For each (instance, tol) of cases, one all-target edge call, as
+    (instance, tol, its targets, its answers, tier 3's rows, the
+    coefficients c sent to the engine).  A tier-3 row is (c, its end at
+    sqrt(tol) or None), read off the resume to sqrt(tol).  Without
+    run_engine, the engine tier answers y = 0 and runs nothing."""
+    calls, rows, engine = [], [], []
+    real_paths, real_engine = sdp._dual_paths, sdp._maximize_over_lmi
+
+    def paths(inst, bs, gap_tol, start=None):
+        ends = real_paths(inst, bs, gap_tol, start)
+        if start is not None and gap_tol == np.sqrt(tol):
+            rows.extend(zip(-bs, ends))
+        return ends
+
+    def engine_run(Q0, Qs, c, *args):
+        engine.append(c)
+        return real_engine(Q0, Qs, c, *args) if run_engine else (None, np.zeros(len(c)))
+
+    monkeypatch.setattr(sdp, "_dual_paths", paths)
+    monkeypatch.setattr(sdp, "_maximize_over_lmi", engine_run)
+    for inst, tol in cases:
+        rows, engine = [], []
+        targets = _all_targets(inst)
+        got = optimize_linear_functionals_over_dual_cone(inst, targets, tol=tol)
+        calls.append((inst, tol, targets, got, rows, engine))
+    monkeypatch.undo()
+    return calls
+
+
+def _coefficients(inst, target):
+    """The c of a target (k, ell, maximize): c.y is maximized over F."""
+    k, ell, maximize = target
+    f = inst.constraint_stack[:, k, ell]
+    return f if maximize else -f
+
+
+def _passes_evidence(rel, X, y, tol, y_cap=1e6):
+    """The evidence test of tiers 2 and 3 on a point (X, y) of the
+    relaxation rel with rhs b = -c, as a stack of one: X scaled by
+    `_scale_into` bounds the optimum within 2 tol (1 + |c.y|), y lies inside
+    the box and passes `_dual_residuals` at tol."""
+    b = rel.rhs[None]
+    X = (X * sdp._scale_into(rel, b, X[None])[0])[None]
+    gap = sdp._weak_duality_gaps(rel, b, X, y[None])[0]
+    return bool(gap <= 2.0 * tol * (1.0 + abs(b[0] @ y)) and y.max() < 0.999 * y_cap
+                and sdp._dual_residuals(rel, y) <= tol)
+
+
+def _tier_three_alone(inst, c, tol):
+    """Tier 3 for the target with coefficients c as a stack of one on its
+    relaxation: a path from its start to `_FINISH_GAP`, the resume to
+    sqrt(tol) and the eigenbasis polish there.  Its points (X, y), y folded,
+    and whether each passes the evidence test; None when the path gives
+    no end."""
+    rel = QcqpInstance(inst.objective, inst.constraint_matrices, -c)
+    b = rel.rhs[None]
+    [end] = sdp._dual_paths(rel, b, sdp._FINISH_GAP)
+    if end is not None:
+        [end] = sdp._dual_paths(rel, b, np.sqrt(tol), [end])
+    if end is None:
+        return None
+    points = [(X, sdp._fold(y, end.pairs))
+              for X, y, _ in sdp._kkt_iterates(rel, end.X, end.y, end.s)]
+    return points, [_passes_evidence(rel, X, y, tol) for X, y in points]
+
+
 def test_each_edge_call_solves_each_target_once(monkeypatch, small, cycle4, tmp_path):
     """An edge call starts one dual path from scratch and runs the rank-one
     route at most once, though tiers 1-2 leave some of its targets: tier 3
-    polishes the stack's own stops and rank-one points, and a target with
-    no stop goes to the engine."""
+    resumes the stack's own stops, and a target with no stop goes to the
+    engine."""
     counts = {"fresh": 0, "route": 0, "tier 3 rows": 0}
-    real_paths, real_route, real_polished = sdp._dual_paths, sdp._rank_one_route, sdp._polished
+    real_paths, real_route = sdp._dual_paths, sdp._rank_one_route
 
     def paths(inst, bs, gap_tol, start=None):
         counts["fresh"] += start is None
+        counts["tier 3 rows"] += len(bs) if start is not None and gap_tol == np.sqrt(tol) else 0
         return real_paths(inst, bs, gap_tol, start)
 
     def route(*args):
         counts["route"] += 1
         return real_route(*args)
 
-    def polished(insts, *args):
-        counts["tier 3 rows"] += len(insts)
-        return real_polished(insts, *args)
-
     monkeypatch.setattr(sdp, "_dual_paths", paths)
     monkeypatch.setattr(sdp, "_rank_one_route", route)
-    monkeypatch.setattr(sdp, "_polished", polished)
     for inst, tol in _tier_three_cases(small, cycle4, tmp_path):
         counts.update(fresh=0, route=0)
         optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst), tol=tol)
@@ -1522,48 +1592,85 @@ def test_each_edge_call_solves_each_target_once(monkeypatch, small, cycle4, tmp_
     assert counts["tier 3 rows"] > 0
 
 
-def _polished_alone(inst, tol):
-    """Tier 3's answer as a stack of one on the target's relaxation: a path
-    from its start to `_FINISH_GAP`, its rank-one route, then the resume to
-    sqrt(tol) and the eigenbasis polish."""
-    b = inst.rhs[None]
-    [end] = sdp._dual_paths(inst, b, sdp._FINISH_GAP)
-    if end is not None:
-        [routed] = sdp._rank_one_route(inst, b, [end])
-        accepted = routed and sdp._accepted(inst, routed, end.pairs, tol, rank_one=True)
-        if accepted:
-            return accepted, end.steps
-        [end] = sdp._dual_paths(inst, b, np.sqrt(tol), [end])
-    if end is None:
-        return None, 0
-    points = sdp._kkt_iterates(inst, end.X, end.y, end.s)
-    return sdp._accepted(inst, points, end.pairs, tol), end.steps
-
-
 def test_tier_three_matches_a_stack_of_one(monkeypatch, small, cycle4, tmp_path):
-    """Every tier-3 answer, polished from the stack's own stop and rank-one
-    points, is the one that a fresh stack of one on the target's relaxation
-    gives, bit for bit: point, polish steps, eigh and path steps."""
-    rows = []
-    real = sdp._polished
+    """Every tier-3 row, resumed from the stack's own stop, answers as a
+    fresh stack of one on the target's relaxation does, bit for bit: with
+    its last polish point that passes the evidence test, or, when none
+    does, by the engine."""
+    calls = _tier_three_calls(monkeypatch, _tier_three_cases(small, cycle4, tmp_path))
+    answered = []
+    for inst, tol, targets, got, rows, engine in calls:
+        for c, end in rows:
+            ref = _tier_three_alone(inst, c, tol)
+            assert (end is None) == (ref is None)
+            passed = [y for (_, y), ok in zip(*ref) if ok] if ref else []
+            answered.append(bool(passed))
+            for target, (_, attained, y) in zip(targets, got):
+                if np.array_equal(_coefficients(inst, target), c):
+                    to_engine = any(np.array_equal(c, c1) for c1 in engine)
+                    assert to_engine == (not passed)
+                    if passed:
+                        assert attained and np.array_equal(y, passed[-1])
+    assert len(answered) == 6 and set(answered) == {True, False}
 
-    def polished(insts, tol, ends, routed):
-        got = real(insts, tol, ends, routed)
-        rows.extend((inst, tol, row) for inst, row in zip(insts, got))
-        return got
 
-    monkeypatch.setattr(sdp, "_polished", polished)
-    for inst, tol in _tier_three_cases(small, cycle4, tmp_path):
-        optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst), tol=tol)
-    assert len(rows) == 6 and {point is None for _, _, (point, _) in rows} == {True, False}
-    for inst, tol, (point, steps) in rows:
-        ref, ref_steps = _polished_alone(inst, tol)
-        assert steps == ref_steps and (point is None) == (ref is None)
-        if point is not None:
-            X, y, polish_steps, (lam, V) = point
-            X1, y1, polish_steps1, (lam1, V1) = ref
-            assert polish_steps == polish_steps1
-            assert all(np.array_equal(a, a1) for a, a1 in ((X, X1), (y, y1), (lam, lam1), (V, V1)))
+def test_tier_three_refuses_bad_evidence(monkeypatch, small, cycle4, tmp_path):
+    """Tier 3 answers only from checked evidence.  On the tier-3 cases the
+    X of every tier-3 answer, scaled into the constraints, passes
+    `_weak_duality_gaps` (PSD up to `eigvalsh_margin`, <Qp, X> <= b_p, the
+    bound within 2 tol (1 + |c.y|)) and its y passes `_dual_residuals`.
+    cycle4's edge (3, 4) minimum at 1e-12 and 1e-14 is answered by a
+    polish point before the last, which fails the test.  With the polish
+    points perturbed, every target that tier 3 answered goes to the engine
+    instead: X shifted below PSD by far more than `eigvalsh_margin`, or
+    grown by a multiple of I, which breaks its active constraints by more
+    than `_scale_into`, a scalar near 1 for rounding, takes back without
+    losing the bound.  (The engine tier is stubbed there: on cycle4 at
+    1e-12 and 1e-14 its run for edge (3, 4) ends NumericalLimit, and the
+    call raises.)"""
+    cases = _tier_three_cases(small, cycle4, tmp_path)
+    checked = []  # (b, X, y, gap) of every point the evidence test saw
+    real_gaps, real_kkt = sdp._weak_duality_gaps, sdp._kkt_iterates
+
+    def gaps(inst, b, X, y):
+        out = real_gaps(inst, b, X, y)
+        checked.extend(zip(b, X, y, out))
+        return out
+
+    monkeypatch.setattr(sdp, "_weak_duality_gaps", gaps)
+    calls = _tier_three_calls(monkeypatch, cases)
+    answered = []  # per call, the c of each row that tier 3 answered
+    for inst, tol, targets, got, rows, engine in calls:
+        answered.append([c for c, _ in rows if not any(np.array_equal(c, c1) for c1 in engine)])
+        A = inst.constraint_stack.reshape(inst.m, -1)
+        for c in answered[-1]:
+            y = next(y for t, (_, _, y) in zip(targets, got)
+                     if np.array_equal(_coefficients(inst, t), c))
+            X = next(X for b, X, y1, gap in checked if np.array_equal(b, -c)
+                     and np.array_equal(y1, y) and gap <= 2.0 * tol * (1.0 + abs(c @ y)))
+            assert np.linalg.eigvalsh(X)[0] >= -sdp.eigvalsh_margin(inst.n, np.abs(X))
+            assert (A @ X.ravel() <= -c).all() and sdp._dual_residuals(inst, y) <= tol
+    assert sum(map(len, answered)) == 5
+
+    pinned = (2, 3, False)  # cycle4's edge (3, 4), minimum
+    for (inst, tol, targets, got, _, _), tier_three in zip(calls[2:4], answered[2:4]):
+        c = _coefficients(inst, pinned)
+        assert any(np.array_equal(c, c1) for c1 in tier_three)
+        points, ok = _tier_three_alone(inst, c, tol)
+        assert not ok[-1] and any(ok)
+        passed = [y for (_, y), o in zip(points, ok) if o]
+        assert np.array_equal(got[targets.index(pinned)][2], passed[-1])
+
+    def perturbed(move):
+        return lambda inst, X, y, s: [(move(X1), y1, s1) for X1, y1, s1 in real_kkt(inst, X, y, s)]
+
+    for move in (lambda X: X - 1e-6 * np.abs(X).max() * np.eye(len(X)),
+                 lambda X: X + 1e-6 * np.abs(X).max() * np.eye(len(X))):
+        monkeypatch.setattr(sdp, "_kkt_iterates", perturbed(move))
+        for call, call1, gone in zip(calls, _tier_three_calls(monkeypatch, cases, False), answered):
+            engine, engine1 = call[5], call1[5]
+            assert len(engine1) == len(engine) + len(gone)
+            assert all(any(np.array_equal(c, c1) for c1 in engine1) for c in gone)
 
 
 def _finish_spy(monkeypatch):
@@ -1866,8 +1973,8 @@ def test_homogenized_pair_settles_by_the_finish(tol):
 
 
 def test_engine_tier_is_one_run_per_target(monkeypatch, small):
-    """With the path and the polished path giving no point, every target
-    off its corner reaches the engine tier, which answers it as a lone
+    """With the path giving no point, every target off its corner reaches
+    the engine tier, which answers it as a lone
     `sdp._maximize_over_lmi` run does: the same y and attained flag bit for
     bit, and the value S(y)_kl at that y.  On the eps = 5e-4 connecting
     perturbation of two copies of small.json two of them need the
@@ -1876,8 +1983,6 @@ def test_engine_tier_is_one_run_per_target(monkeypatch, small):
     targets = _all_targets(inst)
     monkeypatch.setattr(sdp, "_dual_paths",
                         lambda inst, bs, gap_tol, start=None: [None] * len(bs))
-    monkeypatch.setattr(sdp, "_polished",
-                        lambda insts, tol, ends, routed: [(None, 0)] * len(insts))
     runs = _engine_runs(monkeypatch)
     got = optimize_linear_functionals_over_dual_cone(inst, targets)
     asked = [t for t in targets if not _on_cone(inst, _corner(inst, *t))]

@@ -21,10 +21,10 @@ The per-edge systems optimize one entry S(y)_{kl} over the same set of y,
 boxed; each is the dual of a relaxation with rhs +-(Qp)_{kl}.
 `optimize_linear_functionals_over_dual_cone` answers each target by the
 first of four tiers: the box corner; one stacked dual path per instance,
-stopped at 1e-2 for the same finish, run once over the stack, and resumed
-to tol for the rows it leaves; their resume to sqrt(tol) and the
-eigenbasis polish for the rows still left, every point of both under one
-evidence test; and a boxed engine run (`_engine._maximize_over_lmi`),
+stopped at 1e-2 for the same finish, run once over the stack, and for the
+rows it leaves resumed to sqrt(tol), then on to tol; the eigenbasis
+polish of the sqrt(tol) ends of the rows still left, every point of both
+under one evidence test; and a boxed engine run (`_engine._maximize_over_lmi`),
 which also serves the positive-definiteness check
 (`max_min_eigen_combination`).  No cone vector is built here;
 `solve_standard_form`, `svec` and `smat` stay importable from this module.
@@ -149,10 +149,10 @@ def _null_block(inst: QcqpInstance, sig: np.ndarray, y: np.ndarray):
 _POLISH_STEPS = 6
 
 
-def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
-    """Newton steps on the optimality system at mu = 0, taken one at a time
-    while they lower its residual: the points (X, y, s) from the start on,
-    each at a lower residual than the one before.
+def _kkt_iterates(inst: QcqpInstance, b: np.ndarray, X, y, s, steps: int = _POLISH_STEPS):
+    """Newton steps on the optimality system at mu = 0 (rhs b), taken one
+    at a time while they lower its residual: the points (X, y, s) from the
+    start on, each at a lower residual than the one before.
 
     `solve` and tier 3 of the edge systems start it from the dual path's
     point at a gap of sqrt(tol) when the finish (`_rank_one_iterates`) does
@@ -189,7 +189,7 @@ def _kkt_iterates(inst: QcqpInstance, X, y, s, steps: int = _POLISH_STEPS):
         At = U.T @ A @ U
         At_flat = At.reshape(m, -1)
         Rt = -(Xt * sig + sig[:, None] * Xt)
-        rp = inst.rhs - At_flat @ Xt.ravel() - s
+        rp = b - At_flat @ Xt.ravel() - s
         ys = y * s
         residual = np.sqrt(rp @ rp + ys @ ys + np.sum(Rt * Rt))
         if points and not residual < last:
@@ -486,9 +486,9 @@ def _dual_paths(inst: QcqpInstance, bs: np.ndarray, gap_tol: float, start=None) 
     centred step at its y and mu, and goes on as a path to gap_tol that
     passed that point goes on, so it ends as that path ends, bit for bit,
     with its steps counted from its first start and `_PATH_STEPS` spent
-    over both legs.  Its stack's opposite pairs come with it.  Callers
-    stop every row at `_FINISH_GAP`, hand the ends to their finish in one
-    call, and resume only the rows it leaves.
+    over every leg (a resumed end may be resumed again).  Its stack's
+    opposite pairs come with it.  Callers stop every row at `_FINISH_GAP`,
+    finish the ends in one call, and resume only the rows it leaves.
 
     The dual, max -b.y over F, has only m unknowns.  Damped Newton steps
     minimize the barrier
@@ -726,7 +726,8 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     if end is not None and point is None:
         [end] = _dual_paths(inst, b, np.sqrt(tol), [end])
         if end is not None:
-            point = _accepted(inst, _kkt_iterates(inst, end.X, end.y, end.s), end.pairs, tol)
+            point = _accepted(inst, _kkt_iterates(inst, inst.rhs, end.X, end.y, end.s),
+                              end.pairs, tol)
     path_steps = 0 if end is None else end.steps
     if point is not None:
         X, y, steps, eig = point
@@ -736,7 +737,7 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
                                                            inst.rhs, tol)
     steps = 0
     if status is SolverStatus.OPTIMAL:
-        points = _kkt_iterates(inst, X, y, s)
+        points = _kkt_iterates(inst, inst.rhs, X, y, s)
         (X, y, _), steps = points[-1], len(points) - 1
     return RelaxationSolve(status, X, y, message, iterations, steps, "full-run", path_steps)
 
@@ -789,8 +790,9 @@ def optimize_linear_functionals_over_dual_cone(
        route (`_rank_one_route`) from the path's points, runs once over
        the stack, and a row's last x x^T and y answer when they pass the
        evidence test below.  The rows the finish does not settle resume,
-       as one stack, to a gap of tol (1 + |c.y|), where each point (X, y)
-       takes the same test (`answer_checked`).  X, scaled by
+       as one stack, to a gap of sqrt(tol) (1 + |c.y|), and those ends
+       (the roots) go on, as one stack, to tol (1 + |c.y|), where each
+       point (X, y) takes the same test (`answer_checked`).  X, scaled by
        one scalar into <Qp, X> <= -c_p (`_scale_into`: a rank-one X meets
        an active constraint only to rounding), must be checked evidence
        (`_weak_duality_gaps`): X PSD up to rounding with <Qp, X> <= -c_p
@@ -798,11 +800,11 @@ def optimize_linear_functionals_over_dual_cone(
        within 2 tol (1 + |c.y|) of that bound.  y must lie inside the box,
        max y < 0.999 y_cap, and pass the dual half of `_kkt_residuals` at
        tol (y and S(y) in their cones).
-    3. The rows that tier 2 leaves resume, as one stack, from their stops
-       to a gap of sqrt(tol), and each end takes the eigenbasis polish
-       (`_kkt_iterates`): its last point, y folded (`_fold`), that passes
-       the same test answers.  A row with no stop goes on to tier 4, as a
-       path of its own would fail the same way.
+    3. The root of each row that tier 2 leaves takes the eigenbasis
+       polish (`_kkt_iterates`): its last point, y folded (`_fold`), that
+       passes the same test answers.  So each row's path runs each leg
+       once, 1e-2 to sqrt(tol) to tol.  A row with no stop or no root goes
+       on to tier 4: its path to tol fails the same way.
     4. A boxed engine run (`_maximize_over_lmi`) for each target left, in
        the given order; attained means max y < 0.999 y_cap.
 
@@ -853,20 +855,18 @@ def optimize_linear_functionals_over_dual_cone(
         routed = _rank_one_route(inst, -c[list(ends)], list(ends.values()))
         answer_checked([(t, np.outer(x, x), _fold(y, ends[t].pairs))
                         for t, points in zip(ends, routed) if points for x, y in points[-1:]])
-        # the rows it leaves resume, as one stack, to tol
+        # the rows it leaves resume, as one stack, to sqrt(tol), and those
+        # ends (the roots) go on, as one stack, to tol
         left = [t for t in ends if out[t] is None]
-        if left:
-            resumed = _dual_paths(inst, -c[left], tol, [ends[t] for t in left])
-            answer_checked([(t, end.X, end.y) for t, end in zip(left, resumed) if end is not None])
-        # and those still left, as one stack, to sqrt(tol), where each end's
-        # eigenbasis polish offers its points to the same test, the last first
-        left = [t for t in left if out[t] is None]
-        if left:
-            resumed = _dual_paths(inst, -c[left], np.sqrt(tol), [ends[t] for t in left])
-            answer_checked([(t, X, _fold(y, end.pairs)) for t, end in zip(left, resumed)
-                            if end is not None for X, y, _ in reversed(_kkt_iterates(
-                                QcqpInstance(Q0, inst.constraint_matrices, -c[t]),
-                                end.X, end.y, end.s))])
+        roots = _dual_paths(inst, -c[left], np.sqrt(tol), [ends[t] for t in left]) if left else []
+        roots = {t: root for t, root in zip(left, roots) if root is not None}
+        if roots:
+            resumed = zip(roots, _dual_paths(inst, -c[list(roots)], tol, list(roots.values())))
+            answer_checked([(t, end.X, end.y) for t, end in resumed if end is not None])
+            # then the eigenbasis polish of each root left, its last point first
+            answer_checked([(t, X, _fold(y, root.pairs)) for t, root in roots.items()
+                            if out[t] is None for X, y, _ in
+                            reversed(_kkt_iterates(inst, -c[t], root.X, root.y, root.s))])
 
     for t in rest:
         if out[t] is None:

@@ -542,7 +542,7 @@ def test_polish_step_matches_dense_jacobian(monkeypatch, n, rank, active, inacti
             return lstsq(M, rhs, rcond=rcond)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        points = _kkt_iterates(inst, X0, y0, s0, steps=1)
+        points = _kkt_iterates(inst, inst.rhs, X0, y0, s0, steps=1)
         (X1, y1, s1), taken = points[-1], len(points) - 1
         monkeypatch.undo()
         kv = rank * (rank + 1) // 2 + 2 * inst.m
@@ -554,7 +554,7 @@ def test_polish_step_matches_dense_jacobian(monkeypatch, n, rank, active, inacti
         assert np.max(np.abs(s1 - sd)) < 1e-9
 
         # further steps converge to the planted optimum
-        X4, y4, s4 = _kkt_iterates(inst, X1, y1, s1, steps=3)[-1]
+        X4, y4, s4 = _kkt_iterates(inst, inst.rhs, X1, y1, s1, steps=3)[-1]
         assert np.linalg.norm(X4 @ dual_slack(inst, y4)) < 1e-10
         assert np.max(np.abs(X4 - X)) < 1e-8
         assert np.max(np.abs(y4 - y)) < 1e-8
@@ -790,7 +790,7 @@ def test_polish_routes_agree_on_the_sweep(relaxation_sweep, tol):
         if routed is None:
             continue
         one = sdp._accepted(inst, routed, pairs, tol, rank_one=True)
-        eb = sdp._accepted(inst, sdp._kkt_iterates(inst, X, y, s), pairs, tol)
+        eb = sdp._accepted(inst, sdp._kkt_iterates(inst, inst.rhs, X, y, s), pairs, tol)
         compared += 1
         assert (one is None) == (eb is None)
         if one is None:
@@ -1442,39 +1442,48 @@ def test_weak_duality_check_rejects_perturbed_evidence():
 def test_rejected_tiers_fall_through(monkeypatch, cycle4):
     """cycle4's edge minima have no corner on F (S(y) there is not positive
     definite), so all four go to the stacked dual path: one stack stops
-    them at `_FINISH_GAP`, and the rows its finish leaves resume to tol.
-    With tier 2's evidence rejected they go on to tier 3, four rows resumed
-    as one stack to sqrt(tol) and polished there.  It answers three; edge
-    (3, 4) goes on to the engine, as its last polish point breaks its two
-    active constraints, on opposite sides, by rounding that no scalar
-    takes back, and the point before is not PSD to the margin.  With tier
-    3's evidence rejected too, all four go to the engine; every tier gives
-    the same answers to 1e-8 relative."""
+    them at `_FINISH_GAP`, and the rows its finish leaves resume to
+    sqrt(tol), then from there to tol.  With tier 2's evidence rejected
+    they go on to tier 3, which polishes the four ends at sqrt(tol) that
+    the first resume gave.  It answers three; edge (3, 4) goes on to the
+    engine, as its last polish point breaks its two active constraints,
+    on opposite sides, by rounding that no scalar takes back, and the
+    point before is not PSD to the margin.  With tier 3's evidence
+    rejected too, all four go to the engine; every tier gives the same
+    answers to 1e-8 relative."""
     targets = [(k, ell, False) for k, ell in sorted(build_graph(cycle4).edges)]
     assert not any(_on_cone(cycle4, _corner(cycle4, *t)) for t in targets)
     ref = _engine_tier(cycle4, targets)
-    stacked = []
-    real_paths, real_gaps = sdp._dual_paths, sdp._weak_duality_gaps
+    stacked, polished = [], []
+    real_paths, real_gaps, real_kkt = sdp._dual_paths, sdp._weak_duality_gaps, sdp._kkt_iterates
+    tol, root_tol = sdp.DEFAULT_TOL, np.sqrt(sdp.DEFAULT_TOL)
 
     def paths(inst, bs, gap_tol, start=None):
         stacked.append((len(bs), gap_tol, start is None))
         return real_paths(inst, bs, gap_tol, start)
 
+    def polish(inst, b, X, y, s):
+        polished.append(b)
+        return real_kkt(inst, b, X, y, s)
+
     def tier_three_only(inst, b, X, y):
-        """Tier 2's points rejected: only those offered after the resume
-        to sqrt(tol) are checked."""
-        if stacked[-1][1] == np.sqrt(sdp.DEFAULT_TOL):
+        """Tier 2's points rejected: only those offered after the
+        eigenbasis polish has run are checked."""
+        if polished:
             return real_gaps(inst, b, X, y)
         return np.full(len(b), np.inf)
 
     monkeypatch.setattr(sdp, "_dual_paths", paths)
+    monkeypatch.setattr(sdp, "_kkt_iterates", polish)
     by_path = optimize_linear_functionals_over_dual_cone(cycle4, targets)
-    assert stacked[0] == (4, sdp._FINISH_GAP, True)
-    assert all(gap_tol == sdp.DEFAULT_TOL and not fresh for _, gap_tol, fresh in stacked[1:])
+    assert stacked == [(4, sdp._FINISH_GAP, True), (2, root_tol, False), (2, tol, False)]
+    assert not polished
     monkeypatch.setattr(sdp, "_weak_duality_gaps", tier_three_only)
     runs = _engine_runs(monkeypatch)
+    stacked.clear()
     by_polish = optimize_linear_functionals_over_dual_cone(cycle4, targets)
-    assert stacked[-1] == (4, np.sqrt(sdp.DEFAULT_TOL), False) and len(runs) == 1
+    assert stacked == [(4, sdp._FINISH_GAP, True), (4, root_tol, False), (4, tol, False)]
+    assert len(polished) == 4 and len(runs) == 1
     assert np.array_equal(by_polish[3][2], ref[3][2])
     runs.clear()
     monkeypatch.setattr(sdp, "_weak_duality_gaps", lambda inst, b, X, y: np.full(len(b), np.inf))
@@ -1503,27 +1512,36 @@ def _tier_three_calls(monkeypatch, cases, run_engine=True):
     """For each (instance, tol) of cases, one all-target edge call, as
     (instance, tol, its targets, its answers, tier 3's rows, the
     coefficients c sent to the engine).  A tier-3 row is (c, its end at
-    sqrt(tol) or None), read off the resume to sqrt(tol).  Without
-    run_engine, the engine tier answers y = 0 and runs nothing."""
-    calls, rows, engine = [], [], []
-    real_paths, real_engine = sdp._dual_paths, sdp._maximize_over_lmi
+    sqrt(tol) or None), read off the resume to sqrt(tol), for each row of
+    that resume that tier 2 leaves: one with no end there, or one whose
+    end the eigenbasis polish gets.  Without run_engine, the engine tier
+    answers y = 0 and runs nothing."""
+    calls, roots, polished, engine = [], [], [], []
+    real_paths, real_kkt, real_engine = sdp._dual_paths, sdp._kkt_iterates, sdp._maximize_over_lmi
 
     def paths(inst, bs, gap_tol, start=None):
         ends = real_paths(inst, bs, gap_tol, start)
         if start is not None and gap_tol == np.sqrt(tol):
-            rows.extend(zip(-bs, ends))
+            roots.extend(zip(-bs, ends))
         return ends
+
+    def polish(inst, b, X, *args):
+        polished.append(X)
+        return real_kkt(inst, b, X, *args)
 
     def engine_run(Q0, Qs, c, *args):
         engine.append(c)
         return real_engine(Q0, Qs, c, *args) if run_engine else (None, np.zeros(len(c)))
 
     monkeypatch.setattr(sdp, "_dual_paths", paths)
+    monkeypatch.setattr(sdp, "_kkt_iterates", polish)
     monkeypatch.setattr(sdp, "_maximize_over_lmi", engine_run)
     for inst, tol in cases:
-        rows, engine = [], []
+        roots, polished, engine = [], [], []
         targets = _all_targets(inst)
         got = optimize_linear_functionals_over_dual_cone(inst, targets, tol=tol)
+        rows = [(c, end) for c, end in roots
+                if end is None or any(X is end.X for X in polished)]
         calls.append((inst, tol, targets, got, rows, engine))
     monkeypatch.undo()
     return calls
@@ -1562,34 +1580,54 @@ def _tier_three_alone(inst, c, tol):
     if end is None:
         return None
     points = [(X, sdp._fold(y, end.pairs))
-              for X, y, _ in sdp._kkt_iterates(rel, end.X, end.y, end.s)]
+              for X, y, _ in sdp._kkt_iterates(rel, rel.rhs, end.X, end.y, end.s)]
     return points, [_passes_evidence(rel, X, y, tol) for X, y in points]
 
 
 def test_each_edge_call_solves_each_target_once(monkeypatch, small, cycle4, tmp_path):
     """An edge call starts one dual path from scratch and runs the rank-one
-    route at most once, though tiers 1-2 leave some of its targets: tier 3
-    resumes the stack's own stops, and a target with no stop goes to the
-    engine."""
-    counts = {"fresh": 0, "route": 0, "tier 3 rows": 0}
+    route at most once, though tiers 1-2 leave some of its targets, and
+    each row's path runs each leg once, `_FINISH_GAP` to sqrt(tol) to tol:
+    no stop is resumed twice, tier 3 polishes only ends that the resume to
+    sqrt(tol) returned, and a target with no stop goes to the engine.  So
+    the calls on cycle4 at 1e-12 and 1e-14 and on seed 1's edge-systems
+    draw 03-bipartite-n16 at 1e-12 take at most 20, 24 and 29 ray
+    searches; a second resume from the stops, to sqrt(tol), took 24, 29
+    and 39."""
+    counts, stops, roots, resumed, polished = {}, {}, {}, [], []
     real_paths, real_route = sdp._dual_paths, sdp._rank_one_route
+    real_kkt, real_ray = sdp._kkt_iterates, sdp._ray_minimum
 
     def paths(inst, bs, gap_tol, start=None):
         counts["fresh"] += start is None
-        counts["tier 3 rows"] += len(bs) if start is not None and gap_tol == np.sqrt(tol) else 0
-        return real_paths(inst, bs, gap_tol, start)
+        ends = real_paths(inst, bs, gap_tol, start)
+        resumed.extend(id(end) for end in start or () if id(end) in stops)
+        kept = stops if start is None else roots if gap_tol == np.sqrt(tol) else {}
+        kept.update((id(end), end) for end in ends if end is not None)  # kept alive: no id reused
+        return ends
 
     def route(*args):
         counts["route"] += 1
         return real_route(*args)
 
-    monkeypatch.setattr(sdp, "_dual_paths", paths)
-    monkeypatch.setattr(sdp, "_rank_one_route", route)
-    for inst, tol in _tier_three_cases(small, cycle4, tmp_path):
-        counts.update(fresh=0, route=0)
+    def polish(inst, b, X, y, s):
+        polished.append(any(X is root.X for root in roots.values()))
+        return real_kkt(inst, b, X, y, s)
+
+    def ray(slope, lam):
+        counts["rays"] += 1
+        return real_ray(slope, lam)
+
+    for name, spy in [("_dual_paths", paths), ("_rank_one_route", route),
+                      ("_kkt_iterates", polish), ("_ray_minimum", ray)]:
+        monkeypatch.setattr(sdp, name, spy)
+    cases = _tier_three_cases(small, cycle4, tmp_path)
+    for (inst, tol), most in zip(cases, (None, None, 20, 24, 29, None, None), strict=True):
+        counts.update(fresh=0, route=0, rays=0)
         optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst), tol=tol)
         assert counts["fresh"] == 1 and counts["route"] <= 1
-    assert counts["tier 3 rows"] > 0
+        assert most is None or counts["rays"] <= most
+    assert len(set(resumed)) == len(resumed) > 0 and polished and all(polished)
 
 
 def test_tier_three_matches_a_stack_of_one(monkeypatch, small, cycle4, tmp_path):
@@ -1662,7 +1700,8 @@ def test_tier_three_refuses_bad_evidence(monkeypatch, small, cycle4, tmp_path):
         assert np.array_equal(got[targets.index(pinned)][2], passed[-1])
 
     def perturbed(move):
-        return lambda inst, X, y, s: [(move(X1), y1, s1) for X1, y1, s1 in real_kkt(inst, X, y, s)]
+        return lambda inst, b, X, y, s: [(move(X1), y1, s1)
+                                         for X1, y1, s1 in real_kkt(inst, b, X, y, s)]
 
     for move in (lambda X: X - 1e-6 * np.abs(X).max() * np.eye(len(X)),
                  lambda X: X + 1e-6 * np.abs(X).max() * np.eye(len(X))):
@@ -1676,8 +1715,10 @@ def test_tier_three_refuses_bad_evidence(monkeypatch, small, cycle4, tmp_path):
 def _finish_spy(monkeypatch):
     """The rows that each finish settles from now on, one list per stacked
     dual path stopped at `_FINISH_GAP` (indices into its rows): the rows
-    that got a point there and were not resumed."""
-    settled, stopped = [], {}  # stopped: id of each end -> (end, its stack's list, its row)
+    that got a point there and were not resumed.  A row resumes in two
+    legs, to sqrt(tol) and then from that end to tol; only the first
+    resumes a stop, and a stop resumed twice raises ValueError."""
+    settled, stopped = [], {}  # stopped: id of each stop -> (stop, its stack's list, its row)
     real = sdp._dual_paths
 
     def paths(inst, bs, gap_tol, start=None):
@@ -1687,8 +1728,9 @@ def _finish_spy(monkeypatch):
             stopped.update((id(end), (end, settled[-1], j))
                            for j, end in enumerate(ends) if end is not None)
         for end in start or ():
-            _, rows, j = stopped[id(end)]
-            rows.remove(j)
+            if id(end) in stopped:  # not an end at sqrt(tol), which goes on to tol
+                _, rows, j = stopped[id(end)]
+                rows.remove(j)
         return ends
 
     monkeypatch.setattr(sdp, "_dual_paths", paths)
@@ -1825,35 +1867,41 @@ def test_finish_rejects_a_y_outside_the_dual_test(monkeypatch, cycle4, side):
 
 def test_forced_finish_failure_ends_as_the_path(monkeypatch, small, cycle4):
     """With every near-null block forced to size 2, the finish settles no
-    row: every row stopped at `_FINISH_GAP` resumes, and ends with the
-    value, the y and the path steps of its stack's path alone, bit for bit."""
+    row: every row stopped at `_FINISH_GAP` resumes to sqrt(tol), every end
+    there goes on to tol, and each leg's rows end with the value, the y
+    and the path steps of their stack's path alone to that leg's gap, bit
+    for bit."""
     instances = _seeded_instances(small, cycle4)
     refs = [_without_finish(monkeypatch, inst, _all_targets(inst)) for inst in instances]
     monkeypatch.setattr(sdp, "_null_block", lambda inst, sig, y: np.full(sig.shape[:-1], 2))
-    real, stops, compared = sdp._dual_paths, [], []
+    real, stops, legs, compared = sdp._dual_paths, [], [], {}  # legs: (stack's bs, rows, ends)
 
     def paths(inst, bs, gap_tol, start=None):
         got = real(inst, bs, gap_tol, start)
         if start is None:
-            stops.append((bs, got))
+            stops.append(got)
+            legs.append((bs, range(len(bs)), got))
             return got
-        [(stop_bs, ends)] = [stop for stop in stops if any(end is start[0] for end in stop[1])]
-        rows = [j for j, end in enumerate(ends) if end is not None]
-        assert [id(end) for end in start] == [id(ends[j]) for j in rows]
+        [(stop_bs, rows, ends)] = [leg for leg in legs if any(end is start[0] for end in leg[2])]
+        rows = [j for j, end in zip(rows, ends) if end is not None]
+        assert [id(end) for end in start] == [id(end) for end in ends if end is not None]
         alone = real(inst, stop_bs, gap_tol)
         for row, j in zip(got, rows, strict=True):
             assert (row is None) == (alone[j] is None)
             if row is not None:
                 assert row[3] == alone[j][3]
                 assert all(np.array_equal(a, b) for a, b in zip(row[:3], alone[j][:3]))
-        compared.append(len(start))
+        legs.append((stop_bs, rows, got))
+        compared.setdefault(gap_tol, []).append(len(start))
         return got
 
     monkeypatch.setattr(sdp, "_dual_paths", paths)
     for inst, ref in zip(instances, refs):
         _same_answers(optimize_linear_functionals_over_dual_cone(inst, _all_targets(inst)), ref)
-    assert len(compared) == sum(any(end is not None for end in ends) for _, ends in stops)
-    assert sum(compared) >= 40
+    stopped = sum(any(end is not None for end in ends) for ends in stops)
+    assert len(compared[np.sqrt(sdp.DEFAULT_TOL)]) == stopped
+    assert compared[sdp.DEFAULT_TOL] == compared[np.sqrt(sdp.DEFAULT_TOL)]
+    assert sum(compared[sdp.DEFAULT_TOL]) >= 40
 
 
 def _target_rhs(inst, targets):
@@ -1879,12 +1927,14 @@ def test_resumed_paths_end_as_one_path(small, cycle4, tol):
     as one path to tol ends, bit for bit, its steps counted from its start:
     as a stack and as stacks of one, for the edge targets of cycle4 and the
     seeded instances, and for homogenized small_linear, whose pair the
-    resume keeps.  A row with no point at `_FINISH_GAP` gets none at tol."""
+    resume keeps.  So does one resumed to sqrt(tol) and resumed again from
+    there to tol.  A row with no point at `_FINISH_GAP`, or at sqrt(tol),
+    gets none at tol."""
     linear = homogenize(load_instance(DATA_DIR / "small_linear.json"))
     cases = [(inst, _target_rhs(inst, _all_targets(inst)))
              for inst in _seeded_instances(small, cycle4)]
     cases.append((linear, np.array([[1.0], [2.0], [0.5]]) * linear.rhs))
-    resumed = 0
+    resumed = chained = 0
     for inst, bs in cases:
         for rows in [bs, *bs[:, None]]:  # the stack, then stacks of one
             ends = sdp._dual_paths(inst, rows, sdp._FINISH_GAP)
@@ -1892,10 +1942,18 @@ def test_resumed_paths_end_as_one_path(small, cycle4, tol):
             ref = sdp._dual_paths(inst, rows, tol)
             assert all(ref[j] is None for j in range(len(rows)) if j not in got)
             if got:
-                _same_ends(sdp._dual_paths(inst, rows[got], tol, [ends[j] for j in got]),
-                           [ref[j] for j in got])
+                stops = [ends[j] for j in got]
+                _same_ends(sdp._dual_paths(inst, rows[got], tol, stops), [ref[j] for j in got])
+                roots = sdp._dual_paths(inst, rows[got], np.sqrt(tol), stops)
+                kept = [j for j, root in zip(got, roots) if root is not None]
+                assert all(ref[j] is None for j in got if j not in kept)
+                if kept:
+                    _same_ends(sdp._dual_paths(inst, rows[kept], tol,
+                                               [root for root in roots if root is not None]),
+                               [ref[j] for j in kept])
+                chained += len(kept)
             resumed += len(got)
-    assert resumed >= 80  # 44 rows, each in its stack and alone
+    assert resumed >= 80 and chained >= 80  # 44 rows, each in its stack and alone
 
 
 def test_resumed_subset_keeps_its_stack_pairs(monkeypatch):

@@ -490,8 +490,8 @@ def _relaxation_run(Q0: np.ndarray, Qs: np.ndarray, rhs: np.ndarray, tol: float)
     return res.status, smat(res.u[m:], n), res.v, res.u[:m], res.message, res.iterations
 
 
-def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> tuple[float, np.ndarray]:
-    """(b.y*, y*) of max b.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD},
+def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> np.ndarray:
+    """y* of max b.y over {0 <= y <= y_cap, F0 + sum_p y_p Fp PSD},
     from one engine run (two if the first fails).
 
     As in every SDP here, y is the engine's dual variable v (`_lmi_form`),
@@ -518,4 +518,4 @@ def _maximize_over_lmi(F0, Fs, b, y_cap, tol, what, lmi) -> tuple[float, np.ndar
         raise DualSideEmpty(f"no y >= 0 with {lmi} PSD")
     if res.status is not SolverStatus.OPTIMAL:
         raise RuntimeError(f"{what} solve failed ({res.status.value}): {res.message}")
-    return res.dobj, res.v
+    return res.v

@@ -8,8 +8,10 @@ a lower bound on the QCQP.  `sdp.solve` solves it on the instance's own
 matrices: first by the central path of its dual in the m multipliers y
 alone, then, when that gives no answer at the tolerance, by the
 interior-point engine; `status_from` records which.  `solve_relaxation`
-reads the numerical rank of the optimal X off one eigendecomposition.  At
-rank 1 the relaxation is exact and the optimizer x* is read off the
+reads the numerical rank of the optimal X, and at rank 1, where the
+relaxation is exact, the optimizer x*: off the factor x of X = x x^T
+when the dual path's rank-one finish answered (its one nonzero
+eigenvalue is x.x), else off one eigendecomposition of X and its
 leading eigenpair.
 """
 
@@ -67,15 +69,16 @@ def numerical_rank(X: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return _rank(np.linalg.eigvalsh(X), rank_tol)
 
 
-def _leading_factor(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """sqrt(lambda_1) * v_1 from ascending eigenpairs, signed so that the
-    first nonzero coordinate is positive (the QCQP is homogeneous, so both
-    signs of x are optimizers)."""
-    x = np.sqrt(lam[-1]) * V[:, -1]
+def _signed(x: np.ndarray) -> np.ndarray:
+    """x or -x, whichever has its first nonzero coordinate positive (the
+    QCQP is homogeneous, so both signs of x are optimizers)."""
     nz = np.flatnonzero(np.abs(x) > 1e-12 * np.abs(x).max())
-    if len(nz) and x[nz[0]] < 0:
-        x = -x
-    return x
+    return -x if len(nz) and x[nz[0]] < 0 else x
+
+
+def _leading_factor(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sqrt(lambda_1) * v_1 from ascending eigenpairs, `_signed`."""
+    return _signed(np.sqrt(lam[-1]) * V[:, -1])
 
 
 def solve_relaxation(
@@ -96,12 +99,14 @@ def solve_relaxation(
     primal = float(inst.objective.ravel() @ X.ravel())
     rank, x_star, gap = 0, None, None
     if optimal:
-        # one eigendecomposition decides the rank, at the caller's rank_tol, and
-        # x*: the one that accepted the dual path's point, when it did
-        lam, V = np.linalg.eigh(X) if sol.X_eigh is None else sol.X_eigh
+        # the rank at the caller's rank_tol, and x*: off the finish's x when
+        # it answered (x.x its one nonzero eigenvalue), else off one eigh
+        x = sol.x
+        lam, V = np.linalg.eigh(X) if x is None else (np.array([x @ x]), None)
         rank = _rank(lam, rank_tol)
         if rank <= 1:
-            x_star = _leading_factor(lam, V) if rank else np.zeros(inst.n)
+            x_star = np.zeros(inst.n) if not rank else (
+                _signed(x) if V is None else _leading_factor(lam, V))
             gap = float(x_star @ inst.objective @ x_star - primal)
     return RelaxationResult(
         status=status,

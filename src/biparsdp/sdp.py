@@ -84,28 +84,25 @@ def _slack(Q0: np.ndarray, Qs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return S
 
 
-def _kkt_residuals(inst: QcqpInstance, X, y, eig=None) -> tuple[float, float, float]:
+def _kkt_residuals(inst: QcqpInstance, X, y) -> tuple[float, float, float]:
     """(pres, dres, relgap) of a relaxation point (X, y): the engine's
-    stopping measures, read at the nearest point of the cones.
+    stopping measures, with the slacks max(0, b_p - <Qp, X>) on the primal
+    side and (y+, S(y)+) on the dual side, the nearest point of their cones;
+    subscripts + and - are the two parts of an eigen- or elementwise split:
 
-    That point is X+ (X with its negative eigenvalues set to zero) with the
-    slacks max(0, b_p - <Qp, X+>) on the primal side and (y+, S(y)+) on the
-    dual side; subscripts + and - are the two parts of an eigen- or
-    elementwise split, and
-
-        pres   = ||(<Qp, X+> - b_p)+|| / (1 + ||b||)
+        pres   = ||(<Qp, X> - b_p)+|| / (1 + ||b||)
         dres   = ||(y-, S(y)-)||_F / (1 + ||Q0||_F)   (`_dual_residuals`)
-        relgap = |<Q0, X+> + b.y| / (1 + max(|<Q0, X+>|, |b.y|)).
+        relgap = |<Q0, X> + b.y| / (1 + max(|<Q0, X>|, |b.y|)).
 
-    So X not PSD, S(y) not PSD and y not >= 0 count against the point, and
-    a point with all three <= tol passes the engine's own test at tol.
+    X is measured as given and must be PSD: `_accepted` first sets the
+    negative eigenvalues of an X that may not be to zero.  Then S(y) not
+    PSD and y not >= 0 count against the point, and a point with all three
+    <= tol passes the engine's own test at tol.
     """
-    lam, V = np.linalg.eigh(X) if eig is None else eig
-    Xp = X - (V * np.minimum(lam, 0.0)) @ V.T
     A = inst.constraint_stack.reshape(inst.m, -1)
     b = inst.rhs
-    pres = np.linalg.norm(np.maximum(A @ Xp.ravel() - b, 0.0)) / (1.0 + np.linalg.norm(b))
-    pobj, dobj = float(inst.objective.ravel() @ Xp.ravel()), -float(b @ y)
+    pres = np.linalg.norm(np.maximum(A @ X.ravel() - b, 0.0)) / (1.0 + np.linalg.norm(b))
+    pobj, dobj = float(inst.objective.ravel() @ X.ravel()), -float(b @ y)
     relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
     return float(pres), float(_dual_residuals(inst, y)), relgap
 
@@ -318,23 +315,6 @@ def _rank_one_iterates(inst: QcqpInstance, bs: np.ndarray, x: np.ndarray, y: np.
             if not len(rows):
                 break
     return points
-
-
-def _outer_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh(x x^T) in closed form: the eigenvalues 0, ..., 0, x.x, ascending,
-    with the last eigenvector x / ||x|| and the others the remaining columns
-    of the Householder reflection H = I - w w^T / (1 + |u_n|), w = u + sign(u_n)
-    e_n, u = x / ||x||, which maps e_n to -sign(u_n) u."""
-    n = len(x)
-    lam, V = np.zeros(n), np.eye(n)
-    lam[-1] = x @ x
-    if lam[-1] > 0:
-        u = x / np.sqrt(lam[-1])
-        w = u.copy()
-        w[-1] += 1.0 if u[-1] >= 0 else -1.0
-        V -= np.outer(w, w / (1.0 + abs(u[-1])))
-        V[:, -1] = u
-    return lam, V
 
 
 def _rank_one_route(inst: QcqpInstance, bs: np.ndarray, ends: list) -> list:
@@ -680,26 +660,28 @@ class RelaxationSolve(NamedTuple):
     polish_steps: int  # Newton steps of the polish that answered (the finish's, or at sqrt(tol))
     status_from: str  # "dual-path" or "full-run": the test that set the status
     dual_path_steps: int  # dual-path steps to the polished point; 0 when it gave no point
-    X_eigh: tuple | None = None  # eigh(X), when the dual path answered
+    x: np.ndarray | None = None  # X = x x^T, when the rank-one finish answered
 
 
 def _accepted(inst: QcqpInstance, points: list, pairs, tol: float, rank_one: bool = False):
     """`solve`'s test of its polish: the last point that passes the
     engine's own stopping test at tol (`_kkt_residuals`) once each pair's
-    multipliers are folded (`_fold`), as (X, y, polish steps, eigh(X));
-    None when none does.  The points are `_kkt_iterates`' (X, y, s), each
-    given a numerical eigh, or with rank_one the rank-one route's (x, y),
-    whose X = x x^T has its eigh in closed form (`_outer_eigh`)."""
+    multipliers are folded (`_fold`), as (X, y, polish steps, x); None when
+    none does.  The points are `_kkt_iterates`' (X, y, s), each tested at
+    X with its negative eigenvalues set to zero (one eigh), with x None; or
+    with rank_one the rank-one route's (x, y), tested at X = x x^T, which
+    is PSD as it stands."""
     for steps in reversed(range(len(points))):
         if rank_one:
             x, y = points[steps]
-            X, eig = np.outer(x, x), _outer_eigh(x)
+            X = Xp = np.outer(x, x)
         else:
-            X, y, _ = points[steps]
-            eig = np.linalg.eigh(X)
+            (X, y, _), x = points[steps], None
+            lam, V = np.linalg.eigh(X)
+            Xp = X - (V * np.minimum(lam, 0.0)) @ V.T
         y = _fold(y, pairs)
-        if max(_kkt_residuals(inst, X, y, eig)) <= tol:
-            return X, y, steps, eig
+        if max(_kkt_residuals(inst, Xp, y)) <= tol:
+            return X, y, steps, x
     return None
 
 
@@ -710,7 +692,8 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
     stopping test at tol (`_accepted`): of Newton steps on X = x x^T from
     the path's stop at a gap of 1e-2 when S(y) has a near-null block of
     one there, else of the eigenbasis polish from the path resumed to a gap
-    of sqrt(tol), with the path steps to the polished point.  "full-run":
+    of sqrt(tol), with the path steps to the polished point, and with x of
+    X = x x^T when the finish answered.  "full-run":
     otherwise one engine run to tol (`_relaxation_run`), which holds every
     certificate to tol, and an Optimal result is polished: the last point
     of `_kkt_iterates`, with its step count.
@@ -730,9 +713,8 @@ def solve(inst: QcqpInstance, tol: float = DEFAULT_TOL) -> RelaxationSolve:
                               end.pairs, tol)
     path_steps = 0 if end is None else end.steps
     if point is not None:
-        X, y, steps, eig = point
-        return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path", path_steps,
-                               eig)
+        X, y, steps, x = point
+        return RelaxationSolve(SolverStatus.OPTIMAL, X, y, "", 0, steps, "dual-path", path_steps, x)
     status, X, y, s, message, iterations = _relaxation_run(inst.objective, inst.constraint_stack,
                                                            inst.rhs, tol)
     steps = 0
@@ -870,7 +852,7 @@ def optimize_linear_functionals_over_dual_cone(
 
     for t in rest:
         if out[t] is None:
-            _, y = _maximize_over_lmi(Q0, Qs, c[t], y_cap, tol, "edge-system", "S(y)")
+            y = _maximize_over_lmi(Q0, Qs, c[t], y_cap, tol, "edge-system", "S(y)")
             answer(t, y, bool(y.max() < 0.999 * y_cap))
     return out
 
@@ -943,7 +925,7 @@ def max_min_eigen_combination(
     check_homogeneous(inst, "pass")
     check_solver_tol(tol)
     check_positive_finite(y_cap, "y_cap")
-    _, y = _maximize_over_lmi(-np.eye(inst.n), inst.constraint_matrices, -np.ones(inst.m),
-                              y_cap, tol, "eigen-combination", "sum_p y_p Qp - I")
+    y = _maximize_over_lmi(-np.eye(inst.n), inst.constraint_matrices, -np.ones(inst.m),
+                           y_cap, tol, "eigen-combination", "sum_p y_p Qp - I")
     y = np.clip(y, 0.0, None)
     return float(1.0 / np.sum(y)), y

@@ -11,6 +11,7 @@ from biparsdp import (
     certify,
     evaluate_quadratic,
     numerical_rank,
+    solve,
     solve_relaxation,
 )
 from biparsdp.relaxation import _leading_factor
@@ -170,6 +171,24 @@ def test_zero_solution_reports_rank0():
     assert res.numeric_rank == 0
     assert np.array_equal(res.x_star, np.zeros(2))
     assert abs(res.gap) < 1e-7
+
+
+def test_rank_tol_reads_the_finish_factor(small):
+    """small.json with its rhs scaled by 1e-7: the finish answers with
+    X* = x x^T, x.x ~ 4.4e-7, so the rank is read off x.x at the caller's
+    rank_tol: rank 0 and x* = 0 at the default, rank 1 and x* = +-x at 1e-8."""
+    inst = QcqpInstance(
+        objective=small.objective,
+        constraint_matrices=small.constraint_matrices,
+        rhs=small.rhs * 1e-7,
+    )
+    x = solve(inst).x
+    assert x is not None and 1e-7 < x @ x < 1e-6
+    res = solve_relaxation(inst)
+    assert res.numeric_rank == 0 and np.array_equal(res.x_star, np.zeros(inst.n))
+    res = solve_relaxation(inst, rank_tol=1e-8)
+    assert res.numeric_rank == 1
+    assert np.array_equal(res.x_star, x) or np.array_equal(res.x_star, -x)
 
 
 def test_unbounded_relaxation_reported():

@@ -641,9 +641,10 @@ def _falls_back_to_an_earlier_passing_iterate(monkeypatch, route):
     """On the breakdown instance's relaxation, the polish `route` (the name
     of its iterates function) answers: when the stopping test rejects its
     last iterate, the last earlier one that passes is the answer, with its
-    own step count and the eigh(X) that accepted it; when the last passes,
-    it is the only one tested.  The rank-one route's points are (x, y) of
-    X = x x^T, and it is run once, by the dual path's finish."""
+    own step count and, on the rank-one route, its x (None on the
+    eigenbasis route); when the last passes, it is the only one tested.
+    The rank-one route's points are (x, y) of X = x x^T, and it is run
+    once, by the dual path's finish."""
     inst = load_instance(DATA_DIR / "bipartite_breakdown_n16.json")
     trails, tested = [], []
     real_iterates, real_residuals = getattr(sdp, route), sdp._kkt_residuals
@@ -657,11 +658,20 @@ def _falls_back_to_an_earlier_passing_iterate(monkeypatch, route):
     def matrix(point):
         return np.outer(point[0], point[0]) if rank_one else point[0]
 
-    def residuals(inst, X, y, eig=None):
-        tested.append((X, eig))
-        if reject_last and np.array_equal(X, matrix(trails[-1][-1])):
+    def measured(X):
+        """X as the stopping test measures it: PSD as it stands on the
+        rank-one route, with its negative eigenvalues set to zero on the
+        eigenbasis route."""
+        if rank_one:
+            return X
+        lam, V = np.linalg.eigh(X)
+        return X - (V * np.minimum(lam, 0.0)) @ V.T
+
+    def residuals(inst, X, y):
+        tested.append(X)
+        if reject_last and np.array_equal(X, measured(matrix(trails[-1][-1]))):
             return 1.0, 0.0, 0.0
-        return real_residuals(inst, X, y, eig)
+        return real_residuals(inst, X, y)
 
     monkeypatch.setattr(sdp, route, iterates)
     monkeypatch.setattr(sdp, "_kkt_residuals", residuals)
@@ -669,8 +679,9 @@ def _falls_back_to_an_earlier_passing_iterate(monkeypatch, route):
     res = solve(inst)
     [trail] = trails
     assert len(trail) >= 3 and res.polish_steps == len(trail) - 1
-    assert len(tested) == 1 and res.X is tested[0][0]
+    assert len(tested) == 1 and np.array_equal(tested[0], measured(res.X))
     assert np.array_equal(res.X, matrix(trail[-1]))
+    assert res.x is trail[-1][0] if rank_one else res.x is None
 
     trails.clear()
     tested.clear()
@@ -679,11 +690,10 @@ def _falls_back_to_an_earlier_passing_iterate(monkeypatch, route):
     [trail] = trails
     assert res.status is SolverStatus.OPTIMAL and res.status_from == "dual-path"
     assert res.polish_steps == len(trail) - 2 and len(tested) == 2
-    assert res.X is tested[1][0] and res.X_eigh is tested[1][1]
+    assert np.array_equal(tested[1], measured(res.X))
     assert np.array_equal(res.X, matrix(trail[-2]))
-    expected = sdp._outer_eigh(trail[-2][0]) if rank_one else np.linalg.eigh(res.X)
-    assert all(np.array_equal(a, b) for a, b in zip(res.X_eigh, expected))
-    assert max(real_residuals(inst, res.X, res.y)) <= sdp.DEFAULT_TOL
+    assert res.x is trail[-2][0] if rank_one else res.x is None
+    assert max(real_residuals(inst, measured(res.X), res.y)) <= sdp.DEFAULT_TOL
 
 
 def test_polish_falls_back_to_an_earlier_passing_iterate(monkeypatch):
@@ -804,12 +814,12 @@ def test_polish_routes_agree_on_the_sweep(relaxation_sweep, tol):
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-14])
-def test_closed_form_eigh_matches_numerical(relaxation_sweep, tol):
-    """`solve_relaxation` reads rank and x* off the accepted point's eigh,
-    which for a rank-one X = x x^T is the closed form (`_outer_eigh`): on
-    the sweep, the rank and x* that a numerical eigh of X* gives are the
-    same, x* to rounding, and the closed form's eigenpairs are those of X*."""
-    closed = 0
+def test_rank_and_factor_match_numerical_eigh(relaxation_sweep, tol):
+    """`solve_relaxation` reads rank and x* off the finish's x when the
+    finish answered, else off one eigh of X*: on the sweep, the rank and x*
+    that a numerical eigh of X* gives are the same, x* to rounding, and
+    the finish answers at least 45 of the 49."""
+    finished = 0
     for inst in relaxation_sweep:
         res = solve_relaxation(inst, tol=tol)
         lam, V = np.linalg.eigh(res.X_star)
@@ -817,15 +827,22 @@ def test_closed_form_eigh_matches_numerical(relaxation_sweep, tol):
         if res.x_star is not None:
             x = relaxation_module._leading_factor(lam, V)
             assert np.max(np.abs(res.x_star - x)) <= 1e-14 * np.max(np.abs(x))
-        eig = solve(inst, tol=tol).X_eigh
-        if not np.all(eig[0][:-1] == 0.0):
+        finished += solve(inst, tol=tol).x is not None
+    assert finished >= 45
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-14])
+def test_finish_answer_is_its_factor(relaxation_sweep, tol):
+    """Where the finish answers, X* = x x^T from its factor x, and
+    `solve_relaxation` reports that x, signed, as x*: X* equals
+    x* x*^T bit for bit."""
+    for inst in relaxation_sweep:
+        x = solve(inst, tol=tol).x
+        if x is None:
             continue
-        closed += 1
-        X = res.X_star
-        assert np.max(np.abs(eig[0] - lam)) <= 1e-14 * lam[-1]
-        assert np.max(np.abs(X @ eig[1] - eig[1] * eig[0])) <= 1e-14 * lam[-1]
-        assert np.max(np.abs(eig[1].T @ eig[1] - np.eye(inst.n))) <= 1e-14
-    assert closed >= 45
+        res = solve_relaxation(inst, tol=tol)
+        assert np.array_equal(res.X_star, np.outer(res.x_star, res.x_star))
+        assert np.array_equal(res.x_star, x) or np.array_equal(res.x_star, -x)
 
 
 def test_odd_cycle_sweep_solves_at_1e11():
@@ -1209,8 +1226,8 @@ def _engine_tier(inst, targets, y_cap=1e6, tol=sdp.DEFAULT_TOL):
     out = []
     for k, ell, maximize in targets:
         f = inst.constraint_stack[:, k, ell]
-        _, y = sdp._maximize_over_lmi(inst.objective, inst.constraint_stack,
-                                      f if maximize else -f, y_cap, tol, "edge-system", "S(y)")
+        y = sdp._maximize_over_lmi(inst.objective, inst.constraint_stack,
+                                   f if maximize else -f, y_cap, tol, "edge-system", "S(y)")
         out.append((float(inst.objective[k, ell] + f @ y), bool(y.max() < 0.999 * y_cap), y))
     return out
 
@@ -1531,7 +1548,7 @@ def _tier_three_calls(monkeypatch, cases, run_engine=True):
 
     def engine_run(Q0, Qs, c, *args):
         engine.append(c)
-        return real_engine(Q0, Qs, c, *args) if run_engine else (None, np.zeros(len(c)))
+        return real_engine(Q0, Qs, c, *args) if run_engine else np.zeros(len(c))
 
     monkeypatch.setattr(sdp, "_dual_paths", paths)
     monkeypatch.setattr(sdp, "_kkt_iterates", polish)
